@@ -264,7 +264,19 @@ def _read_measurements(path) -> dict[str, tuple[float, float]]:
                 raise ValueError(
                     f"{path}:{lineno}: expected trajectory_id,measured_rl_db,u_db"
                 )
-            out[fields[0]] = (float(fields[1]), float(fields[2]))
+            tid = fields[0]
+            try:
+                value, u = float(fields[1]), float(fields[2])
+                if not (math.isfinite(value) and math.isfinite(u) and u >= 0):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: measured_rl_db and u_db must be finite "
+                    "numbers, u_db >= 0"
+                ) from None
+            if tid in out:
+                raise ValueError(f"{path}:{lineno}: duplicate trajectory_id {tid!r}")
+            out[tid] = (value, u)
     return out
 
 

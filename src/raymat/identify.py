@@ -3,17 +3,19 @@
 Pipeline: enumerate every material sequence a multi-bounce trajectory could
 have (with its summed reflection loss from the database), keep the sequences
 compatible with a measured total within its uncertainty, and intersect the
-surviving hypotheses across trajectories that share reflection points until
-nothing changes. Shared reflection points are matched by facet id plus a
-quantized position (default cell 1 cm).
+survivors across trajectories that share a map variable until nothing changes.
+``identify_loop`` uses one variable per facet (the map constraint: one facet,
+one material); ``merge_candidates`` uses one per reflection point, matched by
+facet id plus a quantized position (cell 1 cm).
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -50,12 +52,6 @@ class SequenceCandidate:
     assignment: tuple[tuple[RPKey, str], ...]
     per_hop_rl_db: tuple[float, ...]
     total_rl_db: float
-
-    def material_at(self, key: RPKey) -> str | None:
-        for k, name in self.assignment:
-            if k == key:
-                return name
-        return None
 
 
 @dataclass(frozen=True)
@@ -120,13 +116,9 @@ class IdentificationReport:
         return "\n".join(lines) + "\n"
 
 
-def trajectory_keys(
-    traj: Trajectory, delta_m: float = DEFAULT_RP_TOLERANCE_M
-) -> tuple[RPKey, ...]:
+def trajectory_keys(traj: Trajectory) -> tuple[RPKey, ...]:
     """RPKey of every hop, in hop order."""
-    return tuple(
-        RPKey.from_point(h.facet_id, h.point, delta_m) for h in traj.hops
-    )
+    return tuple(RPKey.from_point(h.facet_id, h.point) for h in traj.hops)
 
 
 def enumerate_sequences(
@@ -134,7 +126,6 @@ def enumerate_sequences(
     palette: list[MaterialParams],
     db: RLDatabase,
     f_ghz: float,
-    delta_m: float = DEFAULT_RP_TOLERANCE_M,
 ) -> list[SequenceCandidate]:
     """All |palette|^k material sequences for a k-bounce trajectory.
 
@@ -147,7 +138,7 @@ def enumerate_sequences(
     """
     if not palette:
         raise ValueError("palette must be non-empty")
-    keys = trajectory_keys(traj, delta_m)
+    keys = trajectory_keys(traj)
     angles_deg = [np.degrees(h.theta_i) for h in traj.hops]
     per_hop: list[dict[str, float]] = []
     for i, angle in enumerate(angles_deg):
@@ -185,72 +176,117 @@ def match_measurement(
     return [c for c in candidates if abs(c.total_rl_db - m) <= u]
 
 
+class Propagator:
+    """Worklist constraint propagation over map variables (AC-3, Mackworth 1977).
+
+    ``var(key)`` maps a reflection point to the variable that carries its
+    material. Each trajectory's survivors form one table constraint over its
+    variables; a candidate that gives one variable two materials breaks the
+    map constraint and is dropped on entry. Adding a trajectory intersects
+    the domains of its variables with the materials its survivors use there,
+    prunes its survivors to the domains, and re-queues only the trajectories
+    that watch a variable whose domain shrank. Domains only ever shrink, so a
+    trajectory pruned to nothing cannot relax constraints it already imposed.
+    While no trajectory is pruned to nothing, the fixpoint does not depend on
+    the order of the adds; once one is (a contradiction), which domains end
+    empty can.
+    """
+
+    def __init__(self, var: Callable[[RPKey], Hashable]):
+        self.var = var
+        self.domains: dict[Hashable, set[str]] = {}
+        self.survivors: dict[str, list[SequenceCandidate]] = {}
+        self._coverage: dict[str, set[RPKey]] = {}
+        self._watchers: dict[Hashable, list[str]] = {}
+
+    def add(self, tid: str, candidates: Iterable[SequenceCandidate]) -> None:
+        """Add one trajectory's survivors and propagate to the fixpoint."""
+        if tid in self.survivors:
+            raise ValueError(f"trajectory {tid!r} was already added")
+        candidates = list(candidates)
+        self._coverage[tid] = {key for c in candidates for key, _ in c.assignment}
+        self.survivors[tid] = [c for c in candidates if self._map_consistent(c)]
+        for v in {self.var(key) for key in self._coverage[tid]}:
+            self._watchers.setdefault(v, []).append(tid)
+        queue, queued = deque([tid]), {tid}
+        while queue:
+            t = queue.popleft()
+            queued.discard(t)
+            for v in self._revise(t):
+                for w in self._watchers[v]:
+                    if w != t and w not in queued:
+                        queue.append(w)
+                        queued.add(w)
+
+    def settled(self) -> bool:
+        """Every covered variable is down to a single material."""
+        return bool(self._watchers) and all(
+            len(self.domains.get(v, ())) == 1 for v in self._watchers
+        )
+
+    def belief(self) -> BeliefState:
+        """Per-RPKey snapshot: an empty set at a key is a contradiction (bad
+        measurement or wrong map), and so is every key of a trajectory whose
+        hypotheses were all eliminated."""
+        keys = sorted(set().union(*self._coverage.values()))
+        rp_domains = {k: set(self.domains.get(self.var(k), ())) for k in keys}
+        contradictions = {k for k, dom in rp_domains.items() if not dom}
+        for tid, cands in self.survivors.items():
+            if not cands:
+                contradictions |= self._coverage[tid]
+        return BeliefState(
+            rp_domains=rp_domains,
+            survivors={tid: list(c) for tid, c in self.survivors.items()},
+            contradictions=sorted(contradictions),
+        )
+
+    def _map_consistent(self, cand: SequenceCandidate) -> bool:
+        seen: dict[Hashable, str] = {}
+        return all(
+            seen.setdefault(self.var(key), name) == name
+            for key, name in cand.assignment
+        )
+
+    def _revise(self, tid: str) -> set[Hashable]:
+        """Constrain domains by tid's survivors, then prune them, until stable;
+        returns the variables whose domains shrank."""
+        changed: set[Hashable] = set()
+        while True:
+            cands = self.survivors[tid]
+            support: dict[Hashable, set[str]] = {}
+            for c in cands:
+                for key, name in c.assignment:
+                    support.setdefault(self.var(key), set()).add(name)
+            for v, allowed in support.items():
+                current = self.domains.get(v)
+                if current is None:
+                    self.domains[v] = allowed
+                elif not current <= allowed:
+                    current &= allowed
+                    changed.add(v)
+            kept = [
+                c
+                for c in cands
+                if all(name in self.domains[self.var(k)] for k, name in c.assignment)
+            ]
+            if len(kept) == len(cands):
+                return changed
+            self.survivors[tid] = kept
+
+
 def merge_candidates(
     states: Iterable[tuple[str, list[SequenceCandidate]]],
 ) -> BeliefState:
     """Fixpoint constraint propagation across trajectories sharing RPKeys.
 
-    Repeatedly intersects, at every shared key, the materials appearing in
-    each covering trajectory's survivors, then deletes candidates that use an
-    eliminated material, until stable. An empty set at a key is flagged as a
-    contradiction (bad measurement or wrong map). The fixpoint does not depend
-    on the order of ``states``.
+    Runs the :class:`Propagator` with every RPKey as its own variable. Unless
+    the states contradict each other, the result does not depend on their
+    order.
     """
-    survivors: dict[str, list[SequenceCandidate]] = {
-        tid: list(cands) for tid, cands in states
-    }
-    original_coverage = {
-        tid: {key for cand in cands for key, _ in cand.assignment}
-        for tid, cands in survivors.items()
-    }
-    # domains only ever shrink once created, so the fixpoint is unique and a
-    # trajectory pruned to nothing cannot relax constraints it already imposed
-    domains: dict[RPKey, set[str]] = {}
-
-    def constrain() -> bool:
-        changed = False
-        for cands in survivors.values():
-            per_traj: dict[RPKey, set[str]] = {}
-            for cand in cands:
-                for key, name in cand.assignment:
-                    per_traj.setdefault(key, set()).add(name)
-            for key, allowed in per_traj.items():
-                current = domains.get(key)
-                updated = set(allowed) if current is None else current & allowed
-                if current is None or updated != current:
-                    domains[key] = updated
-                    changed = True
-        return changed
-
-    def prune() -> bool:
-        changed = False
-        for tid, cands in survivors.items():
-            kept = [
-                c
-                for c in cands
-                if all(name in domains[key] for key, name in c.assignment)
-            ]
-            if len(kept) != len(cands):
-                survivors[tid] = kept
-                changed = True
-        return changed
-
-    progressing = True
-    while progressing:
-        progressing = constrain()
-        progressing = prune() or progressing
-
-    contradictions = {key for key, dom in domains.items() if not dom}
-    for tid, cands in survivors.items():
-        if not cands and original_coverage[tid]:
-            # all hypotheses for this trajectory were eliminated: the shared
-            # constraints are jointly incompatible with it
-            contradictions.update(original_coverage[tid])
-    return BeliefState(
-        rp_domains={k: set(v) for k, v in sorted(domains.items())},
-        survivors=survivors,
-        contradictions=sorted(contradictions),
-    )
+    engine = Propagator(lambda key: key)
+    for tid, cands in states:
+        engine.add(tid, cands)
+    return engine.belief()
 
 
 def simulate_measurement(
@@ -302,52 +338,6 @@ def simulate_measurement(
 MeasureFn = Callable[[str, Trajectory], "MeasurementRecord | None"]
 
 
-def merge_with_facet_consistency(
-    entries: list[tuple[str, list[SequenceCandidate]]],
-) -> tuple[BeliefState, dict[str, set[str]]]:
-    """Per-key merge plus the map constraint that a facet has one material.
-
-    Alternates the RPKey fixpoint with facet-level pruning (intersect the
-    domains of every reflection point on a facet; drop candidates using a
-    material outside that intersection) until stable. Returns the final belief
-    plus the per-facet material sets; an empty facet set is appended to the
-    belief's contradictions via its reflection-point keys.
-    """
-    current = [(tid, list(cands)) for tid, cands in entries]
-    extra_contradictions: set[RPKey] = set()
-    while True:
-        belief = merge_candidates(current)
-        facet_domains: dict[str, set[str]] = {}
-        for key, dom in belief.rp_domains.items():
-            if key.facet_id in facet_domains:
-                facet_domains[key.facet_id] &= dom
-            else:
-                facet_domains[key.facet_id] = set(dom)
-        changed = False
-        pruned: list[tuple[str, list[SequenceCandidate]]] = []
-        for tid, cands in belief.survivors.items():
-            kept = [
-                c
-                for c in cands
-                if all(
-                    name in facet_domains.get(key.facet_id, set())
-                    for key, name in c.assignment
-                )
-            ]
-            if len(kept) != len(cands):
-                changed = True
-                if not kept and cands:
-                    extra_contradictions.update(key for key, _ in cands[0].assignment)
-            pruned.append((tid, kept))
-        if not changed:
-            if extra_contradictions:
-                belief.contradictions = sorted(
-                    set(belief.contradictions) | extra_contradictions
-                )
-            return belief, facet_domains
-        current = pruned
-
-
 def identify_loop(
     scene: Scene,
     tx_positions: list,
@@ -358,26 +348,25 @@ def identify_loop(
     u_db: float,
     max_bounces: int,
     measure: MeasureFn,
-    delta_m: float = DEFAULT_RP_TOLERANCE_M,
 ) -> tuple[BeliefState, IdentificationReport]:
-    """Trace, enumerate, match, and merge over every TX-RX pair in order.
+    """Trace, enumerate, match, and propagate over every TX-RX pair in order.
 
     Trajectory ids are ``p<pair>t<index>`` with pairs enumerated TX-major over
     the Cartesian product of positions. ``measure`` returns the measurement
     for a trajectory or None to leave it out; records with zero uncertainty
-    fall back to the loop-wide ``u_db``. Merging interleaves the per-key
-    fixpoint with the map constraint that each facet carries one material
-    (merge_with_facet_consistency). Stops early once every covered reflection
-    point is down to a single material.
+    fall back to the loop-wide ``u_db``. Each trajectory with survivors is
+    added to one :class:`Propagator` with a variable per facet, so the map
+    constraint (one facet, one material) holds within and across
+    trajectories. Stops early once every covered facet is down to a single
+    material.
     """
     if not tx_positions or not rx_positions:
         raise ValueError("need at least one TX and one RX position")
-    entries: list[tuple[str, list[SequenceCandidate]]] = []
+    engine = Propagator(lambda key: key.facet_id)
     no_hypothesis: list[str] = []
     skipped: list[str] = []
     hop_angles: dict[RPKey, list[float]] = {}
     rp_points: dict[RPKey, tuple[float, ...]] = {}
-    belief = BeliefState(rp_domains={}, survivors={})
 
     pair_index = 0
     done = False
@@ -395,7 +384,7 @@ def identify_loop(
                     skipped.append(tid)
                     continue
                 try:
-                    candidates = enumerate_sequences(traj, palette, db, f_ghz, delta_m)
+                    candidates = enumerate_sequences(traj, palette, db, f_ghz)
                 except OutOfRangeError as err:
                     skipped.append(f"{tid} ({err})")
                     continue
@@ -404,21 +393,17 @@ def identify_loop(
                     candidates,
                     MeasurementRecord(tid, record.measured_total_rl_db, u),
                 )
-                for key, hop in zip(trajectory_keys(traj, delta_m), traj.hops):
+                for key, hop in zip(trajectory_keys(traj), traj.hops):
                     hop_angles.setdefault(key, []).append(np.degrees(hop.theta_i))
                     rp_points.setdefault(key, tuple(float(x) for x in hop.point))
                 if not survivors:
                     no_hypothesis.append(tid)
                     continue
-                entries.append((tid, survivors))
+                engine.add(tid, survivors)
             pair_index += 1
-            if entries:
-                belief, _ = merge_with_facet_consistency(entries)
-                if belief.rp_domains and all(
-                    len(dom) == 1 for dom in belief.rp_domains.values()
-                ):
-                    done = True
+            done = engine.settled()
 
+    belief = engine.belief()
     report = _build_report(
         scene, belief, db, f_ghz, hop_angles, rp_points, no_hypothesis, skipped
     )
@@ -435,10 +420,9 @@ def _build_report(
     no_hypothesis: list[str],
     skipped: list[str],
 ) -> IdentificationReport:
-    by_facet: dict[str, list[set[str]]] = {}
-    for key, dom in belief.rp_domains.items():
-        by_facet.setdefault(key.facet_id, []).append(dom)
-
+    # the engine has one variable per facet, so every key on a facet carries
+    # the facet's domain
+    facet_domains = {key.facet_id: dom for key, dom in belief.rp_domains.items()}
     resolved: dict[str, str] = {}
     ambiguous: dict[str, tuple[str, ...]] = {}
     contradictions = [
@@ -446,24 +430,19 @@ def _build_report(
         for key in belief.contradictions
     ]
     conflicted_facets = {key.facet_id for key in belief.contradictions}
-    for fid, domains in sorted(by_facet.items()):
-        combined: set[str] | None = None
-        for dom in domains:
-            combined = set(dom) if combined is None else combined & dom
-        if not combined:
-            conflicted_facets.add(fid)
-        elif fid in conflicted_facets:
-            pass  # summarized below; per-key evidence is inconsistent
-        elif len(combined) == 1:
-            resolved[fid] = next(iter(combined))
+    for fid, dom in sorted(facet_domains.items()):
+        if fid in conflicted_facets:
+            continue  # summarized below
+        if len(dom) == 1:
+            resolved[fid] = next(iter(dom))
         else:
-            ambiguous[fid] = tuple(sorted(combined))
+            ambiguous[fid] = tuple(sorted(dom))
     contradictions.extend(
         f"facet {fid}: reflection-point material sets have empty intersection"
         for fid in sorted(conflicted_facets)
     )
     uncovered = tuple(
-        f.facet_id for f in scene.facets if f.facet_id not in by_facet
+        f.facet_id for f in scene.facets if f.facet_id not in facet_domains
     )
 
     rp_rows = []

@@ -9,8 +9,7 @@ round-trips bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +50,6 @@ class RLDatabase:
     angles_deg: np.ndarray
     rl_db: np.ndarray
     kappa: float = 0.0
-    built_at: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         self.freqs_ghz = np.asarray(self.freqs_ghz, dtype=float)
@@ -174,7 +172,6 @@ def build(
         angles_deg=angles,
         rl_db=rl,
         kappa=kappa,
-        built_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
 
 

@@ -198,6 +198,40 @@ def test_identify_no_hypothesis_exit_code(capsys, tmp_path):
     assert "p0t0" in out
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "p0t0,nan,0.5\n",
+        "p0t0,inf,0.5\n",
+        "p0t0,12.0,nan\n",
+        "p0t0,12.0,-inf\n",
+        "p0t0,12.0,-0.5\n",
+        "p0t0,twelve,0.5\n",
+        "p0t0,12.0,0.5\np0t0,13.0,0.5\n",
+    ],
+    ids=["nan", "inf", "nan-u", "inf-u", "negative-u", "text", "duplicate"],
+)
+def test_identify_rejects_bad_measurement_rows(capsys, tmp_path, rows):
+    scene = tmp_path / "scene.json"
+    scene.write_text(
+        '{"units":"m","facets":[{"id":"floor","vertices":'
+        "[[-1,-2,0],[5,-2,0],[5,2,0],[-1,2,0]],"
+        '"material":"wood","thickness_m":0.1}]}',
+        encoding="utf-8",
+    )
+    m_path = tmp_path / "m.csv"
+    m_path.write_text("trajectory_id,measured_rl_db,u_db\n" + rows, encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        "identify", "--scene", str(scene), "--tx", "0,0,1", "--rx", "2,0,1",
+        "--freq", "100", "--measurements", str(m_path),
+    )
+    last_line = 1 + rows.count("\n")  # header plus the rows given
+    assert code == 1
+    assert out == ""
+    assert f"{m_path}:{last_line}:" in err
+
+
 def test_identify_contradiction_exit_code(capsys, tmp_path):
     # two transmitters see the same lone floor; the first measurement is
     # ambiguous (wood-or-plaster), the second cleanly implies glass, so the
@@ -234,6 +268,16 @@ def test_identify_contradiction_exit_code(capsys, tmp_path):
     )
     assert code == 2
     assert "floor" in out and "empty intersection" in out
+    # the contradicted facet was covered, and its evidence stays visible
+    lines = out.splitlines()
+    uncovered = lines[lines.index("# uncovered facets") + 1 : lines.index(
+        "# reflection points (facet_id,x,y,z,materials,rl_spread_db)"
+    )]
+    assert "floor" not in uncovered
+    assert [row for row in lines if row.startswith("floor,")] == [
+        "floor,1,0,0,,0",
+        "floor,1.5,0,0,,0",
+    ]
 
 
 def test_unknown_flag_exits_1(capsys):

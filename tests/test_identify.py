@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from raymat import em, rldb
 from raymat.demo import demo_building, demo_positions
 from raymat.identify import (
     MeasurementRecord,
+    Propagator,
     RPKey,
     SequenceCandidate,
     enumerate_sequences,
     identify_loop,
     match_measurement,
     merge_candidates,
-    merge_with_facet_consistency,
     simulate_measurement,
     trajectory_keys,
 )
@@ -211,7 +212,17 @@ def test_merge_monotone_under_added_measurements():
         assert after[key] <= dom
 
 
-def test_merge_is_order_insensitive():
+def propagate(var, entries) -> Propagator:
+    engine = Propagator(var)
+    for tid, cands in entries:
+        engine.add(tid, cands)
+    return engine
+
+
+@pytest.mark.parametrize(
+    "var", [lambda key: key, lambda key: key.facet_id], ids=["rpkey", "facet"]
+)
+def test_merge_is_order_insensitive(var):
     t1 = match_measurement(
         reference_candidates(TRAJ1_ANGLES_DEG, (RP1, RP2)),
         MeasurementRecord("t1", 19.0, 1.0),
@@ -220,10 +231,20 @@ def test_merge_is_order_insensitive():
         reference_candidates(TRAJ2_ANGLES_DEG, (RP1, RP3)),
         MeasurementRecord("t2", 21.5, 1.0),
     )
-    fwd = merge_candidates([("t1", t1), ("t2", t2)])
-    rev = merge_candidates([("t2", t2), ("t1", t1)])
-    assert fwd.rp_domains == rev.rp_domains
-    assert fwd.contradictions == rev.contradictions
+    # a second point on RP2's facet: a separate variable per key, the same
+    # one per facet
+    rp4 = RPKey.from_point(RP2.facet_id, [3.0, -7.5, 3.02])
+    t3 = [
+        SequenceCandidate(((rp4, name),), (rl,), rl)
+        for name, rl in (("plaster", 10.0), ("glass", 11.0))
+    ]
+    entries = [("t1", t1), ("t2", t2), ("t3", t3)]
+    beliefs = [propagate(var, order).belief() for order in permutations(entries)]
+    for belief in beliefs[1:]:
+        assert belief.rp_domains == beliefs[0].rp_domains
+        assert belief.contradictions == beliefs[0].contradictions
+        assert belief.survivors == beliefs[0].survivors
+    assert beliefs[0].rp_domains[RP1] == {"glass"}
 
 
 def test_merge_agrees_with_joint_enumeration_on_reference_instance():
@@ -492,18 +513,22 @@ def test_identify_loop_soundness_random_scenes(db100):
     assert resolved_total > 10
 
 
-def test_identify_triple_bounce_corridor(db100):
-    # 27 candidates per 3-bounce trajectory; truth survives matching
+def corridor_scene():
     from raymat.scene import Facet, Scene
 
     floor = np.array([(-1, -2, 0), (7, -2, 0), (7, 2, 0), (-1, 2, 0)], float)
     ceiling = np.array([(-1, -2, 2), (-1, 2, 2), (7, 2, 2), (7, -2, 2)], float)
-    scene = Scene(
+    return Scene(
         facets=(
             Facet("floor", floor, "wood", 0.3),
             Facet("ceiling", ceiling, "plaster", 0.3),
         )
     )
+
+
+def test_identify_triple_bounce_corridor(db100):
+    # 27 candidates per 3-bounce trajectory; truth survives matching
+    scene = corridor_scene()
     traj = next(
         t
         for t in trace(scene, [0, 0, 1], [6, 0, 1], max_bounces=3)
@@ -524,6 +549,32 @@ def test_identify_triple_bounce_corridor(db100):
     # the hops actually coincide; here they are distinct points
     keys = trajectory_keys(traj)
     assert keys[0] != keys[2]
+
+
+def test_identify_loop_one_material_per_facet(db100):
+    # floor -> ceiling -> floor with every hop at 45 deg: (wood, wood, plaster)
+    # and (plaster, wood, wood) match the measured total exactly like the
+    # truth (wood, plaster, wood), but they put two materials on the floor
+    scene = corridor_scene()
+    truth = {"floor": PRESETS["wood"], "ceiling": PRESETS["plaster"]}
+
+    def only_floor_ceiling_floor(tid, traj):
+        if traj.facet_ids != ("floor", "ceiling", "floor"):
+            return None
+        return simulate_measurement(
+            scene, traj, truth, 30.0, 100.0, 0.0, seed=0, uncertainty_db=1.0,
+            trajectory_id=tid,
+        )
+
+    belief, report = identify_loop(
+        scene, [[0, 0, 1]], [[6, 0, 1]], PALETTE, db100, 100.0, 1.0, 3,
+        only_floor_ceiling_floor,
+    )
+    (survivors,) = belief.survivors.values()
+    assert survivors
+    for c in survivors:
+        assert len({name for key, name in c.assignment if key.facet_id == "floor"}) == 1
+    assert report.resolved == {"floor": "wood", "ceiling": "plaster"}
 
 
 def test_facet_consistency_strengthens_merge(db100):
@@ -553,7 +604,7 @@ def test_facet_consistency_strengthens_merge(db100):
     plain = merge_candidates(entries)
     keyed = {k.facet_id: dom for k, dom in plain.rp_domains.items() if k.facet_id == "other"}
     assert keyed["other"] == {"glass", "plaster"}  # symmetric totals stay ambiguous
-    belief, facet_domains = merge_with_facet_consistency(entries)
-    assert facet_domains["shared"] == {"glass"}
-    assert facet_domains["other"] == {"plaster"}
-    assert belief.consistent
+    engine = propagate(lambda key: key.facet_id, entries)
+    assert engine.domains["shared"] == {"glass"}
+    assert engine.domains["other"] == {"plaster"}
+    assert engine.belief().consistent
