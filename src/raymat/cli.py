@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import random
+import re
 import sys
 from contextlib import contextmanager
 
@@ -252,8 +253,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _read_measurements(path) -> dict[str, tuple[float, float]]:
-    out: dict[str, tuple[float, float]] = {}
+def _read_measurements(path) -> dict[str, tuple[float, float, int]]:
+    """trajectory_id -> (measured_rl_db, u_db, line number)."""
+    out: dict[str, tuple[float, float, int]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -276,7 +278,7 @@ def _read_measurements(path) -> dict[str, tuple[float, float]]:
                 ) from None
             if tid in out:
                 raise ValueError(f"{path}:{lineno}: duplicate trajectory_id {tid!r}")
-            out[tid] = (value, u)
+            out[tid] = (value, u, lineno)
     return out
 
 
@@ -288,11 +290,13 @@ def _cmd_identify(args) -> int:
     else:
         db = rldb.build(palette, np.array([args.freq]), np.arange(0.0, 86.0), args.kappa)
     measurements = _read_measurements(args.measurements)
+    asked: set[str] = set()
 
     def measure(tid, traj):
+        asked.add(tid)
         if tid not in measurements:
             return None
-        value, u = measurements[tid]
+        value, u, _ = measurements[tid]
         if args.u is not None:
             u = args.u
         return identify.MeasurementRecord(tid, value, u)
@@ -308,6 +312,19 @@ def _cmd_identify(args) -> int:
         args.max_bounces,
         measure,
     )
+    # the loop stops after the pair that settles every covered facet, which is
+    # the last pair it asked about; rows for later pairs are not errors
+    pairs = traced = len(args.tx) * len(args.rx)
+    if belief.rp_domains and all(len(d) == 1 for d in belief.rp_domains.values()):
+        traced = 1 + max(int(re.match(r"p([0-9]+)", tid)[1]) for tid in asked)
+    for tid, (_, _, lineno) in measurements.items():
+        match = re.fullmatch(r"p([0-9]+)t[0-9]+", tid)
+        pair = int(match[1]) if match else pairs
+        if pair >= pairs or (pair < traced and tid not in asked):
+            raise ValueError(
+                f"{args.measurements}:{lineno}: trajectory_id {tid!r} "
+                "matches no traced trajectory"
+            )
     with _open_output(args.output) as fh:
         fh.write(report.to_text())
     if report.contradictions or report.no_hypothesis:

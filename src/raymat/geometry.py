@@ -117,10 +117,3 @@ def incident_angle(direction: np.ndarray, normal: np.ndarray) -> float:
     if cos_t == 0.0:
         raise ValueError("direction is parallel to the surface (grazing)")
     return math.acos(min(cos_t, 1.0))
-
-
-def aabb_contains(
-    lower: np.ndarray, upper: np.ndarray, point: np.ndarray, tol: float = 1e-9
-) -> bool:
-    p = np.asarray(point, dtype=float)
-    return bool(np.all(p >= lower - tol) and np.all(p <= upper + tol))

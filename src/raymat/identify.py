@@ -393,7 +393,8 @@ def identify_loop(
                     candidates,
                     MeasurementRecord(tid, record.measured_total_rl_db, u),
                 )
-                for key, hop in zip(trajectory_keys(traj), traj.hops):
+                # the palette is non-empty, so every candidate carries the keys
+                for (key, _), hop in zip(candidates[0].assignment, traj.hops):
                     hop_angles.setdefault(key, []).append(np.degrees(hop.theta_i))
                     rp_points.setdefault(key, tuple(float(x) for x in hop.point))
                 if not survivors:

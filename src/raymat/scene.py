@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import aabb_contains, validate_convex_polygon
+from .geometry import validate_convex_polygon
 
 UNKNOWN_MATERIAL = "unknown"
 
@@ -43,6 +43,10 @@ class Facet:
     thickness_m: float = 0.0
     normal: np.ndarray = field(init=False)
     area: float = field(init=False)
+    # half-planes, one row per edge: inward @ p - offsets >= -slack inside
+    inward: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    slack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.facet_id:
@@ -56,13 +60,22 @@ class Facet:
             raise SceneValidationError(
                 "thickness must be >= 0", facet_id=self.facet_id
             )
+        edges = np.roll(verts, -1, axis=0) - verts
+        inward = np.cross(normal, edges)  # normal x edge points inward (CCW)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "area", area)
+        object.__setattr__(self, "inward", inward)
+        object.__setattr__(self, "offsets", np.sum(inward * verts, axis=1))
+        object.__setattr__(self, "slack", 1e-9 * np.maximum(np.linalg.norm(edges, axis=1), 1))
 
     @property
     def plane_point(self) -> np.ndarray:
         return self.vertices[0]
+
+    def contains(self, point: np.ndarray) -> bool:
+        """geometry.point_in_convex_polygon with the default tol, from the half-planes."""
+        return bool(np.all(self.inward @ point - self.offsets >= -self.slack))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +116,8 @@ class Scene:
             raise KeyError(f"no facet with id {facet_id!r}") from None
 
     def contains(self, point, tol: float = 1e-9) -> bool:
-        return aabb_contains(self._lower, self._upper, np.asarray(point, float), tol)
+        p = np.asarray(point, dtype=float)
+        return bool(np.all(p >= self._lower - tol) and np.all(p <= self._upper + tol))
 
 
 def scene_from_dict(data: dict) -> Scene:

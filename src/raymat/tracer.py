@@ -1,39 +1,26 @@
 """Deterministic image-method ray tracing for multi-bounce specular paths.
 
-For every ordered facet sequence up to the bounce limit, the transmitter is
-mirrored successively across the facet planes, the straight line from the last
-image to the receiver is folded back through the chain, and the resulting
-reflection points are validated (inside the polygon, genuine crossings, and no
-leg occluded by any other facet). Facets reflect on both sides.
+Facet sequences are walked depth first, mirroring the transmitter across each
+facet plane once per image prefix (the visibility tree of beam tracing,
+Funkhouser et al. 1998). For each sequence the line from the last image to the
+receiver is folded back through the chain, and the reflection points are
+validated (inside the polygon, genuine crossings, and no leg occluded by any
+other facet). Facets reflect on both sides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .geometry import (
-    incident_angle,
-    mirror_point,
-    point_in_convex_polygon,
-    ray_plane_parameter,
-    unit,
-)
+from .geometry import mirror_point, ray_plane_parameter, unit
 from .scene import Facet, Scene
 
 OCCLUSION_EPS = 1e-6  # m; keeps reflection points from occluding their own legs
 
-__all__ = [
-    "Hop",
-    "Trajectory",
-    "trace",
-    "incident_angle",
-    "check_settling",
-    "OCCLUSION_EPS",
-]
+__all__ = ["Hop", "Trajectory", "trace", "check_settling", "OCCLUSION_EPS"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,38 +59,56 @@ def _segment_blocked(scene: Scene, start: np.ndarray, end: np.ndarray) -> bool:
         if t is None or not 0.0 < t < 1.0:
             continue
         point = start + t * direction
-        if float(np.linalg.norm(point - start)) <= OCCLUSION_EPS:
-            continue
-        if float(np.linalg.norm(point - end)) <= OCCLUSION_EPS:
-            continue
-        if point_in_convex_polygon(point, facet.vertices, facet.normal):
+        near_end = min(np.linalg.norm(point - start), np.linalg.norm(point - end))
+        if near_end > OCCLUSION_EPS and facet.contains(point):
             return True
     return False
 
 
-def _fold_back(
-    sequence: tuple[Facet, ...], images: list[np.ndarray], rx: np.ndarray
-) -> list[np.ndarray] | None:
-    """Reflection points for a facet sequence, or None if the path is invalid."""
-    points: list[np.ndarray] = [rx]
-    for j in range(len(sequence), 0, -1):
-        facet = sequence[j - 1]
-        origin = images[j]
-        target = points[0]
-        direction = target - origin
+def _trajectory(
+    scene: Scene,
+    sequence: tuple[Facet, ...],
+    images: tuple[np.ndarray, ...],
+    rx: np.ndarray,
+) -> Trajectory | None:
+    """The specular path off ``sequence``, or None if there is none.
+
+    ``images[j]`` is the transmitter mirrored across the first j facets.
+    """
+    points = [rx]  # reflection points, folded back from the receiver
+    for facet, origin in zip(reversed(sequence), reversed(images[1:])):
+        direction = points[-1] - origin
         t = ray_plane_parameter(origin, direction, facet.plane_point, facet.normal)
         if t is None or not 1e-12 < t < 1.0 - 1e-12:
             return None
         rp = origin + t * direction
-        if not point_in_convex_polygon(rp, facet.vertices, facet.normal):
+        if not facet.contains(rp):
             return None
-        points.insert(0, rp)
-    return points[:-1]
+        points.append(rp)
+    path = [images[0], *reversed(points)]
+    legs = [b - a for a, b in zip(path, path[1:])]
+    lengths = [float(np.linalg.norm(leg)) for leg in legs]
+    if any(length <= OCCLUSION_EPS for length in lengths):
+        return None
+    thetas = []
+    for leg, facet in zip(legs, sequence):
+        cos_t = abs(float(unit(leg) @ facet.normal))
+        if cos_t < 1e-12:
+            return None  # grazing
+        thetas.append(math.acos(min(cos_t, 1.0)))
+    if any(_segment_blocked(scene, a, b) for a, b in zip(path, path[1:])):
+        return None
+    hops = tuple(
+        Hop(point=rp, facet_id=facet.facet_id, theta_i=theta)
+        for rp, facet, theta in zip(path[1:-1], sequence, thetas)
+    )
+    return Trajectory(
+        tx=path[0], rx=rx, hops=hops,
+        segment_lengths=tuple(lengths), total_length=float(sum(lengths)),
+    )
 
 
-def trace(
-    scene: Scene, tx, rx, max_bounces: int = 2
-) -> list[Trajectory]:
+def trace(scene: Scene, tx, rx, max_bounces: int = 2) -> list[Trajectory]:
     """All specular trajectories between tx and rx with 1..max_bounces hops.
 
     Output is sorted by (bounce count, total length, facet id sequence) and is
@@ -126,52 +131,19 @@ def trace(
             raise ValueError(f"{label} {p.tolist()} is outside the scene bounds")
 
     found: list[Trajectory] = []
-    for k in range(1, max_bounces + 1):
-        for sequence in product(scene.facets, repeat=k):
-            if any(
-                sequence[i].facet_id == sequence[i + 1].facet_id
-                for i in range(k - 1)
-            ):
+
+    def extend(sequence: tuple[Facet, ...], images: tuple[np.ndarray, ...]) -> None:
+        for facet in scene.facets:
+            if sequence and facet is sequence[-1]:
                 continue
-            images = [tx]
-            for facet in sequence:
-                images.append(mirror_point(images[-1], facet.plane_point, facet.normal))
-            rps = _fold_back(sequence, images, rx)
-            if rps is None:
-                continue
-            path = [tx, *rps, rx]
-            legs = [path[i + 1] - path[i] for i in range(len(path) - 1)]
-            lengths = [float(np.linalg.norm(leg)) for leg in legs]
-            if any(length <= OCCLUSION_EPS for length in lengths):
-                continue
-            thetas = []
-            grazing = False
-            for i, facet in enumerate(sequence):
-                cos_t = abs(float(unit(legs[i]) @ facet.normal))
-                if cos_t < 1e-12:
-                    grazing = True
-                    break
-                thetas.append(math.acos(min(cos_t, 1.0)))
-            if grazing:
-                continue
-            if any(
-                _segment_blocked(scene, path[i], path[i + 1])
-                for i in range(len(path) - 1)
-            ):
-                continue
-            hops = tuple(
-                Hop(point=rp, facet_id=facet.facet_id, theta_i=theta)
-                for rp, facet, theta in zip(rps, sequence, thetas)
-            )
-            found.append(
-                Trajectory(
-                    tx=tx,
-                    rx=rx,
-                    hops=hops,
-                    segment_lengths=tuple(lengths),
-                    total_length=float(sum(lengths)),
-                )
-            )
+            longer = (*sequence, facet)
+            deeper = (*images, mirror_point(images[-1], facet.plane_point, facet.normal))
+            if (trajectory := _trajectory(scene, longer, deeper, rx)) is not None:
+                found.append(trajectory)
+            if len(longer) < max_bounces:
+                extend(longer, deeper)
+
+    extend((), (tx,))
     found.sort(key=lambda t: (t.bounces, t.total_length, t.facet_ids))
     return found
 

@@ -208,8 +208,14 @@ def test_identify_no_hypothesis_exit_code(capsys, tmp_path):
         "p0t0,12.0,-0.5\n",
         "p0t0,twelve,0.5\n",
         "p0t0,12.0,0.5\np0t0,13.0,0.5\n",
+        "p0t0,12.0,0.5\np7t3,12.0,0.5\n",
+        "p0t0,12.0,0.5\np0t1,12.0,0.5\n",
+        "p0t0,12.0,0.5\nx1,12.0,0.5\n",
     ],
-    ids=["nan", "inf", "nan-u", "inf-u", "negative-u", "text", "duplicate"],
+    ids=[
+        "nan", "inf", "nan-u", "inf-u", "negative-u", "text", "duplicate",
+        "pair-out-of-range", "no-such-trajectory", "malformed-id",
+    ],
 )
 def test_identify_rejects_bad_measurement_rows(capsys, tmp_path, rows):
     scene = tmp_path / "scene.json"
@@ -230,6 +236,37 @@ def test_identify_rejects_bad_measurement_rows(capsys, tmp_path, rows):
     assert code == 1
     assert out == ""
     assert f"{m_path}:{last_line}:" in err
+
+
+def test_identify_accepts_rows_after_early_stop(capsys, tmp_path):
+    # the first pair settles the lone floor, so the loop never traces the
+    # second; its rows (even one naming no trajectory) are not errors
+    scene = tmp_path / "scene.json"
+    scene.write_text(
+        '{"units":"m","facets":[{"id":"floor","vertices":'
+        "[[-3,-3,0],[6,-3,0],[6,3,0],[-3,3,0]],"
+        '"material":"wood","thickness_m":0.1}]}',
+        encoding="utf-8",
+    )
+    from raymat import em as _em
+    from raymat.materials import GLASS, WOOD
+
+    m_path = tmp_path / "m.csv"
+    m_path.write_text(
+        "trajectory_id,measured_rl_db,u_db\n"
+        f"p0t0,{_em.reflection_loss(WOOD, 100.0, math.atan(1.0)):.6g},0.3\n"
+        f"p1t0,{_em.reflection_loss(GLASS, 100.0, math.atan(0.5)):.6g},0.3\n"
+        "p1t3,12.0,0.3\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(
+        capsys,
+        "identify", "--scene", str(scene), "--tx", "0,0,1", "--tx", "1,0,1",
+        "--rx", "2,0,1", "--max-bounces", "1", "--freq", "100",
+        "--measurements", str(m_path),
+    )
+    assert (code, err) == (0, "")
+    assert "floor,wood" in out.splitlines()
 
 
 def test_identify_contradiction_exit_code(capsys, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from raymat.demo import demo_building
 from raymat.geometry import incident_angle, point_in_convex_polygon, reflect_direction, unit
 from raymat.scene import Facet, Scene, SceneValidationError, load_scene, save_scene, scene_from_dict
 from raymat.settling import settling_table
@@ -149,14 +150,15 @@ def test_trace_sorted_and_deterministic():
 # --- invariants on random scenes ------------------------------------------------
 
 
-def test_reciprocity_on_random_scenes():
+@pytest.mark.parametrize("max_bounces", [2, 3])
+def test_reciprocity_on_random_scenes(max_bounces):
     checked = 0
     for seed in range(40):
         scene, _ = random_scene(seed)
         rng = np.random.default_rng(1000 + seed)
         a, b = random_endpoints(rng, 2)
-        fwd = trace(scene, a, b, max_bounces=2)
-        rev = trace(scene, b, a, max_bounces=2)
+        fwd = trace(scene, a, b, max_bounces=max_bounces)
+        rev = trace(scene, b, a, max_bounces=max_bounces)
         assert len(fwd) == len(rev)
         rev_index = {t.facet_ids: t for t in rev}
         for t in fwd:
@@ -193,6 +195,25 @@ def test_specular_replay_on_random_scenes():
                 )
                 replayed += 1
     assert replayed > 20
+
+
+def test_facet_contains_agrees_with_reference():
+    scenes = [demo_building()] + [random_scene(seed)[0] for seed in range(6)]
+    checked = 0
+    for scene in scenes:
+        for facet in scene.facets:
+            v = facet.vertices
+            nxt = np.roll(v, -1, axis=0)
+            mids = (v + nxt) / 2
+            outward = np.cross(nxt - v, facet.normal)  # in-plane, away from the inside
+            outward /= np.linalg.norm(outward, axis=1)[:, None]
+            cases = [(p, True) for p in (*v, *mids, v.mean(axis=0))]
+            cases += [(p, False) for p in mids + 1e-6 * outward]
+            for point, inside in cases:
+                reference = point_in_convex_polygon(point, v, facet.normal)
+                assert facet.contains(point) == reference == inside
+                checked += 1
+    assert checked > 400
 
 
 def test_image_method_agrees_with_brute_force_single_bounce():
