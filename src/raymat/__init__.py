@@ -39,10 +39,11 @@ from .scene import Facet, Scene, SceneValidationError, load_scene, save_scene
 from .settling import (
     NotSettledError,
     SettlingQuery,
+    check_settling,
     settling_table,
     settling_thickness,
     thickness_sweep,
 )
-from .tracer import Hop, Trajectory, check_settling, trace
+from .tracer import Hop, Trajectory, trace
 
 __version__ = "0.1.0"

@@ -22,27 +22,16 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def polygon_frame(vertices: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit normal (right-hand rule over the winding) and area of a polygon.
-
-    Uses Newell's method, which is exact for planar polygons and stable for
-    nearly planar ones.
-    """
-    v = np.asarray(vertices, dtype=float)
-    nxt = np.roll(v, -1, axis=0)
-    normal = np.sum(np.cross(v, nxt), axis=0)
-    doubled_area = float(np.linalg.norm(normal))
-    if doubled_area < 2 * MIN_AREA:
-        raise ValueError("degenerate polygon (area below minimum)")
-    return normal / doubled_area, doubled_area / 2
-
-
 def validate_convex_polygon(vertices: np.ndarray) -> tuple[np.ndarray, float]:
     """Check planarity, convexity, and non-degeneracy; return (normal, area)."""
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 3:
         raise ValueError("polygon needs an (n, 3) array with n >= 3")
-    normal, area = polygon_frame(v)
+    normal = np.sum(np.cross(v, np.roll(v, -1, axis=0)), axis=0)  # Newell's method
+    doubled_area = float(np.linalg.norm(normal))
+    if doubled_area < 2 * MIN_AREA:
+        raise ValueError("degenerate polygon (area below minimum)")
+    normal, area = normal / doubled_area, doubled_area / 2
     offsets = (v - v[0]) @ normal
     if np.max(np.abs(offsets)) > COPLANARITY_TOL:
         raise ValueError(

@@ -80,9 +80,21 @@ class Facet:
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Immutable collection of facets with an axis-aligned bounding box."""
+    """Immutable collection of facets with an axis-aligned bounding box.
+
+    The facet geometry is also stacked once, for batched tests across facets:
+    unit ``normals`` (N, 3) and ``plane_offsets`` (N), with normal @ p ==
+    offset on a facet's plane, and each facet's half-planes (``inward``,
+    ``offsets``, ``slack``, as on Facet) padded to the largest edge count with
+    zero rows, which every point passes.
+    """
 
     facets: tuple[Facet, ...]
+    normals: np.ndarray = field(init=False, repr=False)
+    plane_offsets: np.ndarray = field(init=False, repr=False)
+    inward: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    slack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         facets = tuple(self.facets)
@@ -103,6 +115,16 @@ class Scene:
         object.__setattr__(self, "_lower", lower - pad)
         object.__setattr__(self, "_upper", upper + pad)
         object.__setattr__(self, "_by_id", {f.facet_id: f for f in facets})
+        normals = np.array([f.normal for f in facets])
+        plane_points = np.array([f.plane_point for f in facets])
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "plane_offsets", np.einsum("ij,ij->i", normals, plane_points))
+        width = max(len(f.vertices) for f in facets)
+        for name in ("inward", "offsets", "slack"):
+            padded = np.zeros((len(facets), width, *getattr(facets[0], name).shape[1:]))
+            for row, f in zip(padded, facets):
+                row[: len(f.vertices)] = getattr(f, name)
+            object.__setattr__(self, name, padded)
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:

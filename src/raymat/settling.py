@@ -17,6 +17,7 @@ import numpy as np
 
 from . import em
 from .materials import MaterialParams
+from .scene import Scene
 
 
 class NotSettledError(Exception):
@@ -162,6 +163,26 @@ def settling_table(
         )
         for m in materials
     }
+
+
+def check_settling(
+    scene: Scene, settling_by_material: dict[str, float]
+) -> list[tuple[str, bool | None]]:
+    """Compare each facet's thickness with its material's settling thickness.
+
+    ``settling_by_material`` maps material label to the settling thickness in
+    meters at the frequency of interest (see settling_table). Returns
+    (facet_id, ok) pairs in scene order; ok is None (indeterminate) for facets
+    whose material has no entry.
+    """
+    report: list[tuple[str, bool | None]] = []
+    for facet in scene.facets:
+        threshold = settling_by_material.get(facet.material_label)
+        if threshold is None:
+            report.append((facet.facet_id, None))
+        else:
+            report.append((facet.facet_id, facet.thickness_m >= threshold))
+    return report
 
 
 def thickness_sweep(

@@ -1,11 +1,9 @@
 """Deterministic image-method ray tracing for multi-bounce specular paths.
 
-Facet sequences are walked depth first, mirroring the transmitter across each
-facet plane once per image prefix (the visibility tree of beam tracing,
-Funkhouser et al. 1998). For each sequence the line from the last image to the
-receiver is folded back through the chain, and the reflection points are
-validated (inside the polygon, genuine crossings, and no leg occluded by any
-other facet). Facets reflect on both sides.
+Facet sequences of one depth are mirrored and folded back from the receiver
+together, and only certainly invalid ones are dropped. The survivors' reflection
+points must then lie inside their polygons, be genuine crossings, and have no leg
+occluded by another facet. Facets reflect on both sides.
 """
 
 from __future__ import annotations
@@ -19,8 +17,9 @@ from .geometry import mirror_point, ray_plane_parameter, unit
 from .scene import Facet, Scene
 
 OCCLUSION_EPS = 1e-6  # m; keeps reflection points from occluding their own legs
+PRUNE_TOL = 1e-7  # m; far above rounding differences between batched and exact tests
 
-__all__ = ["Hop", "Trajectory", "trace", "check_settling", "OCCLUSION_EPS"]
+__all__ = ["Hop", "Trajectory", "trace", "OCCLUSION_EPS"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,10 +50,32 @@ class Trajectory:
         return tuple(h.facet_id for h in self.hops)
 
 
+def _may_cross(scene: Scene, a, b, f, growth, near=0.0):
+    """Mask, crossing points and growth of the rows whose segment a->b may cross facet f.
+
+    A row is dropped only if its crossing lies outside the segment, within ``near`` of
+    an end, or outside a half-plane of f by more than PRUNE_TOL * growth. growth bounds
+    how far rounding differences from the exact test have grown: 2|b - a| / |n @ (b - a)|
+    per crossing, so near-parallel rows get an inf or NaN bound and are always kept.
+    """
+    side_a, side_b = (np.einsum("...j,...j", p, scene.normals[f]) - scene.plane_offsets[f] for p in (a, b))
+    length = np.linalg.norm(d := b - a, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = side_a / (side_a - side_b)
+        growth = 2 * growth * length / np.abs(side_a - side_b)
+        ok = ~(np.minimum(t, 1 - t) * length < near - PRUNE_TOL * growth)
+        point = a + t[:, None] * d
+        inside = np.einsum("ijk,ik->ij", scene.inward[f], point) - scene.offsets[f]
+        # Facet.slack is 1e-9 per metre of edge scale; widen it by PRUNE_TOL * growth
+        ok &= ~(inside < -scene.slack[f] * (1 + growth[:, None] * (PRUNE_TOL / 1e-9))).any(axis=1)
+    return ok, point, growth
+
+
 def _segment_blocked(scene: Scene, start: np.ndarray, end: np.ndarray) -> bool:
     """True if any facet cuts the open segment, OCCLUSION_EPS away from both ends."""
     direction = end - start
-    for facet in scene.facets:
+    maybe, _, _ = _may_cross(scene, start, end, slice(None), 1.0, OCCLUSION_EPS)
+    for facet in (scene.facets[i] for i in np.flatnonzero(maybe)):
         t = ray_plane_parameter(start, direction, facet.plane_point, facet.normal)
         if t is None or not 0.0 < t < 1.0:
             continue
@@ -131,38 +152,28 @@ def trace(scene: Scene, tx, rx, max_bounces: int = 2) -> list[Trajectory]:
             raise ValueError(f"{label} {p.tolist()} is outside the scene bounds")
 
     found: list[Trajectory] = []
-
-    def extend(sequence: tuple[Facet, ...], images: tuple[np.ndarray, ...]) -> None:
-        for facet in scene.facets:
-            if sequence and facet is sequence[-1]:
-                continue
-            longer = (*sequence, facet)
-            deeper = (*images, mirror_point(images[-1], facet.plane_point, facet.normal))
-            if (trajectory := _trajectory(scene, longer, deeper, rx)) is not None:
+    every = np.arange(len(scene.facets))
+    stack = [(every[:, None], np.tile(tx, (len(every), 1, 1)))]  # (sequences, images)
+    while stack:  # all first hops at once, then one subtree per first facet
+        seqs, images = stack.pop()
+        n, last = scene.normals[seqs[:, -1]], images[:, -1]
+        side = np.sum(last * n, axis=1) - scene.plane_offsets[seqs[:, -1]]
+        images = np.concatenate([images, (last - 2 * side[:, None] * n)[:, None]], axis=1)
+        rows, point, growth = np.arange(len(seqs)), rx, 1.0
+        for j in reversed(range(seqs.shape[1])):  # fold back from the receiver
+            ok, point, growth = _may_cross(scene, images[rows, j + 1], point, seqs[rows, j], growth)
+            rows, point, growth = rows[ok], point[ok], growth[ok]
+        for row in rows:  # the exact check, on images from mirror_point
+            sequence = tuple(scene.facets[i] for i in seqs[row])
+            chain = [tx]
+            for facet in sequence:
+                chain.append(mirror_point(chain[-1], facet.plane_point, facet.normal))
+            if (trajectory := _trajectory(scene, sequence, tuple(chain), rx)) is not None:
                 found.append(trajectory)
-            if len(longer) < max_bounces:
-                extend(longer, deeper)
-
-    extend((), (tx,))
+        if seqs.shape[1] < max_bounces:
+            parent, nxt = np.nonzero(seqs[:, -1:] != every)  # no immediate repeat
+            children = np.column_stack([seqs[parent], nxt]), images[parent]
+            subtrees = len(seqs) if seqs.shape[1] == 1 else 1  # one per first facet
+            stack += zip(*(np.split(c, subtrees) for c in children))
     found.sort(key=lambda t: (t.bounces, t.total_length, t.facet_ids))
     return found
-
-
-def check_settling(
-    scene: Scene, settling_by_material: dict[str, float]
-) -> list[tuple[str, bool | None]]:
-    """Compare each facet's thickness with its material's settling thickness.
-
-    ``settling_by_material`` maps material label to the settling thickness in
-    meters at the frequency of interest (see settling.settling_table). Returns
-    (facet_id, ok) pairs in scene order; ok is None (indeterminate) for facets
-    whose material has no entry.
-    """
-    report: list[tuple[str, bool | None]] = []
-    for facet in scene.facets:
-        threshold = settling_by_material.get(facet.material_label)
-        if threshold is None:
-            report.append((facet.facet_id, None))
-        else:
-            report.append((facet.facet_id, facet.thickness_m >= threshold))
-    return report

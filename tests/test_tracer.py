@@ -1,13 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from raymat.demo import demo_building
-from raymat.geometry import incident_angle, point_in_convex_polygon, reflect_direction, unit
+from raymat import tracer
+from raymat.demo import demo_building, demo_positions
+from raymat.geometry import (
+    incident_angle, mirror_point, point_in_convex_polygon, ray_plane_parameter, reflect_direction, unit,
+)
 from raymat.scene import Facet, Scene, SceneValidationError, load_scene, save_scene, scene_from_dict
-from raymat.settling import settling_table
-from raymat.tracer import check_settling, trace
+from raymat.settling import check_settling, settling_table
+from raymat.tracer import OCCLUSION_EPS, _trajectory, trace
 from raymat.materials import GLASS, PLASTER, WOOD
 
 from .oracles import brute_force_double_bounce, brute_force_single_bounce
@@ -150,7 +154,20 @@ def test_trace_sorted_and_deterministic():
 # --- invariants on random scenes ------------------------------------------------
 
 
-@pytest.mark.parametrize("max_bounces", [2, 3])
+def _assert_reciprocal(fwd, rev) -> int:
+    """Each forward trajectory has a reversed mate; returns how many were checked."""
+    assert len(fwd) == len(rev)
+    rev_index = {t.facet_ids: t for t in rev}
+    for t in fwd:
+        mate = rev_index[t.facet_ids[::-1]]
+        assert mate.total_length == pytest.approx(t.total_length, abs=1e-9)
+        for hop, mate_hop in zip(t.hops, reversed(mate.hops)):
+            assert np.linalg.norm(hop.point - mate_hop.point) < 1e-9
+            assert hop.theta_i == pytest.approx(mate_hop.theta_i, abs=1e-9)
+    return len(fwd)
+
+
+@pytest.mark.parametrize("max_bounces", [2, 3, 4])
 def test_reciprocity_on_random_scenes(max_bounces):
     checked = 0
     for seed in range(40):
@@ -159,16 +176,16 @@ def test_reciprocity_on_random_scenes(max_bounces):
         a, b = random_endpoints(rng, 2)
         fwd = trace(scene, a, b, max_bounces=max_bounces)
         rev = trace(scene, b, a, max_bounces=max_bounces)
-        assert len(fwd) == len(rev)
-        rev_index = {t.facet_ids: t for t in rev}
-        for t in fwd:
-            mate = rev_index[t.facet_ids[::-1]]
-            assert mate.total_length == pytest.approx(t.total_length, abs=1e-9)
-            for hop, mate_hop in zip(t.hops, reversed(mate.hops)):
-                assert np.linalg.norm(hop.point - mate_hop.point) < 1e-9
-                assert hop.theta_i == pytest.approx(mate_hop.theta_i, abs=1e-9)
-            checked += 1
+        checked += _assert_reciprocal(fwd, rev)
     assert checked > 30  # the generator must actually produce trajectories
+
+
+def test_reciprocity_on_demo_building_at_four_bounces():
+    scene = demo_building()
+    (a, _), (b,) = demo_positions(scene)
+    fwd = trace(scene, a, b, max_bounces=4)
+    assert any(t.bounces == 4 for t in fwd)
+    assert _assert_reciprocal(fwd, trace(scene, b, a, max_bounces=4)) == len(fwd)
 
 
 def test_specular_replay_on_random_scenes():
@@ -248,6 +265,131 @@ def test_image_method_agrees_with_brute_force_double_bounce():
             if compared >= 6:
                 return
     assert compared >= 2
+
+
+# --- trace against an exhaustive walk -------------------------------------------
+
+
+def _segment_blocked_by_any(scene, start, end):
+    """The exact occlusion test run on every facet, with no batched filter first."""
+    direction = end - start
+    for facet in scene.facets:
+        t = ray_plane_parameter(start, direction, facet.plane_point, facet.normal)
+        if t is None or not 0.0 < t < 1.0:
+            continue
+        point = start + t * direction
+        near_end = min(np.linalg.norm(point - start), np.linalg.norm(point - end))
+        if near_end > OCCLUSION_EPS and facet.contains(point):
+            return True
+    return False
+
+
+def _exhaustive_trace(scene, tx, rx, max_bounces):
+    """Every facet sequence without an immediate repeat, each through the exact check.
+
+    Run it with tracer._segment_blocked replaced by _segment_blocked_by_any.
+    """
+    tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
+    found = []
+    for length in range(1, max_bounces + 1):
+        for sequence in itertools.product(scene.facets, repeat=length):
+            if any(f is g for f, g in zip(sequence, sequence[1:])):
+                continue
+            images = [tx]
+            for facet in sequence:
+                images.append(mirror_point(images[-1], facet.plane_point, facet.normal))
+            if (t := _trajectory(scene, sequence, tuple(images), rx)) is not None:
+                found.append(t)
+    found.sort(key=lambda t: (t.bounces, t.total_length, t.facet_ids))
+    return found
+
+
+def _reprs(trajectories):
+    return [
+        repr((t.facet_ids, [h.point.tolist() for h in t.hops], [h.theta_i for h in t.hops],
+              t.segment_lengths, t.total_length, t.tx.tolist(), t.rx.tolist()))
+        for t in trajectories
+    ]
+
+
+def _floor_at(x0, y0):
+    """A floor whose corner (x0, y0, 0) sits at or near (1, 0, 0), the specular
+    point of the pair (0, 0, 1) -> (2, 0, 1)."""
+    return Facet("floor", rect((x0, y0, 0), (4, y0, 0), (4, 3, 0), (x0, 3, 0)))
+
+
+def _screen_at(y0, z0, x=0.5):
+    """A screen in the plane x spanning y >= y0, z >= z0; the leg
+    (0, 0, 1) -> (1, 0, 0) crosses that plane at (x, 0, 1 - x)."""
+    return Facet("screen", rect((x, y0, z0), (x, 1, z0), (x, 1, 1.5), (x, y0, 1.5)))
+
+
+def _exhaustive_cases():
+    demo = demo_building()
+    txs, rxs = demo_positions(demo)
+    pairs = [(a, b) for a in txs for b in rxs]
+    pairs += [((4.0, 2.5, 5.6), (7.0, 7.5, 1.4)), ((15.0, 2.5, 5.6), (16.5, 7.5, 1.4))]
+    for i, (a, b) in enumerate(pairs):
+        yield f"demo-{i}", demo, a, b
+    for seed in range(12):
+        scene, _ = random_scene(seed)
+        a, b = random_endpoints(np.random.default_rng(5000 + seed), 2)
+        yield f"random-{seed}", scene, a, b
+    # facets with 3, 4 and 5 edges, so the stacked half-planes are padded
+    mixed = Scene((
+        Facet("floor", rect((-2, -2, 0), (4, -2, 0), (5, 1, 0), (2, 4, 0), (-2, 3, 0))),
+        Facet("gable", rect((-2, 3.5, 0), (4, 3.5, 0), (1, 3.5, 3))),
+        Facet("roof", rect((-2, -2, 3), (-2, 3, 2.5), (4, 3, 2.5), (4, -2, 3))),
+    ))
+    for i, (a, b) in enumerate([((0, 0, 1), (2, 1, 1.5)), ((-1, 2, 2), (3, -1, 0.5))]):
+        yield f"mixed-{i}", mixed, a, b
+    # specular point on a facet edge, on a vertex, and just either side of the
+    # containment slack (1e-9 m here); the boundary counts as inside
+    for shift in (-1e-8, 0.0, 5e-10, 1e-9, 2e-9):
+        yield f"edge{shift:+g}", Scene((_floor_at(1 + shift, -1),)), (0, 0, 1), (2, 0, 1)
+        yield f"vertex{shift:+g}", Scene((_floor_at(1 + shift, shift),)), (0, 0, 1), (2, 0, 1)
+    # a leg nearly parallel to the wall y = 0: its fold-back denominator is
+    # 2e over |d| = 4, around ray_plane_parameter's 1e-12 * |d| cutoff
+    wall = Facet("wall", rect((0, 0, 0), (4, 0, 0), (4, 0, 2), (0, 0, 2)))
+    for e in (1e-12, 2e-12, 2.5e-12, 4e-12, 1e-9):
+        yield f"parallel{e:g}", Scene((wall, Facet("floor", FLOOR_BIG))), (0, e, 1), (4, e, 1)
+    # an occluder whose edge, or vertex, the leg to the floor crosses exactly,
+    # and the same occluder moved just inside and outside its slack
+    for gap in (-1e-9, 0.0, 5e-10, 1e-9, 2e-9, 1e-6):
+        for name, screen in (("edge", _screen_at(gap, 0)), ("vertex", _screen_at(gap, 0.5 + gap))):
+            scene = Scene((Facet("floor", FLOOR_BIG), screen))
+            yield f"occluder-{name}{gap:+g}", scene, (0, 0, 1), (2, 0, 1)
+    # an occluder crossing the leg around OCCLUSION_EPS (1e-6 m) from the transmitter
+    for x in (5e-7, 7e-7, 7.1e-7, 1e-6, 1e-3):
+        scene = Scene((Facet("floor", FLOOR_BIG), _screen_at(-1, 0, x)))
+        yield f"occluder-near-end{x:g}", scene, (0, 0, 1), (2, 0, 1)
+
+
+EXHAUSTIVE_CASES = list(_exhaustive_cases())
+
+
+@pytest.mark.parametrize("case", EXHAUSTIVE_CASES, ids=[c[0] for c in EXHAUSTIVE_CASES])
+@pytest.mark.parametrize("max_bounces", [1, 2, 3])
+def test_trace_matches_exhaustive_walk(case, max_bounces, monkeypatch):
+    _, scene, a, b = case
+    traced = _reprs(trace(scene, a, b, max_bounces))
+    monkeypatch.setattr(tracer, "_segment_blocked", _segment_blocked_by_any)
+    assert traced == _reprs(_exhaustive_trace(scene, a, b, max_bounces))
+
+
+@pytest.mark.parametrize("corner", ["edge", "vertex"])
+def test_specular_point_on_polygon_boundary_counts_as_inside(corner):
+    floor = _floor_at(1, -1 if corner == "edge" else 0)
+    (t,) = trace(Scene((floor,)), (0, 0, 1), (2, 0, 1), max_bounces=1)
+    assert t.hops[0].point.tolist() == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("z0", [0.0, 0.5])
+def test_leg_through_occluder_boundary_is_blocked(z0):
+    scene = Scene((Facet("floor", FLOOR_BIG), _screen_at(0.0, z0)))
+    assert [t.facet_ids for t in trace(scene, (0, 0, 1), (2, 0, 1), max_bounces=1)] == []
+    moved = Scene((Facet("floor", FLOOR_BIG), _screen_at(1e-6, z0 + 1e-6)))
+    assert [t.facet_ids for t in trace(moved, (0, 0, 1), (2, 0, 1), max_bounces=1)] == [("floor",)]
 
 
 # --- check_settling -------------------------------------------------------------
