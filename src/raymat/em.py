@@ -93,12 +93,15 @@ def fresnel_thick(eta: complex, theta_i: float) -> ReflectionCoefficients:
     te = (cos(t) - s) / (cos(t) + s) and tm = (eta*cos(t) - s) / (eta*cos(t) + s)
     with s = sqrt(eta - sin^2(t)).
     """
+    return ReflectionCoefficients(*_fresnel_te_tm(eta, theta_i))
+
+
+def _fresnel_te_tm(eta: complex, theta_i: float) -> tuple[complex, complex]:
+    """(te, tm) of fresnel_thick, without building a ReflectionCoefficients."""
     _check_angle(theta_i)
     s = _transverse_root(eta, theta_i)
     cos_t = math.cos(theta_i)
-    te = (cos_t - s) / (cos_t + s)
-    tm = (eta * cos_t - s) / (eta * cos_t + s)
-    return ReflectionCoefficients(te=te, tm=tm)
+    return (cos_t - s) / (cos_t + s), (eta * cos_t - s) / (eta * cos_t + s)
 
 
 def phase_thickness(eta: complex, theta_i: float, h_m, f_ghz: float):
@@ -182,14 +185,13 @@ def reflection_loss(
     """
     if polarization not in _POLARIZATIONS:
         raise ValueError(f"polarization must be one of {_POLARIZATIONS}")
-    eta = relative_permittivity(mat, f_ghz)
-    r = fresnel_thick(eta, theta_i)
+    te, tm = _fresnel_te_tm(relative_permittivity(mat, f_ghz), theta_i)
     if polarization == "te":
-        power = abs(r.te) ** 2
+        power = abs(te) ** 2
     elif polarization == "tm":
-        power = abs(r.tm) ** 2
+        power = abs(tm) ** 2
     else:
-        power = (abs(r.te) ** 2 + abs(r.tm) ** 2) / 2
+        power = (abs(te) ** 2 + abs(tm) ** 2) / 2
     if power == 0:  # no impedance contrast: nothing reflects
         return math.inf
     loss = -10 * math.log10(power)

@@ -8,6 +8,7 @@ round-trips bit-exactly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -43,7 +44,10 @@ def _fmt(value: float) -> str:
 
 @dataclass
 class RLDatabase:
-    """Gridded reflection-loss values in dB, indexed (material, freq, angle)."""
+    """Gridded reflection-loss values in dB, indexed (material, freq, angle).
+
+    Lookup grids are derived once, at construction: do not mutate the arrays.
+    """
 
     materials: list[MaterialParams]
     freqs_ghz: np.ndarray
@@ -63,14 +67,19 @@ class RLDatabase:
         for grid, label in ((self.freqs_ghz, "frequency"), (self.angles_deg, "angle")):
             if grid.size == 0:
                 raise ValueError(f"{label} grid must be non-empty")
-            if np.any(np.diff(grid) <= 0):
-                raise ValueError(f"{label} grid must be strictly ascending")
+            if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+                raise ValueError(f"{label} grid must be finite and strictly ascending")
+        if not self.freqs_ghz[0] > 0:  # interpolation runs in log f
+            raise ValueError("frequency grid must be > 0 GHz")
         if not np.all(np.isfinite(self.rl_db)) or np.any(self.rl_db < 0):
             raise ValueError("rl values must be finite and >= 0")
         names = [m.name for m in self.materials]
         if len(set(names)) != len(names):
             raise ValueError("material names must be unique")
         self._index = {name: i for i, name in enumerate(names)}
+        self._freqs = self.freqs_ghz.tolist()
+        self._log_freqs = [math.log(f) for f in self._freqs]
+        self._angles = self.angles_deg.tolist()
 
     @property
     def material_names(self) -> list[str]:
@@ -91,14 +100,11 @@ class RLDatabase:
             OutOfRangeError: if f or angle falls outside the grid hull.
         """
         mi = self.material_index(material)
-        fi0, fi1, wf = _bracket(self.freqs_ghz, f_ghz, "frequency", log_axis=True)
-        ai0, ai1, wa = _bracket(self.angles_deg, angle_deg, "angle")
-        v00 = self.rl_db[mi, fi0, ai0]
-        v01 = self.rl_db[mi, fi0, ai1]
-        v10 = self.rl_db[mi, fi1, ai0]
-        v11 = self.rl_db[mi, fi1, ai1]
-        return float(
-            (1 - wf) * ((1 - wa) * v00 + wa * v01) + wf * ((1 - wa) * v10 + wa * v11)
+        fi0, fi1, wf = _bracket(self._freqs, f_ghz, "frequency", self._log_freqs)
+        ai0, ai1, wa = _bracket(self._angles, angle_deg, "angle")
+        v = self.rl_db.item
+        return (1 - wf) * ((1 - wa) * v(mi, fi0, ai0) + wa * v(mi, fi0, ai1)) + wf * (
+            (1 - wa) * v(mi, fi1, ai0) + wa * v(mi, fi1, ai1)
         )
 
     def save(self, path) -> None:
@@ -112,34 +118,34 @@ class RLDatabase:
                     f"{_fmt(m.d)},{_fmt(m.roughness_sigma)}\n"
                 )
             fh.write(_COLUMNS + "\n")
+            f_labels = [_fmt(f) for f in self._freqs]
+            a_labels = [_fmt(a) for a in self._angles]
             for mi, m in enumerate(self.materials):
-                for fi, f_ghz in enumerate(self.freqs_ghz):
-                    for ai, angle in enumerate(self.angles_deg):
-                        fh.write(
-                            f"{m.name},{_fmt(f_ghz)},{_fmt(angle)},"
-                            f"{_fmt(self.rl_db[mi, fi, ai])}\n"
-                        )
+                for f_label, row in zip(f_labels, self.rl_db[mi].tolist()):
+                    prefix = f"{m.name},{f_label},"
+                    fh.writelines(
+                        f"{prefix}{a},{_fmt(v)}\n" for a, v in zip(a_labels, row)
+                    )
 
 
 def _bracket(
-    grid: np.ndarray, value: float, label: str, log_axis: bool = False
+    grid: list[float], value: float, label: str, logs: list[float] | None = None
 ) -> tuple[int, int, float]:
-    """Neighbouring grid indices and interpolation weight for a query value."""
+    """Neighbouring grid indices and interpolation weight for a query value;
+    the weight is linear in log(value) when ``logs`` (log of each node) is given."""
     lo, hi = grid[0], grid[-1]
     if not lo <= value <= hi:
         raise OutOfRangeError(
             f"{label} {value:.6g} outside grid hull [{lo:.6g}, {hi:.6g}]"
         )
-    i = int(np.searchsorted(grid, value, side="right")) - 1
-    if i >= grid.size - 1:  # value == last node
-        return grid.size - 1, grid.size - 1, 0.0
-    x0, x1 = grid[i], grid[i + 1]
-    if value == x0:
+    i = bisect.bisect_right(grid, value) - 1
+    x0 = grid[i]
+    if value == x0:  # a node, the last one included
         return i, i, 0.0
-    if log_axis:
-        w = (math.log(value) - math.log(x0)) / (math.log(x1) - math.log(x0))
+    if logs is None:
+        w = (value - x0) / (grid[i + 1] - x0)
     else:
-        w = (value - x0) / (x1 - x0)
+        w = (math.log(value) - logs[i]) / (logs[i + 1] - logs[i])
     return i, i + 1, float(w)
 
 
@@ -159,20 +165,16 @@ def build(
         raise ValueError("need at least one material")
     if angles.size and (angles[0] < 0 or angles[-1] > 89):
         raise ValueError("angle grid must lie within [0, 89] degrees")
-    rl = np.empty((len(materials), freqs.size, angles.size))
-    for mi, mat in enumerate(materials):
-        for fi, f in enumerate(freqs):
-            for ai, angle in enumerate(angles):
-                rl[mi, fi, ai] = em.reflection_loss(
-                    mat, float(f), math.radians(float(angle)), kappa=kappa
-                )
-    return RLDatabase(
-        materials=list(materials),
-        freqs_ghz=freqs,
-        angles_deg=angles,
-        rl_db=rl,
-        kappa=kappa,
+    f_list, thetas = freqs.tolist(), [math.radians(a) for a in angles.tolist()]
+    shape = (len(materials), freqs.size, angles.size)
+    cells = (
+        em.reflection_loss(mat, f, theta, kappa=kappa)
+        for mat in materials
+        for f in f_list
+        for theta in thetas
     )
+    rl = np.fromiter(cells, float, math.prod(shape)).reshape(shape)
+    return RLDatabase(list(materials), freqs, angles, rl, kappa)
 
 
 def load(path) -> RLDatabase:
@@ -186,9 +188,9 @@ def load(path) -> RLDatabase:
     version: int | None = None
     header_materials: dict[str, MaterialParams] = {}
     cells: dict[tuple[str, float, float], float] = {}
-    names_in_order: list[str] = []
-    freq_values: list[float] = []
-    angle_values: list[float] = []
+    names: dict[str, None] = {}  # in order of first appearance
+    freq_set: set[float] = set()
+    angle_set: set[float] = set()
     saw_columns = False
 
     with open(path, encoding="utf-8") as fh:
@@ -225,20 +227,26 @@ def load(path) -> RLDatabase:
                 raise DatabaseFormatError(
                     f"expected 4 fields ({_COLUMNS}), got {len(fields)}", line=lineno
                 )
-            name = fields[0]
             try:
-                f_ghz, angle, rl = (float(x) for x in fields[1:])
+                f_ghz, angle, rl = float(fields[1]), float(fields[2]), float(fields[3])
             except ValueError:
                 raise DatabaseFormatError(
                     f"non-numeric value in row {line!r}", line=lineno
                 ) from None
-            if name not in names_in_order:
-                names_in_order.append(name)
-            if f_ghz not in freq_values:
-                freq_values.append(f_ghz)
-            if angle not in angle_values:
-                angle_values.append(angle)
-            cells[(name, f_ghz, angle)] = rl
+            if not math.isfinite(f_ghz + angle + rl):  # a nan or inf in any field
+                raise DatabaseFormatError(
+                    f"non-finite value in row {line!r}", line=lineno
+                )
+            cell = (fields[0], f_ghz, angle)
+            if cell in cells:
+                raise DatabaseFormatError(
+                    f"duplicate cell ({cell[0]}, {f_ghz:.6g} GHz, {angle:.6g} deg)",
+                    line=lineno,
+                )
+            cells[cell] = rl
+            names[cell[0]] = None
+            freq_set.add(f_ghz)
+            angle_set.add(angle)
 
     if version is None:
         raise DatabaseFormatError("missing #version header")
@@ -247,36 +255,25 @@ def load(path) -> RLDatabase:
     if not saw_columns or not cells:
         raise DatabaseFormatError("no data rows found (truncated file?)")
 
-    freqs = np.array(sorted(freq_values))
-    angles = np.array(sorted(angle_values))
-    materials = []
-    for name in names_in_order:
-        if name in header_materials:
-            materials.append(header_materials[name])
-        elif name in PRESETS:
-            materials.append(PRESETS[name])
-        else:
+    freqs, angles = sorted(freq_set), sorted(angle_set)
+    known = {**PRESETS, **header_materials}
+    for name in names:
+        if name not in known:
             raise DatabaseFormatError(
                 f"material {name!r} has no #material header and is not a preset"
             )
-    rl = np.empty((len(materials), freqs.size, angles.size))
-    for mi, name in enumerate(names_in_order):
-        for fi, f_ghz in enumerate(freqs):
-            for ai, angle in enumerate(angles):
-                try:
-                    rl[mi, fi, ai] = cells[(name, float(f_ghz), float(angle))]
-                except KeyError:
-                    raise DatabaseFormatError(
-                        f"missing cell ({name}, {f_ghz:.6g} GHz, {angle:.6g} deg); "
-                        "grid is incomplete (truncated file?)"
-                    ) from None
+    materials = [known[name] for name in names]
+    shape = (len(names), len(freqs), len(angles))
+    values = (cells[name, f, a] for name in names for f in freqs for a in angles)
     try:
-        return RLDatabase(
-            materials=materials,
-            freqs_ghz=freqs,
-            angles_deg=angles,
-            rl_db=rl,
-            kappa=kappa,
-        )
+        rl = np.fromiter(values, float, math.prod(shape)).reshape(shape)
+    except KeyError as err:
+        name, f_ghz, angle = err.args[0]
+        raise DatabaseFormatError(
+            f"missing cell ({name}, {f_ghz:.6g} GHz, {angle:.6g} deg); "
+            "grid is incomplete (truncated file?)"
+        ) from None
+    try:
+        return RLDatabase(materials, freqs, angles, rl, kappa)
     except ValueError as err:
         raise DatabaseFormatError(str(err)) from None

@@ -109,9 +109,10 @@ class Scene:
         stacked = np.vstack([f.vertices for f in facets])
         lower = stacked.min(axis=0)
         upper = stacked.max(axis=0)
-        # pad the facet hull so endpoints just off a wall (or above a lone
-        # floor) still count as in-scene; the box is a sanity guard, not a hull
-        pad = max(1.0, 0.5 * float((upper - lower).max()))
+        # pad the facet hull by its largest extent, and by at least a room
+        # height (3 m), so endpoints off a wall or above a lone floor still
+        # count as in-scene; the box is a sanity guard, not a hull
+        pad = max(3.0, float((upper - lower).max()))
         object.__setattr__(self, "_lower", lower - pad)
         object.__setattr__(self, "_upper", upper + pad)
         object.__setattr__(self, "_by_id", {f.facet_id: f for f in facets})

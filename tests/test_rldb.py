@@ -27,6 +27,17 @@ def db100_fitted():
     )
 
 
+@pytest.fixture(scope="module")
+def db_multi():
+    """3 materials x 7 frequencies 28 GHz-1 THz x 0..89 deg, fitted roughness."""
+    return rldb.build(
+        PRESET_LIST,
+        np.geomspace(28.0, 1000.0, 7),
+        np.arange(0.0, 90.0),
+        kappa=em.FITTED_ROUGHNESS_KAPPA,
+    )
+
+
 def test_build_glass_row_matches_reference(db100):
     # the 40 deg cell of the published table deviates from its own model;
     # compare against the model value there (documented upstream defect)
@@ -45,10 +56,16 @@ def test_build_wood_row_close_to_rough_reference(db100):
     assert max(deviations) <= 1.2
 
 
-def test_build_cells_equal_reflection_loss(db100):
-    assert db100.rl_db[2, 0, 60] == em.reflection_loss(
-        GLASS, 100.0, math.radians(60.0)
-    )
+def test_build_cells_equal_reflection_loss(db_multi):
+    expected = [
+        em.reflection_loss(
+            mat, f, math.radians(angle), kappa=em.FITTED_ROUGHNESS_KAPPA
+        )
+        for mat in PRESET_LIST
+        for f in db_multi.freqs_ghz.tolist()
+        for angle in db_multi.angles_deg.tolist()
+    ]
+    assert db_multi.rl_db.ravel().tolist() == expected
 
 
 def test_build_minimal_grid():
@@ -99,6 +116,90 @@ def test_lookup_log_frequency_interpolation():
     assert min(lo, hi) <= v <= max(lo, hi)
 
 
+def _reference_lookup(db, material, f_ghz, angle_deg):
+    """RLDatabase.lookup as first written: np.searchsorted on the grid arrays
+    and bilinear interpolation of numpy scalars."""
+
+    def bracket(grid, value, label, log_axis=False):
+        lo, hi = grid[0], grid[-1]
+        if not lo <= value <= hi:
+            raise rldb.OutOfRangeError(
+                f"{label} {value:.6g} outside grid hull [{lo:.6g}, {hi:.6g}]"
+            )
+        i = int(np.searchsorted(grid, value, side="right")) - 1
+        if i >= grid.size - 1:
+            return grid.size - 1, grid.size - 1, 0.0
+        x0, x1 = grid[i], grid[i + 1]
+        if value == x0:
+            return i, i, 0.0
+        if log_axis:
+            w = (math.log(value) - math.log(x0)) / (math.log(x1) - math.log(x0))
+        else:
+            w = (value - x0) / (x1 - x0)
+        return i, i + 1, float(w)
+
+    names = db.material_names
+    if material not in names:
+        raise KeyError(f"material {material!r} not in database ({', '.join(names)})")
+    mi = names.index(material)
+    fi0, fi1, wf = bracket(db.freqs_ghz, f_ghz, "frequency", log_axis=True)
+    ai0, ai1, wa = bracket(db.angles_deg, angle_deg, "angle")
+    v00 = db.rl_db[mi, fi0, ai0]
+    v01 = db.rl_db[mi, fi0, ai1]
+    v10 = db.rl_db[mi, fi1, ai0]
+    v11 = db.rl_db[mi, fi1, ai1]
+    return float(
+        (1 - wf) * ((1 - wa) * v00 + wa * v01) + wf * ((1 - wa) * v10 + wa * v11)
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except (KeyError, ValueError) as err:
+        return type(err), str(err)
+    return type(value), value
+
+
+# the 7 x 90 table of db_multi, and one with uneven steps on both axes
+@pytest.mark.parametrize("uneven", [False, True], ids=["db_multi", "uneven"])
+def test_lookup_equals_reference_formula(db_multi, uneven):
+    db = db_multi
+    if uneven:
+        angles = 89.0 * np.linspace(0.0, 1.0, 13) ** 1.3
+        db = rldb.build(PRESET_LIST, [28.0, 41.5, 140.0, 1000.0], angles)
+    names = db.material_names
+    freqs, angles = db.freqs_ghz, db.angles_deg
+    rng = np.random.default_rng(2024)
+    n = 3000
+    queries = list(
+        zip(
+            rng.choice(names, n).tolist(),
+            np.exp(rng.uniform(math.log(28.0), math.log(1000.0), n)).tolist(),
+            rng.uniform(0.0, 89.0, n).tolist(),
+        )
+    )
+    # every node, as numpy scalars and as floats, including the last ones
+    queries += [(m, f, a) for m in names for f in freqs for a in angles]
+    queries += [(m, f, a) for m in names for f in freqs.tolist() for a in (0.0, 88.0, 89.0)]
+    queries += [("glass", 1000.0, 89.0), ("wood", 28.0, 0.0), ("plaster", 100, 45)]
+    # angles as the tracer hands them over: np.degrees of radians, np.float64
+    radians = rng.uniform(0.0, math.radians(89.0), 500)
+    queries += [("wood", f, np.degrees(r)) for f, r in zip(rng.uniform(28.0, 1000.0, 500), radians)]
+    queries += [("plaster", 100.0, np.degrees(np.radians(a))) for a in angles]
+    # out of hull, NaN and unknown material
+    queries += [
+        ("glass", 27.9, 10.0), ("glass", 1000.5, 10.0), ("glass", 100.0, -0.1),
+        ("glass", 100.0, 89.5), ("glass", math.nan, 10.0), ("glass", 100.0, math.nan),
+        ("glass", np.float64("nan"), 1.0), ("glass", 100.0, np.degrees(np.float64(1.6))),
+        ("brick", 100.0, 10.0), ("brick", math.nan, 10.0),
+    ]
+    got = [_outcome(db.lookup, *q) for q in queries]
+    want = [_outcome(_reference_lookup, db, *q) for q in queries]
+    assert got == want
+    assert sum(t is float for t, _ in got) == len(queries) - 10
+
+
 def test_interpolation_bounded_by_corners(db100):
     rng = np.random.default_rng(42)
     for _ in range(200):
@@ -129,6 +230,13 @@ def test_save_load_round_trip(tmp_path, db100):
     assert again.materials == loaded.materials
 
 
+def test_save_load_save_is_byte_identical(tmp_path, db_multi):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    db_multi.save(first)
+    rldb.load(first).save(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_rebuild_is_byte_identical(tmp_path):
     a = rldb.build(PRESET_LIST, [100.0], np.arange(0.0, 20.0), kappa=0.5)
     b = rldb.build(PRESET_LIST, [100.0], np.arange(0.0, 20.0), kappa=0.5)
@@ -152,6 +260,43 @@ def test_load_truncated_file(tmp_path, db100):
     truncated.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
     with pytest.raises(rldb.DatabaseFormatError, match="incomplete"):
         rldb.load(truncated)
+
+
+def test_load_names_first_missing_cell(tmp_path, db_multi):
+    path = tmp_path / "db.csv"
+    db_multi.save(path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    f2 = f"{db_multi.freqs_ghz[2]:.6g}"
+    gone = {f"plaster,{f2},3,", f"plaster,{f2},71,", "glass,28,0,"}
+    kept = [line for line in lines if not line.startswith(tuple(gone))]
+    assert len(kept) == len(lines) - len(gone)
+    path.write_text("".join(kept), encoding="utf-8")
+    with pytest.raises(rldb.DatabaseFormatError) as info:
+        rldb.load(path)
+    assert str(info.value) == (
+        f"missing cell (plaster, {f2} GHz, 3 deg); grid is incomplete (truncated file?)"
+    )
+
+
+_HEAD = "#version=1\n#kappa=0\nmaterial,f_ghz,angle_deg,rl_db\n"
+
+
+@pytest.mark.parametrize("second", ["wood,100,0,9", "wood,1e2,0.0,9"])
+def test_load_rejects_duplicate_cells(tmp_path, second):
+    bad = tmp_path / "dup.csv"
+    bad.write_text(_HEAD + "wood,100,0,5\nwood,100,1,6\n" + second + "\n", encoding="utf-8")
+    with pytest.raises(rldb.DatabaseFormatError) as info:
+        rldb.load(bad)
+    assert str(info.value) == "duplicate cell (wood, 100 GHz, 0 deg) (line 6)"
+    assert info.value.line == 6
+
+
+@pytest.mark.parametrize("row", ["wood,nan,0,5", "wood,100,inf,5", "wood,100,0,nan"])
+def test_load_rejects_non_finite_values(tmp_path, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(_HEAD + row + "\n", encoding="utf-8")
+    with pytest.raises(rldb.DatabaseFormatError, match="non-finite value.*line 4"):
+        rldb.load(bad)
 
 
 def test_load_version_mismatch(tmp_path, db100):
@@ -207,3 +352,22 @@ def test_database_invariants_enforced():
         rldb.RLDatabase([GLASS], [100.0], [0.0], np.array([[[-1.0]]]))
     with pytest.raises(ValueError, match="shape"):
         rldb.RLDatabase([GLASS], [100.0], [0.0], np.zeros((1, 2, 1)))
+
+
+@pytest.mark.parametrize(
+    "freqs, angles",
+    [([100.0, math.nan, 200.0], [0.0, 10.0]), ([100.0], [math.nan]), ([math.inf], [0.0])],
+)
+def test_database_rejects_non_finite_grid_nodes(freqs, angles):
+    rl = np.ones((1, len(freqs), len(angles)))
+    with pytest.raises(ValueError, match="finite and strictly ascending"):
+        rldb.RLDatabase([GLASS], freqs, angles, rl)
+
+
+def test_frequency_grid_must_be_positive(tmp_path):
+    with pytest.raises(ValueError, match="> 0 GHz"):
+        rldb.RLDatabase([GLASS], [0.0, 100.0], [0.0], np.zeros((1, 2, 1)))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(_HEAD + "wood,-5,0,5\n", encoding="utf-8")
+    with pytest.raises(rldb.DatabaseFormatError, match="> 0 GHz"):
+        rldb.load(bad)

@@ -115,6 +115,13 @@ def test_trace_validation_errors():
         trace(scene, [0, 0, 1], [2, 0, 1], max_bounces=5)
 
 
+def test_endpoints_above_a_lone_small_facet_are_in_bounds():
+    # a 2 x 2 m floor; the pair 1.5 m above its plane reflects at its corner
+    floor = Facet("floor", rect((1, 0, 0), (3, 0, 0), (3, 2, 0), (1, 2, 0)))
+    (t,) = trace(Scene((floor,)), (0, 0, 1.5), (2, 0, 1.5), max_bounces=1)
+    assert t.hops[0].point.tolist() == [1.0, 0.0, 0.0]
+
+
 def test_no_consecutive_same_facet():
     scene = Scene(facets=(Facet("floor", FLOOR_BIG),))
     trajs = trace(scene, [0, 0, 1], [2, 0, 1], max_bounces=2)
