@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import random
-import re
 import sys
 from contextlib import contextmanager
 
@@ -25,9 +24,9 @@ from . import demo as demo_mod
 from . import em, identify, rldb, settling
 from .materials import PRESETS, MaterialParams, load_material_table
 from .scene import load_scene, save_scene
-from .tracer import trace
 
 OUTPUT_DIR_ENV = "RAYMAT_OUTPUT_DIR"
+MAX_ANGLE_DEG = 85.0  # database hull: tables built here span 0..85 deg in 1 deg steps
 
 
 class _UsageError(Exception):
@@ -55,6 +54,13 @@ def _parse_grid(text: str) -> np.ndarray:
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return start + step * np.arange(count)
     return np.array([float(p) for p in text.split(",")])
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -199,18 +205,12 @@ def _pairs(args):
     scene = load_scene(args.scene)
     txs = [_parse_point(p) for p in args.tx]
     rxs = [_parse_point(p) for p in args.rx]
-    labelled = []
-    pair = 0
-    for tx in txs:
-        for rx in rxs:
-            for ti, traj in enumerate(trace(scene, tx, rx, max_bounces=args.max_bounces)):
-                labelled.append((f"p{pair}t{ti}", traj))
-            pair += 1
-    return scene, txs, rxs, labelled
+    pairs = identify.traced_pairs(scene, txs, rxs, args.max_bounces)
+    return scene, [item for labelled in pairs for item in labelled]
 
 
 def _cmd_trace(args) -> int:
-    _, _, _, labelled = _pairs(args)
+    _, labelled = _pairs(args)
     with _open_output(args.output) as fh:
         fh.write(f"#scene={os.path.basename(args.scene)}\n")
         fh.write(f"#max_bounces={args.max_bounces}\n")
@@ -219,7 +219,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scene, _, _, labelled = _pairs(args)
+    scene, labelled = _pairs(args)
     catalog = _material_catalog(args.materials_table)
     ground_truth = {}
     for facet in scene.facets:
@@ -269,12 +269,12 @@ def _read_measurements(path) -> dict[str, tuple[float, float, int]]:
             tid = fields[0]
             try:
                 value, u = float(fields[1]), float(fields[2])
-                if not (math.isfinite(value) and math.isfinite(u) and u >= 0):
+                if not (math.isfinite(value) and math.isfinite(u) and u > 0):
                     raise ValueError
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: measured_rl_db and u_db must be finite "
-                    "numbers, u_db >= 0"
+                    "numbers, u_db > 0"
                 ) from None
             if tid in out:
                 raise ValueError(f"{path}:{lineno}: duplicate trajectory_id {tid!r}")
@@ -288,7 +288,8 @@ def _cmd_identify(args) -> int:
     if args.db:
         db = rldb.load(args.db)
     else:
-        db = rldb.build(palette, np.array([args.freq]), np.arange(0.0, 86.0), args.kappa)
+        angles = np.arange(0.0, MAX_ANGLE_DEG + 1.0)
+        db = rldb.build(palette, np.array([args.freq]), angles, args.kappa)
     measurements = _read_measurements(args.measurements)
     asked: set[str] = set()
 
@@ -297,30 +298,23 @@ def _cmd_identify(args) -> int:
         if tid not in measurements:
             return None
         value, u, _ = measurements[tid]
-        if args.u is not None:
-            u = args.u
-        return identify.MeasurementRecord(tid, value, u)
+        return identify.MeasurementRecord(tid, value, args.u or u)
 
-    belief, report = identify.identify_loop(
+    _, report = identify.identify_loop(
         scene,
         [_parse_point(p) for p in args.tx],
         [_parse_point(p) for p in args.rx],
         palette,
         db,
         args.freq,
-        args.u if args.u is not None else 1.0,
+        args.u,
         args.max_bounces,
         measure,
     )
-    # the loop stops after the pair that settles every covered facet, which is
-    # the last pair it asked about; rows for later pairs are not errors
-    pairs = traced = len(args.tx) * len(args.rx)
-    if belief.rp_domains and all(len(d) == 1 for d in belief.rp_domains.values()):
-        traced = 1 + max(int(re.match(r"p([0-9]+)", tid)[1]) for tid in asked)
+    # rows for pairs the loop never traced (it stopped early) are not errors
+    untraced = range(report.pairs_traced, len(args.tx) * len(args.rx))
     for tid, (_, _, lineno) in measurements.items():
-        match = re.fullmatch(r"p([0-9]+)t[0-9]+", tid)
-        pair = int(match[1]) if match else pairs
-        if pair >= pairs or (pair < traced and tid not in asked):
+        if tid not in asked and identify.pair_of(tid) not in untraced:
             raise ValueError(
                 f"{args.measurements}:{lineno}: trajectory_id {tid!r} "
                 "matches no traced trajectory"
@@ -409,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True, help="database CSV path")
     p.add_argument("--materials", default="wood,plaster,glass")
     p.add_argument("--freqs", default="100", help="GHz grid or comma list")
-    p.add_argument("--angles", default="0:85:1", help="degrees grid")
+    p.add_argument("--angles", default=f"0:{MAX_ANGLE_DEG:g}:1", help="degrees grid")
     p.add_argument("--kappa", type=float, default=0.0)
     _add_materials_table(p)
     _add_output(p)
@@ -432,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ptx", type=float, default=30.0, help="dBm")
     p.add_argument("--noise", type=float, default=0.0, help="gaussian sigma in dB")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--u", type=float, default=1.0, help="uncertainty written per row")
+    p.add_argument("--u", type=_positive, default=1.0, help="uncertainty written per row")
     p.add_argument("--kappa", type=float, default=0.0)
-    p.add_argument("--max-angle", type=float, default=85.0, help="skip steeper hops")
+    p.add_argument("--max-angle", type=float, default=MAX_ANGLE_DEG, help="skip steeper hops")
     _add_materials_table(p)
     _add_output(p)
     p.set_defaults(func=_cmd_simulate)
@@ -446,10 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rx", action="append", required=True)
     p.add_argument("--max-bounces", type=int, default=2)
     p.add_argument("--freq", type=float, required=True, help="GHz")
-    p.add_argument("--u", type=float, default=None, help="override per-row uncertainty")
+    p.add_argument("--u", type=_positive, default=None, help="override per-row uncertainty")
     p.add_argument("--palette", default="wood,plaster,glass")
-    p.add_argument("--kappa", type=float, default=0.0)
-    p.add_argument("--db", default=None, help="prebuilt database CSV (else built on the fly)")
+    table = p.add_mutually_exclusive_group()  # a prebuilt table carries its own kappa
+    table.add_argument("--kappa", type=float, default=0.0)
+    table.add_argument("--db", default=None, help="prebuilt database CSV (else built on the fly)")
     _add_materials_table(p)
     _add_output(p)
     p.set_defaults(func=_cmd_identify)

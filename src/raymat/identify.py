@@ -12,10 +12,11 @@ facet id plus a quantized position (cell 1 cm).
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -25,24 +26,20 @@ from .rldb import OutOfRangeError, RLDatabase
 from .scene import Scene
 from .tracer import Trajectory, trace
 
-DEFAULT_RP_TOLERANCE_M = 0.01
+RP_TOLERANCE_M = 0.01
 
 
 @dataclass(frozen=True, order=True)
 class RPKey:
-    """Identity of a reflection point: facet plus position quantized to delta."""
+    """Identity of a reflection point: facet plus position quantized to 1 cm."""
 
     facet_id: str
     cell: tuple[int, int, int]
 
     @classmethod
-    def from_point(
-        cls, facet_id: str, point, delta_m: float = DEFAULT_RP_TOLERANCE_M
-    ) -> "RPKey":
-        if delta_m <= 0:
-            raise ValueError("spatial tolerance delta must be > 0")
+    def from_point(cls, facet_id: str, point) -> "RPKey":
         p = np.asarray(point, dtype=float)
-        return cls(facet_id, tuple(int(round(x / delta_m)) for x in p))
+        return cls(facet_id, tuple(int(round(x / RP_TOLERANCE_M)) for x in p))
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,7 @@ class IdentificationReport:
     skipped: tuple[str, ...]
     rp_rows: tuple[tuple[RPKey, tuple[float, ...], tuple[str, ...], float], ...]
     # rp_rows: (key, representative point, sorted surviving materials, RL spread dB)
+    pairs_traced: int  # TX-RX pairs traced before the early stop; not printed
 
     def to_text(self) -> str:
         lines = ["# identification report"]
@@ -338,6 +336,26 @@ def simulate_measurement(
 MeasureFn = Callable[[str, Trajectory], "MeasurementRecord | None"]
 
 
+def traced_pairs(
+    scene: Scene, tx_positions: list, rx_positions: list, max_bounces: int
+) -> Iterator[list[tuple[str, Trajectory]]]:
+    """Each TX-RX pair's ``[(trajectory id, trajectory), ...]``, TX-major.
+
+    Trajectory ids are ``p<pair>t<index>``: the pair's place in the TX-major
+    walk over the Cartesian product of positions, then the trajectory's place
+    in its trace order. Lazy: a pair is traced only when it is asked for.
+    """
+    for pair, (tx, rx) in enumerate(product(tx_positions, rx_positions)):
+        trajectories = trace(scene, tx, rx, max_bounces=max_bounces)
+        yield [(f"p{pair}t{ti}", traj) for ti, traj in enumerate(trajectories)]
+
+
+def pair_of(trajectory_id: str) -> int | None:
+    """Pair index of a ``p<pair>t<index>`` id, or None if the id is malformed."""
+    match = re.fullmatch(r"p([0-9]+)t[0-9]+", trajectory_id)
+    return int(match[1]) if match else None
+
+
 def identify_loop(
     scene: Scene,
     tx_positions: list,
@@ -345,81 +363,70 @@ def identify_loop(
     palette: list[MaterialParams],
     db: RLDatabase,
     f_ghz: float,
-    u_db: float,
+    u_db: float | None,
     max_bounces: int,
     measure: MeasureFn,
 ) -> tuple[BeliefState, IdentificationReport]:
     """Trace, enumerate, match, and propagate over every TX-RX pair in order.
 
-    Trajectory ids are ``p<pair>t<index>`` with pairs enumerated TX-major over
-    the Cartesian product of positions. ``measure`` returns the measurement
-    for a trajectory or None to leave it out; records with zero uncertainty
-    fall back to the loop-wide ``u_db``. Each trajectory with survivors is
-    added to one :class:`Propagator` with a variable per facet, so the map
-    constraint (one facet, one material) holds within and across
-    trajectories. Stops early once every covered facet is down to a single
-    material.
+    Pairs and trajectory ids come from :func:`traced_pairs`. ``measure``
+    returns the measurement for a trajectory or None to leave it out; records
+    with zero uncertainty fall back to the loop-wide ``u_db`` (None: every
+    record must carry its own). Each trajectory with survivors is added to one
+    :class:`Propagator` with a variable per facet, so the map constraint (one
+    facet, one material) holds within and across trajectories. Stops early
+    once every covered facet is down to a single material; the report's
+    ``pairs_traced`` says how many pairs were traced by then.
     """
     if not tx_positions or not rx_positions:
         raise ValueError("need at least one TX and one RX position")
     engine = Propagator(lambda key: key.facet_id)
     no_hypothesis: list[str] = []
     skipped: list[str] = []
-    hop_angles: dict[RPKey, list[float]] = {}
-    rp_points: dict[RPKey, tuple[float, ...]] = {}
+    # per reflection point: the first hop's point, and each hop's table loss
+    # of every palette material
+    rp_hops: dict[RPKey, tuple[tuple[float, ...], list[dict[str, float]]]] = {}
 
-    pair_index = 0
-    done = False
-    for tx in tx_positions:
-        if done:
+    pairs = traced_pairs(scene, tx_positions, rx_positions, max_bounces)
+    for pairs_traced, labelled in enumerate(pairs, start=1):
+        for tid, traj in labelled:
+            record = measure(tid, traj)
+            if record is None:
+                skipped.append(tid)
+                continue
+            try:
+                candidates = enumerate_sequences(traj, palette, db, f_ghz)
+            except OutOfRangeError as err:
+                skipped.append(f"{tid} ({err})")
+                continue
+            u = record.uncertainty_db if record.uncertainty_db > 0 else u_db
+            survivors = match_measurement(
+                candidates,
+                MeasurementRecord(tid, record.measured_total_rl_db, u),
+            )
+            # the palette is non-empty, so every candidate carries the keys
+            for i, ((key, _), hop) in enumerate(zip(candidates[0].assignment, traj.hops)):
+                hop_losses = rp_hops.setdefault(key, (tuple(float(x) for x in hop.point), []))[1]
+                hop_losses.append({c.assignment[i][1]: c.per_hop_rl_db[i] for c in candidates})
+            if not survivors:
+                no_hypothesis.append(tid)
+                continue
+            engine.add(tid, survivors)
+        if engine.settled():
             break
-        for rx in rx_positions:
-            if done:
-                break
-            trajectories = trace(scene, tx, rx, max_bounces=max_bounces)
-            for ti, traj in enumerate(trajectories):
-                tid = f"p{pair_index}t{ti}"
-                record = measure(tid, traj)
-                if record is None:
-                    skipped.append(tid)
-                    continue
-                try:
-                    candidates = enumerate_sequences(traj, palette, db, f_ghz)
-                except OutOfRangeError as err:
-                    skipped.append(f"{tid} ({err})")
-                    continue
-                u = record.uncertainty_db if record.uncertainty_db > 0 else u_db
-                survivors = match_measurement(
-                    candidates,
-                    MeasurementRecord(tid, record.measured_total_rl_db, u),
-                )
-                # the palette is non-empty, so every candidate carries the keys
-                for (key, _), hop in zip(candidates[0].assignment, traj.hops):
-                    hop_angles.setdefault(key, []).append(np.degrees(hop.theta_i))
-                    rp_points.setdefault(key, tuple(float(x) for x in hop.point))
-                if not survivors:
-                    no_hypothesis.append(tid)
-                    continue
-                engine.add(tid, survivors)
-            pair_index += 1
-            done = engine.settled()
 
     belief = engine.belief()
-    report = _build_report(
-        scene, belief, db, f_ghz, hop_angles, rp_points, no_hypothesis, skipped
-    )
+    report = _build_report(scene, belief, rp_hops, no_hypothesis, skipped, pairs_traced)
     return belief, report
 
 
 def _build_report(
     scene: Scene,
     belief: BeliefState,
-    db: RLDatabase,
-    f_ghz: float,
-    hop_angles: dict[RPKey, list[float]],
-    rp_points: dict[RPKey, tuple[float, ...]],
+    rp_hops: dict[RPKey, tuple[tuple[float, ...], list[dict[str, float]]]],
     no_hypothesis: list[str],
     skipped: list[str],
+    pairs_traced: int,
 ) -> IdentificationReport:
     # the engine has one variable per facet, so every key on a facet carries
     # the facet's domain
@@ -449,19 +456,13 @@ def _build_report(
     rp_rows = []
     for key in sorted(belief.rp_domains):
         dom = sorted(belief.rp_domains[key])
+        point, hop_losses = rp_hops[key]
         spread = 0.0
-        for angle in hop_angles.get(key, []):
-            losses = []
-            for name in dom:
-                try:
-                    losses.append(db.lookup(name, f_ghz, angle))
-                except (OutOfRangeError, KeyError):
-                    pass
-            if len(losses) > 1:
-                spread = max(spread, max(losses) - min(losses))
-        rp_rows.append(
-            (key, rp_points.get(key, ()), tuple(dom), spread)
-        )
+        if len(dom) > 1:
+            for losses in hop_losses:
+                row = [losses[name] for name in dom]
+                spread = max(spread, max(row) - min(row))
+        rp_rows.append((key, point, tuple(dom), spread))
     return IdentificationReport(
         resolved=resolved,
         ambiguous=ambiguous,
@@ -470,4 +471,5 @@ def _build_report(
         no_hypothesis=tuple(no_hypothesis),
         skipped=tuple(skipped),
         rp_rows=tuple(rp_rows),
+        pairs_traced=pairs_traced,
     )

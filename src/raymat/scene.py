@@ -127,11 +127,6 @@ class Scene:
                 row[: len(f.vertices)] = getattr(f, name)
             object.__setattr__(self, name, padded)
 
-    @property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned bounding box (padded) containing every facet."""
-        return self._lower.copy(), self._upper.copy()
-
     def facet(self, facet_id: str) -> Facet:
         try:
             return self._by_id[facet_id]

@@ -206,6 +206,7 @@ def test_identify_no_hypothesis_exit_code(capsys, tmp_path):
         "p0t0,12.0,nan\n",
         "p0t0,12.0,-inf\n",
         "p0t0,12.0,-0.5\n",
+        "p0t0,12.0,0\n",
         "p0t0,twelve,0.5\n",
         "p0t0,12.0,0.5\np0t0,13.0,0.5\n",
         "p0t0,12.0,0.5\np7t3,12.0,0.5\n",
@@ -213,7 +214,7 @@ def test_identify_no_hypothesis_exit_code(capsys, tmp_path):
         "p0t0,12.0,0.5\nx1,12.0,0.5\n",
     ],
     ids=[
-        "nan", "inf", "nan-u", "inf-u", "negative-u", "text", "duplicate",
+        "nan", "inf", "nan-u", "inf-u", "negative-u", "zero-u", "text", "duplicate",
         "pair-out-of-range", "no-such-trajectory", "malformed-id",
     ],
 )
@@ -267,6 +268,107 @@ def test_identify_accepts_rows_after_early_stop(capsys, tmp_path):
     )
     assert (code, err) == (0, "")
     assert "floor,wood" in out.splitlines()
+
+
+def test_identify_rejects_rows_for_a_traced_pair_without_trajectories(capsys, tmp_path):
+    # the lone floor stays wood-or-plaster, so the loop traces both pairs;
+    # the second (RX below the floor) has no trajectory, so no row can name it
+    scene = tmp_path / "scene.json"
+    scene.write_text(
+        '{"units":"m","facets":[{"id":"floor","vertices":'
+        "[[-3,-3,0],[6,-3,0],[6,3,0],[-3,3,0]],"
+        '"material":"wood","thickness_m":0.1}]}',
+        encoding="utf-8",
+    )
+    from raymat import em as _em
+    from raymat.materials import PLASTER, WOOD
+
+    theta = math.atan(1.0)
+    between = (
+        _em.reflection_loss(WOOD, 100.0, theta) + _em.reflection_loss(PLASTER, 100.0, theta)
+    ) / 2
+    m_path = tmp_path / "m.csv"
+    argv = [
+        "identify", "--scene", str(scene), "--tx", "0,0,1", "--rx", "2,0,1",
+        "--rx", "2,0,-1", "--max-bounces", "1", "--freq", "100",
+        "--measurements", str(m_path),
+    ]
+    m_path.write_text(
+        f"trajectory_id,measured_rl_db,u_db\np0t0,{between:.6g},2\n", encoding="utf-8"
+    )
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "floor,plaster|wood" in out.splitlines()
+    m_path.write_text(
+        f"trajectory_id,measured_rl_db,u_db\np0t0,{between:.6g},2\np1t0,12.0,2\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"{m_path}:3:" in err
+
+
+def test_trace_ids_are_the_ids_identify_measures(capsys, tmp_path):
+    from raymat.identify import identify_loop
+    from raymat.materials import PRESETS
+    from raymat.rldb import build
+    from raymat.scene import load_scene
+
+    scene_path, tx_flags, rx_flags = demo_files(tmp_path, capsys)
+    code, out, _ = run(
+        capsys, "trace", "--scene", str(scene_path), *tx_flags, *rx_flags,
+        "--max-bounces", "2",
+    )
+    assert code == 0
+    traced = {}
+    for row in parse_csv(out):
+        traced.setdefault(row["trajectory_id"], []).append(row["facet_id"])
+    measured = {}
+
+    def measure(tid, traj):
+        measured[tid] = list(traj.facet_ids)
+        return None
+
+    palette = [PRESETS["wood"]]
+    identify_loop(
+        load_scene(str(scene_path)),
+        [[float(v) for v in p.split(",")] for p in tx_flags[1::2]],
+        [[float(v) for v in p.split(",")] for p in rx_flags[1::2]],
+        palette, build(palette, [100.0], [0.0, 85.0]), 100.0, 1.0, 2, measure,
+    )
+    assert list(measured) == list(traced)
+    assert measured == traced
+
+
+def test_identify_db_and_kappa_are_exclusive(capsys, tmp_path):
+    scene_path, tx_flags, rx_flags = demo_files(tmp_path, capsys)
+    db_path, m_path = tmp_path / "db.csv", tmp_path / "m.csv"
+    assert run(capsys, "rldb", "build", "--db", str(db_path))[0] == 0
+    assert run(
+        capsys, "simulate", "--scene", str(scene_path), *tx_flags, *rx_flags,
+        "--freq", "100", "--output", str(m_path),
+    )[0] == 0
+    argv = [
+        "identify", "--scene", str(scene_path), *tx_flags, *rx_flags,
+        "--freq", "100", "--measurements", str(m_path), "--db", str(db_path),
+    ]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--kappa", "7.087")
+    assert (code, out) == (1, "")
+    assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "identify"])
+@pytest.mark.parametrize("u", ["0", "-1", "nan", "inf"])
+def test_u_flag_must_be_positive(capsys, command, u):
+    # argparse rejects the value before any file is opened
+    extra = ["--measurements", "m.csv"] if command == "identify" else []
+    code, out, err = run(
+        capsys, command, "--scene", "scene.json", "--tx", "0,0,1", "--rx", "2,0,1",
+        "--freq", "100", *extra, "--u", u,
+    )
+    assert (code, out) == (1, "")
+    assert "usage error: argument --u: must be a finite number > 0" in err
 
 
 def test_identify_contradiction_exit_code(capsys, tmp_path):
