@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("identify", help="run the full identification pipeline")
+    p = sub.add_parser("identify", help="run the full identification pipeline, report per facet")
     p.add_argument("--scene", required=True)
     p.add_argument("--measurements", required=True, help="CSV trajectory_id,measured_rl_db,u_db")
     p.add_argument("--tx", action="append", required=True)

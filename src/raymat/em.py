@@ -195,7 +195,8 @@ def reflection_loss(
     if power == 0:  # no impedance contrast: nothing reflects
         return math.inf
     loss = -10 * math.log10(power)
-    return loss + roughness_attenuation_db(mat.roughness_sigma, theta_i, f_ghz, kappa)
+    rough = roughness_attenuation_db(mat.roughness_sigma, theta_i, f_ghz, kappa) if kappa else 0.0
+    return loss + rough  # + 0.0 turns a lossless -0.0 into 0.0
 
 
 def fspl(f_ghz: float, distance_m: float) -> float:

@@ -48,24 +48,6 @@ def validate_convex_polygon(vertices: np.ndarray) -> tuple[np.ndarray, float]:
     return normal, area
 
 
-def point_in_convex_polygon(
-    point: np.ndarray,
-    vertices: np.ndarray,
-    normal: np.ndarray,
-    tol: float = 1e-9,
-) -> bool:
-    """Half-plane test against every edge; boundary counts as inside.
-
-    Assumes ``point`` lies (near) the polygon plane.
-    """
-    v = np.asarray(vertices, dtype=float)
-    edges = np.roll(v, -1, axis=0) - v
-    rel = np.asarray(point, dtype=float) - v
-    side = np.cross(edges, rel) @ normal
-    scale = np.linalg.norm(edges, axis=1)
-    return bool(np.all(side >= -tol * np.maximum(scale, 1.0)))
-
-
 def mirror_point(point: np.ndarray, plane_point: np.ndarray, normal: np.ndarray) -> np.ndarray:
     """Reflect a point across the plane (plane_point, unit normal)."""
     d = float((np.asarray(point, dtype=float) - plane_point) @ normal)

@@ -74,7 +74,7 @@ class Facet:
         return self.vertices[0]
 
     def contains(self, point: np.ndarray) -> bool:
-        """geometry.point_in_convex_polygon with the default tol, from the half-planes."""
+        """Half-plane test against every edge; within ``slack`` of the boundary counts as inside."""
         return bool(np.all(self.inward @ point - self.offsets >= -self.slack))
 
 

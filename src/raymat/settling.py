@@ -100,28 +100,18 @@ def _band_deviation_db(
     f_ghz: float,
     theta_i: float,
     h_grid: np.ndarray,
-    polarization: str = "unpolarized",
 ) -> np.ndarray:
-    """|dB(slab) - dB(thick)| on the grid, for the chosen polarization."""
+    """|dB(slab) - dB(thick)| of the unpolarized power on the grid."""
     eta = em.relative_permittivity(material, f_ghz)
     thin = em.slab_coefficient(eta, theta_i, h_grid, f_ghz)
     thick = em.fresnel_thick(eta, theta_i)
-    if polarization == "te":
-        level = em.amplitude_db(thin.te)
-        ref = em.amplitude_db(thick.te)
-    elif polarization == "tm":
-        level = em.amplitude_db(thin.tm)
-        ref = em.amplitude_db(thick.tm)
-    elif polarization == "unpolarized":
-        with np.errstate(divide="ignore"):
-            level = 10 * np.log10((np.abs(thin.te) ** 2 + np.abs(thin.tm) ** 2) / 2)
-        ref = 10 * math.log10((abs(thick.te) ** 2 + abs(thick.tm) ** 2) / 2)
-    else:
-        raise ValueError("polarization must be one of ('unpolarized', 'te', 'tm')")
+    with np.errstate(divide="ignore"):
+        level = 10 * np.log10((np.abs(thin.te) ** 2 + np.abs(thin.tm) ** 2) / 2)
+    ref = 10 * math.log10((abs(thick.te) ** 2 + abs(thick.tm) ** 2) / 2)
     return np.abs(level - ref)
 
 
-def settling_thickness(query: SettlingQuery, polarization: str = "unpolarized") -> float:
+def settling_thickness(query: SettlingQuery) -> float:
     """Smallest grid thickness from which the band holds up to the ceiling.
 
     Returns the smallest grid point h* such that every grid point in
@@ -133,9 +123,7 @@ def settling_thickness(query: SettlingQuery, polarization: str = "unpolarized") 
             ceiling is too small (or the material is lossless).
     """
     grid, h_max = _resolve_grid(query)
-    deviation = _band_deviation_db(
-        query.material, query.f_ghz, query.theta_i, grid, polarization
-    )
+    deviation = _band_deviation_db(query.material, query.f_ghz, query.theta_i, grid)
     tail = grid >= h_max / 2
     if np.any(deviation[tail] > query.tol_db):
         worst = float(np.max(deviation[tail]))

@@ -227,6 +227,16 @@ def test_roughness_zero_kappa_is_noop():
         em.roughness_attenuation_db(1e-4, theta, 100.0, kappa=-1.0)
 
 
+def test_lossless_total_reflection_is_positive_zero_loss():
+    # a lossless medium optically thinner than air reflects totally beyond
+    # 45 deg: -10*log10(1.0) is -0.0, and the roughness term adds +0.0
+    thin_air = MaterialParams("thin_air", 0.5, 0.0, 0.0, 0.0, roughness_sigma=1e-3)
+    loss = em.reflection_loss(thin_air, 100.0, math.radians(50))
+    assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
+    with pytest.raises(ValueError, match="kappa"):
+        em.reflection_loss(WOOD, 100.0, math.radians(30), kappa=-1.0)
+
+
 # --- fspl and extract_total_rl ------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 from raymat import em, rldb
 from raymat.demo import demo_building, demo_positions
 from raymat.identify import (
+    IdentificationReport,
     MeasurementRecord,
     Propagator,
     RPKey,
@@ -453,18 +454,17 @@ def test_identify_loop_single_trajectory_keeps_ambiguity(db100):
     assert report.ambiguous.get("rail_s") == ("glass", "plaster")
     assert report.ambiguous.get("wall_n") == ("glass", "plaster")
     assert len(report.skipped) > 0
-    # ambiguity is surfaced as a per-hop loss spread between the survivors
-    ambiguous_rows = [row for row in report.rp_rows if len(row[2]) > 1]
-    assert ambiguous_rows
-    for _key, _point, _mats, spread in ambiguous_rows:
+    # ambiguity is surfaced as a per-facet loss spread between the survivors
+    assert set(report.rl_spread_db) == set(report.ambiguous)
+    for spread in report.rl_spread_db.values():
         assert spread > 1.0  # glass vs plaster near 11 deg differ by ~4 dB
 
 
 @pytest.mark.parametrize("tx_order", [1, -1])
 def test_identify_loop_spreads_equal_table_lookups_at_every_hop(db100, tx_order):
-    # each row's spread, recomputed from the table at every hop angle that
-    # landed on its reflection point; both TX orders, so that the ambiguous
-    # point both transmitters hit (on rail_s) is first reached from each side
+    # each ambiguous facet's spread, recomputed from the table at every hop
+    # angle that landed on it; both TX orders, so that the hops on each facet
+    # are recorded in both orders
     scene = demo_building()
     txs, rxs = demo_positions(scene)
     truth = {f.facet_id: f.material_label for f in scene.facets}
@@ -476,19 +476,71 @@ def test_identify_loop_spreads_equal_table_lookups_at_every_hop(db100, tx_order)
     assert report.ambiguous and not report.skipped
     angles = {}
     for _tid, traj, _record, _true in log:
-        for key, hop in zip(trajectory_keys(traj), traj.hops):
-            angles.setdefault(key, []).append(np.degrees(hop.theta_i))
-    assert any(len(angles[key]) > 1 and len(mats) > 1 for key, _, mats, _ in report.rp_rows)
-    expected = []
-    for key, _point, mats, _spread in report.rp_rows:
+        for hop in traj.hops:
+            angles.setdefault(hop.facet_id, []).append(np.degrees(hop.theta_i))
+    assert any(len(set(angles[fid])) > 1 for fid in report.ambiguous)
+    expected = {}
+    for fid, mats in report.ambiguous.items():
         spread = 0.0
-        for angle in angles[key]:
+        for angle in angles[fid]:
             losses = [db100.lookup(name, 100.0, angle) for name in mats]
-            if len(losses) > 1:
-                spread = max(spread, max(losses) - min(losses))
-        expected.append(spread)
-    assert [row[3] for row in report.rp_rows] == expected
-    assert max(expected) > 1.0
+            spread = max(spread, max(losses) - min(losses))
+        expected[fid] = spread
+    assert report.rl_spread_db == expected
+    assert max(expected.values()) > 1.0
+
+
+def test_identify_loop_report_ignores_reflection_point_cells(db100):
+    # two 1-bounce pairs off one floor, hops 2 mm apart: at x = 1.004 and
+    # 1.002 they share a 1 cm cell, at 1.004 and 1.006 they straddle the
+    # boundary at 1.005; the facet-level report must not tell them apart
+    scene = scene_from_dict({"units": "m", "facets": [
+        {"id": "floor", "vertices": [[-3, -3, 0], [6, -3, 0], [6, 3, 0], [-3, 3, 0]],
+         "material": "wood"},
+    ]})
+
+    def measure(tid, traj):
+        # the first pair leaves wood or plaster, the second pins wood
+        loss = db100.lookup("wood", 100.0, np.degrees(traj.hops[0].theta_i))
+        return MeasurementRecord(tid, loss, 4.0 if tid == "p0t0" else 0.5)
+
+    texts = []
+    for second_hop_x in (1.002, 1.006):
+        rxs = [np.array([2.008, 0, 1]), np.array([2 * second_hop_x, 0, 1])]
+        _, report = identify_loop(
+            scene, [np.array([0.0, 0, 1])], rxs, PALETTE, db100, 100.0, None, 1, measure
+        )
+        assert report.pairs_traced == 2
+        assert report.resolved == {"floor": "wood"}
+        texts.append(report.to_text())
+    assert texts[0] == texts[1]
+
+
+def test_report_section_headers_in_order():
+    # perfbench's cli_chain workload parses the first two sections (resolved
+    # and ambiguous facets) by their exact header text
+    report = IdentificationReport(
+        resolved={"a": "wood"},
+        ambiguous={"b": ("glass", "plaster")},
+        uncovered=("c",),
+        contradictions=("facet d: reflection-point material sets have empty intersection",),
+        no_hypothesis=("p1t0",),
+        skipped=("p2t0",),
+        rl_spread_db={"b": 3.14159265},
+        pairs_traced=3,
+    )
+    lines = report.to_text().splitlines()
+    assert [line for line in lines if line.startswith("#")] == [
+        "# identification report",
+        "# resolved facets (facet_id,material)",
+        "# ambiguous facets (facet_id,materials)",
+        "# uncovered facets",
+        "# rl spread of ambiguous facets (facet_id,rl_spread_db)",
+        "# contradictions",
+        "# trajectories without surviving hypothesis",
+        "# trajectories skipped (no measurement or out of database range)",
+    ]
+    assert lines[lines.index("# rl spread of ambiguous facets (facet_id,rl_spread_db)") + 1] == "b,3.14159"
 
 
 def test_identify_loop_counts_pairs_up_to_the_early_stop(db100):

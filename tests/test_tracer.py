@@ -7,7 +7,7 @@ import pytest
 from raymat import tracer
 from raymat.demo import demo_building, demo_positions
 from raymat.geometry import (
-    incident_angle, mirror_point, point_in_convex_polygon, ray_plane_parameter, reflect_direction, unit,
+    incident_angle, mirror_point, ray_plane_parameter, reflect_direction, unit,
 )
 from raymat.scene import Facet, Scene, SceneValidationError, load_scene, save_scene, scene_from_dict
 from raymat.settling import check_settling, settling_table
@@ -23,6 +23,17 @@ def rect(*pts):
 
 
 FLOOR_BIG = rect((-1, -2, 0), (5, -2, 0), (5, 2, 0), (-1, 2, 0))
+
+
+def point_in_convex_polygon(point, vertices, normal, tol=1e-9):
+    """Reference inside test: every edge's half-plane, boundary counts as inside.
+
+    Assumes ``point`` lies (near) the polygon plane.
+    """
+    v = np.asarray(vertices, dtype=float)
+    edges = np.roll(v, -1, axis=0) - v
+    side = np.cross(edges, np.asarray(point, dtype=float) - v) @ normal
+    return bool(np.all(side >= -tol * np.maximum(np.linalg.norm(edges, axis=1), 1.0)))
 
 
 # --- incident_angle ------------------------------------------------------------
