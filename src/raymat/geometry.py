@@ -12,6 +12,7 @@ import numpy as np
 
 COPLANARITY_TOL = 1e-9  # m
 MIN_AREA = 1e-12  # m^2
+GRAZING_COS = 1e-12  # |cos(theta)| below this is grazing: no specular reflection
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -76,8 +77,8 @@ def incident_angle(direction: np.ndarray, normal: np.ndarray) -> float:
     """Angle in [0, pi/2) between the reversed incoming ray and the normal.
 
     Both inputs must be unit vectors (within 1e-9). The surface is treated as
-    two-sided, so the result never exceeds pi/2; a direction lying exactly in
-    the surface plane is rejected as degenerate.
+    two-sided, so the result never exceeds pi/2; a direction with |cos| below
+    GRAZING_COS is rejected as degenerate.
     """
     d = np.asarray(direction, dtype=float)
     n = np.asarray(normal, dtype=float)
@@ -85,6 +86,6 @@ def incident_angle(direction: np.ndarray, normal: np.ndarray) -> float:
         if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-9:
             raise ValueError(f"{name} must be a unit vector (within 1e-9)")
     cos_t = abs(float(d @ n))
-    if cos_t == 0.0:
+    if cos_t < GRAZING_COS:
         raise ValueError("direction is parallel to the surface (grazing)")
     return math.acos(min(cos_t, 1.0))

@@ -133,9 +133,9 @@ class Scene:
         except KeyError:
             raise KeyError(f"no facet with id {facet_id!r}") from None
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
+    def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self._lower - tol) and np.all(p <= self._upper + tol))
+        return bool(np.all(p >= self._lower - 1e-9) and np.all(p <= self._upper + 1e-9))
 
 
 def scene_from_dict(data: dict) -> Scene:

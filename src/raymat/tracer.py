@@ -1,19 +1,22 @@
 """Deterministic image-method ray tracing for multi-bounce specular paths.
 
 Facet sequences of one depth are mirrored and folded back from the receiver
-together, and only certainly invalid ones are dropped. The survivors' reflection
-points must then lie inside their polygons, be genuine crossings, and have no leg
-occluded by another facet. Facets reflect on both sides.
+together, and the legs of every row that may be valid are tested against every
+facet at once. Rows that are certainly invalid, or have a certainly occluded leg,
+are dropped. The exact check then rebuilds each survivor: its reflection points
+must lie inside their polygons and be genuine crossings, and only the legs the
+batch could not call clear get the exact occlusion test. Facets reflect on both sides.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import mirror_point, ray_plane_parameter, unit
+from .geometry import GRAZING_COS, mirror_point, ray_plane_parameter, unit
 from .scene import Facet, Scene
 
 OCCLUSION_EPS = 1e-6  # m; keeps reflection points from occluding their own legs
@@ -50,31 +53,36 @@ class Trajectory:
         return tuple(h.facet_id for h in self.hops)
 
 
-def _may_cross(scene: Scene, a, b, f, growth, near=0.0):
-    """Mask, crossing points and growth of the rows whose segment a->b may cross facet f.
+def _crossings(scene: Scene, a, b, f, growth, near=0.0):
+    """Whether segments a->b may or must cross facets f, their crossing points and growth.
 
-    A row is dropped only if its crossing lies outside the segment, within ``near`` of
-    an end, or outside a half-plane of f by more than PRUNE_TOL * growth. growth bounds
-    how far rounding differences from the exact test have grown: 2|b - a| / |n @ (b - a)|
-    per crossing, so near-parallel rows get an inf or NaN bound and are always kept.
+    growth bounds how far rounding differences from the exact test have grown:
+    2|b - a| / |n @ (b - a)| per crossing, so near-parallel rows get an inf or NaN
+    bound. The margin PRUNE_TOL * growth is taken both ways: ``may`` is False only if
+    the crossing lies outside the segment, within ``near`` of an end, or outside a
+    half-plane of f, by more than the margin; ``must`` is True only if it lies beyond
+    ``near`` from both ends and inside every half-plane, by more than the margin, and
+    growth is finite. a, b and f broadcast together.
     """
     side_a, side_b = (np.einsum("...j,...j", p, scene.normals[f]) - scene.plane_offsets[f] for p in (a, b))
     length = np.linalg.norm(d := b - a, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = side_a / (side_a - side_b)
         growth = 2 * growth * length / np.abs(side_a - side_b)
-        ok = ~(np.minimum(t, 1 - t) * length < near - PRUNE_TOL * growth)
-        point = a + t[:, None] * d
-        inside = np.einsum("ijk,ik->ij", scene.inward[f], point) - scene.offsets[f]
+        reach, margin = np.minimum(t, 1 - t) * length, PRUNE_TOL * growth
+        point = a + t[..., None] * d
+        inside = np.einsum("...kj,...j->...k", scene.inward[f], point) - scene.offsets[f]
         # Facet.slack is 1e-9 per metre of edge scale; widen it by PRUNE_TOL * growth
-        ok &= ~(inside < -scene.slack[f] * (1 + growth[:, None] * (PRUNE_TOL / 1e-9))).any(axis=1)
-    return ok, point, growth
+        widened = scene.slack[f] * (1 + growth[..., None] * (PRUNE_TOL / 1e-9))
+        may = ~(reach < near - margin) & ~(inside < -widened).any(axis=-1)
+        must = (reach > near + margin) & (inside >= widened).all(axis=-1) & np.isfinite(growth)
+    return may, must, point, growth
 
 
 def _segment_blocked(scene: Scene, start: np.ndarray, end: np.ndarray) -> bool:
     """True if any facet cuts the open segment, OCCLUSION_EPS away from both ends."""
     direction = end - start
-    maybe, _, _ = _may_cross(scene, start, end, slice(None), 1.0, OCCLUSION_EPS)
+    maybe, _, _, _ = _crossings(scene, start, end, slice(None), 1.0, OCCLUSION_EPS)
     for facet in (scene.facets[i] for i in np.flatnonzero(maybe)):
         t = ray_plane_parameter(start, direction, facet.plane_point, facet.normal)
         if t is None or not 0.0 < t < 1.0:
@@ -86,15 +94,35 @@ def _segment_blocked(scene: Scene, start: np.ndarray, end: np.ndarray) -> bool:
     return False
 
 
+def _survivors(scene: Scene, seqs: np.ndarray, images: np.ndarray, rx: np.ndarray):
+    """The rows of seqs that may have a specular path, and two (rows, legs) masks of
+    their legs, from the transmitter: certainly blocked, and certainly clear.
+
+    ``images[:, j]`` is the transmitter mirrored across the first j facets of each row.
+    """
+    rows, growth, points = np.arange(len(seqs)), 1.0, [np.broadcast_to(rx, (len(seqs), 3))]
+    for j in reversed(range(seqs.shape[1])):  # fold back from the receiver
+        ok, _, point, growth = _crossings(scene, images[rows, j + 1], points[-1], seqs[rows, j], growth)
+        rows, growth, points = rows[ok], growth[ok], [p[ok] for p in (*points, point)]
+    path = np.stack([images[rows, 0], *reversed(points)], axis=1)  # the last growth bounds every hop
+    may, must, _, _ = _crossings(
+        scene, path[:, :-1, None], path[:, 1:, None], slice(None), growth[:, None, None], OCCLUSION_EPS
+    )
+    return rows, must.any(axis=2), ~may.any(axis=2)
+
+
 def _trajectory(
     scene: Scene,
     sequence: tuple[Facet, ...],
     images: tuple[np.ndarray, ...],
     rx: np.ndarray,
+    clear=(),
 ) -> Trajectory | None:
     """The specular path off ``sequence``, or None if there is none.
 
-    ``images[j]`` is the transmitter mirrored across the first j facets.
+    ``images[j]`` is the transmitter mirrored across the first j facets. Legs, from
+    the transmitter, flagged True in ``clear`` are known unoccluded and skip the
+    exact occlusion test; every other leg gets it.
     """
     points = [rx]  # reflection points, folded back from the receiver
     for facet, origin in zip(reversed(sequence), reversed(images[1:])):
@@ -114,10 +142,11 @@ def _trajectory(
     thetas = []
     for leg, facet in zip(legs, sequence):
         cos_t = abs(float(unit(leg) @ facet.normal))
-        if cos_t < 1e-12:
-            return None  # grazing
+        if cos_t < GRAZING_COS:
+            return None
         thetas.append(math.acos(min(cos_t, 1.0)))
-    if any(_segment_blocked(scene, a, b) for a, b in zip(path, path[1:])):
+    clear = itertools.chain(clear, itertools.repeat(False))
+    if any(_segment_blocked(scene, a, b) for a, b, c in zip(path, path[1:], clear) if not c):
         return None
     hops = tuple(
         Hop(point=rp, facet_id=facet.facet_id, theta_i=theta)
@@ -159,16 +188,14 @@ def trace(scene: Scene, tx, rx, max_bounces: int = 2) -> list[Trajectory]:
         n, last = scene.normals[seqs[:, -1]], images[:, -1]
         side = np.sum(last * n, axis=1) - scene.plane_offsets[seqs[:, -1]]
         images = np.concatenate([images, (last - 2 * side[:, None] * n)[:, None]], axis=1)
-        rows, point, growth = np.arange(len(seqs)), rx, 1.0
-        for j in reversed(range(seqs.shape[1])):  # fold back from the receiver
-            ok, point, growth = _may_cross(scene, images[rows, j + 1], point, seqs[rows, j], growth)
-            rows, point, growth = rows[ok], point[ok], growth[ok]
-        for row in rows:  # the exact check, on images from mirror_point
+        rows, blocked, clear = _survivors(scene, seqs, images, rx)
+        open_rows = ~blocked.any(axis=1)
+        for row, clear_legs in zip(rows[open_rows], clear[open_rows]):  # the exact check
             sequence = tuple(scene.facets[i] for i in seqs[row])
-            chain = [tx]
+            chain = [tx]  # images again, from mirror_point
             for facet in sequence:
                 chain.append(mirror_point(chain[-1], facet.plane_point, facet.normal))
-            if (trajectory := _trajectory(scene, sequence, tuple(chain), rx)) is not None:
+            if (trajectory := _trajectory(scene, sequence, tuple(chain), rx, clear_legs)) is not None:
                 found.append(trajectory)
         if seqs.shape[1] < max_bounces:
             parent, nxt = np.nonzero(seqs[:, -1:] != every)  # no immediate repeat

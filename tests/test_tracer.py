@@ -7,7 +7,7 @@ import pytest
 from raymat import tracer
 from raymat.demo import demo_building, demo_positions
 from raymat.geometry import (
-    incident_angle, mirror_point, ray_plane_parameter, reflect_direction, unit,
+    GRAZING_COS, incident_angle, mirror_point, ray_plane_parameter, reflect_direction, unit,
 )
 from raymat.scene import Facet, Scene, SceneValidationError, load_scene, save_scene, scene_from_dict
 from raymat.settling import check_settling, settling_table
@@ -62,6 +62,10 @@ def test_incident_angle_grazing_stays_below_right_angle():
     assert angle == pytest.approx(math.pi / 2, abs=1e-6)
     with pytest.raises(ValueError, match="parallel"):
         incident_angle(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0, 1.0]))
+    # the cutoff is GRAZING_COS, the one _trajectory drops grazing hops at
+    assert incident_angle(unit(np.array([1.0, 0.0, -2 * GRAZING_COS])), np.array([0.0, 0, 1.0])) < math.pi / 2
+    with pytest.raises(ValueError, match="parallel"):
+        incident_angle(unit(np.array([1.0, 0.0, -0.9 * GRAZING_COS])), np.array([0.0, 0, 1.0]))
 
 
 # --- trace: hand-checkable scenes ----------------------------------------------
@@ -342,6 +346,17 @@ def _screen_at(y0, z0, x=0.5):
     return Facet("screen", rect((x, y0, z0), (x, 1, z0), (x, 1, 1.5), (x, y0, 1.5)))
 
 
+def _grazing_at(u, v, w):
+    """The point (u, v, w) in a frame whose w axis is the normal of a tilted floor."""
+    n = unit(np.array([0.3, -0.2, 1.0]))
+    e_u = unit(np.cross(n, [0.0, 1.0, 0.0]))
+    return np.array([3.1, 1.7, 0.9]) + u * e_u + v * np.cross(n, e_u) + w * n
+
+
+def _grazing_quad(*corners):
+    return np.array([_grazing_at(*c) for c in corners])
+
+
 def _exhaustive_cases():
     demo = demo_building()
     txs, rxs = demo_positions(demo)
@@ -381,6 +396,20 @@ def _exhaustive_cases():
     for x in (5e-7, 7e-7, 7.1e-7, 1e-6, 1e-3):
         scene = Scene((Facet("floor", FLOOR_BIG), _screen_at(-1, 0, x)))
         yield f"occluder-near-end{x:g}", scene, (0, 0, 1), (2, 0, 1)
+    # grazing legs, 1e-9 m above a tilted floor over 10 m: batched and exact specular
+    # points differ by about 1e-6 m, ten times PRUNE_TOL, so only the growth bound
+    # keeps the prune and the occlusion classes sound. The floor ends, or a wall
+    # across the legs stands, within a few micrometres of the specular point.
+    tx, rx = _grazing_at(0, -0.25, 1e-9), _grazing_at(10, -0.25, 1e-9)
+    for s in (-3e-6, -2e-6, -1.5e-6, -1e-6, -5e-7, 0.0, 5e-7, 1e-6, 1.5e-6, 2e-6, 3e-6):
+        u = 5 + s
+        ends = {"before": _grazing_quad((-1, -2, 0), (u, -2, 0), (u, 2, 0), (-1, 2, 0)),
+                "after": _grazing_quad((u, -2, 0), (11, -2, 0), (11, 2, 0), (u, 2, 0))}
+        for name, floor in ends.items():
+            yield f"grazing-ends-{name}{s:+g}", Scene((Facet("floor", floor),)), tx, rx
+        wall = _grazing_quad((u, -2, -1), (u, 2, -1), (u, 2, 1), (u, -2, 1))
+        floor = _grazing_quad((-1, -2, 0), (11, -2, 0), (11, 2, 0), (-1, 2, 0))
+        yield f"grazing-wall{s:+g}", Scene((Facet("floor", floor), Facet("wall", wall))), tx, rx
 
 
 EXHAUSTIVE_CASES = list(_exhaustive_cases())
@@ -393,6 +422,44 @@ def test_trace_matches_exhaustive_walk(case, max_bounces, monkeypatch):
     traced = _reprs(trace(scene, a, b, max_bounces))
     monkeypatch.setattr(tracer, "_segment_blocked", _segment_blocked_by_any)
     assert traced == _reprs(_exhaustive_trace(scene, a, b, max_bounces))
+
+
+@pytest.mark.parametrize("max_bounces", [1, 2, 3])
+def test_batched_occlusion_classes_agree_with_exact_test(max_bounces, monkeypatch):
+    """A leg the batch calls certainly blocked is blocked on the exact path, and a
+    leg it calls certainly clear is not, by the unfiltered exact test."""
+    batches, legs = [], []
+    survivors = tracer._survivors
+
+    def record(scene, seqs, images, rx):
+        rows, blocked, clear = survivors(scene, seqs, images, rx)
+        batches.append((seqs[rows], blocked, clear))
+        return rows, blocked, clear
+
+    monkeypatch.setattr(tracer, "_survivors", record)
+    # _trajectory then runs every leg through this and keeps the exact path's legs
+    monkeypatch.setattr(tracer, "_segment_blocked", lambda scene, a, b: legs.append((a, b)) or False)
+    classified = {"blocked": 0, "clear": 0}
+    for name, scene, tx, rx in EXHAUSTIVE_CASES:
+        batches.clear()
+        trace(scene, tx, rx, max_bounces)
+        for seqs, blocked, clear in batches:
+            for ids, blocked_legs, clear_legs in zip(seqs, blocked, clear):
+                sequence = tuple(scene.facets[i] for i in ids)
+                images = [np.asarray(tx, dtype=float)]
+                for facet in sequence:
+                    images.append(mirror_point(images[-1], facet.plane_point, facet.normal))
+                legs.clear()
+                if _trajectory(scene, sequence, tuple(images), np.asarray(rx, dtype=float)) is None:
+                    continue  # no exact path, so nothing to occlude
+                for leg, (a, b) in enumerate(legs):
+                    exact = _segment_blocked_by_any(scene, a, b)
+                    where = f"{name}, {[f.facet_id for f in sequence]}, leg {leg}"
+                    assert exact or not blocked_legs[leg], f"blocked only in the batch: {where}"
+                    assert not exact or not clear_legs[leg], f"clear only in the batch: {where}"
+                    classified["blocked"] += bool(blocked_legs[leg])
+                    classified["clear"] += bool(clear_legs[leg])
+    assert min(classified.values()) > 10, classified
 
 
 @pytest.mark.parametrize("corner", ["edge", "vertex"])
