@@ -1,8 +1,10 @@
 """Deterministic image-method ray tracing for multi-bounce specular paths.
 
-Facet sequences of one depth are mirrored and folded back from the receiver
-together, and the legs of every row that may be valid are tested against every
-facet at once. Rows that are certainly invalid, or have a certainly occluded leg,
+Facet sequences are traced depth first in blocks of at most BLOCK_ROWS rows. Each
+block is mirrored and folded back from the receiver together, and the legs of
+every row that may be valid are tested against every facet at once; the facets a
+leg reflects off at its own ends are cleared where it meets them within rounding
+of that end. Rows that are certainly invalid, or have a certainly occluded leg,
 are dropped. The exact check then rebuilds each survivor: its reflection points
 must lie inside their polygons and be genuine crossings, and only the legs the
 batch could not call clear get the exact occlusion test. Facets reflect on both sides.
@@ -21,6 +23,8 @@ from .scene import Facet, Scene
 
 OCCLUSION_EPS = 1e-6  # m; keeps reflection points from occluding their own legs
 PRUNE_TOL = 1e-7  # m; far above rounding differences between batched and exact tests
+HOP_ROUNDING = 1e-13  # per metre of coordinate; bounds an exact hop's rounding off its plane
+BLOCK_ROWS = 2048  # most facet sequences in one batch
 
 __all__ = ["Hop", "Trajectory", "trace", "OCCLUSION_EPS"]
 
@@ -62,7 +66,8 @@ def _crossings(scene: Scene, a, b, f, growth, near=0.0):
     the crossing lies outside the segment, within ``near`` of an end, or outside a
     half-plane of f, by more than the margin; ``must`` is True only if it lies beyond
     ``near`` from both ends and inside every half-plane, by more than the margin, and
-    growth is finite. a, b and f broadcast together.
+    growth is finite. a, b and f broadcast together. A leg's crossing with a facet at
+    its own end has reach about 0, so ``may`` keeps it; _survivors bounds it instead.
     """
     side_a, side_b = (np.einsum("...j,...j", p, scene.normals[f]) - scene.plane_offsets[f] for p in (a, b))
     length = np.linalg.norm(d := b - a, axis=-1)
@@ -99,6 +104,12 @@ def _survivors(scene: Scene, seqs: np.ndarray, images: np.ndarray, rx: np.ndarra
     their legs, from the transmitter: certainly blocked, and certainly clear.
 
     ``images[:, j]`` is the transmitter mirrored across the first j facets of each row.
+
+    A leg starts or ends on the facet it reflects off there, so the exact test meets
+    that facet's plane |the exact hop's distance from it| / |cos| from that end. A
+    hop's facet is cleared from the legs into and out of it when HOP_ROUNDING times
+    the row's largest coordinate, over a lower bound of the exact leg's |cos|, is
+    below OCCLUSION_EPS; near-grazing legs keep it.
     """
     rows, growth, points = np.arange(len(seqs)), 1.0, [np.broadcast_to(rx, (len(seqs), 3))]
     for j in reversed(range(seqs.shape[1])):  # fold back from the receiver
@@ -108,7 +119,37 @@ def _survivors(scene: Scene, seqs: np.ndarray, images: np.ndarray, rx: np.ndarra
     may, must, _, _ = _crossings(
         scene, path[:, :-1, None], path[:, 1:, None], slice(None), growth[:, None, None], OCCLUSION_EPS
     )
+    legs = np.stack([path[:, 1:-1] - path[:, :-2], path[:, 2:] - path[:, 1:-1]])  # into and out of each hop
+    size = np.linalg.norm(legs, axis=-1)
+    scale = np.abs(np.concatenate([images[rows], path], axis=1)).max(axis=(1, 2), initial=scene.extent)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.abs(np.einsum("...j,...j", legs, scene.normals[seqs[rows]])) / size
+        low = cos - 4 * PRUNE_TOL * growth[:, None] / size  # batched and exact hops differ by PRUNE_TOL * growth
+        out, r, h = np.nonzero(low > HOP_ROUNDING * scale[:, None] / OCCLUSION_EPS)
+    may[r, h + out, seqs[rows[r], h]] = False
     return rows, must.any(axis=2), ~may.any(axis=2)
+
+
+def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int):
+    """Yield (sequences, images) for seqs, then, depth first, for their extensions
+    up to max_bounces facets with no immediate repeat. Parents are cut into chunks
+    before they are extended, so a block of children has at most BLOCK_ROWS rows,
+    or one parent's children if those are more.
+
+    ``images[:, j]`` is the transmitter mirrored across the first j facets of each
+    row; the image across the last facet is added here.
+    """
+    n, last = scene.normals[seqs[:, -1]], images[:, -1]
+    side = np.sum(last * n, axis=1) - scene.plane_offsets[seqs[:, -1]]
+    images = np.concatenate([images, (last - 2 * side[:, None] * n)[:, None]], axis=1)
+    yield seqs, images
+    if seqs.shape[1] < max_bounces:
+        every = np.arange(len(scene.facets))
+        chunk = max(1, BLOCK_ROWS // max(1, len(every) - 1))  # parents per block of children
+        for start in range(0, len(seqs), chunk):
+            parent, nxt = np.nonzero(seqs[start : start + chunk, -1:] != every)  # no immediate repeat
+            parent += start
+            yield from _blocks(scene, np.column_stack([seqs[parent], nxt]), images[parent], max_bounces)
 
 
 def _trajectory(
@@ -181,13 +222,8 @@ def trace(scene: Scene, tx, rx, max_bounces: int = 2) -> list[Trajectory]:
             raise ValueError(f"{label} {p.tolist()} is outside the scene bounds")
 
     found: list[Trajectory] = []
-    every = np.arange(len(scene.facets))
-    stack = [(every[:, None], np.tile(tx, (len(every), 1, 1)))]  # (sequences, images)
-    while stack:  # all first hops at once, then one subtree per first facet
-        seqs, images = stack.pop()
-        n, last = scene.normals[seqs[:, -1]], images[:, -1]
-        side = np.sum(last * n, axis=1) - scene.plane_offsets[seqs[:, -1]]
-        images = np.concatenate([images, (last - 2 * side[:, None] * n)[:, None]], axis=1)
+    first = np.arange(len(scene.facets))[:, None]
+    for seqs, images in _blocks(scene, first, np.tile(tx, (len(first), 1, 1)), max_bounces):
         rows, blocked, clear = _survivors(scene, seqs, images, rx)
         open_rows = ~blocked.any(axis=1)
         for row, clear_legs in zip(rows[open_rows], clear[open_rows]):  # the exact check
@@ -197,10 +233,5 @@ def trace(scene: Scene, tx, rx, max_bounces: int = 2) -> list[Trajectory]:
                 chain.append(mirror_point(chain[-1], facet.plane_point, facet.normal))
             if (trajectory := _trajectory(scene, sequence, tuple(chain), rx, clear_legs)) is not None:
                 found.append(trajectory)
-        if seqs.shape[1] < max_bounces:
-            parent, nxt = np.nonzero(seqs[:, -1:] != every)  # no immediate repeat
-            children = np.column_stack([seqs[parent], nxt]), images[parent]
-            subtrees = len(seqs) if seqs.shape[1] == 1 else 1  # one per first facet
-            stack += zip(*(np.split(c, subtrees) for c in children))
     found.sort(key=lambda t: (t.bounces, t.total_length, t.facet_ids))
     return found

@@ -346,15 +346,16 @@ def _screen_at(y0, z0, x=0.5):
     return Facet("screen", rect((x, y0, z0), (x, 1, z0), (x, 1, 1.5), (x, y0, 1.5)))
 
 
-def _grazing_at(u, v, w):
-    """The point (u, v, w) in a frame whose w axis is the normal of a tilted floor."""
+def _grazing_at(u, v, w, far=0.0):
+    """The point (u, v, w) in a frame whose w axis is the normal of a tilted floor,
+    with its origin ``far`` metres out along every axis."""
     n = unit(np.array([0.3, -0.2, 1.0]))
     e_u = unit(np.cross(n, [0.0, 1.0, 0.0]))
-    return np.array([3.1, 1.7, 0.9]) + u * e_u + v * np.cross(n, e_u) + w * n
+    return np.array([3.1, 1.7, 0.9]) + far + u * e_u + v * np.cross(n, e_u) + w * n
 
 
-def _grazing_quad(*corners):
-    return np.array([_grazing_at(*c) for c in corners])
+def _grazing_quad(*corners, far=0.0):
+    return np.array([_grazing_at(*c, far=far) for c in corners])
 
 
 def _exhaustive_cases():
@@ -410,6 +411,16 @@ def _exhaustive_cases():
         wall = _grazing_quad((u, -2, -1), (u, 2, -1), (u, 2, 1), (u, -2, 1))
         floor = _grazing_quad((-1, -2, 0), (11, -2, 0), (11, 2, 0), (-1, 2, 0))
         yield f"grazing-wall{s:+g}", Scene((Facet("floor", floor), Facet("wall", wall))), tx, rx
+    # legs at |cos| from 1e-11 to 1e-6 off a tilted floor, near the origin and 5e3 m
+    # out: the exact test meets the floor's own plane |the hop's rounding off that
+    # plane| / |cos| from the hop, beyond OCCLUSION_EPS for some of them, so the batch
+    # may clear the facets at a leg's own ends only where it bounds that distance
+    for far in (0.0, 5e3):
+        floor = Facet("floor", _grazing_quad((-1, -2, 0), (11, -2, 0), (11, 2, 0), (-1, 2, 0), far=far))
+        for cos in (1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+            for v in (-1.0, -0.25, 0.5):
+                tx, rx = (_grazing_at(u, v, 5 * cos, far=far) for u in (0, 10))
+                yield f"own-end-far{far:g}-cos{cos:g}-v{v:+g}", Scene((floor,)), tx, rx
 
 
 EXHAUSTIVE_CASES = list(_exhaustive_cases())
@@ -460,6 +471,32 @@ def test_batched_occlusion_classes_agree_with_exact_test(max_bounces, monkeypatc
                     classified["blocked"] += bool(blocked_legs[leg])
                     classified["clear"] += bool(clear_legs[leg])
     assert min(classified.values()) > 10, classified
+
+
+@pytest.fixture(scope="module")
+def default_blocks():
+    """Every EXHAUSTIVE_CASES input at k=1..3 and the demo at k=4, with their traces."""
+    cases = [(scene, a, b, k) for _, scene, a, b in EXHAUSTIVE_CASES for k in (1, 2, 3)]
+    demo = demo_building()
+    (a, _), (b,) = demo_positions(demo)
+    cases.append((demo, a, b, 4))
+    return cases, [_reprs(trace(*case)) for case in cases]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10**6])
+def test_trace_is_the_same_in_blocks_of_any_size(rows, default_blocks, monkeypatch):
+    """Splitting each depth into blocks of at most BLOCK_ROWS rows changes no output.
+    A block is larger only when one parent's children, or the first hops, are."""
+    cases, expected = default_blocks
+    survivors = tracer._survivors
+
+    def capped(scene, seqs, images, rx):
+        assert len(seqs) <= max(rows, len(scene.facets))
+        return survivors(scene, seqs, images, rx)
+
+    monkeypatch.setattr(tracer, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(tracer, "_survivors", capped)
+    assert [_reprs(trace(*case)) for case in cases] == expected
 
 
 @pytest.mark.parametrize("corner", ["edge", "vertex"])
