@@ -27,8 +27,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # in reflection_loss remains 0 (roughness disabled).
 FITTED_ROUGHNESS_KAPPA = 7.0870321
 
-_POLARIZATIONS = ("unpolarized", "te", "tm")
-
 
 class InconsistentMeasurementError(ValueError):
     """Received power exceeds what free-space propagation alone allows."""
@@ -174,24 +172,16 @@ def reflection_loss(
     f_ghz: float,
     theta_i: float,
     kappa: float = 0.0,
-    polarization: str = "unpolarized",
 ) -> float:
-    """Reflection loss in dB of one specular bounce off a thick surface.
+    """Unpolarized reflection loss in dB of one specular bounce off a thick surface.
 
-    Unpolarized loss is the power average of the two Fresnel coefficients,
-    -10*log10((|te|^2 + |tm|^2)/2); "te"/"tm" select a single polarization.
+    The loss is the power average of the two Fresnel coefficients,
+    -10*log10((|te|^2 + |tm|^2)/2); ``fresnel_thick`` gives each polarization.
     A non-zero ``kappa`` adds the roughness attenuation for the material's
     roughness_sigma.
     """
-    if polarization not in _POLARIZATIONS:
-        raise ValueError(f"polarization must be one of {_POLARIZATIONS}")
     te, tm = _fresnel_te_tm(relative_permittivity(mat, f_ghz), theta_i)
-    if polarization == "te":
-        power = abs(te) ** 2
-    elif polarization == "tm":
-        power = abs(tm) ** 2
-    else:
-        power = (abs(te) ** 2 + abs(tm) ** 2) / 2
+    power = (abs(te) ** 2 + abs(tm) ** 2) / 2
     if power == 0:  # no impedance contrast: nothing reflects
         return math.inf
     loss = -10 * math.log10(power)

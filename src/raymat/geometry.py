@@ -28,12 +28,13 @@ def validate_convex_polygon(vertices: np.ndarray) -> tuple[np.ndarray, float]:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 3:
         raise ValueError("polygon needs an (n, 3) array with n >= 3")
-    normal = np.sum(np.cross(v, np.roll(v, -1, axis=0)), axis=0)  # Newell's method
+    rel = v - v[0]  # offsets from a vertex, so far-out coordinates do not cancel
+    normal = np.sum(np.cross(rel, np.roll(rel, -1, axis=0)), axis=0)  # Newell's method
     doubled_area = float(np.linalg.norm(normal))
     if doubled_area < 2 * MIN_AREA:
         raise ValueError("degenerate polygon (area below minimum)")
     normal, area = normal / doubled_area, doubled_area / 2
-    offsets = (v - v[0]) @ normal
+    offsets = rel @ normal
     if np.max(np.abs(offsets)) > COPLANARITY_TOL:
         raise ValueError(
             f"vertices not coplanar within {COPLANARITY_TOL} m "

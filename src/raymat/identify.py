@@ -373,13 +373,13 @@ def identify_loop(
     Pairs and trajectory ids come from :func:`traced_pairs`. ``measure``
     returns the measurement for a trajectory or None to leave it out; records
     with zero uncertainty fall back to the loop-wide ``u_db`` (None: every
-    record must carry its own). Each trajectory with survivors is added to one
-    :class:`Propagator` with a variable per facet, so the map constraint (one
-    facet, one material) holds within and across trajectories. Stops early
-    once every covered facet is down to a single material; the report's
-    ``pairs_traced`` says how many pairs were traced by then. The report is
-    per facet: resolved, ambiguous (with the RL spread of its materials over
-    every hop on it), uncovered or contradicted.
+    record must carry its own, else ValueError). Each trajectory with
+    survivors is added to one :class:`Propagator` with a variable per facet,
+    so the map constraint (one facet, one material) holds within and across
+    trajectories. Stops early once every covered facet is down to a single
+    material; the report's ``pairs_traced`` says how many pairs were traced
+    by then. The report is per facet: resolved, ambiguous (with the RL spread
+    of its materials over every hop on it), uncovered or contradicted.
     """
     if not tx_positions or not rx_positions:
         raise ValueError("need at least one TX and one RX position")
@@ -402,6 +402,8 @@ def identify_loop(
                 skipped.append(f"{tid} ({err})")
                 continue
             u = record.uncertainty_db if record.uncertainty_db > 0 else u_db
+            if u is None:
+                raise ValueError(f"measurement for {tid} has zero uncertainty and no loop-wide u_db")
             survivors = match_measurement(
                 candidates,
                 MeasurementRecord(tid, record.measured_total_rl_db, u),

@@ -86,8 +86,7 @@ class Scene:
     unit ``normals`` (N, 3) and ``plane_offsets`` (N), with normal @ p ==
     offset on a facet's plane, and each facet's half-planes (``inward``,
     ``offsets``, ``slack``, as on Facet) padded to the largest edge count with
-    zero rows, which every point passes. ``extent`` is the largest absolute
-    vertex coordinate.
+    zero rows, which every point passes.
     """
 
     facets: tuple[Facet, ...]
@@ -96,7 +95,6 @@ class Scene:
     inward: np.ndarray = field(init=False, repr=False)
     offsets: np.ndarray = field(init=False, repr=False)
     slack: np.ndarray = field(init=False, repr=False)
-    extent: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         facets = tuple(self.facets)
@@ -118,7 +116,6 @@ class Scene:
         object.__setattr__(self, "_lower", lower - pad)
         object.__setattr__(self, "_upper", upper + pad)
         object.__setattr__(self, "_by_id", {f.facet_id: f for f in facets})
-        object.__setattr__(self, "extent", float(np.abs(stacked).max()))
         normals = np.array([f.normal for f in facets])
         plane_points = np.array([f.plane_point for f in facets])
         object.__setattr__(self, "normals", normals)

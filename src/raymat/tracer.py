@@ -2,12 +2,13 @@
 
 Facet sequences are traced depth first in blocks of at most BLOCK_ROWS rows. Each
 block is mirrored and folded back from the receiver together, and the legs of
-every row that may be valid are tested against every facet at once; the facets a
-leg reflects off at its own ends are cleared where it meets them within rounding
-of that end. Rows that are certainly invalid, or have a certainly occluded leg,
-are dropped. The exact check then rebuilds each survivor: its reflection points
-must lie inside their polygons and be genuine crossings, and only the legs the
-batch could not call clear get the exact occlusion test. Facets reflect on both sides.
+every row that may be valid are tested against every facet at once. A leg meets
+the plane of a facet it reflects off at one of its own ends only at that end, so
+those facets never occlude it, in the batch or in the exact check. Rows that are
+certainly invalid, or have a certainly occluded leg, are dropped. The exact check
+then rebuilds each survivor: its reflection points must lie inside their polygons
+and be genuine crossings, and only the legs the batch could not call clear get the
+exact occlusion test. Facets reflect on both sides.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import numpy as np
 from .geometry import GRAZING_COS, mirror_point, ray_plane_parameter, unit
 from .scene import Facet, Scene
 
-OCCLUSION_EPS = 1e-6  # m; keeps reflection points from occluding their own legs
+OCCLUSION_EPS = 1e-6  # m; other facets met this near a leg's ends (a neighbour at a hop's edge) do not occlude it
 PRUNE_TOL = 1e-7  # m; far above rounding differences between batched and exact tests
-HOP_ROUNDING = 1e-13  # per metre of coordinate; bounds an exact hop's rounding off its plane
 BLOCK_ROWS = 2048  # most facet sequences in one batch
 
 __all__ = ["Hop", "Trajectory", "trace", "OCCLUSION_EPS"]
@@ -67,7 +67,7 @@ def _crossings(scene: Scene, a, b, f, growth, near=0.0):
     half-plane of f, by more than the margin; ``must`` is True only if it lies beyond
     ``near`` from both ends and inside every half-plane, by more than the margin, and
     growth is finite. a, b and f broadcast together. A leg's crossing with a facet at
-    its own end has reach about 0, so ``may`` keeps it; _survivors bounds it instead.
+    its own end has reach about 0, so ``may`` keeps it; _survivors clears it.
     """
     side_a, side_b = (np.einsum("...j,...j", p, scene.normals[f]) - scene.plane_offsets[f] for p in (a, b))
     length = np.linalg.norm(d := b - a, axis=-1)
@@ -84,11 +84,14 @@ def _crossings(scene: Scene, a, b, f, growth, near=0.0):
     return may, must, point, growth
 
 
-def _segment_blocked(scene: Scene, start: np.ndarray, end: np.ndarray) -> bool:
-    """True if any facet cuts the open segment, OCCLUSION_EPS away from both ends."""
+def _segment_blocked(scene: Scene, start: np.ndarray, end: np.ndarray, ends) -> bool:
+    """True if a facet other than those in ``ends`` cuts the open segment, OCCLUSION_EPS
+    away from both ends."""
     direction = end - start
     maybe, _, _, _ = _crossings(scene, start, end, slice(None), 1.0, OCCLUSION_EPS)
     for facet in (scene.facets[i] for i in np.flatnonzero(maybe)):
+        if facet in ends:  # Facet compares by identity
+            continue
         t = ray_plane_parameter(start, direction, facet.plane_point, facet.normal)
         if t is None or not 0.0 < t < 1.0:
             continue
@@ -104,12 +107,7 @@ def _survivors(scene: Scene, seqs: np.ndarray, images: np.ndarray, rx: np.ndarra
     their legs, from the transmitter: certainly blocked, and certainly clear.
 
     ``images[:, j]`` is the transmitter mirrored across the first j facets of each row.
-
-    A leg starts or ends on the facet it reflects off there, so the exact test meets
-    that facet's plane |the exact hop's distance from it| / |cos| from that end. A
-    hop's facet is cleared from the legs into and out of it when HOP_ROUNDING times
-    the row's largest coordinate, over a lower bound of the exact leg's |cos|, is
-    below OCCLUSION_EPS; near-grazing legs keep it.
+    Each hop's facet is cleared from the legs into and out of it.
     """
     rows, growth, points = np.arange(len(seqs)), 1.0, [np.broadcast_to(rx, (len(seqs), 3))]
     for j in reversed(range(seqs.shape[1])):  # fold back from the receiver
@@ -119,14 +117,9 @@ def _survivors(scene: Scene, seqs: np.ndarray, images: np.ndarray, rx: np.ndarra
     may, must, _, _ = _crossings(
         scene, path[:, :-1, None], path[:, 1:, None], slice(None), growth[:, None, None], OCCLUSION_EPS
     )
-    legs = np.stack([path[:, 1:-1] - path[:, :-2], path[:, 2:] - path[:, 1:-1]])  # into and out of each hop
-    size = np.linalg.norm(legs, axis=-1)
-    scale = np.abs(np.concatenate([images[rows], path], axis=1)).max(axis=(1, 2), initial=scene.extent)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = np.abs(np.einsum("...j,...j", legs, scene.normals[seqs[rows]])) / size
-        low = cos - 4 * PRUNE_TOL * growth[:, None] / size  # batched and exact hops differ by PRUNE_TOL * growth
-        out, r, h = np.nonzero(low > HOP_ROUNDING * scale[:, None] / OCCLUSION_EPS)
-    may[r, h + out, seqs[rows[r], h]] = False
+    r, hop, ends = np.arange(len(rows))[:, None], np.arange(seqs.shape[1]), seqs[rows]
+    for mask, leg in itertools.product((may, must), (hop, hop + 1)):
+        mask[r, leg, ends] = False
     return rows, must.any(axis=2), ~may.any(axis=2)
 
 
@@ -153,18 +146,17 @@ def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int
 
 
 def _trajectory(
-    scene: Scene,
-    sequence: tuple[Facet, ...],
-    images: tuple[np.ndarray, ...],
-    rx: np.ndarray,
-    clear=(),
+    scene: Scene, sequence: tuple[Facet, ...], tx: np.ndarray, rx: np.ndarray, clear=()
 ) -> Trajectory | None:
-    """The specular path off ``sequence``, or None if there is none.
+    """The specular path from tx off ``sequence`` to rx, or None if there is none.
 
-    ``images[j]`` is the transmitter mirrored across the first j facets. Legs, from
-    the transmitter, flagged True in ``clear`` are known unoccluded and skip the
-    exact occlusion test; every other leg gets it.
+    Legs, from the transmitter, flagged True in ``clear`` are known unoccluded and
+    skip the exact occlusion test; every other leg gets it, against every facet but
+    the ones it reflects off at its own ends.
     """
+    images = [tx]  # the transmitter mirrored across the first j facets
+    for facet in sequence:
+        images.append(mirror_point(images[-1], facet.plane_point, facet.normal))
     points = [rx]  # reflection points, folded back from the receiver
     for facet, origin in zip(reversed(sequence), reversed(images[1:])):
         direction = points[-1] - origin
@@ -175,7 +167,7 @@ def _trajectory(
         if not facet.contains(rp):
             return None
         points.append(rp)
-    path = [images[0], *reversed(points)]
+    path = [tx, *reversed(points)]
     legs = [b - a for a, b in zip(path, path[1:])]
     lengths = [float(np.linalg.norm(leg)) for leg in legs]
     if any(length <= OCCLUSION_EPS for length in lengths):
@@ -187,8 +179,9 @@ def _trajectory(
             return None
         thetas.append(math.acos(min(cos_t, 1.0)))
     clear = itertools.chain(clear, itertools.repeat(False))
-    if any(_segment_blocked(scene, a, b) for a, b, c in zip(path, path[1:], clear) if not c):
-        return None
+    for leg, (a, b, c) in enumerate(zip(path, path[1:], clear)):
+        if not c and _segment_blocked(scene, a, b, sequence[max(leg - 1, 0) : leg + 1]):
+            return None
     hops = tuple(
         Hop(point=rp, facet_id=facet.facet_id, theta_i=theta)
         for rp, facet, theta in zip(path[1:-1], sequence, thetas)
@@ -228,10 +221,7 @@ def trace(scene: Scene, tx, rx, max_bounces: int = 2) -> list[Trajectory]:
         open_rows = ~blocked.any(axis=1)
         for row, clear_legs in zip(rows[open_rows], clear[open_rows]):  # the exact check
             sequence = tuple(scene.facets[i] for i in seqs[row])
-            chain = [tx]  # images again, from mirror_point
-            for facet in sequence:
-                chain.append(mirror_point(chain[-1], facet.plane_point, facet.normal))
-            if (trajectory := _trajectory(scene, sequence, tuple(chain), rx, clear_legs)) is not None:
+            if (trajectory := _trajectory(scene, sequence, tx, rx, clear_legs)) is not None:
                 found.append(trajectory)
     found.sort(key=lambda t: (t.bounces, t.total_length, t.facet_ids))
     return found

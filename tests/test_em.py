@@ -194,16 +194,6 @@ def test_rl_contrast_free_material_is_infinite():
     assert em.reflection_loss(air, 100.0, 0.3) == math.inf
 
 
-def test_rl_per_polarization_exposed():
-    theta = math.radians(50)
-    te = em.reflection_loss(GLASS, 100.0, theta, polarization="te")
-    tm = em.reflection_loss(GLASS, 100.0, theta, polarization="tm")
-    unpol = em.reflection_loss(GLASS, 100.0, theta)
-    assert te < unpol < tm  # TM dips toward the Brewster angle
-    with pytest.raises(ValueError):
-        em.reflection_loss(GLASS, 100.0, theta, polarization="circular")
-
-
 def test_fitted_kappa_reproducible():
     refit = fit_kappa_oracle()
     assert refit == pytest.approx(em.FITTED_ROUGHNESS_KAPPA, abs=1e-4)

@@ -516,6 +516,21 @@ def test_identify_loop_report_ignores_reflection_point_cells(db100):
     assert texts[0] == texts[1]
 
 
+def test_identify_loop_rejects_zero_uncertainty_without_a_fallback(db100):
+    scene = scene_from_dict({"units": "m", "facets": [
+        {"id": "floor", "vertices": [[-3, -3, 0], [6, -3, 0], [6, 3, 0], [-3, 3, 0]]},
+    ]})
+
+    def measure(tid, traj):
+        loss = db100.lookup("wood", 100.0, np.degrees(traj.hops[0].theta_i))
+        return MeasurementRecord(tid, loss, 0.0)
+
+    with pytest.raises(ValueError, match="p0t0 has zero uncertainty"):
+        identify_loop(
+            scene, [np.array([0.0, 0, 1])], [np.array([2.0, 0, 1])], PALETTE, db100, 100.0, None, 1, measure
+        )
+
+
 def test_report_section_headers_in_order():
     # perfbench's cli_chain workload parses the first two sections (resolved
     # and ambiguous facets) by their exact header text

@@ -7,7 +7,7 @@ import pytest
 from raymat import tracer
 from raymat.demo import demo_building, demo_positions
 from raymat.geometry import (
-    GRAZING_COS, incident_angle, mirror_point, ray_plane_parameter, reflect_direction, unit,
+    GRAZING_COS, incident_angle, ray_plane_parameter, reflect_direction, unit,
 )
 from raymat.scene import Facet, Scene, SceneValidationError, load_scene, save_scene, scene_from_dict
 from raymat.settling import check_settling, settling_table
@@ -292,10 +292,13 @@ def test_image_method_agrees_with_brute_force_double_bounce():
 # --- trace against an exhaustive walk -------------------------------------------
 
 
-def _segment_blocked_by_any(scene, start, end):
-    """The exact occlusion test run on every facet, with no batched filter first."""
+def _segment_blocked_by_any(scene, start, end, ends):
+    """The exact occlusion test run on every facet but the leg's own end facets
+    ``ends``, with no batched filter first."""
     direction = end - start
     for facet in scene.facets:
+        if any(facet is e for e in ends):
+            continue
         t = ray_plane_parameter(start, direction, facet.plane_point, facet.normal)
         if t is None or not 0.0 < t < 1.0:
             continue
@@ -317,10 +320,7 @@ def _exhaustive_trace(scene, tx, rx, max_bounces):
         for sequence in itertools.product(scene.facets, repeat=length):
             if any(f is g for f, g in zip(sequence, sequence[1:])):
                 continue
-            images = [tx]
-            for facet in sequence:
-                images.append(mirror_point(images[-1], facet.plane_point, facet.normal))
-            if (t := _trajectory(scene, sequence, tuple(images), rx)) is not None:
+            if (t := _trajectory(scene, sequence, tx, rx)) is not None:
                 found.append(t)
     found.sort(key=lambda t: (t.bounces, t.total_length, t.facet_ids))
     return found
@@ -412,9 +412,9 @@ def _exhaustive_cases():
         floor = _grazing_quad((-1, -2, 0), (11, -2, 0), (11, 2, 0), (-1, 2, 0))
         yield f"grazing-wall{s:+g}", Scene((Facet("floor", floor), Facet("wall", wall))), tx, rx
     # legs at |cos| from 1e-11 to 1e-6 off a tilted floor, near the origin and 5e3 m
-    # out: the exact test meets the floor's own plane |the hop's rounding off that
-    # plane| / |cos| from the hop, beyond OCCLUSION_EPS for some of them, so the batch
-    # may clear the facets at a leg's own ends only where it bounds that distance
+    # out: a leg meets the floor's own plane |the hop's rounding off that plane| / |cos|
+    # from the hop, beyond OCCLUSION_EPS for some of them, so only leaving out the
+    # facets at a leg's own ends, by identity, keeps every path
     for far in (0.0, 5e3):
         floor = Facet("floor", _grazing_quad((-1, -2, 0), (11, -2, 0), (11, 2, 0), (-1, 2, 0), far=far))
         for cos in (1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
@@ -449,7 +449,7 @@ def test_batched_occlusion_classes_agree_with_exact_test(max_bounces, monkeypatc
 
     monkeypatch.setattr(tracer, "_survivors", record)
     # _trajectory then runs every leg through this and keeps the exact path's legs
-    monkeypatch.setattr(tracer, "_segment_blocked", lambda scene, a, b: legs.append((a, b)) or False)
+    monkeypatch.setattr(tracer, "_segment_blocked", lambda scene, a, b, ends: legs.append((a, b, ends)) or False)
     classified = {"blocked": 0, "clear": 0}
     for name, scene, tx, rx in EXHAUSTIVE_CASES:
         batches.clear()
@@ -457,14 +457,11 @@ def test_batched_occlusion_classes_agree_with_exact_test(max_bounces, monkeypatc
         for seqs, blocked, clear in batches:
             for ids, blocked_legs, clear_legs in zip(seqs, blocked, clear):
                 sequence = tuple(scene.facets[i] for i in ids)
-                images = [np.asarray(tx, dtype=float)]
-                for facet in sequence:
-                    images.append(mirror_point(images[-1], facet.plane_point, facet.normal))
                 legs.clear()
-                if _trajectory(scene, sequence, tuple(images), np.asarray(rx, dtype=float)) is None:
+                if _trajectory(scene, sequence, np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)) is None:
                     continue  # no exact path, so nothing to occlude
-                for leg, (a, b) in enumerate(legs):
-                    exact = _segment_blocked_by_any(scene, a, b)
+                for leg, (a, b, ends) in enumerate(legs):
+                    exact = _segment_blocked_by_any(scene, a, b, ends)
                     where = f"{name}, {[f.facet_id for f in sequence]}, leg {leg}"
                     assert exact or not blocked_legs[leg], f"blocked only in the batch: {where}"
                     assert not exact or not clear_legs[leg], f"clear only in the batch: {where}"
@@ -514,6 +511,29 @@ def test_leg_through_occluder_boundary_is_blocked(z0):
     assert [t.facet_ids for t in trace(moved, (0, 0, 1), (2, 0, 1), max_bounces=1)] == [("floor",)]
 
 
+def _one_side_of_floor(case):
+    _, scene, tx, rx = case
+    (floor,) = scene.facets
+    a, b = ((np.asarray(p) - floor.plane_point) @ floor.normal for p in (tx, rx))
+    return a * b > 0
+
+
+OWN_END_CASES = [c for c in EXHAUSTIVE_CASES if c[0].startswith("own-end-") and _one_side_of_floor(c)]
+
+
+@pytest.mark.parametrize("case", OWN_END_CASES, ids=[c[0] for c in OWN_END_CASES])
+def test_a_leg_is_never_occluded_by_its_own_end_facets(case, monkeypatch):
+    """TX and RX strictly on one side of a lone floor have exactly the floor path: a
+    leg meets the plane of the facet it reflects off only at that hop, however the
+    hop rounds. The exact check tests both legs; the batch clears both, so trace
+    builds the same path without the exact occlusion test."""
+    _, scene, tx, rx = case
+    exact = _trajectory(scene, scene.facets, np.asarray(tx, dtype=float), np.asarray(rx, dtype=float))
+    assert exact is not None and exact.facet_ids == ("floor",)
+    monkeypatch.setattr(tracer, "_segment_blocked", None)
+    assert _reprs(trace(scene, tx, rx, 1)) == _reprs([exact])
+
+
 # --- check_settling -------------------------------------------------------------
 
 
@@ -537,6 +557,17 @@ def test_facet_rejects_non_coplanar():
     bad = rect((0, 0, 0), (1, 0, 0), (1, 1, 0.1), (0, 1, 0))
     with pytest.raises(SceneValidationError, match="coplanar"):
         Facet("warped", bad)
+
+
+@pytest.mark.parametrize("far", [1e4, 3e4, 1e5])
+def test_facet_far_from_the_origin_is_still_planar(far):
+    """Newell's normal comes from vertex offsets, so the tilted 12 x 4 m floor of the
+    own-end inputs validates however far out it sits, and a vertex lifted 1 um off
+    its plane is still rejected."""
+    corners = ((-1, -2, 0), (11, -2, 0), (11, 2, 0), (-1, 2, 0))
+    assert Facet("floor", _grazing_quad(*corners, far=far)).area == pytest.approx(48.0)
+    with pytest.raises(SceneValidationError, match="coplanar"):
+        Facet("warped", _grazing_quad(*corners[:3], (-1, 2, 1e-6), far=far))
 
 
 def test_facet_rejects_concave():
