@@ -132,16 +132,15 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_rl(args) -> int:
     mat = _resolve_one(args.material, args.materials_table)
-    angles = _parse_grid(args.angles)
+    angles = _parse_grid(args.angles).tolist()
+    thetas = np.array([math.radians(a) for a in angles])
+    losses = em.reflection_loss(mat, args.freq, thetas, kappa=args.kappa)  # fails before output
     with _open_output(args.output) as fh:
         fh.write(f"#material={mat.name}\n#freq_ghz={_fmt(args.freq)}\n")
         fh.write(f"#kappa={_fmt(args.kappa)}\n")
         fh.write("angle_deg,rl_db\n")
-        for angle in angles:
-            loss = em.reflection_loss(
-                mat, args.freq, math.radians(float(angle)), kappa=args.kappa
-            )
-            fh.write(f"{_fmt(float(angle))},{_fmt(loss)}\n")
+        for angle, loss in zip(angles, losses.tolist()):
+            fh.write(f"{_fmt(angle)},{_fmt(loss)}\n")
     return 0
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .materials import MaterialParams
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+_HALF_PI = math.pi / 2  # incident angles lie in [0, pi/2)
 
 # Roughness coefficient kappa, least-squares fitted so that the built-in wood
 # and plaster presets reproduce the bundled 100 GHz reflection-loss reference
@@ -58,11 +59,22 @@ def _check_frequency(f_ghz: float) -> None:
         raise ValueError(f"frequency must be > 0 GHz, got {f_ghz}")
 
 
-def _check_angle(theta_i: float) -> None:
-    if not 0 <= theta_i < math.pi / 2:
+def _check_angle(theta_i: float | np.ndarray) -> None:
+    """An angle, or every angle of an ndarray, must lie in [0, pi/2) rad."""
+    if isinstance(theta_i, np.ndarray):
+        bad = theta_i[~((theta_i >= 0) & (theta_i < _HALF_PI))]
+        if bad.size:
+            _check_angle(float(bad[0]))
+    elif not 0 <= theta_i < _HALF_PI:
         raise ValueError(
             f"incident angle must be in [0, pi/2) rad, got {theta_i}"
         )
+
+
+def check_kappa(kappa: float) -> None:
+    """The roughness coefficient must be finite and >= 0."""
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"roughness kappa must be finite and >= 0, got {kappa}")
 
 
 def relative_permittivity(mat: MaterialParams, f_ghz: float) -> complex:
@@ -71,7 +83,8 @@ def relative_permittivity(mat: MaterialParams, f_ghz: float) -> complex:
     eta' = a*f^b and eta'' = 17.98*sigma/f with conductivity sigma = c*f^d,
     per the ITU-R P.2040 coefficient model.
     """
-    _check_frequency(f_ghz)
+    if not f_ghz > 0:  # inline: this sits on the per-hop path
+        _check_frequency(f_ghz)
     real = mat.a * f_ghz**mat.b
     imag = 17.98 * mat.c * f_ghz**mat.d / f_ghz
     return complex(real, -imag)
@@ -91,15 +104,12 @@ def fresnel_thick(eta: complex, theta_i: float) -> ReflectionCoefficients:
     te = (cos(t) - s) / (cos(t) + s) and tm = (eta*cos(t) - s) / (eta*cos(t) + s)
     with s = sqrt(eta - sin^2(t)).
     """
-    return ReflectionCoefficients(*_fresnel_te_tm(eta, theta_i))
-
-
-def _fresnel_te_tm(eta: complex, theta_i: float) -> tuple[complex, complex]:
-    """(te, tm) of fresnel_thick, without building a ReflectionCoefficients."""
     _check_angle(theta_i)
     s = _transverse_root(eta, theta_i)
     cos_t = math.cos(theta_i)
-    return (cos_t - s) / (cos_t + s), (eta * cos_t - s) / (eta * cos_t + s)
+    return ReflectionCoefficients(
+        te=(cos_t - s) / (cos_t + s), tm=(eta * cos_t - s) / (eta * cos_t + s)
+    )
 
 
 def phase_thickness(eta: complex, theta_i: float, h_m, f_ghz: float):
@@ -149,44 +159,82 @@ def amplitude_db(value) -> float:
 
 
 def roughness_attenuation_db(
-    sigma_m: float, theta_i: float, f_ghz: float, kappa: float
-) -> float:
+    sigma_m: float, theta_i: float | np.ndarray, f_ghz: float, kappa: float
+) -> float | np.ndarray:
     """Extra loss in dB of the specular component over a rough surface.
 
     Attenuation factor rho = exp(-kappa*(sigma*cos(theta)/lambda)^2); returns
-    -20*log10(rho) >= 0. kappa = 0 disables roughness entirely.
+    -20*log10(rho) >= 0. kappa = 0 disables roughness entirely. ``theta_i``
+    may be a float or an ndarray of angles.
     """
-    if kappa < 0:
-        raise ValueError("roughness kappa must be >= 0")
+    check_kappa(kappa)
     _check_frequency(f_ghz)
     _check_angle(theta_i)
     if kappa == 0 or sigma_m == 0:
         return 0.0
-    lam = SPEED_OF_LIGHT / (f_ghz * 1e9)
-    x = sigma_m * math.cos(theta_i) / lam
+    cos_t = np.cos(theta_i) if isinstance(theta_i, np.ndarray) else math.cos(theta_i)
+    return _roughness_db(sigma_m, cos_t, f_ghz, kappa)
+
+
+def _roughness_db(
+    sigma_m: float, cos_t: float | np.ndarray, f_ghz: float, kappa: float
+) -> float | np.ndarray:
+    """roughness_attenuation_db from cos(theta), without the argument checks."""
+    x = sigma_m * cos_t / (SPEED_OF_LIGHT / (f_ghz * 1e9))
     return 20 * math.log10(math.e) * kappa * x * x
 
 
 def reflection_loss(
     mat: MaterialParams,
     f_ghz: float,
-    theta_i: float,
+    theta_i: float | np.ndarray,
     kappa: float = 0.0,
-) -> float:
+) -> float | np.ndarray:
     """Unpolarized reflection loss in dB of one specular bounce off a thick surface.
 
     The loss is the power average of the two Fresnel coefficients,
-    -10*log10((|te|^2 + |tm|^2)/2); ``fresnel_thick`` gives each polarization.
+    -10*log10((|te|^2 + |tm|^2)/2), taken in real arithmetic from
+    s = sqrt(eta - sin^2(theta)) (``fresnel_thick`` gives each polarization).
     A non-zero ``kappa`` adds the roughness attenuation for the material's
-    roughness_sigma.
+    roughness_sigma. No impedance contrast (nothing reflects) gives inf.
+
+    ``theta_i`` may be a float (returns a float) or an ndarray of angles
+    (returns an ndarray of the same shape, each element bit-equal to the float
+    call at that angle).
     """
-    te, tm = _fresnel_te_tm(relative_permittivity(mat, f_ghz), theta_i)
-    power = (abs(te) ** 2 + abs(tm) ** 2) / 2
-    if power == 0:  # no impedance contrast: nothing reflects
+    if kappa:  # 0 is valid; anything else is checked before any work
+        check_kappa(kappa)
+    eta = relative_permittivity(mat, f_ghz)
+    # A float, the per-hop case, skips the isinstance test. numpy's sin, cos and
+    # sqrt give math's and cmath's bits (tests/test_em.py checks it), and every
+    # other step is one IEEE operation on either type.
+    vector = type(theta_i) is not float and isinstance(theta_i, np.ndarray)
+    if vector:
+        _check_angle(theta_i)
+        sin_t, cos_t = np.sin(theta_i), np.cos(theta_i)
+        s = np.sqrt(eta - sin_t * sin_t)
+    else:
+        if not 0 <= theta_i < _HALF_PI:
+            _check_angle(theta_i)
+        sin_t, cos_t = math.sin(theta_i), math.cos(theta_i)
+        s = cmath.sqrt(eta - sin_t * sin_t)
+    p, q = s.real, s.imag
+    c_minus, c_plus = cos_t - p, cos_t + p
+    te2 = (c_minus * c_minus + q * q) / (c_plus * c_plus + q * q)
+    a, b = eta.real * cos_t, -eta.imag * cos_t  # eta*cos(t) = a - jb
+    a_minus, a_plus, b_plus, b_minus = a - p, a + p, b + q, b - q
+    tm2 = (a_minus * a_minus + b_plus * b_plus) / (a_plus * a_plus + b_minus * b_minus)
+    power = (te2 + tm2) / 2
+    if vector:
+        with np.errstate(divide="ignore"):  # power 0: no contrast, inf loss
+            loss = -10 * np.log10(power)
+    elif power == 0:
         return math.inf
-    loss = -10 * math.log10(power)
-    rough = roughness_attenuation_db(mat.roughness_sigma, theta_i, f_ghz, kappa) if kappa else 0.0
-    return loss + rough  # + 0.0 turns a lossless -0.0 into 0.0
+    else:
+        loss = -10 * float(np.log10(power))  # np.log10, as for an ndarray
+    if kappa and mat.roughness_sigma:
+        return loss + _roughness_db(mat.roughness_sigma, cos_t, f_ghz, kappa)
+    return loss + 0.0  # + 0.0 turns a lossless -0.0 into 0.0
 
 
 def fspl(f_ghz: float, distance_m: float) -> float:

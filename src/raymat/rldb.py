@@ -69,6 +69,7 @@ class RLDatabase:
                 raise ValueError(f"{label} grid must be non-empty")
             if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
                 raise ValueError(f"{label} grid must be finite and strictly ascending")
+        em.check_kappa(self.kappa)
         if not self.freqs_ghz[0] > 0:  # interpolation runs in log f
             raise ValueError("frequency grid must be > 0 GHz")
         if not np.all(np.isfinite(self.rl_db)) or np.any(self.rl_db < 0):
@@ -155,7 +156,8 @@ def build(
     angles_deg,
     kappa: float = 0.0,
 ) -> RLDatabase:
-    """Compute every grid cell with em.reflection_loss; deterministic.
+    """Compute every grid cell with em.reflection_loss, one call per (material,
+    frequency) row; deterministic.
 
     Angles must lie within [0, 89] degrees (grazing incidence excluded).
     """
@@ -165,15 +167,11 @@ def build(
         raise ValueError("need at least one material")
     if angles.size and (angles[0] < 0 or angles[-1] > 89):
         raise ValueError("angle grid must lie within [0, 89] degrees")
-    f_list, thetas = freqs.tolist(), [math.radians(a) for a in angles.tolist()]
-    shape = (len(materials), freqs.size, angles.size)
-    cells = (
-        em.reflection_loss(mat, f, theta, kappa=kappa)
-        for mat in materials
-        for f in f_list
-        for theta in thetas
-    )
-    rl = np.fromiter(cells, float, math.prod(shape)).reshape(shape)
+    thetas = np.array([math.radians(a) for a in angles.tolist()])
+    rl = np.empty((len(materials), freqs.size, angles.size))
+    for mi, mat in enumerate(materials):
+        for fi, f in enumerate(freqs.tolist()):
+            rl[mi, fi] = em.reflection_loss(mat, f, thetas, kappa=kappa)
     return RLDatabase(list(materials), freqs, angles, rl, kappa)
 
 
@@ -211,6 +209,7 @@ def load(path) -> RLDatabase:
                             )
                     elif key == "kappa":
                         kappa = float(value)
+                        em.check_kappa(kappa)
                     elif key == "material":
                         mat = parse_material_line(value)
                         header_materials[mat.name] = mat

@@ -3,9 +3,13 @@
 The reflection coefficient of a thin slab oscillates with thickness because of
 internal multiple reflections; absorption damps the oscillation, so beyond some
 thickness the coefficient stays inside a tolerance band around the thick-slab
-Fresnel value. ``settling_thickness`` finds the smallest such thickness by
-exhaustive grid search (the band must hold for *every* larger thickness, and
-the oscillation rules out root-finding).
+Fresnel value. ``settling_thickness`` finds the smallest such thickness on a
+grid: the band must hold for *every* larger thickness, and the oscillation
+rules out root-finding. The search stops where the decay envelope proves the
+band holds: with |d| = exp(-2*alpha*h) the internal round-trip factor and
+|r| <= 1, the slab-to-thick power ratio lies within
+[((1-|d|)/(1+|d|))^2, ((1+|d|)/(1-|d|))^2], so no grid point past the
+thickness where that range narrows to +/-tol/2 dB can leave the band.
 """
 
 from __future__ import annotations
@@ -18,6 +22,11 @@ import numpy as np
 from . import em
 from .materials import MaterialParams
 from .scene import Scene
+
+
+# Largest thickness grid a query may ask for: each float64 or complex array
+# over it is 80-160 MB, and the search holds several at once.
+MAX_GRID_POINTS = 10**7
 
 
 class NotSettledError(Exception):
@@ -78,7 +87,12 @@ def default_h_max(
     return max(4 * estimate, 100 * step)
 
 
-def _resolve_grid(query: SettlingQuery) -> tuple[np.ndarray, float]:
+def _resolve_grid(query: SettlingQuery) -> tuple[float, float]:
+    """(grid_step, h_max) of a query; its grid is step, 2*step, ... up to h_max.
+
+    Raises:
+        ValueError: if the grid is empty or has more than MAX_GRID_POINTS points.
+    """
     step = (
         query.grid_step_m
         if query.grid_step_m is not None
@@ -91,8 +105,30 @@ def _resolve_grid(query: SettlingQuery) -> tuple[np.ndarray, float]:
     )
     if not 0 < step < h_max:
         raise ValueError(f"need 0 < grid_step ({step}) < h_max ({h_max})")
-    grid = np.arange(step, h_max + step / 2, step)
-    return grid, h_max
+    points = (h_max - step / 2) / step
+    if not points <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"settling grid of {points:.3g} points (h_max {h_max:.6g} m, step "
+            f"{step:.6g} m) exceeds {MAX_GRID_POINTS:.0e}; set a coarser grid step "
+            "(--grid-step) or a lower ceiling (--h-max)"
+        )
+    return step, h_max
+
+
+def _envelope_bound(material: MaterialParams, f_ghz: float, theta_i: float, tol_db: float):
+    """Thickness past which the deviation, at most 20*log10((1+|d|)/(1-|d|)),
+    stays within tol_db/2 (see the module docstring). None when that bound does
+    not hold: no decay into the slab (alpha <= 0) or a thick |r| > 1.
+    """
+    eta = em.relative_permittivity(material, f_ghz)
+    thick = em.fresnel_thick(eta, theta_i)
+    alpha = -float(np.imag(em.phase_thickness(eta, theta_i, 1.0, f_ghz)))
+    if not (alpha > 0 and abs(thick.te) <= 1 and abs(thick.tm) <= 1):
+        return None
+    # (1+|d|)/(1-|d|) = 10^(tol/40) = 1 + g. A larger tol only lowers the
+    # bound, so taking it at no more than 1e4 dB keeps it sound and g finite.
+    g = math.expm1(min(tol_db, 1e4) / 40 * math.log(10))
+    return math.log1p(2 / g) / (2 * alpha)
 
 
 def _band_deviation_db(
@@ -116,13 +152,19 @@ def settling_thickness(query: SettlingQuery) -> float:
 
     Returns the smallest grid point h* such that every grid point in
     [h*, h_max] keeps the slab coefficient within tol_db of the thick-slab
-    value. Reported at grid resolution.
+    value. Reported at grid resolution. Points past the envelope bound are in
+    band by construction and never computed.
 
     Raises:
         NotSettledError: if the band is not held on [h_max/2, h_max], i.e. the
             ceiling is too small (or the material is lossless).
     """
-    grid, h_max = _resolve_grid(query)
+    step, h_max = _resolve_grid(query)
+    stop = h_max + step / 2
+    bound = _envelope_bound(query.material, query.f_ghz, query.theta_i, query.tol_db)
+    if bound is not None:  # keep one point past the bound: h* may be that point
+        stop = min(stop, max(bound, step) + step)
+    grid = np.arange(step, stop, step)
     deviation = _band_deviation_db(query.material, query.f_ghz, query.theta_i, grid)
     tail = grid >= h_max / 2
     if np.any(deviation[tail] > query.tol_db):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from raymat import settling
 from raymat.cli import main
 
 from .oracles import (
@@ -113,6 +114,43 @@ def test_trace_csv(capsys, tmp_path):
     assert rows[0]["facet_id"] == "floor"
     assert float(rows[0]["x_m"]) == pytest.approx(1.0, abs=1e-9)
     assert float(rows[0]["theta_deg"]) == pytest.approx(45.0, abs=1e-9)
+
+
+def test_trace_mirrored_pair(capsys, tmp_path):
+    # TX and RX are mirror images across the slab_w plane z = 3.5, so the
+    # transmitter's image lands on the receiver: that leg has no direction
+    scene_path, _, _ = demo_files(tmp_path, capsys)
+    code, out, err = run(
+        capsys,
+        "trace", "--scene", str(scene_path), "--tx", "1.5,1.5,2", "--rx", "1.5,1.5,5",
+        "--max-bounces", "1",
+    )
+    assert (code, err) == (0, "")
+    facets = [row["facet_id"] for row in parse_csv(out)]
+    assert facets == ["wall_s", "wall_w", "wall_n", "wall_e"]
+
+
+def test_non_finite_kappa_exits_1_before_any_output(capsys, tmp_path):
+    db_path = tmp_path / "db.csv"
+    code, _, err = run(capsys, "rldb", "build", "--db", str(db_path), "--kappa", "nan")
+    assert code == 1
+    assert "kappa" in err and "rl values" not in err
+    assert not db_path.exists()
+    argv = ("rl", "--material", "glass", "--freq", "100", "--angles", "0:10:5")
+    code, out, err = run(capsys, *argv, "--kappa", "nan")
+    assert (code, out) == (1, "") and "kappa" in err
+
+
+def test_settling_rejects_an_oversized_grid(capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(settling.np, "arange", no_grid)
+    # 1 m at 0.01 um steps: 1e8 points
+    argv = ("settling", "--material", "glass", "--freq", "100", "--h-max", "1000")
+    code, out, err = run(capsys, *argv, "--grid-step", "1e-5")
+    assert code == 1 and out == ""
+    assert "1e+08 points" in err and "--grid-step" in err and "--h-max" in err
 
 
 def demo_files(tmp_path, capsys):

@@ -194,6 +194,36 @@ def test_rl_contrast_free_material_is_infinite():
     assert em.reflection_loss(air, 100.0, 0.3) == math.inf
 
 
+@pytest.mark.parametrize("kappa", [0.0, em.FITTED_ROUGHNESS_KAPPA])
+def test_rl_over_an_angle_array_is_bit_equal_to_scalar_calls(kappa):
+    thetas = np.array([math.radians(a) for a in [*range(90), 0.5, 44.999, 88.9]])
+    thin_air = MaterialParams("thin_air", 0.5, 0.0, 0.0, 0.0, roughness_sigma=1e-3)
+    for mat in [*PRESET_LIST, thin_air]:
+        for f in (28.0, 100.0, 140.0, 300.0, 1000.0):
+            row = em.reflection_loss(mat, f, thetas, kappa=kappa)
+            assert row.tolist() == [em.reflection_loss(mat, f, t, kappa=kappa) for t in thetas.tolist()]
+
+
+def test_rl_array_math_matches_scalar_math():
+    # reflection_loss's bit-equality rests on these pairs agreeing per element
+    thetas = np.linspace(0.0, math.pi / 2, 2001)[:-1]
+    assert np.cos(thetas).tolist() == [math.cos(t) for t in thetas.tolist()]
+    assert np.sin(thetas).tolist() == [math.sin(t) for t in thetas.tolist()]
+    w = np.array([em.relative_permittivity(m, 100.0) - s * s for m in PRESET_LIST for s in np.sin(thetas)])
+    assert np.sqrt(w).tolist() == [cmath.sqrt(z) for z in w.tolist()]
+
+
+def test_rl_angle_array_validation():
+    with pytest.raises(ValueError, match=r"\[0, pi/2\) rad, got nan"):
+        em.reflection_loss(GLASS, 100.0, np.array([0.1, math.nan]))
+    with pytest.raises(ValueError, match="got -0.1"):
+        em.roughness_attenuation_db(1e-4, np.array([-0.1, 0.2]), 100.0, kappa=1.0)
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        em.reflection_loss(WOOD, 100.0, 0.3, kappa=math.nan)
+    air = MaterialParams("air", a=1.0, b=0.0, c=0.0, d=0.0)
+    assert em.reflection_loss(air, 100.0, np.array([0.0, 0.3])).tolist() == [math.inf] * 2
+
+
 def test_fitted_kappa_reproducible():
     refit = fit_kappa_oracle()
     assert refit == pytest.approx(em.FITTED_ROUGHNESS_KAPPA, abs=1e-4)

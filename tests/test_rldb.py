@@ -371,3 +371,27 @@ def test_frequency_grid_must_be_positive(tmp_path):
     bad.write_text(_HEAD + "wood,-5,0,5\n", encoding="utf-8")
     with pytest.raises(rldb.DatabaseFormatError, match="> 0 GHz"):
         rldb.load(bad)
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-1"])
+def test_load_rejects_a_bad_kappa_header_at_its_line(tmp_path, kappa):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(_HEAD.replace("#kappa=0", f"#kappa={kappa}") + "wood,100,0,5\n", encoding="utf-8")
+    with pytest.raises(rldb.DatabaseFormatError, match="kappa") as info:
+        rldb.load(bad)
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -1.0])
+def test_database_and_build_reject_a_bad_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
+        rldb.RLDatabase([GLASS], [100.0], [0.0], np.ones((1, 1, 1)), kappa)
+    with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
+        rldb.build([GLASS], [100.0], [0.0], kappa)
+
+
+def test_build_of_a_contrast_free_material_fails_on_finite_values():
+    # power 0 takes log10(0): an inf cell, not a RuntimeWarning
+    air = MaterialParams("air", a=1.0, b=0.0, c=0.0, d=0.0)
+    with pytest.raises(ValueError, match="rl values must be finite"):
+        rldb.build([air], [100.0], [0.0, 30.0])

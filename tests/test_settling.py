@@ -164,6 +164,122 @@ def test_band_deviation_shrinks_as_interval_doubles():
             assert devs[2] <= 0.05
 
 
+def _full_grid_search(query):
+    """The search over every grid point up to h_max, with no envelope bound:
+    the thickness, or ("not settled", worst tail deviation)."""
+    step = query.grid_step_m or settling.default_grid_step(query.f_ghz)
+    h_max = query.h_max_m or settling.default_h_max(
+        query.material, query.f_ghz, query.theta_i, query.tol_db, step
+    )
+    grid = np.arange(step, h_max + step / 2, step)
+    eta = em.relative_permittivity(query.material, query.f_ghz)
+    thin = em.slab_coefficient(eta, query.theta_i, grid, query.f_ghz)
+    thick = em.fresnel_thick(eta, query.theta_i)
+    level = 10 * np.log10((np.abs(thin.te) ** 2 + np.abs(thin.tm) ** 2) / 2)
+    deviation = np.abs(level - 10 * math.log10((abs(thick.te) ** 2 + abs(thick.tm) ** 2) / 2))
+    tail = grid >= h_max / 2
+    if np.any(deviation[tail] > query.tol_db):
+        return ("not settled", float(np.max(deviation[tail])))
+    exceeding = np.nonzero(deviation > query.tol_db)[0]
+    return float(grid[0]) if len(exceeding) == 0 else float(grid[exceeding[-1] + 1])
+
+
+def _bounded_search(query):
+    try:
+        return settling.settling_thickness(query)
+    except settling.NotSettledError as err:
+        return ("not settled", str(err))
+
+
+def _agree(query):
+    want, got = _full_grid_search(query), _bounded_search(query)
+    if isinstance(want, tuple):
+        return isinstance(got, tuple) and f"worst deviation {want[1]:.3g} dB" in got[1]
+    return got == want
+
+
+@pytest.mark.parametrize("mat", [WOOD, PLASTER, GLASS], ids=lambda m: m.name)
+def test_bounded_search_equals_the_full_grid_search(mat):
+    queries = [
+        settling.SettlingQuery(material=mat, f_ghz=f, theta_i=math.radians(t), tol_db=tol)
+        for f in np.geomspace(28.0, 1000.0, 40).tolist()
+        for tol in (0.05, 0.1, 0.2, 0.5, 1.0, 3.0)
+        for t in (0.0, 30.0, 60.0, 85.0)
+    ]
+    # explicit ceilings and steps, several of them too low to settle
+    explicit = [
+        settling.SettlingQuery(mat, f, 0.3, tol, h_max_m=h_max, grid_step_m=step)
+        for f in (28.0, 100.0, 300.0, 1000.0)
+        for h_max in (2e-3, 1e-2, 5e-2, 0.2)
+        for step in (1e-5, 1e-4)
+        for tol in (0.1, 0.5)
+    ]
+    # steps so coarse that h* can be the first grid point past the bound
+    explicit += [
+        settling.SettlingQuery(mat, f, 0.3, tol, h_max_m=0.5, grid_step_m=step)
+        for f in (300.0, 1000.0)
+        for step in (1e-3, 2e-3, 5e-3, 1e-2)
+        for tol in (0.1, 0.5, 3.0)
+    ]
+    disagree = [q for q in queries + explicit if not _agree(q)]
+    assert disagree == []
+    assert sum(isinstance(_full_grid_search(q), tuple) for q in explicit) >= 10
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        MaterialParams("gain", 4.0, 0.0, -0.01, 1.0),  # grows into the slab: no bound
+        MaterialParams("lossless", 4.0, 0.0, 0.0, 0.0),  # no decay: no bound
+        MaterialParams("near_air", 1.01, 0.0, 0.002, 1.0),
+        MaterialParams("metal_like", 5.0, 0.0, 50.0, 0.0),
+    ],
+    ids=lambda m: m.name,
+)
+def test_bounded_search_equals_the_full_grid_search_off_the_presets(mat):
+    for f in (28.0, 100.0, 1000.0):
+        for tol in (0.05, 0.5, 3.0):
+            query = settling.SettlingQuery(mat, f, 0.4, tol, h_max_m=0.05, grid_step_m=2e-5)
+            assert _agree(query)
+
+
+def test_envelope_bound_applies_only_to_decaying_slabs():
+    gain = MaterialParams("gain", 4.0, 0.0, -0.01, 1.0)  # the slab field grows
+    lossless = MaterialParams("lossless", 4.0, 0.0, 0.0, 0.0)  # it keeps its level
+    assert settling._envelope_bound(gain, 100.0, 0.4, 0.2) is None
+    assert settling._envelope_bound(lossless, 100.0, 0.4, 0.2) is None
+    assert settling._envelope_bound(GLASS, 100.0, 0.4, 0.2) > 0
+    assert settling._envelope_bound(GLASS, 100.0, 0.4, 1e6) >= 0  # no overflow
+
+
+@pytest.mark.parametrize("mat", [WOOD, PLASTER, GLASS], ids=lambda m: m.name)
+@pytest.mark.parametrize("f", [28.0, 100.0, 1000.0])
+@pytest.mark.parametrize("theta_deg", [0.0, 60.0, 85.0])
+@pytest.mark.parametrize("tol", [0.05, 0.2, 3.0])
+def test_deviation_past_the_envelope_bound_is_within_half_the_band(mat, f, theta_deg, tol):
+    theta = math.radians(theta_deg)
+    bound = settling._envelope_bound(mat, f, theta, tol)
+    step = settling.default_grid_step(f) / 7  # off the search grid
+    grid = np.arange(bound, 3 * bound, step)
+    deviation = settling._band_deviation_db(mat, f, theta, grid)
+    assert deviation.size > 100 and np.max(deviation) <= tol / 2
+
+
+def test_oversized_grid_fails_before_allocating(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(settling.np, "arange", no_grid)
+    lowloss = MaterialParams("lowloss", 2.0, 0.0, 1e-7, 0.0)
+    # the default ceiling here is about 670 km: a 6.3e9-point grid at 0.1 mm
+    with pytest.raises(ValueError, match=r"6\.\d+e\+09 points.*--grid-step.*--h-max"):
+        solve(lowloss, 28.0)
+    with pytest.raises(ValueError, match=r"1e\+08 points"):
+        solve(GLASS, 100.0, h_max_m=1.0, grid_step_m=1e-8)
+    with pytest.raises(ValueError, match="inf points"):
+        solve(GLASS, 100.0, h_max_m=math.inf, grid_step_m=1e-4)
+
+
 def test_csv_writers():
     buf = io.StringIO()
     settling.write_sweep_csv([(0.001, -7.5, -7.5)], buf)

@@ -363,6 +363,9 @@ def _exhaustive_cases():
     txs, rxs = demo_positions(demo)
     pairs = [(a, b) for a in txs for b in rxs]
     pairs += [((4.0, 2.5, 5.6), (7.0, 7.5, 1.4)), ((15.0, 2.5, 5.6), (16.5, 7.5, 1.4))]
+    # mirror images across the slab_w plane z = 3.5: the transmitter's image
+    # lands on the receiver, so the leg direction is zero
+    pairs += [((1.5, 1.5, 2.0), (1.5, 1.5, 5.0))]
     for i, (a, b) in enumerate(pairs):
         yield f"demo-{i}", demo, a, b
     for seed in range(12):
