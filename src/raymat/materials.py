@@ -7,6 +7,7 @@ roughness used by the optional specular attenuation factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -16,7 +17,7 @@ class MaterialParams:
 
     Relative permittivity (real part) is a*f^b and conductivity is c*f^d
     with f in GHz. ``roughness_sigma`` is the RMS surface roughness in
-    meters; 0 means optically smooth.
+    meters; 0 means optically smooth. Every coefficient must be finite.
     """
 
     name: str
@@ -29,6 +30,10 @@ class MaterialParams:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("material name must be non-empty")
+        for field in ("a", "b", "c", "d", "roughness_sigma"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise ValueError(f"material {self.name!r}: {field} must be finite, got {value}")
         if self.a <= 0:
             raise ValueError(f"material {self.name!r}: coefficient a must be > 0")
         if self.roughness_sigma < 0:

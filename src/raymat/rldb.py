@@ -8,8 +8,9 @@ round-trips bit-exactly.
 
 from __future__ import annotations
 
-import bisect
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,8 @@ def _fmt(value: float) -> str:
 class RLDatabase:
     """Gridded reflection-loss values in dB, indexed (material, freq, angle).
 
-    Lookup grids are derived once, at construction: do not mutate the arrays.
+    Lookup grids are derived once, at construction, and lookup reads ``rl_db``
+    through a view of its buffer: do not mutate the arrays.
     """
 
     materials: list[MaterialParams]
@@ -80,7 +82,15 @@ class RLDatabase:
         self._index = {name: i for i, name in enumerate(names)}
         self._freqs = self.freqs_ghz.tolist()
         self._log_freqs = [math.log(f) for f in self._freqs]
+        self._log_steps = _steps(self._log_freqs)
         self._angles = self.angles_deg.tolist()
+        self._angle_steps = _steps(self._angles)
+        self._cells = memoryview(self.rl_db)  # shares the array's buffer, any strides
+
+    def __reduce__(self):  # a memoryview does not pickle; rebuild from the fields
+        return type(self), (
+            self.materials, self.freqs_ghz, self.angles_deg, self.rl_db, self.kappa
+        )
 
     @property
     def material_names(self) -> list[str]:
@@ -100,12 +110,16 @@ class RLDatabase:
         Raises:
             OutOfRangeError: if f or angle falls outside the grid hull.
         """
-        mi = self.material_index(material)
-        fi0, fi1, wf = _bracket(self._freqs, f_ghz, "frequency", self._log_freqs)
-        ai0, ai1, wa = _bracket(self._angles, angle_deg, "angle")
-        v = self.rl_db.item
-        return (1 - wf) * ((1 - wa) * v(mi, fi0, ai0) + wa * v(mi, fi0, ai1)) + wf * (
-            (1 - wa) * v(mi, fi1, ai0) + wa * v(mi, fi1, ai1)
+        mi = self._index.get(material)
+        if mi is None:
+            mi = self.material_index(material)  # raises, naming the known materials
+        fi0, fi1, wf = _bracket(
+            self._freqs, f_ghz, "frequency", self._log_steps, self._log_freqs
+        )
+        ai0, ai1, wa = _bracket(self._angles, angle_deg, "angle", self._angle_steps)
+        v, ua = self._cells, 1 - wa
+        return (1 - wf) * (ua * v[mi, fi0, ai0] + wa * v[mi, fi0, ai1]) + wf * (
+            ua * v[mi, fi1, ai0] + wa * v[mi, fi1, ai1]
         )
 
     def save(self, path) -> None:
@@ -125,29 +139,36 @@ class RLDatabase:
                 for f_label, row in zip(f_labels, self.rl_db[mi].tolist()):
                     prefix = f"{m.name},{f_label},"
                     fh.writelines(
-                        f"{prefix}{a},{_fmt(v)}\n" for a, v in zip(a_labels, row)
+                        f"{prefix}{a},{v:.6g}\n" for a, v in zip(a_labels, row)
                     )
 
 
+def _steps(nodes: list[float]) -> list[float]:
+    """Differences of neighbouring grid nodes, one per interval."""
+    return [b - a for a, b in zip(nodes, nodes[1:])]
+
+
 def _bracket(
-    grid: list[float], value: float, label: str, logs: list[float] | None = None
+    grid: list[float],
+    value: float,
+    label: str,
+    steps: list[float],
+    logs: list[float] | None = None,
 ) -> tuple[int, int, float]:
     """Neighbouring grid indices and interpolation weight for a query value;
-    the weight is linear in log(value) when ``logs`` (log of each node) is given."""
-    lo, hi = grid[0], grid[-1]
-    if not lo <= value <= hi:
-        raise OutOfRangeError(
-            f"{label} {value:.6g} outside grid hull [{lo:.6g}, {hi:.6g}]"
-        )
-    i = bisect.bisect_right(grid, value) - 1
+    the weight is linear in log(value) when ``logs`` (log of each node, with
+    ``steps`` their differences) is given."""
+    i = bisect_right(grid, value) - 1
     x0 = grid[i]
-    if value == x0:  # a node, the last one included
+    if value == x0:  # a node, the last one included (below the hull x0 is the last)
         return i, i, 0.0
+    if not 0 <= i < len(steps):  # below or above the hull, or NaN
+        raise OutOfRangeError(
+            f"{label} {value:.6g} outside grid hull [{grid[0]:.6g}, {grid[-1]:.6g}]"
+        )
     if logs is None:
-        w = (value - x0) / (grid[i + 1] - x0)
-    else:
-        w = (math.log(value) - logs[i]) / (logs[i + 1] - logs[i])
-    return i, i + 1, float(w)
+        return i, i + 1, float((value - x0) / steps[i])
+    return i, i + 1, (math.log(value) - logs[i]) / steps[i]
 
 
 def build(
@@ -178,6 +199,9 @@ def build(
 def load(path) -> RLDatabase:
     """Parse a database CSV written by :meth:`RLDatabase.save`.
 
+    Data rows may come in any order: one pass appends each row's fields to
+    flat columns, and numpy then places every row in the grid by value.
+
     Raises:
         DatabaseVersionError: on a version header other than the supported one.
         DatabaseFormatError: on any other malformed content, with line number.
@@ -185,10 +209,11 @@ def load(path) -> RLDatabase:
     kappa: float | None = None
     version: int | None = None
     header_materials: dict[str, MaterialParams] = {}
-    cells: dict[tuple[str, float, float], float] = {}
-    names: dict[str, None] = {}  # in order of first appearance
-    freq_set: set[float] = set()
-    angle_set: set[float] = set()
+    names: dict[str, int] = {}  # material -> index, in order of first appearance
+    mat_col, line_col = array("q"), array("q")
+    freq_col, angle_col, rl_col = array("d"), array("d"), array("d")
+    add_mat, add_line = mat_col.append, line_col.append
+    add_freq, add_angle, add_rl = freq_col.append, angle_col.append, rl_col.append
     saw_columns = False
 
     with open(path, encoding="utf-8") as fh:
@@ -221,13 +246,15 @@ def load(path) -> RLDatabase:
             if line == _COLUMNS:
                 saw_columns = True
                 continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise DatabaseFormatError(
-                    f"expected 4 fields ({_COLUMNS}), got {len(fields)}", line=lineno
-                )
             try:
-                f_ghz, angle, rl = float(fields[1]), float(fields[2]), float(fields[3])
+                name, f_ghz, angle, rl = line.split(",")
+            except ValueError:
+                raise DatabaseFormatError(
+                    f"expected 4 fields ({_COLUMNS}), got {line.count(',') + 1}",
+                    line=lineno,
+                ) from None
+            try:
+                f_ghz, angle, rl = float(f_ghz), float(angle), float(rl)
             except ValueError:
                 raise DatabaseFormatError(
                     f"non-numeric value in row {line!r}", line=lineno
@@ -236,25 +263,39 @@ def load(path) -> RLDatabase:
                 raise DatabaseFormatError(
                     f"non-finite value in row {line!r}", line=lineno
                 )
-            cell = (fields[0], f_ghz, angle)
-            if cell in cells:
-                raise DatabaseFormatError(
-                    f"duplicate cell ({cell[0]}, {f_ghz:.6g} GHz, {angle:.6g} deg)",
-                    line=lineno,
-                )
-            cells[cell] = rl
-            names[cell[0]] = None
-            freq_set.add(f_ghz)
-            angle_set.add(angle)
+            mi = names.get(name)
+            if mi is None:
+                mi = names[name] = len(names)
+            add_mat(mi)
+            add_freq(f_ghz)
+            add_angle(angle)
+            add_rl(rl)
+            add_line(lineno)
 
     if version is None:
         raise DatabaseFormatError("missing #version header")
     if kappa is None:
         raise DatabaseFormatError("missing #kappa header")
-    if not saw_columns or not cells:
+    if not saw_columns or not rl_col:
         raise DatabaseFormatError("no data rows found (truncated file?)")
 
-    freqs, angles = sorted(freq_set), sorted(angle_set)
+    row_f, row_a = np.frombuffer(freq_col), np.frombuffer(angle_col)
+    # return_index sorts stably: of equal values (0.0, -0.0) the grid keeps the first
+    freqs = np.unique(row_f, return_index=True)[0]
+    angles = np.unique(row_a, return_index=True)[0]
+    shape = (len(names), freqs.size, angles.size)
+    cell = np.frombuffer(mat_col, dtype=np.int64) * shape[1] + np.searchsorted(freqs, row_f)
+    cell = cell * shape[2] + np.searchsorted(angles, row_a)  # flat index into rl_db
+    first = np.unique(cell, return_index=True)[1]
+    if first.size < cell.size:  # the earliest row whose cell an earlier row holds
+        repeat = np.ones(cell.size, dtype=bool)
+        repeat[first] = False
+        k = int(np.argmax(repeat))
+        raise DatabaseFormatError(
+            f"duplicate cell ({list(names)[mat_col[k]]}, {freq_col[k]:.6g} GHz, "
+            f"{angle_col[k]:.6g} deg)",
+            line=line_col[k],
+        )
     known = {**PRESETS, **header_materials}
     for name in names:
         if name not in known:
@@ -262,17 +303,17 @@ def load(path) -> RLDatabase:
                 f"material {name!r} has no #material header and is not a preset"
             )
     materials = [known[name] for name in names]
-    shape = (len(names), len(freqs), len(angles))
-    values = (cells[name, f, a] for name in names for f in freqs for a in angles)
-    try:
-        rl = np.fromiter(values, float, math.prod(shape)).reshape(shape)
-    except KeyError as err:
-        name, f_ghz, angle = err.args[0]
+    if cell.size < math.prod(shape):
+        filled = np.zeros(math.prod(shape), dtype=bool)
+        filled[cell] = True
+        mi, fi, ai = np.unravel_index(int(np.argmin(filled)), shape)
         raise DatabaseFormatError(
-            f"missing cell ({name}, {f_ghz:.6g} GHz, {angle:.6g} deg); "
-            "grid is incomplete (truncated file?)"
-        ) from None
+            f"missing cell ({materials[mi].name}, {freqs[fi]:.6g} GHz, "
+            f"{angles[ai]:.6g} deg); grid is incomplete (truncated file?)"
+        )
+    rl = np.empty(cell.size)
+    rl[cell] = np.frombuffer(rl_col)
     try:
-        return RLDatabase(materials, freqs, angles, rl, kappa)
+        return RLDatabase(materials, freqs, angles, rl.reshape(shape), kappa)
     except ValueError as err:
         raise DatabaseFormatError(str(err)) from None

@@ -68,16 +68,22 @@ def default_h_max(
     """Search ceiling: 4x an analytic decay estimate of the settling point.
 
     The oscillation envelope decays like exp(-2*alpha*h) with
-    alpha = (2*pi*f/c)*|Im sqrt(eta - sin^2(theta))|, so the band is entered
+    alpha = -(2*pi*f/c)*Im sqrt(eta - sin^2(theta)), so the band is entered
     near ln(K/tol)/(2*alpha) for an envelope prefactor K <= ~17.4 dB.
 
     Raises:
-        NotSettledError: for lossless materials (no decay, never settles).
+        NotSettledError: for lossless materials (no decay, never settles) and
+            gain media (the field grows with thickness, never settles).
     """
     eta = em.relative_permittivity(material, f_ghz)
     q_unit = em.phase_thickness(eta, theta_i, 1.0, f_ghz)
-    alpha = abs(float(np.imag(q_unit)))
-    if alpha <= 0:
+    alpha = -float(np.imag(q_unit))  # > 0 when the field decays into the slab
+    if alpha < 0:
+        raise NotSettledError(
+            f"material {material.name!r} has gain at {f_ghz} GHz; the slab "
+            "field grows with thickness and never settles"
+        )
+    if alpha == 0:
         raise NotSettledError(
             f"material {material.name!r} is lossless at {f_ghz} GHz; the slab "
             "coefficient oscillates forever and never settles"

@@ -153,6 +153,33 @@ def test_settling_rejects_an_oversized_grid(capsys, monkeypatch):
     assert "1e+08 points" in err and "--grid-step" in err and "--h-max" in err
 
 
+@pytest.mark.parametrize(
+    "line, extra",
+    [
+        ("bad, nan, 0, 0.01, 1.0, 0", ()),
+        ("bad, 4.0, 0, inf, 1.0, 0", ()),
+        ("bad, 4.0, 0, 0.01, 1.0, nan", ("--kappa", "1")),
+    ],
+    ids=["a-nan", "c-inf", "sigma-nan"],
+)
+def test_rl_rejects_a_non_finite_table_material_at_its_line(capsys, tmp_path, line, extra):
+    table = tmp_path / "mats.txt"
+    table.write_text(f"# custom\nbrick, 3.91, 0, 0.0238, 0.16, 0.0005\n{line}\n", encoding="utf-8")
+    argv = ("rl", "--materials-table", str(table), "--material", "bad", "--freq", "100")
+    code, out, err = run(capsys, *argv, "--angles", "0:20:10", *extra)
+    assert (code, out) == (1, "")
+    assert f"{table}:3:" in err and "must be finite" in err
+
+
+def test_settling_of_a_gain_medium_names_the_growing_field(capsys, tmp_path):
+    table = tmp_path / "mats.txt"
+    table.write_text("gain, 4.0, 0, -0.01, 1.0, 0\n", encoding="utf-8")
+    argv = ("settling", "--materials-table", str(table), "--material", "gain")
+    code, out, err = run(capsys, *argv, "--freq", "100")
+    assert (code, out) == (1, "")
+    assert "grows with thickness" in err and "increase h_max" not in err
+
+
 def demo_files(tmp_path, capsys):
     outdir = tmp_path / "demo"
     code, out, err = run(capsys, "demo", "--outdir", str(outdir))

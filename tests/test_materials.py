@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from raymat.materials import (
@@ -39,6 +41,15 @@ def test_preset_lookup():
 )
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
+        MaterialParams(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["a", "b", "c", "d", "roughness_sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_rejected(field, value):
+    kwargs = dict(name="x", a=4.0, b=0.0, c=0.01, d=1.0, roughness_sigma=0.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"'x': {field} must be finite"):
         MaterialParams(**kwargs)
 
 

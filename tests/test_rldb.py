@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -161,13 +163,18 @@ def _outcome(fn, *args):
     return type(value), value
 
 
-# the 7 x 90 table of db_multi, and one with uneven steps on both axes
-@pytest.mark.parametrize("uneven", [False, True], ids=["db_multi", "uneven"])
-def test_lookup_equals_reference_formula(db_multi, uneven):
+# the 7 x 90 table of db_multi, one with uneven steps on both axes, and
+# db_multi's values handed over as a non-contiguous view
+@pytest.mark.parametrize("table", ["db_multi", "uneven", "strided"])
+def test_lookup_equals_reference_formula(db_multi, table):
     db = db_multi
-    if uneven:
+    if table == "uneven":
         angles = 89.0 * np.linspace(0.0, 1.0, 13) ** 1.3
         db = rldb.build(PRESET_LIST, [28.0, 41.5, 140.0, 1000.0], angles)
+    if table == "strided":
+        view = np.ascontiguousarray(db_multi.rl_db.transpose(2, 1, 0)).transpose(2, 1, 0)
+        db = rldb.RLDatabase(PRESET_LIST, db_multi.freqs_ghz, db_multi.angles_deg, view)
+        assert db.rl_db is view and not view.flags.c_contiguous
     names = db.material_names
     freqs, angles = db.freqs_ghz, db.angles_deg
     rng = np.random.default_rng(2024)
@@ -198,6 +205,13 @@ def test_lookup_equals_reference_formula(db_multi, uneven):
     want = [_outcome(_reference_lookup, db, *q) for q in queries]
     assert got == want
     assert sum(t is float for t, _ in got) == len(queries) - 10
+
+
+def test_database_pickles_and_copies(db_multi):
+    for twin in (pickle.loads(pickle.dumps(db_multi)), copy.deepcopy(db_multi)):
+        assert twin.materials == db_multi.materials and twin.kappa == db_multi.kappa
+        assert np.array_equal(twin.rl_db, db_multi.rl_db) and twin.rl_db is not db_multi.rl_db
+        assert twin.lookup("wood", 100.0, 33.3) == db_multi.lookup("wood", 100.0, 33.3)
 
 
 def test_interpolation_bounded_by_corners(db100):
@@ -278,10 +292,64 @@ def test_load_names_first_missing_cell(tmp_path, db_multi):
     )
 
 
+def test_save_writes_the_documented_format(tmp_path):
+    brick = MaterialParams("brick", 3.91, 0.0, 0.0238, 0.16, roughness_sigma=1.23456789e-4)
+    db = rldb.build(
+        [brick], [100.0, 123.456789], [0.0, 12.3456789], kappa=em.FITTED_ROUGHNESS_KAPPA
+    )
+    path = tmp_path / "db.csv"
+    db.save(path)
+    assert path.read_bytes() == (
+        b"#version=1\n"
+        b"#kappa=7.08703\n"
+        b"#material=brick,3.91,0,0.0238,0.16,0.000123457\n"
+        b"material,f_ghz,angle_deg,rl_db\n"
+        b"brick,100,0,9.77983\n"
+        b"brick,100,12.3457,9.77319\n"
+        b"brick,123.457,0,9.83455\n"
+        b"brick,123.457,12.3457,9.82541\n"
+    )
+
+
+def test_load_does_not_depend_on_row_order(tmp_path, db_multi):
+    path = tmp_path / "db.csv"
+    db_multi.save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = lines.index("material,f_ghz,angle_deg,rl_db") + 1
+    head, rows = lines[:start], lines[start:]
+    assert len(rows) == db_multi.rl_db.size
+    rng = np.random.default_rng(7)
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    for i in sorted(rng.choice(len(rows), 40, replace=False), reverse=True):
+        rows.insert(int(i), "")
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_bytes("\r\n".join(head + rows + [""]).encode("utf-8"))
+    want, got = rldb.load(path), rldb.load(shuffled)
+    # materials keep the order of their first row; everything else is placed by value
+    first_seen = list(dict.fromkeys(row.split(",")[0] for row in rows if row))
+    assert got.material_names == first_seen and got.kappa == want.kappa
+    for a, b in [(got.freqs_ghz, want.freqs_ghz), (got.angles_deg, want.angles_deg)]:
+        assert a.tolist() == b.tolist() and np.signbit(a).tolist() == np.signbit(b).tolist()
+    for mat in want.materials:
+        mi = got.material_index(mat.name)
+        assert got.materials[mi] == mat
+        assert np.array_equal(got.rl_db[mi], want.rl_db[want.material_index(mat.name)])
+
+    # a non-numeric row, then a duplicate of an earlier cell: the first fault is named
+    data = [row for row in rows if row]
+    faulty = head + data[:100] + ["wood,abc,0,1"] + data[100:] + [data[0]]
+    shuffled.write_bytes("\r\n".join(faulty + [""]).encode("utf-8"))
+    with pytest.raises(rldb.DatabaseFormatError, match="non-numeric") as info:
+        rldb.load(shuffled)
+    assert info.value.line == len(head) + 101
+
+
 _HEAD = "#version=1\n#kappa=0\nmaterial,f_ghz,angle_deg,rl_db\n"
 
 
-@pytest.mark.parametrize("second", ["wood,100,0,9", "wood,1e2,0.0,9"])
+@pytest.mark.parametrize(
+    "second", ["wood,100,0,9", "wood,1e2,0.0,9", "wood,100,0,9\nwood,100,1,7"]
+)
 def test_load_rejects_duplicate_cells(tmp_path, second):
     bad = tmp_path / "dup.csv"
     bad.write_text(_HEAD + "wood,100,0,5\nwood,100,1,6\n" + second + "\n", encoding="utf-8")
@@ -380,6 +448,18 @@ def test_load_rejects_a_bad_kappa_header_at_its_line(tmp_path, kappa):
     with pytest.raises(rldb.DatabaseFormatError, match="kappa") as info:
         rldb.load(bad)
     assert info.value.line == 2
+
+
+@pytest.mark.parametrize("field", [1, 3, 5])
+def test_load_rejects_a_non_finite_material_header_at_its_line(tmp_path, field):
+    values = ["brick", "3.91", "0", "0.0238", "0.16", "0.0005"]
+    values[field] = "nan"
+    header = "#material=" + ",".join(values) + "\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text(_HEAD.replace("#kappa=0\n", "#kappa=0\n" + header) + "brick,100,0,5\n", encoding="utf-8")
+    with pytest.raises(rldb.DatabaseFormatError, match="must be finite") as info:
+        rldb.load(bad)
+    assert info.value.line == 3
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -1.0])
