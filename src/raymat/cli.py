@@ -74,6 +74,8 @@ def _material_catalog(table_path: str | None) -> dict[str, MaterialParams]:
     catalog = dict(PRESETS)
     if table_path:
         for mat in load_material_table(table_path):
+            if mat.name in PRESETS:
+                raise ValueError(f"{table_path}: material {mat.name!r} is a built-in preset")
             catalog[mat.name] = mat
     return catalog
 
@@ -310,10 +312,8 @@ def _cmd_identify(args) -> int:
         args.max_bounces,
         measure,
     )
-    # rows for pairs the loop never traced (it stopped early) are not errors
-    untraced = range(report.pairs_traced, len(args.tx) * len(args.rx))
     for tid, (_, _, lineno) in measurements.items():
-        if tid not in asked and identify.pair_of(tid) not in untraced:
+        if tid not in asked:
             raise ValueError(
                 f"{args.measurements}:{lineno}: trajectory_id {tid!r} "
                 "matches no traced trajectory"

@@ -11,8 +11,8 @@ reflection point, matched by facet id plus a quantized position (cell 1 cm).
 
 from __future__ import annotations
 
+import math
 import random
-import re
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
@@ -60,6 +60,11 @@ class MeasurementRecord:
     uncertainty_db: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.measured_total_rl_db) and math.isfinite(self.uncertainty_db)):
+            raise ValueError(
+                f"measurement {self.trajectory_id!r}: total and uncertainty must be "
+                f"finite, got {self.measured_total_rl_db} +/- {self.uncertainty_db}"
+            )
         if self.uncertainty_db < 0:
             raise ValueError("uncertainty must be >= 0")
 
@@ -90,7 +95,6 @@ class IdentificationReport:
     # per ambiguous facet: the widest gap between its materials' table losses
     # at any hop on it
     rl_spread_db: dict[str, float]
-    pairs_traced: int  # TX-RX pairs traced before the early stop; not printed
 
     def to_text(self) -> str:
         # perfbench's cli_chain finds the first two section headers by exact text
@@ -217,12 +221,6 @@ class Propagator:
                         queue.append(w)
                         queued.add(w)
 
-    def settled(self) -> bool:
-        """Every covered variable is down to a single material."""
-        return bool(self._watchers) and all(
-            len(self.domains.get(v, ())) == 1 for v in self._watchers
-        )
-
     def belief(self) -> BeliefState:
         """Per-RPKey snapshot: an empty set at a key is a contradiction (bad
         measurement or wrong map), and so is every key of a trajectory whose
@@ -344,17 +342,12 @@ def traced_pairs(
 
     Trajectory ids are ``p<pair>t<index>``: the pair's place in the TX-major
     walk over the Cartesian product of positions, then the trajectory's place
-    in its trace order. Lazy: a pair is traced only when it is asked for.
+    in its trace order. Lazy: each pair is traced when the caller reaches it,
+    so a loop over the pairs holds one pair's trajectories at a time.
     """
     for pair, (tx, rx) in enumerate(product(tx_positions, rx_positions)):
         trajectories = trace(scene, tx, rx, max_bounces=max_bounces)
         yield [(f"p{pair}t{ti}", traj) for ti, traj in enumerate(trajectories)]
-
-
-def pair_of(trajectory_id: str) -> int | None:
-    """Pair index of a ``p<pair>t<index>`` id, or None if the id is malformed."""
-    match = re.fullmatch(r"p([0-9]+)t[0-9]+", trajectory_id)
-    return int(match[1]) if match else None
 
 
 def identify_loop(
@@ -376,9 +369,9 @@ def identify_loop(
     record must carry its own, else ValueError). Each trajectory with
     survivors is added to one :class:`Propagator` with a variable per facet,
     so the map constraint (one facet, one material) holds within and across
-    trajectories. Stops early once every covered facet is down to a single
-    material; the report's ``pairs_traced`` says how many pairs were traced
-    by then. The report is per facet: resolved, ambiguous (with the RL spread
+    trajectories. Every pair is traced: each added trajectory can only shrink
+    domains, so more (or more precise) data never covers or resolves fewer
+    facets. The report is per facet: resolved, ambiguous (with the RL spread
     of its materials over every hop on it), uncovered or contradicted.
     """
     if not tx_positions or not rx_positions:
@@ -390,7 +383,7 @@ def identify_loop(
     hop_losses: dict[str, list[dict[str, float]]] = {}
 
     pairs = traced_pairs(scene, tx_positions, rx_positions, max_bounces)
-    for pairs_traced, labelled in enumerate(pairs, start=1):
+    for labelled in pairs:
         for tid, traj in labelled:
             record = measure(tid, traj)
             if record is None:
@@ -416,11 +409,9 @@ def identify_loop(
                 no_hypothesis.append(tid)
                 continue
             engine.add(tid, survivors)
-        if engine.settled():
-            break
 
     belief = engine.belief()
-    report = _build_report(scene, belief, hop_losses, no_hypothesis, skipped, pairs_traced)
+    report = _build_report(scene, belief, hop_losses, no_hypothesis, skipped)
     return belief, report
 
 
@@ -430,7 +421,6 @@ def _build_report(
     hop_losses: dict[str, list[dict[str, float]]],
     no_hypothesis: list[str],
     skipped: list[str],
-    pairs_traced: int,
 ) -> IdentificationReport:
     # the engine has one variable per facet, so every key on a facet carries
     # the facet's domain
@@ -467,5 +457,4 @@ def _build_report(
         no_hypothesis=tuple(no_hypothesis),
         skipped=tuple(skipped),
         rl_spread_db=rl_spread_db,
-        pairs_traced=pairs_traced,
     )

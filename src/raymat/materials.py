@@ -83,8 +83,10 @@ def parse_material_line(line: str) -> MaterialParams:
 def load_material_table(path) -> list[MaterialParams]:
     """Load materials from a plain-text table, one material per line.
 
-    Blank lines and lines starting with ``#`` are ignored.
+    Blank lines and lines starting with ``#`` are ignored; a name may appear
+    on one line only.
     """
+    first_line: dict[str, int] = {}
     materials = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -92,7 +94,14 @@ def load_material_table(path) -> list[MaterialParams]:
             if not line or line.startswith("#"):
                 continue
             try:
-                materials.append(parse_material_line(line))
+                mat = parse_material_line(line)
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from None
+            if mat.name in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: material {mat.name!r} is already defined "
+                    f"at line {first_line[mat.name]}"
+                )
+            first_line[mat.name] = lineno
+            materials.append(mat)
     return materials

@@ -58,6 +58,23 @@ def default_grid_step(f_ghz: float) -> float:
     return em.SPEED_OF_LIGHT / (f_ghz * 1e9) / 100.0
 
 
+def _decay_rate(material: MaterialParams, f_ghz: float, theta_i: float) -> float:
+    """alpha = -Im q per metre of slab; NotSettledError unless it is > 0."""
+    eta = em.relative_permittivity(material, f_ghz)
+    alpha = -float(np.imag(em.phase_thickness(eta, theta_i, 1.0, f_ghz)))
+    if alpha < 0:
+        raise NotSettledError(
+            f"material {material.name!r} has gain at {f_ghz} GHz; the slab "
+            "field grows with thickness and never settles"
+        )
+    if alpha == 0:
+        raise NotSettledError(
+            f"material {material.name!r} is lossless at {f_ghz} GHz; the slab "
+            "coefficient oscillates forever and never settles"
+        )
+    return alpha
+
+
 def default_h_max(
     material: MaterialParams,
     f_ghz: float,
@@ -75,19 +92,7 @@ def default_h_max(
         NotSettledError: for lossless materials (no decay, never settles) and
             gain media (the field grows with thickness, never settles).
     """
-    eta = em.relative_permittivity(material, f_ghz)
-    q_unit = em.phase_thickness(eta, theta_i, 1.0, f_ghz)
-    alpha = -float(np.imag(q_unit))  # > 0 when the field decays into the slab
-    if alpha < 0:
-        raise NotSettledError(
-            f"material {material.name!r} has gain at {f_ghz} GHz; the slab "
-            "field grows with thickness and never settles"
-        )
-    if alpha == 0:
-        raise NotSettledError(
-            f"material {material.name!r} is lossless at {f_ghz} GHz; the slab "
-            "coefficient oscillates forever and never settles"
-        )
+    alpha = _decay_rate(material, f_ghz, theta_i)
     estimate = math.log(17.4 / min(tol_db, 17.4)) / (2 * alpha) if tol_db < 17.4 else 0.0
     step = grid_step_m if grid_step_m is not None else default_grid_step(f_ghz)
     return max(4 * estimate, 100 * step)
@@ -163,7 +168,8 @@ def settling_thickness(query: SettlingQuery) -> float:
 
     Raises:
         NotSettledError: if the band is not held on [h_max/2, h_max], i.e. the
-            ceiling is too small (or the material is lossless).
+            ceiling is too small, or (named in the message) the material is
+            lossless or has gain, so that no ceiling would do.
     """
     step, h_max = _resolve_grid(query)
     stop = h_max + step / 2
@@ -175,10 +181,14 @@ def settling_thickness(query: SettlingQuery) -> float:
     tail = grid >= h_max / 2
     if np.any(deviation[tail] > query.tol_db):
         worst = float(np.max(deviation[tail]))
+        reason = "increase h_max"
+        try:
+            _decay_rate(query.material, query.f_ghz, query.theta_i)
+        except NotSettledError as err:  # no ceiling would do
+            reason = str(err)
         raise NotSettledError(
             f"band of +/-{query.tol_db} dB not held on [h_max/2, h_max] = "
-            f"[{h_max / 2:.6g}, {h_max:.6g}] m (worst deviation {worst:.3g} dB); "
-            "increase h_max"
+            f"[{h_max / 2:.6g}, {h_max:.6g}] m (worst deviation {worst:.3g} dB); {reason}"
         )
     exceeding = np.nonzero(deviation > query.tol_db)[0]
     if len(exceeding) == 0:

@@ -171,13 +171,39 @@ def test_rl_rejects_a_non_finite_table_material_at_its_line(capsys, tmp_path, li
     assert f"{table}:3:" in err and "must be finite" in err
 
 
-def test_settling_of_a_gain_medium_names_the_growing_field(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "extra, searched", [((), False), (("--h-max", "50"), True)], ids=["default-h-max", "h-max-50"]
+)
+def test_settling_of_a_gain_medium_names_the_growing_field(capsys, tmp_path, extra, searched):
     table = tmp_path / "mats.txt"
     table.write_text("gain, 4.0, 0, -0.01, 1.0, 0\n", encoding="utf-8")
     argv = ("settling", "--materials-table", str(table), "--material", "gain")
-    code, out, err = run(capsys, *argv, "--freq", "100")
+    code, out, err = run(capsys, *argv, "--freq", "100", *extra)
     assert (code, out) == (1, "")
     assert "grows with thickness" in err and "increase h_max" not in err
+    # an explicit ceiling runs the search, which still reports how far off it got
+    assert ("worst deviation 19.7 dB" in err) == searched
+
+
+def test_material_table_rejects_a_repeated_name_at_its_line(capsys, tmp_path):
+    table = tmp_path / "mats.txt"
+    table.write_text(
+        "brick, 3.91, 0, 0.0238, 0.16, 0\n# same name, other values\nbrick, 9.0, 0, 0.5, 0.16, 0\n",
+        encoding="utf-8",
+    )
+    argv = ("rl", "--materials-table", str(table), "--material", "brick", "--freq", "100")
+    code, out, err = run(capsys, *argv, "--angles", "0:0:1")
+    assert (code, out) == (1, "")
+    assert f"{table}:3:" in err and "'brick'" in err and "line 1" in err
+
+
+def test_material_table_may_not_redefine_a_preset(capsys, tmp_path):
+    table = tmp_path / "mats.txt"
+    table.write_text("wood, 3.91, 0, 0.0238, 0.16, 0\n", encoding="utf-8")
+    argv = ("rl", "--materials-table", str(table), "--material", "wood", "--freq", "100")
+    code, out, err = run(capsys, *argv, "--angles", "0:0:1")
+    assert (code, out) == (1, "")
+    assert str(table) in err and "'wood'" in err and "preset" in err
 
 
 def demo_files(tmp_path, capsys):
@@ -304,9 +330,9 @@ def test_identify_rejects_bad_measurement_rows(capsys, tmp_path, rows):
     assert f"{m_path}:{last_line}:" in err
 
 
-def test_identify_accepts_rows_after_early_stop(capsys, tmp_path):
-    # the first pair settles the lone floor, so the loop never traces the
-    # second; its rows (even one naming no trajectory) are not errors
+def test_identify_rejects_a_row_of_a_later_pair_naming_no_trajectory(capsys, tmp_path):
+    # the first pair alone resolves the lone floor, yet the loop still traces
+    # the second, which has one trajectory only: the row for p1t3 names none
     scene = tmp_path / "scene.json"
     scene.write_text(
         '{"units":"m","facets":[{"id":"floor","vertices":'
@@ -331,8 +357,8 @@ def test_identify_accepts_rows_after_early_stop(capsys, tmp_path):
         "--rx", "2,0,1", "--max-bounces", "1", "--freq", "100",
         "--measurements", str(m_path),
     )
-    assert (code, err) == (0, "")
-    assert "floor,wood" in out.splitlines()
+    assert (code, out) == (1, "")
+    assert f"{m_path}:4:" in err and "'p1t3'" in err
 
 
 def test_identify_rejects_rows_for_a_traced_pair_without_trajectories(capsys, tmp_path):

@@ -510,7 +510,6 @@ def test_identify_loop_report_ignores_reflection_point_cells(db100):
         _, report = identify_loop(
             scene, [np.array([0.0, 0, 1])], rxs, PALETTE, db100, 100.0, None, 1, measure
         )
-        assert report.pairs_traced == 2
         assert report.resolved == {"floor": "wood"}
         texts.append(report.to_text())
     assert texts[0] == texts[1]
@@ -542,7 +541,6 @@ def test_report_section_headers_in_order():
         no_hypothesis=("p1t0",),
         skipped=("p2t0",),
         rl_spread_db={"b": 3.14159265},
-        pairs_traced=3,
     )
     lines = report.to_text().splitlines()
     assert [line for line in lines if line.startswith("#")] == [
@@ -558,21 +556,49 @@ def test_report_section_headers_in_order():
     assert lines[lines.index("# rl spread of ambiguous facets (facet_id,rl_spread_db)") + 1] == "b,3.14159"
 
 
-def test_identify_loop_counts_pairs_up_to_the_early_stop(db100):
-    scene = scene_from_dict({"units": "m", "facets": [
-        {"id": "floor", "vertices": [[-3, -3, 0], [6, -3, 0], [6, 3, 0], [-3, 3, 0]],
-         "material": "wood"},
-    ]})
-    txs = [np.array([0.0, 0, 1]), np.array([1.0, 0, 1])]
-    rxs = [np.array([2.0, 0, 1])]
-    measure = make_measure_fn(scene, {"floor": "wood"}, 100.0, u_db=0.3)
-    _, settled = identify_loop(scene, txs, rxs, PALETTE, db100, 100.0, 0.3, 1, measure)
-    assert settled.resolved == {"floor": "wood"}
-    assert settled.pairs_traced == 1
-    _, unmeasured = identify_loop(
-        scene, txs, rxs, PALETTE, db100, 100.0, 0.3, 1, lambda *_: None
-    )
-    assert unmeasured.pairs_traced == 2
+# 2x2 TX/RX lattice through the demo building
+DEMO_LATTICE = (
+    [np.array([4.0, 2.5, 5.6]), np.array([15.0, 2.5, 5.6])],
+    [np.array([7.0, 7.5, 1.4]), np.array([16.5, 7.5, 1.4])],
+)
+
+
+@pytest.mark.parametrize("positions, k", [("demo", 3), ("lattice", 1), ("lattice", 2)])
+def test_identify_loop_never_identifies_less_from_tighter_data(db100, positions, k):
+    # noise-free totals summed from the table, so the true sequence always
+    # survives; tightening u can only shrink each facet's material set, so it
+    # never covers or resolves fewer facets and never resolves one wrongly
+    scene = demo_building()
+    truth = {f.facet_id: f.material_label for f in scene.facets}
+    txs, rxs = demo_positions(scene) if positions == "demo" else DEMO_LATTICE
+
+    def measure_at(u):
+        def measure(tid, traj):
+            angles = [np.degrees(h.theta_i) for h in traj.hops]
+            if max(angles) > 85.0:
+                return None
+            total = sum(db100.lookup(truth[h.facet_id], 100.0, a) for h, a in zip(traj.hops, angles))
+            return MeasurementRecord(tid, total, u)
+        return measure
+
+    previous = None
+    for u in (4.0, 1.0, 0.3):
+        _, report = identify_loop(scene, txs, rxs, PALETTE, db100, 100.0, None, k, measure_at(u))
+        assert not report.contradictions and not report.no_hypothesis
+        assert all(truth[fid] == name for fid, name in report.resolved.items())
+        domains = {fid: {name} for fid, name in report.resolved.items()}
+        domains.update((fid, set(names)) for fid, names in report.ambiguous.items())
+        if previous is not None:
+            assert set(domains) >= set(previous)
+            assert all(domains[fid] <= previous[fid] for fid in previous)
+        previous = domains
+    assert len(previous) == len(report.resolved)  # on these inputs, u=0.3 resolves all it covers
+
+
+def test_measurement_record_rejects_non_finite_values():
+    for total, u in [(math.nan, 1.0), (math.inf, 1.0), (10.0, math.nan), (10.0, math.inf)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            MeasurementRecord("t1", total, u)
 
 
 def test_identify_loop_reports_uncovered(db100):

@@ -83,6 +83,9 @@ def test_lossless_material_never_settles():
     ideal = MaterialParams("ideal", a=4.0, b=0.0, c=0.0, d=0.0)
     with pytest.raises(settling.NotSettledError, match="lossless"):
         settling.default_h_max(ideal, 100.0)
+    # an explicit ceiling runs the search, which names the cause, not the ceiling
+    with pytest.raises(settling.NotSettledError, match=r"worst deviation .* dB\); material 'ideal' is lossless"):
+        solve(ideal, 100.0, h_max_m=0.05, grid_step_m=2e-5)
 
 
 def test_degenerate_grid_rejected():
