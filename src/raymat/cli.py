@@ -236,18 +236,22 @@ def _cmd_simulate(args) -> int:
                 continue  # unknown-material hop: no ground truth to simulate
             if any(math.degrees(hop.theta_i) > args.max_angle for hop in traj.hops):
                 continue  # outside the RL-database hull
-            record = identify.simulate_measurement(
-                scene,
-                traj,
-                ground_truth,
-                p_tx_dbm=args.ptx,
-                f_ghz=args.freq,
-                noise_sigma_db=args.noise,
-                rng=rng,
-                kappa=args.kappa,
-                uncertainty_db=args.u,
-                trajectory_id=tid,
-            )
+            try:
+                record = identify.simulate_measurement(
+                    scene,
+                    traj,
+                    ground_truth,
+                    p_tx_dbm=args.ptx,
+                    f_ghz=args.freq,
+                    noise_sigma_db=args.noise,
+                    rng=rng,
+                    kappa=args.kappa,
+                    uncertainty_db=args.u,
+                    trajectory_id=tid,
+                )
+            except em.InconsistentMeasurementError as err:  # the noise put PL below FSPL
+                sys.stderr.write(f"warning: {tid}: {err}; no row written\n")
+                continue
             fh.write(
                 f"{tid},{_fmt(record.measured_total_rl_db)},{_fmt(record.uncertainty_db)}\n"
             )

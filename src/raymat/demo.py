@@ -19,8 +19,6 @@ from .geometry import mirror_point, ray_plane_parameter, reflect_direction, unit
 from .scene import Facet, Scene
 from .tracer import trace
 
-DEMO_FREQ_GHZ = 100.0
-
 
 def _rect(p0, p1, p2, p3) -> np.ndarray:
     return np.array([p0, p1, p2, p3], dtype=float)

@@ -91,11 +91,8 @@ def relative_permittivity(mat: MaterialParams, f_ghz: float) -> complex:
 
 
 def _transverse_root(eta: complex, theta_i: float) -> complex:
-    """Principal sqrt(eta - sin^2(theta)); Re >= 0 keeps slab fields decaying."""
-    s = cmath.sqrt(eta - math.sin(theta_i) ** 2)
-    if s.real < 0:
-        s = -s
-    return s
+    """Principal sqrt(eta - sin^2(theta)); its Re >= 0 keeps slab fields decaying."""
+    return cmath.sqrt(eta - math.sin(theta_i) ** 2)
 
 
 def fresnel_thick(eta: complex, theta_i: float) -> ReflectionCoefficients:

@@ -67,10 +67,10 @@ def ray_plane_parameter(
     plane_point: np.ndarray,
     normal: np.ndarray,
 ) -> float | None:
-    """Parameter t with origin + t*direction on the plane; None if parallel,
-    or if direction is zero (a mirrored image on the point it aims at)."""
+    """Parameter t with origin + t*direction on the plane; None if |cos| to the normal
+    is below GRAZING_COS, or if direction is zero (a mirrored image on the point it aims at)."""
     denom = float(direction @ normal)
-    if not abs(denom) > 1e-12 * float(np.linalg.norm(direction)):
+    if not abs(denom) > GRAZING_COS * float(np.linalg.norm(direction)):
         return None
     return float((plane_point - origin) @ normal) / denom
 

@@ -309,6 +309,9 @@ def simulate_measurement(
     Raises:
         ValueError: if a hop's facet has no ground-truth material or
             noise_sigma_db < 0.
+        em.InconsistentMeasurementError: if the noise drawn is below minus the
+            true total, so the receiver's check finds PL below FSPL. The draw
+            is still taken from the rng.
     """
     if noise_sigma_db < 0:
         raise ValueError("noise_sigma_db must be >= 0")

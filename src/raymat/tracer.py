@@ -88,8 +88,7 @@ def _segment_blocked(scene: Scene, start: np.ndarray, end: np.ndarray, ends) -> 
     """True if a facet other than those in ``ends`` cuts the open segment, OCCLUSION_EPS
     away from both ends."""
     direction = end - start
-    maybe, _, _, _ = _crossings(scene, start, end, slice(None), 1.0, OCCLUSION_EPS)
-    for facet in (scene.facets[i] for i in np.flatnonzero(maybe)):
+    for facet in scene.facets:
         if facet in ends:  # Facet compares by identity
             continue
         t = ray_plane_parameter(start, direction, facet.plane_point, facet.normal)
@@ -161,7 +160,7 @@ def _trajectory(
     for facet, origin in zip(reversed(sequence), reversed(images[1:])):
         direction = points[-1] - origin
         t = ray_plane_parameter(origin, direction, facet.plane_point, facet.normal)
-        if t is None or not 1e-12 < t < 1.0 - 1e-12:
+        if t is None or not 0.0 < t < 1.0:
             return None
         rp = origin + t * direction
         if not facet.contains(rp):
@@ -170,7 +169,7 @@ def _trajectory(
     path = [tx, *reversed(points)]
     legs = [b - a for a, b in zip(path, path[1:])]
     lengths = [float(np.linalg.norm(leg)) for leg in legs]
-    if any(length <= OCCLUSION_EPS for length in lengths):
+    if any(length <= OCCLUSION_EPS for length in lengths):  # a hop at a leg's end: no path
         return None
     thetas = []
     for leg, facet in zip(legs, sequence):

@@ -303,10 +303,11 @@ def test_identify_no_hypothesis_exit_code(capsys, tmp_path):
         "p0t0,12.0,0.5\np7t3,12.0,0.5\n",
         "p0t0,12.0,0.5\np0t1,12.0,0.5\n",
         "p0t0,12.0,0.5\nx1,12.0,0.5\n",
+        "p0t0,12.0\n",
     ],
     ids=[
         "nan", "inf", "nan-u", "inf-u", "negative-u", "zero-u", "text", "duplicate",
-        "pair-out-of-range", "no-such-trajectory", "malformed-id",
+        "pair-out-of-range", "no-such-trajectory", "malformed-id", "two-fields",
     ],
 )
 def test_identify_rejects_bad_measurement_rows(capsys, tmp_path, rows):
@@ -544,6 +545,28 @@ def test_grid_syntax_errors(capsys):
     assert "start:stop:step" in err
 
 
+@pytest.mark.parametrize(
+    "angles, message",
+    [("0:80:0", "step must be > 0"), ("0:80:-5", "step must be > 0"), ("80:0:5", "stop must be >= start")],
+)
+def test_grid_must_step_forward(capsys, angles, message):
+    code, out, err = run(capsys, "rl", "--material", "glass", "--freq", "100", "--angles", angles)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("point", ["0,0", "0,0,1,2"])
+def test_point_needs_three_coordinates(capsys, tmp_path, point):
+    scene = tmp_path / "scene.json"
+    scene.write_text(
+        '{"units":"m","facets":[{"id":"floor","vertices":[[-1,-2,0],[5,-2,0],[5,2,0],[-1,2,0]]}]}',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "trace", "--scene", str(scene), "--tx", point, "--rx", "1,0,1")
+    assert (code, out) == (1, "")
+    assert f"point must be x,y,z in meters, got {point!r}" in err
+
+
 def test_custom_material_table(capsys, tmp_path):
     table = tmp_path / "mats.txt"
     table.write_text("brick, 3.91, 0, 0.0238, 0.16, 0.0005\n", encoding="utf-8")
@@ -555,3 +578,49 @@ def test_custom_material_table(capsys, tmp_path):
     assert code == 0
     (row,) = parse_csv(out)
     assert float(row["rl_db"]) > 0
+
+
+def test_simulate_skips_a_draw_above_free_space_with_a_warning(capsys, tmp_path):
+    # at seed 2 the noise drawn for p1t2 exceeds its true total loss, so the
+    # receiver's check finds PL below FSPL: no row for it, every other row kept
+    scene_path, tx_flags, rx_flags = demo_files(tmp_path, capsys)
+    common = ["--scene", str(scene_path), *tx_flags, *rx_flags, "--freq", "100", "--u", "1"]
+    m_path = tmp_path / "m.csv"
+    code, _, err = run(capsys, "simulate", *common, "--noise", "4", "--seed", "2", "--output", str(m_path))
+    assert code == 0
+    assert err.startswith("warning: p1t2: PL - FSPL = ") and err.endswith("; no row written\n")
+    rows = parse_csv(m_path.read_text(encoding="utf-8"))
+    assert len(rows) == 20 and "p1t2" not in {row["trajectory_id"] for row in rows}
+    code, out, _ = run(capsys, "identify", *common, "--measurements", str(m_path))
+    assert code != 1
+    assert out.split("# trajectories skipped (no measurement or out of database range)\n")[1] == "p1t2\n"
+
+
+@pytest.mark.parametrize(
+    "max_angle, skipped",
+    [
+        ("89.9", [
+            "p0t19 (hop 1 (facet 'rail_w', theta=85.1 deg): angle 85.0526 outside grid hull [0, 85])",
+            "p1t14 (hop 1 (facet 'rail_w', theta=85.6 deg): angle 85.5624 outside grid hull [0, 85])",
+        ]),
+        (None, ["p0t19", "p1t14"]),
+    ],
+    ids=["measured", "filtered"],
+)
+def test_identify_skips_hops_outside_the_table_hull(capsys, tmp_path, max_angle, skipped):
+    # p0t19 and p1t14 hop off rail_w at 85.05 and 85.56 deg, past the 0..85 deg
+    # table: measured, identify skips them with the hop named; filtered out by
+    # simulate's default --max-angle, they have no measurement
+    scene_path, tx_flags, rx_flags = demo_files(tmp_path, capsys)
+    common = ["--scene", str(scene_path), *tx_flags, *rx_flags,
+              "--freq", "100", "--u", "1", "--max-bounces", "3"]
+    m_path = tmp_path / "m.csv"
+    extra = ["--max-angle", max_angle] if max_angle else []
+    assert run(capsys, "simulate", *common, *extra, "--output", str(m_path))[0] == 0
+    measured = {row["trajectory_id"] for row in parse_csv(m_path.read_text(encoding="utf-8"))}
+    assert ({"p0t19", "p1t14"} <= measured) == bool(max_angle)
+    code, out, _ = run(capsys, "identify", *common, "--measurements", str(m_path))
+    assert code == 0
+    assert out.split("# trajectories skipped (no measurement or out of database range)\n")[1] == (
+        "".join(f"{line}\n" for line in skipped)
+    )

@@ -15,6 +15,7 @@ from .oracles import (
     fit_kappa_oracle,
     fresnel_rl_oracle,
     permittivity_oracle,
+    roughness_db_oracle,
 )
 
 PRESET_LIST = [WOOD, PLASTER, GLASS]
@@ -222,6 +223,27 @@ def test_rl_angle_array_validation():
         em.reflection_loss(WOOD, 100.0, 0.3, kappa=math.nan)
     air = MaterialParams("air", a=1.0, b=0.0, c=0.0, d=0.0)
     assert em.reflection_loss(air, 100.0, np.array([0.0, 0.3])).tolist() == [math.inf] * 2
+
+
+@pytest.mark.parametrize("theta", [-0.1, math.pi / 2, 2.0, math.nan])
+def test_rl_rejects_a_float_angle_outside_the_quarter_turn(theta):
+    with pytest.raises(ValueError, match=r"\[0, pi/2\) rad, got"):
+        em.reflection_loss(GLASS, 100.0, theta)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@pytest.mark.parametrize("f", [28.0, 100.0, 1000.0])
+def test_roughness_attenuation_matches_independent_oracle(name, f):
+    sigma, kappa = PRESETS[name].roughness_sigma, em.FITTED_ROUGHNESS_KAPPA
+    degrees = [0.0, 30.0, 60.0, 85.0]
+    expected = [roughness_db_oracle(name, f, d, kappa) for d in degrees]
+    for d, want in zip(degrees, expected):
+        assert em.roughness_attenuation_db(sigma, math.radians(d), f, kappa) == pytest.approx(want, abs=1e-12)
+        assert em.roughness_attenuation_db(sigma, math.radians(d), f, 0.0) == 0.0
+        assert em.roughness_attenuation_db(0.0, math.radians(d), f, kappa) == 0.0
+    if sigma:  # with sigma = 0 an angle array gets the float 0.0
+        got = em.roughness_attenuation_db(sigma, np.radians(degrees), f, kappa)
+        assert got.tolist() == pytest.approx(expected, abs=1e-12)
 
 
 def test_fitted_kappa_reproducible():

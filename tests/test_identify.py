@@ -601,6 +601,20 @@ def test_measurement_record_rejects_non_finite_values():
             MeasurementRecord("t1", total, u)
 
 
+def test_measurement_record_rejects_a_negative_uncertainty():
+    with pytest.raises(ValueError, match="uncertainty must be >= 0"):
+        MeasurementRecord("t1", 10.0, -0.5)
+
+
+def test_propagator_rejects_a_trajectory_added_twice():
+    key = RPKey("floor", (0, 0, 0))
+    engine = Propagator(lambda k: k.facet_id)
+    engine.add("t1", [SequenceCandidate(((key, "wood"),), (5.0,), 5.0)])
+    with pytest.raises(ValueError, match="'t1' was already added"):
+        engine.add("t1", [SequenceCandidate(((key, "glass"),), (3.0,), 3.0)])
+    assert engine.domains == {"floor": {"wood"}}
+
+
 def test_identify_loop_reports_uncovered(db100):
     scene, truth = random_scene(3)
     measure = make_measure_fn(scene, truth, 100.0, u_db=1.0)

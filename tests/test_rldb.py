@@ -432,6 +432,36 @@ def test_database_rejects_non_finite_grid_nodes(freqs, angles):
         rldb.RLDatabase([GLASS], freqs, angles, rl)
 
 
+@pytest.mark.parametrize(
+    "materials, freqs, angles, match",
+    [
+        ([GLASS], [], [0.0], "frequency grid must be non-empty"),
+        ([GLASS], [100.0], [], "angle grid must be non-empty"),
+        ([GLASS, WOOD, GLASS], [100.0], [0.0], "material names must be unique"),
+    ],
+    ids=["no-freqs", "no-angles", "repeated-name"],
+)
+def test_database_rejects_empty_grids_and_repeated_names(materials, freqs, angles, match):
+    with pytest.raises(ValueError, match=match):
+        rldb.RLDatabase(materials, freqs, angles, np.ones((len(materials), len(freqs), len(angles))))
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("#version=1\nmaterial,f_ghz,angle_deg,rl_db\nwood,100,0,15.3\n", "#kappa"),
+        (_HEAD, "no data rows"),
+        ("#version=1\n#kappa=0\n", "no data rows"),
+    ],
+    ids=["no-kappa", "header-only", "no-columns"],
+)
+def test_load_rejects_a_file_without_kappa_or_rows(tmp_path, text, match):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(rldb.DatabaseFormatError, match=match):
+        rldb.load(bad)
+
+
 def test_frequency_grid_must_be_positive(tmp_path):
     with pytest.raises(ValueError, match="> 0 GHz"):
         rldb.RLDatabase([GLASS], [0.0, 100.0], [0.0], np.zeros((1, 2, 1)))

@@ -7,7 +7,7 @@ import pytest
 from raymat import tracer
 from raymat.demo import demo_building, demo_positions
 from raymat.geometry import (
-    GRAZING_COS, incident_angle, ray_plane_parameter, reflect_direction, unit,
+    GRAZING_COS, incident_angle, ray_plane_parameter, reflect_direction, unit, validate_convex_polygon,
 )
 from raymat.scene import Facet, Scene, SceneValidationError, load_scene, save_scene, scene_from_dict
 from raymat.settling import check_settling, settling_table
@@ -128,6 +128,14 @@ def test_trace_validation_errors():
         trace(scene, [0, 0, 1], [2, 0, 1], max_bounces=0)
     with pytest.raises(ValueError, match="max_bounces"):
         trace(scene, [0, 0, 1], [2, 0, 1], max_bounces=5)
+
+
+@pytest.mark.parametrize("point", [[0, 0], [0, 0, 1, 0], [[0, 0, 1]]], ids=["2d", "4d", "nested"])
+def test_trace_rejects_an_endpoint_that_is_not_a_3_vector(point):
+    scene = Scene(facets=(Facet("floor", FLOOR_BIG),))
+    for tx, rx in ((point, [2, 0, 1]), ([2, 0, 1], point)):
+        with pytest.raises(ValueError, match="3D points"):
+            trace(scene, tx, rx)
 
 
 def test_endpoints_above_a_lone_small_facet_are_in_bounds():
@@ -537,6 +545,18 @@ def test_a_leg_is_never_occluded_by_its_own_end_facets(case, monkeypatch):
     assert _reprs(trace(scene, tx, rx, 1)) == _reprs([exact])
 
 
+@pytest.mark.parametrize("h, paths", [(1e-13, 0), (1e-10, 0), (4e-7, 0), (6e-7, 1), (2e-6, 1)])
+def test_a_hop_at_a_leg_end_is_no_path(h, paths):
+    """A transmitter h above a lone floor leaves a first leg of about h * sqrt(5): a path
+    exists only if that leg is longer than OCCLUSION_EPS, and that one rule decides it."""
+    floor = Facet("floor", rect((-3, -3, 0), (5, -3, 0), (5, 3, 0), (-3, 3, 0)))
+    tx, rx = np.array([0.0, 0.0, h]), np.array([2.0, 0.0, 1.0])
+    traced = trace(Scene((floor,)), tx, rx, max_bounces=1)
+    assert [t.facet_ids for t in traced] == [("floor",)] * paths
+    exact = _trajectory(Scene((floor,)), (floor,), tx, rx)
+    assert _reprs([] if exact is None else [exact]) == _reprs(traced)
+
+
 # --- check_settling -------------------------------------------------------------
 
 
@@ -624,3 +644,46 @@ def test_scene_loader_bad_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(SceneValidationError, match="JSON"):
         load_scene(path)
+
+
+def test_facet_rejects_an_empty_id_and_a_negative_thickness():
+    with pytest.raises(SceneValidationError, match="id must be non-empty"):
+        Facet("", FLOOR_BIG)
+    with pytest.raises(SceneValidationError, match="thickness must be >= 0"):
+        Facet("floor", FLOOR_BIG, "wood", -0.1)
+
+
+def test_scene_facet_lookup_names_an_unknown_id():
+    with pytest.raises(KeyError, match="no facet with id 'roof'"):
+        Scene(facets=(Facet("floor", FLOOR_BIG),)).facet("roof")
+
+
+_SQUARE = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "facets, match",
+    [
+        ({"id": "floor", "vertices": _SQUARE}, "non-empty 'facets' list"),
+        ([], "non-empty 'facets' list"),
+        ([{"vertices": _SQUARE}], "facet #0 is missing a string 'id'"),
+        ([{"id": 7, "vertices": _SQUARE}], "facet #0 is missing a string 'id'"),
+        ([{"id": "floor"}], "bad or missing 'vertices'"),
+        ([{"id": "floor", "vertices": [[0, 0, 0], [1, "x", 0], [1, 1, 0]]}], "bad or missing 'vertices'"),
+        ([{"id": "floor", "vertices": [[0, 0, 0], [1, 0], [1, 1, 0]]}], "bad or missing 'vertices'"),
+    ],
+    ids=["not-a-list", "empty", "no-id", "number-id", "no-vertices", "text-vertex", "ragged"],
+)
+def test_scene_loader_rejects_malformed_facets(facets, match):
+    with pytest.raises(SceneValidationError, match=match):
+        scene_from_dict({"units": "m", "facets": facets})
+
+
+def test_geometry_rejects_degenerate_inputs():
+    with pytest.raises(ValueError, match="zero vector"):
+        unit(np.zeros(3))
+    for bad in (np.zeros((4, 2)), np.zeros(3), rect((0, 0, 0), (1, 0, 0))):
+        with pytest.raises(ValueError, match=r"\(n, 3\) array"):
+            validate_convex_polygon(bad)
+    with pytest.raises(ValueError, match="zero-length edge"):
+        validate_convex_polygon(rect((0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)))
