@@ -227,34 +227,34 @@ def _cmd_simulate(args) -> int:
         if facet.material_label in catalog:
             ground_truth[facet.facet_id] = catalog[facet.material_label]
     rng = random.Random(args.seed)
+    rows = []  # every row before the file opens, so a failing run writes none
+    for tid, traj in labelled:
+        if any(hop.facet_id not in ground_truth for hop in traj.hops):
+            continue  # unknown-material hop: no ground truth to simulate
+        if any(math.degrees(hop.theta_i) > args.max_angle for hop in traj.hops):
+            continue  # outside the RL-database hull
+        try:
+            record = identify.simulate_measurement(
+                scene,
+                traj,
+                ground_truth,
+                p_tx_dbm=args.ptx,
+                f_ghz=args.freq,
+                noise_sigma_db=args.noise,
+                rng=rng,
+                kappa=args.kappa,
+                uncertainty_db=args.u,
+                trajectory_id=tid,
+            )
+        except em.InconsistentMeasurementError as err:  # the noise put PL below FSPL
+            sys.stderr.write(f"warning: {tid}: {err}; no row written\n")
+            continue
+        rows.append(f"{tid},{_fmt(record.measured_total_rl_db)},{_fmt(record.uncertainty_db)}\n")
     with _open_output(args.output) as fh:
         fh.write(f"#freq_ghz={_fmt(args.freq)}\n#ptx_dbm={_fmt(args.ptx)}\n")
         fh.write(f"#noise_sigma_db={_fmt(args.noise)}\n#seed={args.seed}\n")
         fh.write("trajectory_id,measured_rl_db,u_db\n")
-        for tid, traj in labelled:
-            if any(hop.facet_id not in ground_truth for hop in traj.hops):
-                continue  # unknown-material hop: no ground truth to simulate
-            if any(math.degrees(hop.theta_i) > args.max_angle for hop in traj.hops):
-                continue  # outside the RL-database hull
-            try:
-                record = identify.simulate_measurement(
-                    scene,
-                    traj,
-                    ground_truth,
-                    p_tx_dbm=args.ptx,
-                    f_ghz=args.freq,
-                    noise_sigma_db=args.noise,
-                    rng=rng,
-                    kappa=args.kappa,
-                    uncertainty_db=args.u,
-                    trajectory_id=tid,
-                )
-            except em.InconsistentMeasurementError as err:  # the noise put PL below FSPL
-                sys.stderr.write(f"warning: {tid}: {err}; no row written\n")
-                continue
-            fh.write(
-                f"{tid},{_fmt(record.measured_total_rl_db)},{_fmt(record.uncertainty_db)}\n"
-            )
+        fh.writelines(rows)
     return 0
 
 

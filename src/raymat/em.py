@@ -168,7 +168,7 @@ def roughness_attenuation_db(
     _check_frequency(f_ghz)
     _check_angle(theta_i)
     if kappa == 0 or sigma_m == 0:
-        return 0.0
+        return np.zeros(theta_i.shape) if isinstance(theta_i, np.ndarray) else 0.0
     cos_t = np.cos(theta_i) if isinstance(theta_i, np.ndarray) else math.cos(theta_i)
     return _roughness_db(sigma_m, cos_t, f_ghz, kappa)
 

@@ -17,7 +17,7 @@ GRAZING_COS = 1e-12  # |cos(theta)| below this is grazing: no specular reflectio
 
 def unit(v: np.ndarray) -> np.ndarray:
     """Normalize a vector; raises on (near-)zero input."""
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(v @ v)  # the bits of np.linalg.norm(v)
     if n < 1e-300:
         raise ValueError("cannot normalize a zero vector")
     return v / n
@@ -52,7 +52,7 @@ def validate_convex_polygon(vertices: np.ndarray) -> tuple[np.ndarray, float]:
 
 def mirror_point(point: np.ndarray, plane_point: np.ndarray, normal: np.ndarray) -> np.ndarray:
     """Reflect a point across the plane (plane_point, unit normal)."""
-    d = float((np.asarray(point, dtype=float) - plane_point) @ normal)
+    d = float((point - plane_point) @ normal)
     return point - 2 * d * normal
 
 
@@ -62,15 +62,12 @@ def reflect_direction(direction: np.ndarray, normal: np.ndarray) -> np.ndarray:
 
 
 def ray_plane_parameter(
-    origin: np.ndarray,
-    direction: np.ndarray,
-    plane_point: np.ndarray,
-    normal: np.ndarray,
+    origin: np.ndarray, direction: np.ndarray, plane_point: np.ndarray, normal: np.ndarray
 ) -> float | None:
     """Parameter t with origin + t*direction on the plane; None if |cos| to the normal
     is below GRAZING_COS, or if direction is zero (a mirrored image on the point it aims at)."""
     denom = float(direction @ normal)
-    if not abs(denom) > GRAZING_COS * float(np.linalg.norm(direction)):
+    if not abs(denom) > GRAZING_COS * math.sqrt(direction @ direction):
         return None
     return float((plane_point - origin) @ normal) / denom
 

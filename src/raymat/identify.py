@@ -16,6 +16,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -38,8 +39,8 @@ class RPKey:
 
     @classmethod
     def from_point(cls, facet_id: str, point) -> "RPKey":
-        p = np.asarray(point, dtype=float)
-        return cls(facet_id, tuple(int(round(x / RP_TOLERANCE_M)) for x in p))
+        p = np.asarray(point, dtype=float).tolist()
+        return cls(facet_id, tuple(round(x / RP_TOLERANCE_M) for x in p))
 
 
 @dataclass(frozen=True)
@@ -141,32 +142,19 @@ def enumerate_sequences(
     """
     if not palette:
         raise ValueError("palette must be non-empty")
-    keys = trajectory_keys(traj)
-    angles_deg = [np.degrees(h.theta_i) for h in traj.hops]
-    per_hop: list[dict[str, float]] = []
-    for i, angle in enumerate(angles_deg):
-        row = {}
-        for mat in palette:
-            try:
-                row[mat.name] = db.lookup(mat.name, f_ghz, angle)
-            except OutOfRangeError as err:
-                raise OutOfRangeError(
-                    f"hop {i} (facet {traj.hops[i].facet_id!r}, "
-                    f"theta={angle:.3g} deg): {err}"
-                ) from None
-        per_hop.append(row)
+    per_hop = []  # per hop: ((key, material name), table loss) of each palette material
+    for i, (hop, key) in enumerate(zip(traj.hops, trajectory_keys(traj))):
+        angle = math.degrees(hop.theta_i)  # the bits of np.degrees
+        try:
+            per_hop.append([((key, mat.name), db.lookup(mat.name, f_ghz, angle)) for mat in palette])
+        except OutOfRangeError as err:
+            raise OutOfRangeError(
+                f"hop {i} (facet {hop.facet_id!r}, theta={angle:.3g} deg): {err}"
+            ) from None
     candidates = []
-    for combo in product(palette, repeat=len(traj.hops)):
-        losses = tuple(per_hop[i][mat.name] for i, mat in enumerate(combo))
-        candidates.append(
-            SequenceCandidate(
-                assignment=tuple(
-                    (key, mat.name) for key, mat in zip(keys, combo)
-                ),
-                per_hop_rl_db=losses,
-                total_rl_db=float(sum(losses)),
-            )
-        )
+    for combo in product(*per_hop):
+        assignment, losses = zip(*combo) if combo else ((), ())  # no hops: one empty candidate
+        candidates.append(SequenceCandidate(assignment, losses, float(sum(losses))))
     return candidates
 
 
@@ -225,7 +213,7 @@ class Propagator:
         """Per-RPKey snapshot: an empty set at a key is a contradiction (bad
         measurement or wrong map), and so is every key of a trajectory whose
         hypotheses were all eliminated."""
-        keys = sorted(set().union(*self._coverage.values()))
+        keys = sorted(set().union(*self._coverage.values()), key=attrgetter("facet_id", "cell"))
         rp_domains = {k: set(self.domains.get(self.var(k), ())) for k in keys}
         contradictions = {k for k, dom in rp_domains.items() if not dom}
         for tid, cands in self.survivors.items():
@@ -234,7 +222,7 @@ class Propagator:
         return BeliefState(
             rp_domains=rp_domains,
             survivors={tid: list(c) for tid, c in self.survivors.items()},
-            contradictions=sorted(contradictions),
+            contradictions=sorted(contradictions, key=attrgetter("facet_id", "cell")),
         )
 
     def _map_consistent(self, cand: SequenceCandidate) -> bool:

@@ -43,6 +43,7 @@ class Facet:
     thickness_m: float = 0.0
     normal: np.ndarray = field(init=False)
     area: float = field(init=False)
+    plane_point: np.ndarray = field(init=False, repr=False)  # the first vertex
     # half-planes, one row per edge: inward @ p - offsets >= -slack inside
     inward: np.ndarray = field(init=False, repr=False)
     offsets: np.ndarray = field(init=False, repr=False)
@@ -57,25 +58,20 @@ class Facet:
         except ValueError as err:
             raise SceneValidationError(str(err), facet_id=self.facet_id) from None
         if self.thickness_m < 0:
-            raise SceneValidationError(
-                "thickness must be >= 0", facet_id=self.facet_id
-            )
+            raise SceneValidationError("thickness must be >= 0", facet_id=self.facet_id)
         edges = np.roll(verts, -1, axis=0) - verts
         inward = np.cross(normal, edges)  # normal x edge points inward (CCW)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "area", area)
+        object.__setattr__(self, "plane_point", verts[0])
         object.__setattr__(self, "inward", inward)
         object.__setattr__(self, "offsets", np.sum(inward * verts, axis=1))
         object.__setattr__(self, "slack", 1e-9 * np.maximum(np.linalg.norm(edges, axis=1), 1))
 
-    @property
-    def plane_point(self) -> np.ndarray:
-        return self.vertices[0]
-
     def contains(self, point: np.ndarray) -> bool:
         """Half-plane test against every edge; within ``slack`` of the boundary counts as inside."""
-        return bool(np.all(self.inward @ point - self.offsets >= -self.slack))
+        return bool((self.offsets - self.inward @ point <= self.slack).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +109,7 @@ class Scene:
         # height (3 m), so endpoints off a wall or above a lone floor still
         # count as in-scene; the box is a sanity guard, not a hull
         pad = max(3.0, float((upper - lower).max()))
-        object.__setattr__(self, "_lower", lower - pad)
-        object.__setattr__(self, "_upper", upper + pad)
+        object.__setattr__(self, "_box", tuple(zip((lower - pad - 1e-9).tolist(), (upper + pad + 1e-9).tolist())))
         object.__setattr__(self, "_by_id", {f.facet_id: f for f in facets})
         normals = np.array([f.normal for f in facets])
         plane_points = np.array([f.plane_point for f in facets])
@@ -134,21 +129,21 @@ class Scene:
             raise KeyError(f"no facet with id {facet_id!r}") from None
 
     def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self._lower - 1e-9) and np.all(p <= self._upper + 1e-9))
+        """Whether the 3 coordinates of point lie in the padded box, within 1e-9 m."""
+        return all(lo <= x <= hi for x, (lo, hi) in zip(point, self._box))
 
 
 def scene_from_dict(data: dict) -> Scene:
     """Build and validate a Scene from parsed JSON data."""
     if data.get("units") != "m":
-        raise SceneValidationError(
-            f"units must be 'm', got {data.get('units')!r}"
-        )
+        raise SceneValidationError(f"units must be 'm', got {data.get('units')!r}")
     raw_facets = data.get("facets")
     if not isinstance(raw_facets, list) or not raw_facets:
         raise SceneValidationError("scene needs a non-empty 'facets' list")
     facets = []
     for i, entry in enumerate(raw_facets):
+        if not isinstance(entry, dict):
+            raise SceneValidationError(f"facet #{i} must be a JSON object")
         facet_id = entry.get("id")
         if not isinstance(facet_id, str) or not facet_id:
             raise SceneValidationError(f"facet #{i} is missing a string 'id'")

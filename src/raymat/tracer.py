@@ -1,14 +1,15 @@
 """Deterministic image-method ray tracing for multi-bounce specular paths.
 
-Facet sequences are traced depth first in blocks of at most BLOCK_ROWS rows. Each
-block is mirrored and folded back from the receiver together, and the legs of
-every row that may be valid are tested against every facet at once. A leg meets
-the plane of a facet it reflects off at one of its own ends only at that end, so
-those facets never occlude it, in the batch or in the exact check. Rows that are
-certainly invalid, or have a certainly occluded leg, are dropped. The exact check
-then rebuilds each survivor: its reflection points must lie inside their polygons
-and be genuine crossings, and only the legs the batch could not call clear get the
-exact occlusion test. Facets reflect on both sides.
+Facet sequences are traced depth first in blocks of at most BLOCK_ROWS rows, each
+under one np.errstate. A block is mirrored and folded back from the receiver
+together; then every path node is projected once onto every facet's plane and
+edges, and a leg's crossings interpolate its two nodes. A leg meets the plane of a
+facet it reflects off at one of its own ends only at that end, so those facets never
+occlude it, in the batch or in the exact check. Rows that are certainly invalid, or
+have a certainly occluded leg, are dropped. The exact check rebuilds each survivor:
+its reflection points must lie inside their polygons and be genuine crossings, and
+only legs the batch could not call clear get the exact occlusion test. Facets
+reflect on both sides.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GRAZING_COS, mirror_point, ray_plane_parameter, unit
+from .geometry import GRAZING_COS, mirror_point, ray_plane_parameter
 from .scene import Facet, Scene
 
 OCCLUSION_EPS = 1e-6  # m; other facets met this near a leg's ends (a neighbour at a hop's edge) do not occlude it
@@ -57,31 +58,30 @@ class Trajectory:
         return tuple(h.facet_id for h in self.hops)
 
 
-def _crossings(scene: Scene, a, b, f, growth, near=0.0):
-    """Whether segments a->b may or must cross facets f, their crossing points and growth.
+def _crossings(side_a, side_b, length, growth):
+    """t along segments a->b where they cross the facets' planes, from the signed distances
+    of a and b, and growth times 2|b - a| / |n @ (b - a)|: the bound on how far rounding
+    differences from the exact test have grown, inf or NaN near parallel."""
+    gap = side_a - side_b
+    return side_a / gap, 2 * growth * length / np.abs(gap)
 
-    growth bounds how far rounding differences from the exact test have grown:
-    2|b - a| / |n @ (b - a)| per crossing, so near-parallel rows get an inf or NaN
-    bound. The margin PRUNE_TOL * growth is taken both ways: ``may`` is False only if
-    the crossing lies outside the segment, within ``near`` of an end, or outside a
-    half-plane of f, by more than the margin; ``must`` is True only if it lies beyond
-    ``near`` from both ends and inside every half-plane, by more than the margin, and
-    growth is finite. a, b and f broadcast together. A leg's crossing with a facet at
-    its own end has reach about 0, so ``may`` keeps it; _survivors clears it.
+
+def _on_facets(t, length, inside, slack, growth, near=0.0):
+    """Whether crossings at t along segments of the given length, with half-plane values
+    ``inside`` (inward @ p - offsets, edges last), may or must lie on the facets.
+
+    The margin PRUNE_TOL * growth goes both ways: ``may`` is False only if the crossing
+    lies outside the segment, within ``near`` of an end, or outside a half-plane, by more
+    than the margin; ``must`` is True only if it lies beyond ``near`` from both ends and
+    inside every half-plane, by more than the margin, with growth finite. A crossing with
+    a facet at the segment's own end has reach about 0, so ``may`` keeps it.
     """
-    side_a, side_b = (np.einsum("...j,...j", p, scene.normals[f]) - scene.plane_offsets[f] for p in (a, b))
-    length = np.linalg.norm(d := b - a, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = side_a / (side_a - side_b)
-        growth = 2 * growth * length / np.abs(side_a - side_b)
-        reach, margin = np.minimum(t, 1 - t) * length, PRUNE_TOL * growth
-        point = a + t[..., None] * d
-        inside = np.einsum("...kj,...j->...k", scene.inward[f], point) - scene.offsets[f]
-        # Facet.slack is 1e-9 per metre of edge scale; widen it by PRUNE_TOL * growth
-        widened = scene.slack[f] * (1 + growth[..., None] * (PRUNE_TOL / 1e-9))
-        may = ~(reach < near - margin) & ~(inside < -widened).any(axis=-1)
-        must = (reach > near + margin) & (inside >= widened).all(axis=-1) & np.isfinite(growth)
-    return may, must, point, growth
+    reach, margin = np.minimum(t, 1 - t) * length, PRUNE_TOL * growth
+    # Facet.slack is 1e-9 per metre of edge scale; widen it by PRUNE_TOL * growth
+    widened = slack * (1 + growth[..., None] * (PRUNE_TOL / 1e-9))
+    may = ~((reach < near - margin) | (inside < -widened).any(axis=-1))  # NaN keeps a row
+    must = (reach > near + margin) & (inside >= widened).all(axis=-1) & np.isfinite(growth)
+    return may, must
 
 
 def _segment_blocked(scene: Scene, start: np.ndarray, end: np.ndarray, ends) -> bool:
@@ -95,7 +95,8 @@ def _segment_blocked(scene: Scene, start: np.ndarray, end: np.ndarray, ends) -> 
         if t is None or not 0.0 < t < 1.0:
             continue
         point = start + t * direction
-        near_end = min(np.linalg.norm(point - start), np.linalg.norm(point - end))
+        to_start, to_end = point - start, point - end
+        near_end = math.sqrt(min(to_start @ to_start, to_end @ to_end))
         if near_end > OCCLUSION_EPS and facet.contains(point):
             return True
     return False
@@ -109,13 +110,24 @@ def _survivors(scene: Scene, seqs: np.ndarray, images: np.ndarray, rx: np.ndarra
     Each hop's facet is cleared from the legs into and out of it.
     """
     rows, growth, points = np.arange(len(seqs)), 1.0, [np.broadcast_to(rx, (len(seqs), 3))]
-    for j in reversed(range(seqs.shape[1])):  # fold back from the receiver
-        ok, _, point, growth = _crossings(scene, images[rows, j + 1], points[-1], seqs[rows, j], growth)
-        rows, growth, points = rows[ok], growth[ok], [p[ok] for p in (*points, point)]
-    path = np.stack([images[rows, 0], *reversed(points)], axis=1)  # the last growth bounds every hop
-    may, must, _, _ = _crossings(
-        scene, path[:, :-1, None], path[:, 1:, None], slice(None), growth[:, None, None], OCCLUSION_EPS
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # one per block, for the near-parallel rows
+        for j in reversed(range(seqs.shape[1])):  # fold back from the receiver, one facet a row
+            f, a, b = seqs[rows, j], images[rows, j + 1], points[-1]
+            n, o, d = scene.normals[f], scene.plane_offsets[f], b - a
+            length = np.sqrt(np.einsum("ij,ij->i", d, d))
+            t, growth = _crossings(np.einsum("ij,ij->i", a, n) - o, np.einsum("ij,ij->i", b, n) - o, length, growth)
+            point = a + t[:, None] * d
+            inside = np.einsum("ikj,ij->ik", scene.inward[f], point) - scene.offsets[f]
+            ok, _ = _on_facets(t, length, inside, scene.slack[f], growth)
+            rows, growth, points = rows[ok], growth[ok], [p[ok] for p in (*points, point)]
+        path = np.stack([images[rows, 0], *reversed(points)], axis=1)  # the last growth bounds every hop
+        side = path @ scene.normals.T - scene.plane_offsets  # every node against every facet
+        inside = (path @ scene.inward.reshape(-1, 3).T).reshape(side.shape + scene.offsets.shape[1:]) - scene.offsets
+        d = path[:, 1:] - path[:, :-1]
+        legs = np.sqrt(np.einsum("...j,...j", d, d))[..., None]
+        t, growth = _crossings(side[:, :-1], side[:, 1:], legs, growth[:, None, None])
+        inside = inside[:, :-1] + t[..., None] * (inside[:, 1:] - inside[:, :-1])  # affine in the point
+        may, must = _on_facets(t, legs, inside, scene.slack, growth, OCCLUSION_EPS)
     r, hop, ends = np.arange(len(rows))[:, None], np.arange(seqs.shape[1]), seqs[rows]
     for mask, leg in itertools.product((may, must), (hop, hop + 1)):
         mask[r, leg, ends] = False
@@ -132,7 +144,7 @@ def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int
     row; the image across the last facet is added here.
     """
     n, last = scene.normals[seqs[:, -1]], images[:, -1]
-    side = np.sum(last * n, axis=1) - scene.plane_offsets[seqs[:, -1]]
+    side = np.einsum("ij,ij->i", last, n) - scene.plane_offsets[seqs[:, -1]]
     images = np.concatenate([images, (last - 2 * side[:, None] * n)[:, None]], axis=1)
     yield seqs, images
     if seqs.shape[1] < max_bounces:
@@ -168,12 +180,12 @@ def _trajectory(
         points.append(rp)
     path = [tx, *reversed(points)]
     legs = [b - a for a, b in zip(path, path[1:])]
-    lengths = [float(np.linalg.norm(leg)) for leg in legs]
+    lengths = [math.sqrt(leg @ leg) for leg in legs]  # the bits of np.linalg.norm
     if any(length <= OCCLUSION_EPS for length in lengths):  # a hop at a leg's end: no path
         return None
     thetas = []
-    for leg, facet in zip(legs, sequence):
-        cos_t = abs(float(unit(leg) @ facet.normal))
+    for leg, length, facet in zip(legs, lengths, sequence):
+        cos_t = abs(float((leg / length) @ facet.normal))  # leg / length is unit(leg)
         if cos_t < GRAZING_COS:
             return None
         thetas.append(math.acos(min(cos_t, 1.0)))
@@ -181,14 +193,8 @@ def _trajectory(
     for leg, (a, b, c) in enumerate(zip(path, path[1:], clear)):
         if not c and _segment_blocked(scene, a, b, sequence[max(leg - 1, 0) : leg + 1]):
             return None
-    hops = tuple(
-        Hop(point=rp, facet_id=facet.facet_id, theta_i=theta)
-        for rp, facet, theta in zip(path[1:-1], sequence, thetas)
-    )
-    return Trajectory(
-        tx=path[0], rx=rx, hops=hops,
-        segment_lengths=tuple(lengths), total_length=float(sum(lengths)),
-    )
+    hops = tuple(Hop(point=p, facet_id=f.facet_id, theta_i=th) for p, f, th in zip(path[1:-1], sequence, thetas))
+    return Trajectory(tx=tx, rx=rx, hops=hops, segment_lengths=tuple(lengths), total_length=float(sum(lengths)))
 
 
 def trace(scene: Scene, tx, rx, max_bounces: int = 2) -> list[Trajectory]:
@@ -201,25 +207,25 @@ def trace(scene: Scene, tx, rx, max_bounces: int = 2) -> list[Trajectory]:
         ValueError: if tx == rx, either endpoint is outside the scene bounds,
             or max_bounces is outside [1, 4].
     """
-    tx = np.asarray(tx, dtype=float)
-    rx = np.asarray(rx, dtype=float)
+    tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
     if tx.shape != (3,) or rx.shape != (3,):
         raise ValueError("tx and rx must be 3D points")
-    if float(np.linalg.norm(tx - rx)) < 1e-12:
+    a, b = tx.tolist(), rx.tolist()
+    if math.dist(a, b) < 1e-12:
         raise ValueError("tx and rx must be distinct")
     if not 1 <= max_bounces <= 4:
         raise ValueError(f"max_bounces must be in [1, 4], got {max_bounces}")
-    for label, p in (("tx", tx), ("rx", rx)):
+    for label, p in (("tx", a), ("rx", b)):
         if not scene.contains(p):
-            raise ValueError(f"{label} {p.tolist()} is outside the scene bounds")
+            raise ValueError(f"{label} {p} is outside the scene bounds")
 
     found: list[Trajectory] = []
     first = np.arange(len(scene.facets))[:, None]
-    for seqs, images in _blocks(scene, first, np.tile(tx, (len(first), 1, 1)), max_bounces):
+    for seqs, images in _blocks(scene, first, np.broadcast_to(tx, (len(first), 1, 3)), max_bounces):
         rows, blocked, clear = _survivors(scene, seqs, images, rx)
         open_rows = ~blocked.any(axis=1)
-        for row, clear_legs in zip(rows[open_rows], clear[open_rows]):  # the exact check
-            sequence = tuple(scene.facets[i] for i in seqs[row])
+        for row, clear_legs in zip(seqs[rows[open_rows]].tolist(), clear[open_rows].tolist()):  # the exact check
+            sequence = tuple(scene.facets[i] for i in row)
             if (trajectory := _trajectory(scene, sequence, tx, rx, clear_legs)) is not None:
                 found.append(trajectory)
     found.sort(key=lambda t: (t.bounces, t.total_length, t.facet_ids))

@@ -526,6 +526,26 @@ def test_missing_scene_exits_1(capsys, tmp_path):
     assert "error" in err
 
 
+def test_trace_of_a_scene_with_a_non_object_facet_exits_1(capsys, tmp_path):
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text('{"units": "m", "facets": [1]}', encoding="utf-8")
+    code, out, err = run(capsys, "trace", "--scene", str(scene_path), "--tx", "0,0,1", "--rx", "1,0,1")
+    assert (code, out, err) == (1, "", "error: facet #0 must be a JSON object\n")
+
+
+def test_simulate_that_fails_leaves_no_output_file(capsys, tmp_path):
+    scene_path, tx_flags, rx_flags = demo_files(tmp_path, capsys)
+    m_path = tmp_path / "m.csv"
+    code, _, err = run(
+        capsys,
+        "simulate", "--scene", str(scene_path), *tx_flags, *rx_flags,
+        "--freq", "100", "--u", "1", "--kappa", "-1", "--output", str(m_path),
+    )
+    assert code == 1
+    assert err == "error: roughness kappa must be finite and >= 0, got -1.0\n"
+    assert not m_path.exists()
+
+
 def test_output_dir_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("RAYMAT_OUTPUT_DIR", str(tmp_path))
     code, _, _ = run(

@@ -241,9 +241,19 @@ def test_roughness_attenuation_matches_independent_oracle(name, f):
         assert em.roughness_attenuation_db(sigma, math.radians(d), f, kappa) == pytest.approx(want, abs=1e-12)
         assert em.roughness_attenuation_db(sigma, math.radians(d), f, 0.0) == 0.0
         assert em.roughness_attenuation_db(0.0, math.radians(d), f, kappa) == 0.0
-    if sigma:  # with sigma = 0 an angle array gets the float 0.0
-        got = em.roughness_attenuation_db(sigma, np.radians(degrees), f, kappa)
-        assert got.tolist() == pytest.approx(expected, abs=1e-12)
+    got = em.roughness_attenuation_db(sigma, np.radians(degrees), f, kappa)
+    assert got.tolist() == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sigma, kappa", [(GLASS.roughness_sigma, em.FITTED_ROUGHNESS_KAPPA), (WOOD.roughness_sigma, 0.0)],
+    ids=["glass-sigma-0", "kappa-0"],
+)
+def test_vanishing_roughness_of_an_angle_array_is_an_array_of_zeros(sigma, kappa):
+    assert sigma == 0 or kappa == 0
+    got = em.roughness_attenuation_db(sigma, np.radians([[0.0, 30.0, 60.0], [85.0, 10.0, 45.0]]), 100.0, kappa)
+    assert isinstance(got, np.ndarray) and got.shape == (2, 3) and got.tolist() == [[0.0] * 3] * 2
+    assert em.roughness_attenuation_db(sigma, 0.3, 100.0, kappa) == 0.0
 
 
 def test_fitted_kappa_reproducible():

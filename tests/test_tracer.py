@@ -671,12 +671,55 @@ _SQUARE = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
         ([{"id": "floor"}], "bad or missing 'vertices'"),
         ([{"id": "floor", "vertices": [[0, 0, 0], [1, "x", 0], [1, 1, 0]]}], "bad or missing 'vertices'"),
         ([{"id": "floor", "vertices": [[0, 0, 0], [1, 0], [1, 1, 0]]}], "bad or missing 'vertices'"),
+        ([1], "facet #0 must be a JSON object"),
+        ([{"id": "floor", "vertices": _SQUARE}, "wall"], "facet #1 must be a JSON object"),
     ],
-    ids=["not-a-list", "empty", "no-id", "number-id", "no-vertices", "text-vertex", "ragged"],
+    ids=["not-a-list", "empty", "no-id", "number-id", "no-vertices", "text-vertex", "ragged", "number", "text"],
 )
 def test_scene_loader_rejects_malformed_facets(facets, match):
     with pytest.raises(SceneValidationError, match=match):
         scene_from_dict({"units": "m", "facets": facets})
+
+
+def test_scene_box_test_in_floats_agrees_with_the_numpy_box_test():
+    """Scene.contains compares Python floats with a box it builds once; on and 1e-9
+    m around every face of the box, and for NaN and inf, it agrees with the numpy
+    test it replaced."""
+    scene = Scene((Facet("floor", FLOOR_BIG), Facet("wall", rect((0, 2, 0), (0, 2, 2.5), (3, 2, 2.5), (3, 2, 0)))))
+    stacked = np.vstack([f.vertices for f in scene.facets])
+    lower, upper = stacked.min(axis=0), stacked.max(axis=0)
+    pad = max(3.0, float((upper - lower).max()))
+    lower, upper = lower - pad, upper + pad
+
+    def numpy_box(point):
+        p = np.asarray(point, dtype=float)
+        return bool(np.all(p >= lower - 1e-9) and np.all(p <= upper + 1e-9))
+
+    center = (lower + upper) / 2
+    values = {axis: [] for axis in range(3)}
+    for axis, face in itertools.product(range(3), (lower, upper)):
+        edge = face[axis] + (1e-9 if face is upper else -1e-9)
+        values[axis] += [face[axis], edge, *np.nextafter(edge, [-np.inf, np.inf]), edge - 1e-9, edge + 1e-9]
+    values[0] += [math.nan, math.inf, -math.inf]
+    checked = {True: 0, False: 0}
+    for axis, column in values.items():
+        for value in column:
+            point = center.copy()
+            point[axis] = value
+            assert scene.contains(point.tolist()) == scene.contains(point) == numpy_box(point), (axis, value)
+            checked[numpy_box(point)] += 1
+    assert min(checked.values()) > 10, checked
+
+
+def test_scalar_math_gives_the_bits_of_numpy():
+    """The exact path takes a 3-vector's length as math.sqrt(v @ v) and the table
+    angle as math.degrees: both must equal numpy's own (np.linalg.norm computes
+    sqrt(v.dot(v))), or traces and tables would shift silently."""
+    rng = np.random.default_rng(15)
+    vectors = rng.standard_normal((20000, 3)) * 10.0 ** rng.uniform(-8, 4, (20000, 1))
+    assert [math.sqrt(v @ v) for v in vectors] == [float(np.linalg.norm(v)) for v in vectors]
+    angles = rng.uniform(0, math.pi / 2, 20000).tolist() + [0.0, math.pi / 2, 1e-300]
+    assert [math.degrees(x) for x in angles] == np.degrees(angles).tolist()
 
 
 def test_geometry_rejects_degenerate_inputs():
