@@ -60,6 +60,7 @@ DIGESTS = {
     'settling glass 28': '2c5b9730394af3bb1cfff50e54ce2f48b8e3189e41a1d7dcccc57b67a8bc06da',
     'settling glass 100': '58b0ea4ac7feda7eaec2bd4b8b08522a0ab40849dc079fbd908bff88a9aa86d5',
     'settling glass 1000': '6931061e3a95620fd0a8261ac906dd8a514fbcb6eb1ee0fd3ebe4eb0d22a2b5c',
+    'settling glass 100 --grid-step 0.01': '5fea334aaaddbd9ba0e58a14e8ed7b32ee9311fbd9cb510da8f62d72024987e1',
     'rldb build': 'e8564ee9a015dac48f9f5b87fb14c4fb40eab36de577065f22b7de117f494fc7',
 }
 
@@ -141,6 +142,13 @@ def test_model_digest(capsys, command, material, freq):
     code, out = _stdout(capsys, command[0], "--material", material, "--freq", freq, *command[1:])
     assert code == 0
     _check(f"{command[0]} {material} {freq}", out)
+
+
+def test_settling_explicit_step_digest(capsys):
+    argv = ("settling", "--material", "glass", "--freq", "100", "--grid-step", "0.01")
+    code, out = _stdout(capsys, *argv)
+    assert code == 0
+    _check("settling glass 100 --grid-step 0.01", out)
 
 
 def test_rldb_build_digest(tmp_path):
