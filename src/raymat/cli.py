@@ -155,7 +155,6 @@ def _cmd_settling(args) -> int:
             f_ghz=args.freq,
             theta_i=math.radians(args.theta),
             tol_db=args.tol,
-            h_max_m=None if args.h_max is None else args.h_max * 1e-3,
             grid_step_m=None if args.grid_step is None else args.grid_step * 1e-3,
         )
         results.append(
@@ -312,7 +311,7 @@ def _cmd_identify(args) -> int:
         palette,
         db,
         args.freq,
-        args.u,
+        None,  # every row carries u > 0, so no loop-wide fallback applies
         args.max_bounces,
         measure,
     )
@@ -396,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=0.2, help="band half-width in dB")
     p.add_argument("--theta", type=float, default=0.0, help="degrees")
     p.add_argument("--grid-step", type=float, default=None, help="mm")
-    p.add_argument("--h-max", type=float, default=None, help="mm")
     _add_materials_table(p)
     _add_output(p)
     p.set_defaults(func=_cmd_settling)

@@ -7,7 +7,9 @@ Fresnel value. ``settling_thickness`` finds the smallest such thickness on a
 grid: the band must hold for *every* larger thickness, and the oscillation
 rules out root-finding. The search stops where the decay envelope proves the
 band holds: with |d| = exp(-2*alpha*h) the internal round-trip factor and
-|r| <= 1, the slab-to-thick power ratio lies within
+|r| <= 1 (true of both thick-slab coefficients for any permittivity, up to
+rounding, since the principal root s = sqrt(eta - sin^2(theta)) has
+Re s >= 0), the slab-to-thick power ratio lies within
 [((1-|d|)/(1+|d|))^2, ((1+|d|)/(1-|d|))^2], so no grid point past the
 thickness where that range narrows to +/-tol/2 dB can leave the band.
 """
@@ -30,22 +32,20 @@ MAX_GRID_POINTS = 10**7
 
 
 class NotSettledError(Exception):
-    """The tolerance band is not reached and held within the search ceiling."""
+    """No envelope bound exists, so the band would never provably hold."""
 
 
 @dataclass(frozen=True)
 class SettlingQuery:
     """Inputs of a settling-thickness search.
 
-    ``h_max_m`` and ``grid_step_m`` default to an analytic decay estimate and
-    wavelength/100 respectively when left as None.
+    ``grid_step_m`` defaults to wavelength/100 when left as None.
     """
 
     material: MaterialParams
     f_ghz: float
     theta_i: float = 0.0
     tol_db: float = 0.2
-    h_max_m: float | None = None
     grid_step_m: float | None = None
 
     def __post_init__(self) -> None:
@@ -58,8 +58,17 @@ def default_grid_step(f_ghz: float) -> float:
     return em.SPEED_OF_LIGHT / (f_ghz * 1e9) / 100.0
 
 
-def _decay_rate(material: MaterialParams, f_ghz: float, theta_i: float) -> float:
-    """alpha = -Im q per metre of slab; NotSettledError unless it is > 0."""
+def _envelope_bound(
+    material: MaterialParams, f_ghz: float, theta_i: float, tol_db: float
+) -> float:
+    """Thickness past which the deviation, at most 20*log10((1+|d|)/(1-|d|)),
+    stays within tol_db/2 (see the module docstring).
+
+    Raises:
+        NotSettledError: naming why no such thickness exists: the slab field
+            does not decay (alpha = -Im q per metre is < 0 for a gain medium,
+            0 for a lossless one).
+    """
     eta = em.relative_permittivity(material, f_ghz)
     alpha = -float(np.imag(em.phase_thickness(eta, theta_i, 1.0, f_ghz)))
     if alpha < 0:
@@ -72,70 +81,6 @@ def _decay_rate(material: MaterialParams, f_ghz: float, theta_i: float) -> float
             f"material {material.name!r} is lossless at {f_ghz} GHz; the slab "
             "coefficient oscillates forever and never settles"
         )
-    return alpha
-
-
-def default_h_max(
-    material: MaterialParams,
-    f_ghz: float,
-    theta_i: float = 0.0,
-    tol_db: float = 0.2,
-    grid_step_m: float | None = None,
-) -> float:
-    """Search ceiling: 4x an analytic decay estimate of the settling point.
-
-    The oscillation envelope decays like exp(-2*alpha*h) with
-    alpha = -(2*pi*f/c)*Im sqrt(eta - sin^2(theta)), so the band is entered
-    near ln(K/tol)/(2*alpha) for an envelope prefactor K <= ~17.4 dB.
-
-    Raises:
-        NotSettledError: for lossless materials (no decay, never settles) and
-            gain media (the field grows with thickness, never settles).
-    """
-    alpha = _decay_rate(material, f_ghz, theta_i)
-    estimate = math.log(17.4 / min(tol_db, 17.4)) / (2 * alpha) if tol_db < 17.4 else 0.0
-    step = grid_step_m if grid_step_m is not None else default_grid_step(f_ghz)
-    return max(4 * estimate, 100 * step)
-
-
-def _resolve_grid(query: SettlingQuery) -> tuple[float, float]:
-    """(grid_step, h_max) of a query; its grid is step, 2*step, ... up to h_max.
-
-    Raises:
-        ValueError: if the grid is empty or has more than MAX_GRID_POINTS points.
-    """
-    step = (
-        query.grid_step_m
-        if query.grid_step_m is not None
-        else default_grid_step(query.f_ghz)
-    )
-    h_max = (
-        query.h_max_m
-        if query.h_max_m is not None
-        else default_h_max(query.material, query.f_ghz, query.theta_i, query.tol_db, step)
-    )
-    if not 0 < step < h_max:
-        raise ValueError(f"need 0 < grid_step ({step}) < h_max ({h_max})")
-    points = (h_max - step / 2) / step
-    if not points <= MAX_GRID_POINTS:
-        raise ValueError(
-            f"settling grid of {points:.3g} points (h_max {h_max:.6g} m, step "
-            f"{step:.6g} m) exceeds {MAX_GRID_POINTS:.0e}; set a coarser grid step "
-            "(--grid-step) or a lower ceiling (--h-max)"
-        )
-    return step, h_max
-
-
-def _envelope_bound(material: MaterialParams, f_ghz: float, theta_i: float, tol_db: float):
-    """Thickness past which the deviation, at most 20*log10((1+|d|)/(1-|d|)),
-    stays within tol_db/2 (see the module docstring). None when that bound does
-    not hold: no decay into the slab (alpha <= 0) or a thick |r| > 1.
-    """
-    eta = em.relative_permittivity(material, f_ghz)
-    thick = em.fresnel_thick(eta, theta_i)
-    alpha = -float(np.imag(em.phase_thickness(eta, theta_i, 1.0, f_ghz)))
-    if not (alpha > 0 and abs(thick.te) <= 1 and abs(thick.tm) <= 1):
-        return None
     # (1+|d|)/(1-|d|) = 10^(tol/40) = 1 + g. A larger tol only lowers the
     # bound, so taking it at no more than 1e4 dB keeps it sound and g finite.
     g = math.expm1(min(tol_db, 1e4) / 40 * math.log(10))
@@ -159,37 +104,37 @@ def _band_deviation_db(
 
 
 def settling_thickness(query: SettlingQuery) -> float:
-    """Smallest grid thickness from which the band holds up to the ceiling.
+    """Smallest grid thickness from which the band holds for every thicker slab.
 
-    Returns the smallest grid point h* such that every grid point in
-    [h*, h_max] keeps the slab coefficient within tol_db of the thick-slab
-    value. Reported at grid resolution. Points past the envelope bound are in
-    band by construction and never computed.
+    Returns the smallest grid point h* such that every grid point from h* on
+    keeps the slab coefficient within tol_db of the thick-slab value. Reported
+    at grid resolution. The grid stops one point past the envelope bound:
+    points beyond it are in band by construction and never computed.
 
     Raises:
-        NotSettledError: if the band is not held on [h_max/2, h_max], i.e. the
-            ceiling is too small, or (named in the message) the material is
-            lossless or has gain, so that no ceiling would do.
+        NotSettledError: (named in the message) if the material has gain or
+            is lossless, so that no bound exists.
+        ValueError: if the grid step is not finite and > 0, or the grid up to
+            the bound has more than MAX_GRID_POINTS points.
     """
-    step, h_max = _resolve_grid(query)
-    stop = h_max + step / 2
     bound = _envelope_bound(query.material, query.f_ghz, query.theta_i, query.tol_db)
-    if bound is not None:  # keep one point past the bound: h* may be that point
-        stop = min(stop, max(bound, step) + step)
-    grid = np.arange(step, stop, step)
-    deviation = _band_deviation_db(query.material, query.f_ghz, query.theta_i, grid)
-    tail = grid >= h_max / 2
-    if np.any(deviation[tail] > query.tol_db):
-        worst = float(np.max(deviation[tail]))
-        reason = "increase h_max"
-        try:
-            _decay_rate(query.material, query.f_ghz, query.theta_i)
-        except NotSettledError as err:  # no ceiling would do
-            reason = str(err)
-        raise NotSettledError(
-            f"band of +/-{query.tol_db} dB not held on [h_max/2, h_max] = "
-            f"[{h_max / 2:.6g}, {h_max:.6g}] m (worst deviation {worst:.3g} dB); {reason}"
+    step = (
+        query.grid_step_m
+        if query.grid_step_m is not None
+        else default_grid_step(query.f_ghz)
+    )
+    if not 0 < step < math.inf:
+        raise ValueError(f"grid_step must be finite and > 0, got {step} m")
+    extent = max(bound, step)
+    points = extent / step
+    if not points <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"settling grid of {points:.3g} points (bound {bound:.6g} m, step "
+            f"{step:.6g} m) exceeds {MAX_GRID_POINTS:.0e}; set a coarser grid "
+            "step (--grid-step)"
         )
+    grid = np.arange(step, extent + step, step)  # h* may be the point past the bound
+    deviation = _band_deviation_db(query.material, query.f_ghz, query.theta_i, grid)
     exceeding = np.nonzero(deviation > query.tol_db)[0]
     if len(exceeding) == 0:
         return float(grid[0])

@@ -146,11 +146,11 @@ def test_settling_rejects_an_oversized_grid(capsys, monkeypatch):
         raise AssertionError("a grid was allocated")
 
     monkeypatch.setattr(settling.np, "arange", no_grid)
-    # 1 m at 0.01 um steps: 1e8 points
-    argv = ("settling", "--material", "glass", "--freq", "100", "--h-max", "1000")
-    code, out, err = run(capsys, *argv, "--grid-step", "1e-5")
+    # the 32.8 mm envelope bound at 1 nm steps: 3.3e7 points
+    argv = ("settling", "--material", "glass", "--freq", "100")
+    code, out, err = run(capsys, *argv, "--grid-step", "1e-6")
     assert code == 1 and out == ""
-    assert "1e+08 points" in err and "--grid-step" in err and "--h-max" in err
+    assert "3.28e+07 points" in err and "--grid-step" in err
 
 
 @pytest.mark.parametrize(
@@ -171,18 +171,18 @@ def test_rl_rejects_a_non_finite_table_material_at_its_line(capsys, tmp_path, li
     assert f"{table}:3:" in err and "must be finite" in err
 
 
-@pytest.mark.parametrize(
-    "extra, searched", [((), False), (("--h-max", "50"), True)], ids=["default-h-max", "h-max-50"]
-)
-def test_settling_of_a_gain_medium_names_the_growing_field(capsys, tmp_path, extra, searched):
+@pytest.mark.parametrize("extra", [(), ("--grid-step", "0.01")], ids=["default-step", "step-0.01"])
+def test_settling_of_a_gain_medium_names_the_growing_field(capsys, monkeypatch, tmp_path, extra):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(settling.np, "arange", no_grid)  # refused before any search
     table = tmp_path / "mats.txt"
     table.write_text("gain, 4.0, 0, -0.01, 1.0, 0\n", encoding="utf-8")
     argv = ("settling", "--materials-table", str(table), "--material", "gain")
     code, out, err = run(capsys, *argv, "--freq", "100", *extra)
     assert (code, out) == (1, "")
-    assert "grows with thickness" in err and "increase h_max" not in err
-    # an explicit ceiling runs the search, which still reports how far off it got
-    assert ("worst deviation 19.7 dB" in err) == searched
+    assert "'gain' has gain at 100.0 GHz" in err and "grows with thickness" in err
 
 
 def test_material_table_rejects_a_repeated_name_at_its_line(capsys, tmp_path):
@@ -461,6 +461,37 @@ def test_u_flag_must_be_positive(capsys, command, u):
     )
     assert (code, out) == (1, "")
     assert "usage error: argument --u: must be a finite number > 0" in err
+
+
+def test_identify_u_overrides_every_row(capsys, tmp_path):
+    # one pass over a lone floor; the row sits halfway between the wood and
+    # plaster losses, too far from each to match at its own u of 0.1 dB
+    scene = tmp_path / "scene.json"
+    scene.write_text(
+        '{"units":"m","facets":[{"id":"floor","vertices":'
+        "[[-3,-3,0],[6,-3,0],[6,3,0],[-3,3,0]],"
+        '"material":"wood","thickness_m":0.1}]}',
+        encoding="utf-8",
+    )
+    from raymat import em as _em
+    from raymat.materials import PLASTER, WOOD
+
+    theta = math.atan(1.0)  # tx (0,0,1) to rx (2,0,1) over z=0
+    between = (
+        _em.reflection_loss(WOOD, 100.0, theta) + _em.reflection_loss(PLASTER, 100.0, theta)
+    ) / 2
+    m_path = tmp_path / "m.csv"
+    m_path.write_text(
+        f"trajectory_id,measured_rl_db,u_db\np0t0,{between:.6g},0.1\n", encoding="utf-8"
+    )
+    argv = ("identify", "--scene", str(scene), "--tx", "0,0,1", "--rx", "2,0,1",
+            "--max-bounces", "1", "--freq", "100", "--measurements", str(m_path))
+    no_hypothesis = "# trajectories without surviving hypothesis\n"
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out.split(no_hypothesis)[1].startswith("p0t0\n")
+    code, out, _ = run(capsys, *argv, "--u", "2")
+    assert code == 0 and "floor,plaster|wood" in out.splitlines()
+    assert out.split(no_hypothesis)[1].startswith("#")
 
 
 def test_identify_contradiction_exit_code(capsys, tmp_path):

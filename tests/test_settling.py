@@ -29,16 +29,17 @@ def test_wood_100ghz_reference():
 
 
 def test_huge_tolerance_returns_first_grid_point():
-    h = solve(GLASS, 100.0, tol_db=1e6, h_max_m=0.05, grid_step_m=1e-4)
+    h = solve(GLASS, 100.0, tol_db=1e6, grid_step_m=1e-4)
     assert h == pytest.approx(1e-4, rel=1e-12)
 
 
 def test_band_membership_replay():
-    # every grid point from the returned thickness up to the ceiling stays in band
+    # every grid point from the returned thickness up to 3x the envelope bound
+    # stays in band
     query = settling.SettlingQuery(material=PLASTER, f_ghz=100.0, tol_db=0.2)
     h_star = settling.settling_thickness(query)
     step = settling.default_grid_step(100.0)
-    h_max = settling.default_h_max(PLASTER, 100.0, 0.0, 0.2, step)
+    h_max = 3 * settling._envelope_bound(PLASTER, 100.0, 0.0, 0.2)
     grid = np.arange(step, h_max + step / 2, step)
     eta = em.relative_permittivity(PLASTER, 100.0)
     thin = em.slab_coefficient(eta, 0.0, grid, 100.0)
@@ -74,23 +75,62 @@ def test_tolerance_monotonicity():
         assert solve(GLASS, 100.0, tol_db=tol_hi) <= solve(GLASS, 100.0, tol_db=tol_lo)
 
 
-def test_not_settled_when_ceiling_too_small():
-    with pytest.raises(settling.NotSettledError, match="increase h_max"):
-        solve(GLASS, 100.0, h_max_m=2e-3, grid_step_m=1e-5)
+def _no_grid(*args, **kwargs):
+    raise AssertionError("a grid was allocated")
 
 
-def test_lossless_material_never_settles():
+def test_search_walks_the_grid_to_one_point_past_the_bound(monkeypatch):
+    grids = []
+    deviation = settling._band_deviation_db
+
+    def spy(material, f_ghz, theta_i, grid):
+        grids.append(grid)
+        return deviation(material, f_ghz, theta_i, grid)
+
+    monkeypatch.setattr(settling, "_band_deviation_db", spy)
+    for tol in (0.2, 17.0):
+        h = solve(PLASTER, 100.0, tol_db=tol, grid_step_m=1e-5)
+        bound = settling._envelope_bound(PLASTER, 100.0, 0.0, tol)
+        grid = grids.pop()
+        assert grid[-2] < bound <= grid[-1] and h <= grid[-1]
+
+
+def test_lossless_material_never_settles(monkeypatch):
+    # refused with its cause before any grid is allocated, whatever the step
+    monkeypatch.setattr(settling.np, "arange", _no_grid)
     ideal = MaterialParams("ideal", a=4.0, b=0.0, c=0.0, d=0.0)
-    with pytest.raises(settling.NotSettledError, match="lossless"):
-        settling.default_h_max(ideal, 100.0)
-    # an explicit ceiling runs the search, which names the cause, not the ceiling
-    with pytest.raises(settling.NotSettledError, match=r"worst deviation .* dB\); material 'ideal' is lossless"):
-        solve(ideal, 100.0, h_max_m=0.05, grid_step_m=2e-5)
+    for step in (None, 2e-5):
+        with pytest.raises(settling.NotSettledError, match="material 'ideal' is lossless"):
+            solve(ideal, 100.0, grid_step_m=step)
+
+
+def test_lossless_slab_past_total_internal_reflection_settles():
+    # a < sin^2(theta): the field in the slab is evanescent and decays, so a
+    # c = 0 material settles; its thick |r| is 1, here 1 ulp over by rounding
+    tir = MaterialParams("tir", a=0.5, b=0.0, c=0.0, d=0.0)
+    theta = math.radians(65.0)
+    thick = em.fresnel_thick(em.relative_permittivity(tir, 100.0), theta)
+    assert max(abs(thick.te), abs(thick.tm)) > 1
+    query = settling.SettlingQuery(tir, 100.0, theta, 0.2)
+    assert settling.settling_thickness(query) == _full_grid_search(query)
+
+
+def test_thick_coefficients_never_exceed_one_beyond_rounding():
+    # the envelope bound needs |r| <= 1; Re sqrt(eta - sin^2) >= 0 gives it
+    # for lossy, lossless and gain permittivities alike
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(3000):
+        eta = complex(rng.uniform(0.05, 50.0), rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0, 20))
+        thick = em.fresnel_thick(eta, rng.uniform(0, 1.5))
+        worst = max(worst, abs(thick.te), abs(thick.tm))
+    assert worst <= 1 + 4 * np.finfo(float).eps
 
 
 def test_degenerate_grid_rejected():
-    with pytest.raises(ValueError, match="grid_step"):
-        solve(GLASS, 100.0, h_max_m=1e-3, grid_step_m=2e-3)
+    for step in (0.0, -1e-4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="grid_step must be finite and > 0"):
+            solve(GLASS, 100.0, grid_step_m=step)
     with pytest.raises(ValueError, match="tol_db"):
         settling.SettlingQuery(material=GLASS, f_ghz=100.0, tol_db=0.0)
 
@@ -168,37 +208,25 @@ def test_band_deviation_shrinks_as_interval_doubles():
 
 
 def _full_grid_search(query):
-    """The search over every grid point up to h_max, with no envelope bound:
-    the thickness, or ("not settled", worst tail deviation)."""
+    """The search over every grid point up to 3x the envelope bound (the span
+    test_deviation_past_the_envelope_bound_is_within_half_the_band proves in
+    band), not stopping at the bound itself."""
     step = query.grid_step_m or settling.default_grid_step(query.f_ghz)
-    h_max = query.h_max_m or settling.default_h_max(
-        query.material, query.f_ghz, query.theta_i, query.tol_db, step
-    )
+    bound = settling._envelope_bound(query.material, query.f_ghz, query.theta_i, query.tol_db)
+    h_max = 3 * max(bound, step)
     grid = np.arange(step, h_max + step / 2, step)
     eta = em.relative_permittivity(query.material, query.f_ghz)
     thin = em.slab_coefficient(eta, query.theta_i, grid, query.f_ghz)
     thick = em.fresnel_thick(eta, query.theta_i)
     level = 10 * np.log10((np.abs(thin.te) ** 2 + np.abs(thin.tm) ** 2) / 2)
     deviation = np.abs(level - 10 * math.log10((abs(thick.te) ** 2 + abs(thick.tm) ** 2) / 2))
-    tail = grid >= h_max / 2
-    if np.any(deviation[tail] > query.tol_db):
-        return ("not settled", float(np.max(deviation[tail])))
+    assert np.all(deviation[grid >= h_max / 2] <= query.tol_db)  # the reference settled
     exceeding = np.nonzero(deviation > query.tol_db)[0]
     return float(grid[0]) if len(exceeding) == 0 else float(grid[exceeding[-1] + 1])
 
 
-def _bounded_search(query):
-    try:
-        return settling.settling_thickness(query)
-    except settling.NotSettledError as err:
-        return ("not settled", str(err))
-
-
 def _agree(query):
-    want, got = _full_grid_search(query), _bounded_search(query)
-    if isinstance(want, tuple):
-        return isinstance(got, tuple) and f"worst deviation {want[1]:.3g} dB" in got[1]
-    return got == want
+    return settling.settling_thickness(query) == _full_grid_search(query)
 
 
 @pytest.mark.parametrize("mat", [WOOD, PLASTER, GLASS], ids=lambda m: m.name)
@@ -206,34 +234,45 @@ def test_bounded_search_equals_the_full_grid_search(mat):
     queries = [
         settling.SettlingQuery(material=mat, f_ghz=f, theta_i=math.radians(t), tol_db=tol)
         for f in np.geomspace(28.0, 1000.0, 40).tolist()
-        for tol in (0.05, 0.1, 0.2, 0.5, 1.0, 3.0)
+        for tol in (0.05, 0.1, 0.2, 0.5, 1.0, 3.0, 6.0, 10.0, 17.0, 20.0)
         for t in (0.0, 30.0, 60.0, 85.0)
     ]
-    # explicit ceilings and steps, several of them too low to settle
     explicit = [
-        settling.SettlingQuery(mat, f, 0.3, tol, h_max_m=h_max, grid_step_m=step)
+        settling.SettlingQuery(mat, f, 0.3, tol, grid_step_m=step)
         for f in (28.0, 100.0, 300.0, 1000.0)
-        for h_max in (2e-3, 1e-2, 5e-2, 0.2)
         for step in (1e-5, 1e-4)
         for tol in (0.1, 0.5)
     ]
     # steps so coarse that h* can be the first grid point past the bound
-    explicit += [
-        settling.SettlingQuery(mat, f, 0.3, tol, h_max_m=0.5, grid_step_m=step)
+    coarse = [
+        settling.SettlingQuery(mat, f, 0.3, tol, grid_step_m=step)
         for f in (300.0, 1000.0)
         for step in (1e-3, 2e-3, 5e-3, 1e-2)
         for tol in (0.1, 0.5, 3.0)
     ]
-    disagree = [q for q in queries + explicit if not _agree(q)]
+    disagree = [q for q in queries + explicit + coarse if not _agree(q)]
     assert disagree == []
-    assert sum(isinstance(_full_grid_search(q), tuple) for q in explicit) >= 10
+    past_the_bound = [
+        q for q in coarse
+        if settling.settling_thickness(q)
+        >= settling._envelope_bound(q.material, q.f_ghz, q.theta_i, q.tol_db)
+    ]
+    assert past_the_bound
+
+
+@pytest.mark.parametrize(
+    "f, theta_deg, tol",
+    [(92.20872584116896, 0.0, 17.0), (261.628, 30.0, 20.0)],
+    ids=["92GHz-17dB", "262GHz-20dB"],
+)
+def test_large_tolerance_settles_at_the_reference_thickness(f, theta_deg, tol):
+    query = settling.SettlingQuery(PLASTER, f, math.radians(theta_deg), tol)
+    assert settling.settling_thickness(query) == _full_grid_search(query)
 
 
 @pytest.mark.parametrize(
     "mat",
     [
-        MaterialParams("gain", 4.0, 0.0, -0.01, 1.0),  # grows into the slab: no bound
-        MaterialParams("lossless", 4.0, 0.0, 0.0, 0.0),  # no decay: no bound
         MaterialParams("near_air", 1.01, 0.0, 0.002, 1.0),
         MaterialParams("metal_like", 5.0, 0.0, 50.0, 0.0),
     ],
@@ -242,15 +281,16 @@ def test_bounded_search_equals_the_full_grid_search(mat):
 def test_bounded_search_equals_the_full_grid_search_off_the_presets(mat):
     for f in (28.0, 100.0, 1000.0):
         for tol in (0.05, 0.5, 3.0):
-            query = settling.SettlingQuery(mat, f, 0.4, tol, h_max_m=0.05, grid_step_m=2e-5)
-            assert _agree(query)
+            assert _agree(settling.SettlingQuery(mat, f, 0.4, tol, grid_step_m=2e-5))
 
 
 def test_envelope_bound_applies_only_to_decaying_slabs():
     gain = MaterialParams("gain", 4.0, 0.0, -0.01, 1.0)  # the slab field grows
     lossless = MaterialParams("lossless", 4.0, 0.0, 0.0, 0.0)  # it keeps its level
-    assert settling._envelope_bound(gain, 100.0, 0.4, 0.2) is None
-    assert settling._envelope_bound(lossless, 100.0, 0.4, 0.2) is None
+    with pytest.raises(settling.NotSettledError, match="'gain' has gain .* grows with thickness"):
+        settling._envelope_bound(gain, 100.0, 0.4, 0.2)
+    with pytest.raises(settling.NotSettledError, match="'lossless' is lossless"):
+        settling._envelope_bound(lossless, 100.0, 0.4, 0.2)
     assert settling._envelope_bound(GLASS, 100.0, 0.4, 0.2) > 0
     assert settling._envelope_bound(GLASS, 100.0, 0.4, 1e6) >= 0  # no overflow
 
@@ -269,18 +309,17 @@ def test_deviation_past_the_envelope_bound_is_within_half_the_band(mat, f, theta
 
 
 def test_oversized_grid_fails_before_allocating(monkeypatch):
-    def no_grid(*args, **kwargs):
-        raise AssertionError("a grid was allocated")
-
-    monkeypatch.setattr(settling.np, "arange", no_grid)
+    monkeypatch.setattr(settling.np, "arange", _no_grid)
     lowloss = MaterialParams("lowloss", 2.0, 0.0, 1e-7, 0.0)
-    # the default ceiling here is about 670 km: a 6.3e9-point grid at 0.1 mm
-    with pytest.raises(ValueError, match=r"6\.\d+e\+09 points.*--grid-step.*--h-max"):
+    # the envelope bound here is about 194 km: a 1.8e9-point grid at 0.1 mm
+    with pytest.raises(ValueError, match=r"1\.8\de\+09 points.*\(--grid-step\)$"):
         solve(lowloss, 28.0)
-    with pytest.raises(ValueError, match=r"1e\+08 points"):
-        solve(GLASS, 100.0, h_max_m=1.0, grid_step_m=1e-8)
+    # glass at 100 GHz: a 32.8 mm bound at 1 nm steps
+    with pytest.raises(ValueError, match=r"3\.28e\+07 points"):
+        solve(GLASS, 100.0, grid_step_m=1e-9)
+    # a bound of about 1.9e303 m: the point count overflows
     with pytest.raises(ValueError, match="inf points"):
-        solve(GLASS, 100.0, h_max_m=math.inf, grid_step_m=1e-4)
+        solve(MaterialParams("far", 2.0, 0.0, 1e-305, 0.0), 28.0, grid_step_m=1e-10)
 
 
 def test_csv_writers():
