@@ -33,6 +33,10 @@ DIGESTS = {
     'identify k=3 seed=1': '1d62e809b3998a689c2929f6dabf7f9c2da00fd4808868ff0f4bc64d090a48c5',
     'simulate k=3 seed=7': 'fa6d10a0deddb021082028f90b6e223c81cbfdba9627ab0d6df0847629c9f223',
     'identify k=3 seed=7': '1d62e809b3998a689c2929f6dabf7f9c2da00fd4808868ff0f4bc64d090a48c5',
+    'simulate k=2 seed=2 noise=0.5': '60495ec543f3cd521d3e831ffd84da98c7dcdf953a948f10b40133dd8db9e0fa',
+    'identify k=2 seed=2 noise=0.5': 'fb23704a761f3db3fc07f0ff949a76b293ad55c85d1bd808a57d32d266efc65c',
+    'simulate k=3 seed=4 noise=0.5': 'fb1292c3a869ee00a0ce4d24dfc079036deef424a20e384cb23d99d73613b4a7',
+    'identify k=3 seed=4 noise=0.5': 'a9651560c9cbec8962b73bab239cda78f4e6f1c269f3abb08c96b27a1b644e98',
     'rl wood 28': '6cd1bcb18e0624dd8d2f7ca899db2dc54d89c51d6c1a93d01519d25f0ba8fa30',
     'rl wood 100': 'a942b4244b04d96cc60b2c73a1545cb5dc45eef07d66989d252c0b82217a5813',
     'rl wood 1000': 'fd0c66ec9257bb8957c9869ba0e82584fa4764567d87cbf173b5f6a8b75a5d56',
@@ -113,18 +117,33 @@ def test_trace_digest(demo, capsys, k):
     _check(f"trace k={k}", out)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-@pytest.mark.parametrize("k", [2, 3])
-def test_simulate_identify_digest(demo, capsys, tmp_path, k, seed):
+def _simulate_identify(demo, capsys, tmp_path, k, seed, noise):
+    """The measurement file and ``exit <code>`` + report of a demo simulate/identify run."""
     outdir, _, flags = demo
     common = ["--scene", str(outdir / "demo_building.json"), *flags,
               "--max-bounces", str(k), "--freq", "100", "--u", "1"]
     m_path = tmp_path / "m.csv"
-    argv = ["simulate", *common, "--noise", "0.2", "--seed", str(seed), "--output", str(m_path)]
+    argv = ["simulate", *common, "--noise", noise, "--seed", str(seed), "--output", str(m_path)]
     assert main(argv) == 0
-    _check(f"simulate k={k} seed={seed}", m_path.read_bytes())
     code, out = _stdout(capsys, "identify", *common, "--measurements", str(m_path))
-    _check(f"identify k={k} seed={seed}", b"exit %d\n" % code + out)
+    return m_path.read_bytes(), b"exit %d\n" % code + out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("k", [2, 3])
+def test_simulate_identify_digest(demo, capsys, tmp_path, k, seed):
+    measurements, report = _simulate_identify(demo, capsys, tmp_path, k, seed, "0.2")
+    _check(f"simulate k={k} seed={seed}", measurements)
+    _check(f"identify k={k} seed={seed}", report)
+
+
+@pytest.mark.parametrize(("k", "seed"), [(2, 2), (3, 4)])
+def test_contradicting_identify_digest(demo, capsys, tmp_path, k, seed):
+    """Runs whose propagation ends in a contradiction (exit 2)."""
+    measurements, report = _simulate_identify(demo, capsys, tmp_path, k, seed, "0.5")
+    assert report.startswith(b"exit 2\n")
+    _check(f"simulate k={k} seed={seed} noise=0.5", measurements)
+    _check(f"identify k={k} seed={seed} noise=0.5", report)
 
 
 @pytest.mark.parametrize("freq", ["28", "100", "1000"])
