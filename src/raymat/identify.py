@@ -16,7 +16,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
-from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -171,33 +170,37 @@ class Propagator:
     """Worklist constraint propagation over map variables (AC-3, Mackworth 1977).
 
     ``var(key)`` maps a reflection point to the variable that carries its
-    material. Each trajectory's survivors form one table constraint over its
-    variables; a candidate that gives one variable two materials breaks the
-    map constraint and is dropped on entry. Adding a trajectory intersects
-    the domains of its variables with the materials its survivors use there,
-    prunes its survivors to the domains, and re-queues only the trajectories
-    that watch a variable whose domain shrank. Domains only ever shrink, so a
+    material. Each trajectory is one table over its variables: a row per
+    survivor with its ``variable -> material`` map, less any candidate that
+    gives one variable two materials (it breaks the map constraint). A revise
+    prunes the rows to the domains and narrows the table's variables to what
+    the kept rows use; the trajectories watching a variable that shrank are
+    queued in the order the table names them. Domains only ever shrink, so a
     trajectory pruned to nothing cannot relax constraints it already imposed.
-    While no trajectory is pruned to nothing, the fixpoint does not depend on
-    the order of the adds; once one is (a contradiction), which domains end
-    empty can.
+    The queue order, and so every state, depends only on the inputs; while no
+    trajectory is pruned to nothing, neither does the order of the adds.
     """
 
     def __init__(self, var: Callable[[RPKey], Hashable]):
         self.var = var
         self.domains: dict[Hashable, set[str]] = {}
-        self.survivors: dict[str, list[SequenceCandidate]] = {}
-        self._coverage: dict[str, set[RPKey]] = {}
+        self._tables: dict[str, list[tuple[SequenceCandidate, dict[Hashable, str]]]] = {}
+        self._keys: dict[str, dict[RPKey, Hashable]] = {}  # each trajectory's key -> variable
         self._watchers: dict[Hashable, list[str]] = {}
 
     def add(self, tid: str, candidates: Iterable[SequenceCandidate]) -> None:
         """Add one trajectory's survivors and propagate to the fixpoint."""
-        if tid in self.survivors:
+        if tid in self._tables:
             raise ValueError(f"trajectory {tid!r} was already added")
         candidates = list(candidates)
-        self._coverage[tid] = {key for c in candidates for key, _ in c.assignment}
-        self.survivors[tid] = [c for c in candidates if self._map_consistent(c)]
-        for v in {self.var(key) for key in self._coverage[tid]}:
+        keys = {key: self.var(key) for cand in candidates for key, _ in cand.assignment}
+        self._keys[tid] = keys
+        self._tables[tid] = []
+        for cand in candidates:
+            row: dict[Hashable, str] = {}
+            if all(row.setdefault(keys[key], name) == name for key, name in cand.assignment):
+                self._tables[tid].append((cand, row))
+        for v in dict.fromkeys(keys.values()):
             self._watchers.setdefault(v, []).append(tid)
         queue, queued = deque([tid]), {tid}
         while queue:
@@ -213,50 +216,40 @@ class Propagator:
         """Per-RPKey snapshot: an empty set at a key is a contradiction (bad
         measurement or wrong map), and so is every key of a trajectory whose
         hypotheses were all eliminated."""
-        keys = sorted(set().union(*self._coverage.values()), key=attrgetter("facet_id", "cell"))
-        rp_domains = {k: set(self.domains.get(self.var(k), ())) for k in keys}
-        contradictions = {k for k, dom in rp_domains.items() if not dom}
-        for tid, cands in self.survivors.items():
-            if not cands:
-                contradictions |= self._coverage[tid]
+        variables = {key: v for keys in self._keys.values() for key, v in keys.items()}
+        rp_domains = {key: set(self.domains.get(variables[key], ())) for key in sorted(variables)}
+        contradictions = {key for key, dom in rp_domains.items() if not dom}
+        for tid, table in self._tables.items():
+            if not table:
+                contradictions.update(self._keys[tid])
         return BeliefState(
             rp_domains=rp_domains,
-            survivors={tid: list(c) for tid, c in self.survivors.items()},
-            contradictions=sorted(contradictions, key=attrgetter("facet_id", "cell")),
+            survivors={tid: [cand for cand, _ in table] for tid, table in self._tables.items()},
+            contradictions=sorted(contradictions),
         )
 
-    def _map_consistent(self, cand: SequenceCandidate) -> bool:
-        seen: dict[Hashable, str] = {}
-        return all(
-            seen.setdefault(self.var(key), name) == name
-            for key, name in cand.assignment
-        )
-
-    def _revise(self, tid: str) -> set[Hashable]:
-        """Constrain domains by tid's survivors, then prune them, until stable;
-        returns the variables whose domains shrank."""
-        changed: set[Hashable] = set()
-        while True:
-            cands = self.survivors[tid]
-            support: dict[Hashable, set[str]] = {}
-            for c in cands:
-                for key, name in c.assignment:
-                    support.setdefault(self.var(key), set()).add(name)
-            for v, allowed in support.items():
-                current = self.domains.get(v)
-                if current is None:
-                    self.domains[v] = allowed
-                elif not current <= allowed:
-                    current &= allowed
-                    changed.add(v)
-            kept = [
-                c
-                for c in cands
-                if all(name in self.domains[self.var(k)] for k, name in c.assignment)
-            ]
-            if len(kept) == len(cands):
-                return changed
-            self.survivors[tid] = kept
+    def _revise(self, tid: str) -> list[Hashable]:
+        """Prune tid's rows to the domains, then narrow its variables to the
+        materials of the rows kept (of all its rows, if none is); returns the
+        variables whose domains shrank, in the order the rows name them."""
+        table = self._tables[tid]
+        # a variable without a domain yet allows every material
+        self._tables[tid] = kept = [
+            (cand, row)
+            for cand, row in table
+            if all(name in self.domains.get(v, (name,)) for v, name in row.items())
+        ]
+        support: dict[Hashable, set[str]] = {}
+        for _, row in kept or table:
+            for v, name in row.items():
+                support.setdefault(v, set()).add(name)
+        changed = []
+        for v, allowed in support.items():
+            current = self.domains.setdefault(v, allowed)
+            if not current <= allowed:
+                current &= allowed
+                changed.append(v)
+        return changed
 
 
 def merge_candidates(
@@ -264,9 +257,9 @@ def merge_candidates(
 ) -> BeliefState:
     """Fixpoint constraint propagation across trajectories sharing RPKeys.
 
-    Runs the :class:`Propagator` with every RPKey as its own variable. Unless
-    the states contradict each other, the result does not depend on their
-    order.
+    Runs the :class:`Propagator` with every RPKey as its own variable. The
+    result depends only on the states; unless they contradict each other, not
+    even on their order.
     """
     engine = Propagator(lambda key: key)
     for tid, cands in states:

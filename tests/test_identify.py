@@ -1,10 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+import raymat
 from raymat import em, rldb
 from raymat.demo import demo_building, demo_positions
 from raymat.identify import (
@@ -245,6 +249,60 @@ def test_merge_is_order_insensitive(var):
         assert belief.contradictions == beliefs[0].contradictions
         assert belief.survivors == beliefs[0].survivors
     assert beliefs[0].rp_domains[RP1] == {"glass"}
+
+
+# three 2-hop trajectories on a cycle of facets (w wood, p plaster, g glass):
+# every order of revision ends in a contradiction, and which facets it names
+# depends on the order the worklist revises t0 and t1 in
+CYCLE = {
+    "t0": (("f4", "f3"), ("ww", "pw", "pp")),
+    "t1": (("f3", "f5"), ("wg", "pw", "pp")),
+    "t2": (("f5", "f4"), ("ww", "wg", "pg", "gg")),
+}
+
+
+def cycle_outcomes() -> list:
+    """(domains, contradicted facets, dead trajectories) of the cycle instance,
+    through a per-facet Propagator and through merge_candidates."""
+    names = {"w": "wood", "p": "plaster", "g": "glass"}
+    keys = {fid: RPKey(fid, (i, 0, 0)) for i, fid in enumerate(("f3", "f4", "f5"))}
+    entries = [
+        (tid, [
+            SequenceCandidate(
+                tuple((keys[fid], names[m]) for fid, m in zip(facets, row)), (0.0, 0.0), 0.0
+            )
+            for row in rows
+        ])
+        for tid, (facets, rows) in CYCLE.items()
+    ]
+    beliefs = [propagate(lambda k: k.facet_id, entries).belief(), merge_candidates(entries)]
+    return [
+        (
+            sorted((key.facet_id, sorted(dom)) for key, dom in belief.rp_domains.items()),
+            [key.facet_id for key in belief.contradictions],
+            sorted(tid for tid, cands in belief.survivors.items() if not cands),
+        )
+        for belief in beliefs
+    ]
+
+
+def test_contradicting_instance_has_one_outcome_under_every_hash_seed():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(raymat.__file__))
+    code = "from tests.test_identify import cycle_outcomes; print(repr(cycle_outcomes()))"
+    outputs = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join([src, root]))
+        child = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True,
+            check=False,
+        )
+        assert child.returncode == 0, child.stderr
+        outputs.add(child.stdout)
+    assert outputs == {repr(cycle_outcomes()) + "\n"}
+    for _domains, contradicted, dead in cycle_outcomes():
+        assert contradicted == ["f3", "f4"]
+        assert dead == ["t0"]
 
 
 def test_merge_agrees_with_joint_enumeration_on_reference_instance():
