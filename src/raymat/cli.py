@@ -41,19 +41,45 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Inclusive numeric grid from 'start:stop:step', or a comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("grid step must be > 0")
-        if stop < start:
-            raise ValueError("grid stop must be >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return start + step * np.arange(count)
-    return np.array([float(p) for p in text.split(",")])
+    """Inclusive grid of finite numbers from 'start:stop:step', or a comma list.
+
+    A start:stop:step grid of more than ``settling.MAX_GRID_POINTS`` points is
+    refused before anything is allocated.
+    """
+    stepped = ":" in text
+    parts = text.split(":" if stepped else ",")
+    if stepped and len(parts) != 3:
+        raise ValueError(f"grid must be start:stop:step, got {text!r}")
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    if not stepped:
+        return np.array(values)
+    start, stop, step = values
+    if step <= 0:
+        raise ValueError("grid step must be > 0")
+    if stop < start:
+        raise ValueError("grid stop must be >= start")
+    points = (stop - start) / step + 1e-9
+    if not points < settling.MAX_GRID_POINTS:  # an overflow to inf fails here too
+        raise ValueError(
+            f"grid {text!r} has {points + 1:.3g} points, more than {settling.MAX_GRID_POINTS:.0e}"
+        )
+    return start + step * np.arange(int(math.floor(points)) + 1)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _positive(text: str) -> float:
@@ -424,12 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rx", action="append", required=True)
     p.add_argument("--max-bounces", type=int, default=2)
     p.add_argument("--freq", type=float, required=True, help="GHz")
-    p.add_argument("--ptx", type=float, default=30.0, help="dBm")
-    p.add_argument("--noise", type=float, default=0.0, help="gaussian sigma in dB")
+    p.add_argument("--ptx", type=_finite, default=30.0, help="dBm")
+    p.add_argument("--noise", type=_non_negative, default=0.0, help="gaussian sigma in dB")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--u", type=_positive, default=1.0, help="uncertainty written per row")
     p.add_argument("--kappa", type=float, default=0.0)
-    p.add_argument("--max-angle", type=float, default=MAX_ANGLE_DEG, help="skip steeper hops")
+    p.add_argument("--max-angle", type=_finite, default=MAX_ANGLE_DEG, help="skip steeper hops")
     _add_materials_table(p)
     _add_output(p)
     p.set_defaults(func=_cmd_simulate)

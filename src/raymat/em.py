@@ -55,8 +55,8 @@ class LinkBudget:
 
 
 def _check_frequency(f_ghz: float) -> None:
-    if not f_ghz > 0:
-        raise ValueError(f"frequency must be > 0 GHz, got {f_ghz}")
+    if not 0 < f_ghz < math.inf:
+        raise ValueError(f"frequency must be finite and > 0 GHz, got {f_ghz}")
 
 
 def _check_angle(theta_i: float | np.ndarray) -> None:
@@ -83,7 +83,7 @@ def relative_permittivity(mat: MaterialParams, f_ghz: float) -> complex:
     eta' = a*f^b and eta'' = 17.98*sigma/f with conductivity sigma = c*f^d,
     per the ITU-R P.2040 coefficient model.
     """
-    if not f_ghz > 0:  # inline: this sits on the per-hop path
+    if not 0 < f_ghz < math.inf:  # inline: this sits on the per-hop path
         _check_frequency(f_ghz)
     real = mat.a * f_ghz**mat.b
     imag = 17.98 * mat.c * f_ghz**mat.d / f_ghz

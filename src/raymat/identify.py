@@ -289,13 +289,13 @@ def simulate_measurement(
 
     Raises:
         ValueError: if a hop's facet has no ground-truth material or
-            noise_sigma_db < 0.
+            noise_sigma_db is not a finite number >= 0.
         em.InconsistentMeasurementError: if the noise drawn is below minus the
             true total, so the receiver's check finds PL below FSPL. The draw
             is still taken from the rng.
     """
-    if noise_sigma_db < 0:
-        raise ValueError("noise_sigma_db must be >= 0")
+    if not 0 <= noise_sigma_db < math.inf:
+        raise ValueError(f"noise_sigma_db must be finite and >= 0, got {noise_sigma_db}")
     true_total = 0.0
     for hop in traj.hops:
         scene.facet(hop.facet_id)  # trajectory must belong to this scene

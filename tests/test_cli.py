@@ -606,6 +606,85 @@ def test_grid_must_step_forward(capsys, angles, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "command, grid",
+    [
+        ("rl", "0:inf:1"),
+        ("rl", "0,nan"),
+        ("coeff", "nan:1:0.5"),
+        ("coeff", "0,inf"),
+    ],
+)
+def test_grid_values_must_be_finite(capsys, command, grid):
+    flag = "--angles" if command == "rl" else "--h-grid"
+    code, out, err = run(capsys, command, "--material", "glass", "--freq", "100", flag, grid)
+    assert (code, out) == (1, "")
+    assert err == f"error: grid values must be finite, got {grid!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        (("rldb", "build", "--angles", "0:1e300:1e290"), "1e+10 points"),
+        (("rldb", "build", "--freqs", "1:1e308:1e-300"), "inf points"),
+        (("rl", "--material", "glass", "--freq", "100", "--angles", "0:85:1e-6"), "8.5e+07 points"),
+    ],
+    ids=["angles", "freqs-overflow", "rl-angles"],
+)
+def test_oversized_grid_fails_before_allocating(capsys, monkeypatch, tmp_path, argv, points):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(settling.np, "arange", no_grid)
+    db_path = tmp_path / "db.csv"
+    code, out, err = run(capsys, *argv, "--db", str(db_path)) if argv[0] == "rldb" else run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert points in err and f"more than {settling.MAX_GRID_POINTS:.0e}" in err
+    assert not db_path.exists()
+
+
+@pytest.mark.parametrize("freq", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["rl", "coeff", "settling", "simulate", "identify"])
+def test_frequency_must_be_finite(capsys, tmp_path, command, freq):
+    output = tmp_path / "out.csv"
+    if command in ("simulate", "identify"):
+        scene_path, tx_flags, rx_flags = demo_files(tmp_path, capsys)
+        argv = [command, "--scene", str(scene_path), *tx_flags, *rx_flags]
+        if command == "identify":
+            measurements = tmp_path / "m.csv"
+            measurements.write_text("trajectory_id,measured_rl_db,u_db\np0t0,10,1\n", encoding="utf-8")
+            argv += ["--measurements", str(measurements)]
+    else:
+        argv = [command, "--material", "glass"]
+        argv += {"rl": ["--angles", "0:10:5"], "coeff": ["--h-grid", "0:1:0.5"]}.get(command, [])
+    code, out, err = run(capsys, *argv, "--freq", freq, "--output", str(output))
+    assert (code, out) == (1, "")
+    assert err == f"error: frequency must be finite and > 0 GHz, got {freq}\n"
+    assert not output.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--noise", "nan", "must be a finite number >= 0, got 'nan'"),
+        ("--noise", "-0.5", "must be a finite number >= 0, got '-0.5'"),
+        ("--max-angle", "nan", "must be a finite number, got 'nan'"),
+        ("--ptx", "inf", "must be a finite number, got 'inf'"),
+    ],
+)
+def test_simulate_rejects_a_bad_number_up_front(capsys, tmp_path, flag, value, message):
+    scene_path, tx_flags, rx_flags = demo_files(tmp_path, capsys)
+    m_path = tmp_path / "m.csv"
+    code, out, err = run(
+        capsys,
+        "simulate", "--scene", str(scene_path), *tx_flags, *rx_flags,
+        "--freq", "100", flag, value, "--output", str(m_path),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: argument {flag}: {message}\n")
+    assert not m_path.exists()
+
+
 @pytest.mark.parametrize("point", ["0,0", "0,0,1,2"])
 def test_point_needs_three_coordinates(capsys, tmp_path, point):
     scene = tmp_path / "scene.json"

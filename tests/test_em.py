@@ -47,6 +47,23 @@ def test_permittivity_rejects_bad_frequency(f):
         em.relative_permittivity(GLASS, f)
 
 
+@pytest.mark.parametrize("f", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: em.relative_permittivity(GLASS, f),
+        lambda f: em.reflection_loss(GLASS, f, 0.3),
+        lambda f: em.phase_thickness(4 - 0.1j, 0.3, 0.01, f),
+        lambda f: em.roughness_attenuation_db(0.001, 0.3, f, 1.0),
+        lambda f: em.fspl(f, 10.0),
+    ],
+    ids=["permittivity", "reflection_loss", "phase_thickness", "roughness", "fspl"],
+)
+def test_frequency_must_be_finite(call, f):
+    with pytest.raises(ValueError, match=r"frequency must be finite and > 0 GHz, got (inf|nan)"):
+        call(f)
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 @pytest.mark.parametrize("f", [28.0, 100.0, 1000.0])
 def test_permittivity_matches_independent_oracle(name, f):

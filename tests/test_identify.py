@@ -425,10 +425,11 @@ def test_simulate_requires_ground_truth():
     traj = synthetic_trajectory([20.0], facet_ids=["floor"])
     with pytest.raises(ValueError, match="ground-truth"):
         simulate_measurement(simple_scene(), traj, {}, 30.0, 100.0, 0.0, seed=1)
-    with pytest.raises(ValueError, match="noise_sigma"):
-        simulate_measurement(
-            simple_scene(), traj, {"floor": GLASS}, 30.0, 100.0, -0.1, seed=1
-        )
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma_db must be finite and >= 0"):
+            simulate_measurement(
+                simple_scene(), traj, {"floor": GLASS}, 30.0, 100.0, sigma, seed=1
+            )
 
 
 # --- identify_loop -----------------------------------------------------------------
