@@ -16,6 +16,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -216,8 +217,11 @@ class Propagator:
         """Per-RPKey snapshot: an empty set at a key is a contradiction (bad
         measurement or wrong map), and so is every key of a trajectory whose
         hypotheses were all eliminated."""
+        by_point = attrgetter("facet_id", "cell")
         variables = {key: v for keys in self._keys.values() for key, v in keys.items()}
-        rp_domains = {key: set(self.domains.get(variables[key], ())) for key in sorted(variables)}
+        rp_domains = {
+            key: set(self.domains.get(variables[key], ())) for key in sorted(variables, key=by_point)
+        }
         contradictions = {key for key, dom in rp_domains.items() if not dom}
         for tid, table in self._tables.items():
             if not table:
@@ -225,7 +229,7 @@ class Propagator:
         return BeliefState(
             rp_domains=rp_domains,
             survivors={tid: [cand for cand, _ in table] for tid, table in self._tables.items()},
-            contradictions=sorted(contradictions),
+            contradictions=sorted(contradictions, key=by_point),
         )
 
     def _revise(self, tid: str) -> list[Hashable]:
