@@ -170,16 +170,15 @@ def match_measurement(
 class Propagator:
     """Worklist constraint propagation over map variables (AC-3, Mackworth 1977).
 
-    ``var(key)`` maps a reflection point to the variable that carries its
-    material. Each trajectory is one table over its variables: a row per
-    survivor with its ``variable -> material`` map, less any candidate that
-    gives one variable two materials (it breaks the map constraint). A revise
-    prunes the rows to the domains and narrows the table's variables to what
-    the kept rows use; the trajectories watching a variable that shrank are
-    queued in the order the table names them. Domains only ever shrink, so a
-    trajectory pruned to nothing cannot relax constraints it already imposed.
-    The queue order, and so every state, depends only on the inputs; while no
-    trajectory is pruned to nothing, neither does the order of the adds.
+    ``var(key)`` maps a reflection point to the variable carrying its material.
+    Each trajectory is one table over its variables: a row per survivor, with
+    its ``variable -> material`` map; a candidate that gives one variable two
+    materials breaks the map constraint and is dropped. A revise prunes the
+    rows to the domains, narrows the table's variables to what the kept rows
+    use, and queues the trajectories watching a variable that shrank, in the
+    order the table names them. Domains only shrink, so a trajectory pruned to
+    nothing relaxes nothing. Every state depends only on the inputs; while no
+    trajectory is pruned to nothing, not even on the order of the adds.
     """
 
     def __init__(self, var: Callable[[RPKey], Hashable]):
@@ -190,12 +189,15 @@ class Propagator:
         self._watchers: dict[Hashable, list[str]] = {}
 
     def add(self, tid: str, candidates: Iterable[SequenceCandidate]) -> None:
-        """Add one trajectory's survivors and propagate to the fixpoint."""
+        """Add one trajectory's survivors, which name the same reflection
+        points, and propagate to the fixpoint."""
         if tid in self._tables:
             raise ValueError(f"trajectory {tid!r} was already added")
         candidates = list(candidates)
-        keys = {key: self.var(key) for cand in candidates for key, _ in cand.assignment}
-        self._keys[tid] = keys
+        points = {tuple(key for key, _ in cand.assignment) for cand in candidates}
+        if len(points) > 1:
+            raise ValueError(f"trajectory {tid!r}: candidates name different reflection points")
+        keys = self._keys[tid] = {key: self.var(key) for key in next(iter(points), ())}
         self._tables[tid] = []
         for cand in candidates:
             row: dict[Hashable, str] = {}
@@ -218,10 +220,8 @@ class Propagator:
         measurement or wrong map), and so is every key of a trajectory whose
         hypotheses were all eliminated."""
         by_point = attrgetter("facet_id", "cell")
-        variables = {key: v for keys in self._keys.values() for key, v in keys.items()}
-        rp_domains = {
-            key: set(self.domains.get(variables[key], ())) for key in sorted(variables, key=by_point)
-        }
+        var_of = {k: v for keys in self._keys.values() for k, v in keys.items()}
+        rp_domains = {k: set(self.domains.get(var_of[k], ())) for k in sorted(var_of, key=by_point)}
         contradictions = {key for key, dom in rp_domains.items() if not dom}
         for tid, table in self._tables.items():
             if not table:
@@ -239,8 +239,7 @@ class Propagator:
         table = self._tables[tid]
         # a variable without a domain yet allows every material
         self._tables[tid] = kept = [
-            (cand, row)
-            for cand, row in table
+            (cand, row) for cand, row in table
             if all(name in self.domains.get(v, (name,)) for v, name in row.items())
         ]
         support: dict[Hashable, set[str]] = {}
@@ -263,7 +262,8 @@ def merge_candidates(
 
     Runs the :class:`Propagator` with every RPKey as its own variable. The
     result depends only on the states; unless they contradict each other, not
-    even on their order.
+    even on their order. A trajectory whose candidates name different
+    reflection points, or one named twice, is a ValueError.
     """
     engine = Propagator(lambda key: key)
     for tid, cands in states:

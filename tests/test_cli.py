@@ -625,8 +625,8 @@ def test_grid_values_must_be_finite(capsys, command, grid):
 @pytest.mark.parametrize(
     "argv, points",
     [
-        (("rldb", "build", "--angles", "0:1e300:1e290"), "1e+10 points"),
-        (("rldb", "build", "--freqs", "1:1e308:1e-300"), "inf points"),
+        (("rldb", "build", "--db", "{db}", "--angles", "0:1e300:1e290"), "1e+10 points"),
+        (("rldb", "build", "--db", "{db}", "--freqs", "1:1e308:1e-300"), "inf points"),
         (("rl", "--material", "glass", "--freq", "100", "--angles", "0:85:1e-6"), "8.5e+07 points"),
     ],
     ids=["angles", "freqs-overflow", "rl-angles"],
@@ -637,7 +637,7 @@ def test_oversized_grid_fails_before_allocating(capsys, monkeypatch, tmp_path, a
 
     monkeypatch.setattr(settling.np, "arange", no_grid)
     db_path = tmp_path / "db.csv"
-    code, out, err = run(capsys, *argv, "--db", str(db_path)) if argv[0] == "rldb" else run(capsys, *argv)
+    code, out, err = run(capsys, *(arg.format(db=db_path) for arg in argv))
     assert (code, out) == (1, "")
     assert points in err and f"more than {settling.MAX_GRID_POINTS:.0e}" in err
     assert not db_path.exists()
@@ -652,7 +652,7 @@ def test_frequency_must_be_finite(capsys, tmp_path, command, freq):
         argv = [command, "--scene", str(scene_path), *tx_flags, *rx_flags]
         if command == "identify":
             measurements = tmp_path / "m.csv"
-            measurements.write_text("trajectory_id,measured_rl_db,u_db\np0t0,10,1\n", encoding="utf-8")
+            measurements.write_text("p0t0,10,1\n", encoding="utf-8")
             argv += ["--measurements", str(measurements)]
     else:
         argv = [command, "--material", "glass"]

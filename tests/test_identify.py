@@ -12,6 +12,7 @@ import raymat
 from raymat import em, rldb
 from raymat.demo import demo_building, demo_positions
 from raymat.identify import (
+    BeliefState,
     IdentificationReport,
     MeasurementRecord,
     Propagator,
@@ -672,6 +673,20 @@ def test_propagator_rejects_a_trajectory_added_twice():
     with pytest.raises(ValueError, match="'t1' was already added"):
         engine.add("t1", [SequenceCandidate(((key, "glass"),), (3.0,), 3.0)])
     assert engine.domains == {"floor": {"wood"}}
+
+
+@pytest.mark.parametrize("other", [RP2, RPKey(RP1.facet_id, (0, 0, 0))], ids=["other-facet", "same-facet"])
+def test_a_trajectory_whose_candidates_name_different_points_is_rejected(other):
+    # a trajectory's table is over its reflection points, so every row must name them all
+    a = SequenceCandidate(((RP1, "wood"),), (16.39,), 16.39)
+    b = SequenceCandidate(((other, "glass"),), (7.34,), 7.34)
+    message = "'t1': candidates name different reflection points"
+    with pytest.raises(ValueError, match=message):
+        merge_candidates([("t1", [a, b])])
+    engine = Propagator(lambda k: k.facet_id)
+    with pytest.raises(ValueError, match=message):
+        engine.add("t1", [a, b])
+    assert engine.belief() == BeliefState({}, {}, [])
 
 
 def test_identify_loop_reports_uncovered(db100):
