@@ -185,7 +185,7 @@ class Propagator:
         self.var = var
         self.domains: dict[Hashable, set[str]] = {}
         self._tables: dict[str, list[tuple[SequenceCandidate, dict[Hashable, str]]]] = {}
-        self._keys: dict[str, dict[RPKey, Hashable]] = {}  # each trajectory's key -> variable
+        self._points: dict[str, list[RPKey]] = {}  # each trajectory's reflection points
         self._watchers: dict[Hashable, list[str]] = {}
 
     def add(self, tid: str, candidates: Iterable[SequenceCandidate]) -> None:
@@ -194,16 +194,17 @@ class Propagator:
         if tid in self._tables:
             raise ValueError(f"trajectory {tid!r} was already added")
         candidates = list(candidates)
-        points = {tuple(key for key, _ in cand.assignment) for cand in candidates}
-        if len(points) > 1:
+        points = [key for key, _ in candidates[0].assignment] if candidates else []
+        if any([key for key, _ in cand.assignment] != points for cand in candidates):
             raise ValueError(f"trajectory {tid!r}: candidates name different reflection points")
-        keys = self._keys[tid] = {key: self.var(key) for key in next(iter(points), ())}
+        self._points[tid] = points
+        hop_vars = [self.var(key) for key in points]
         self._tables[tid] = []
         for cand in candidates:
             row: dict[Hashable, str] = {}
-            if all(row.setdefault(keys[key], name) == name for key, name in cand.assignment):
+            if all(row.setdefault(v, m) == m for v, (_, m) in zip(hop_vars, cand.assignment)):
                 self._tables[tid].append((cand, row))
-        for v in dict.fromkeys(keys.values()):
+        for v in dict.fromkeys(hop_vars):
             self._watchers.setdefault(v, []).append(tid)
         queue, queued = deque([tid]), {tid}
         while queue:
@@ -220,12 +221,12 @@ class Propagator:
         measurement or wrong map), and so is every key of a trajectory whose
         hypotheses were all eliminated."""
         by_point = attrgetter("facet_id", "cell")
-        var_of = {k: v for keys in self._keys.values() for k, v in keys.items()}
-        rp_domains = {k: set(self.domains.get(var_of[k], ())) for k in sorted(var_of, key=by_point)}
+        keys = sorted(set().union(*self._points.values()), key=by_point)
+        rp_domains = {k: set(self.domains.get(self.var(k), ())) for k in keys}
         contradictions = {key for key, dom in rp_domains.items() if not dom}
         for tid, table in self._tables.items():
             if not table:
-                contradictions.update(self._keys[tid])
+                contradictions.update(self._points[tid])
         return BeliefState(
             rp_domains=rp_domains,
             survivors={tid: [cand for cand, _ in table] for tid, table in self._tables.items()},
