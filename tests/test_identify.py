@@ -300,8 +300,9 @@ def test_contradicting_instance_has_one_outcome_under_every_hash_seed():
         )
         assert child.returncode == 0, child.stderr
         outputs.add(child.stdout)
-    assert outputs == {repr(cycle_outcomes()) + "\n"}
-    for _domains, contradicted, dead in cycle_outcomes():
+    expected = cycle_outcomes()
+    assert outputs == {repr(expected) + "\n"}
+    for _domains, contradicted, dead in expected:
         assert contradicted == ["f3", "f4"]
         assert dead == ["t0"]
 
