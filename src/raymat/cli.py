@@ -89,6 +89,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _hop_angle(text: str) -> float:
+    value = _finite(text)
+    if not 0 <= value <= 90:
+        raise argparse.ArgumentTypeError(f"must be an angle in [0, 90] degrees, got {text!r}")
+    return value
+
+
 def _parse_point(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
@@ -108,15 +115,17 @@ def _material_catalog(table_path: str | None) -> dict[str, MaterialParams]:
 
 def _resolve_materials(names: str, table_path: str | None) -> list[MaterialParams]:
     catalog = _material_catalog(table_path)
-    out = []
+    picked: dict[str, MaterialParams] = {}
     for name in names.split(","):
         name = name.strip()
         if name not in catalog:
             raise ValueError(
                 f"unknown material {name!r}; known: {', '.join(sorted(catalog))}"
             )
-        out.append(catalog[name])
-    return out
+        if name in picked:
+            raise ValueError(f"material {name!r} is listed twice")
+        picked[name] = catalog[name]
+    return list(picked.values())
 
 
 def _resolve_one(name: str, table_path: str | None) -> MaterialParams:
@@ -154,7 +163,9 @@ def _cmd_coeff(args) -> int:
         fh.write(f"#theta_deg={_fmt(args.theta)}\n")
         fh.write(f"#te_thick_db={_fmt(em.amplitude_db(thick.te))}\n")
         fh.write(f"#tm_thick_db={_fmt(em.amplitude_db(thick.tm))}\n")
-        settling.write_sweep_csv(rows, fh)
+        fh.write("h_m,te_db,tm_db\n")
+        for h, te, tm in rows:
+            fh.write(f"{_fmt(h)},{_fmt(te)},{_fmt(tm)}\n")
     return 0
 
 
@@ -174,20 +185,17 @@ def _cmd_rl(args) -> int:
 
 def _cmd_settling(args) -> int:
     materials = _resolve_materials(args.material, args.materials_table)
-    results = []
+    grid_step_m = None if args.grid_step is None else args.grid_step * 1e-3
+    inputs = f"{_fmt(args.freq)},{_fmt(args.theta)},{_fmt(args.tol)}"
+    rows = []  # every row before the file opens, so a failing run writes none
     for mat in materials:
         query = settling.SettlingQuery(
-            material=mat,
-            f_ghz=args.freq,
-            theta_i=math.radians(args.theta),
-            tol_db=args.tol,
-            grid_step_m=None if args.grid_step is None else args.grid_step * 1e-3,
+            mat, args.freq, math.radians(args.theta), args.tol, grid_step_m
         )
-        results.append(
-            (mat.name, args.freq, args.theta, args.tol, settling.settling_thickness(query))
-        )
+        rows.append(f"{mat.name},{inputs},{_fmt(settling.settling_thickness(query))}\n")
     with _open_output(args.output) as fh:
-        settling.write_settling_csv(results, fh)
+        fh.write("material,f_ghz,theta_deg,tol_db,h_m\n")
+        fh.writelines(rows)
     return 0
 
 
@@ -328,7 +336,7 @@ def _cmd_identify(args) -> int:
         if tid not in measurements:
             return None
         value, u, _ = measurements[tid]
-        return identify.MeasurementRecord(tid, value, args.u or u)
+        return identify.MeasurementRecord(tid, value, u)
 
     _, report = identify.identify_loop(
         scene,
@@ -337,7 +345,7 @@ def _cmd_identify(args) -> int:
         palette,
         db,
         args.freq,
-        None,  # every row carries u > 0, so no loop-wide fallback applies
+        args.u,
         args.max_bounces,
         measure,
     )
@@ -381,105 +389,79 @@ def _cmd_demo(args) -> int:
     return 0
 
 
-def _add_output(p) -> None:
-    p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
-
-
-def _add_materials_table(p) -> None:
-    p.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    # flags shared by several subcommands, each declared once
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", "-o", default=None, help="output path (default stdout)")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument(
         "--materials-table",
         default=None,
         help="plain-text material table extending the built-in presets",
     )
+    freq = argparse.ArgumentParser(add_help=False)
+    freq.add_argument("--freq", type=float, required=True, help="GHz")
+    path = argparse.ArgumentParser(add_help=False)  # simulate and identify must match trace
+    path.add_argument("--scene", required=True)
+    path.add_argument("--tx", action="append", required=True, help="x,y,z m (repeatable)")
+    path.add_argument("--rx", action="append", required=True, help="x,y,z m (repeatable)")
+    path.add_argument("--max-bounces", type=int, default=2)
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="raymat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeff", help="slab reflection coefficient vs thickness")
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[*parents, output])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("coeff", _cmd_coeff, "slab reflection coefficient vs thickness", freq, table)
     p.add_argument("--material", required=True)
-    p.add_argument("--freq", type=float, required=True, help="GHz")
     p.add_argument("--theta", type=float, default=0.0, help="degrees")
     p.add_argument("--h-grid", required=True, help="thickness grid in mm, start:stop:step")
-    _add_materials_table(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_coeff)
 
-    p = sub.add_parser("rl", help="reflection loss vs incident angle")
+    p = command("rl", _cmd_rl, "reflection loss vs incident angle", freq, table)
     p.add_argument("--material", required=True)
-    p.add_argument("--freq", type=float, required=True, help="GHz")
     p.add_argument("--angles", required=True, help="degrees, start:stop:step")
     p.add_argument("--kappa", type=float, default=0.0, help="roughness coefficient")
-    _add_materials_table(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_rl)
 
-    p = sub.add_parser("settling", help="settling thickness of a slab")
+    p = command("settling", _cmd_settling, "settling thickness of a slab", freq, table)
     p.add_argument("--material", required=True, help="name, or comma list")
-    p.add_argument("--freq", type=float, required=True, help="GHz")
-    p.add_argument("--tol", type=float, default=0.2, help="band half-width in dB")
+    p.add_argument("--tol", type=_positive, default=0.2, help="band half-width in dB")
     p.add_argument("--theta", type=float, default=0.0, help="degrees")
-    p.add_argument("--grid-step", type=float, default=None, help="mm")
-    _add_materials_table(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_settling)
+    p.add_argument("--grid-step", type=_positive, default=None, help="mm")
 
-    p = sub.add_parser("rldb", help="build or inspect a reflection-loss database")
+    p = command("rldb", _cmd_rldb, "build or inspect a reflection-loss database", table)
     p.add_argument("action", choices=("build", "show"))
     p.add_argument("--db", required=True, help="database CSV path")
     p.add_argument("--materials", default="wood,plaster,glass")
     p.add_argument("--freqs", default="100", help="GHz grid or comma list")
     p.add_argument("--angles", default=f"0:{MAX_ANGLE_DEG:g}:1", help="degrees grid")
     p.add_argument("--kappa", type=float, default=0.0)
-    _add_materials_table(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_rldb)
 
-    p = sub.add_parser("trace", help="list specular trajectories")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--tx", action="append", required=True, help="x,y,z m (repeatable)")
-    p.add_argument("--rx", action="append", required=True, help="x,y,z m (repeatable)")
-    p.add_argument("--max-bounces", type=int, default=2)
-    _add_output(p)
-    p.set_defaults(func=_cmd_trace)
+    command("trace", _cmd_trace, "list specular trajectories", path)
 
-    p = sub.add_parser("simulate", help="synthesize total-RL measurements")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--tx", action="append", required=True)
-    p.add_argument("--rx", action="append", required=True)
-    p.add_argument("--max-bounces", type=int, default=2)
-    p.add_argument("--freq", type=float, required=True, help="GHz")
+    p = command("simulate", _cmd_simulate, "synthesize total-RL measurements", path, freq, table)
     p.add_argument("--ptx", type=_finite, default=30.0, help="dBm")
     p.add_argument("--noise", type=_non_negative, default=0.0, help="gaussian sigma in dB")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--u", type=_positive, default=1.0, help="uncertainty written per row")
     p.add_argument("--kappa", type=float, default=0.0)
-    p.add_argument("--max-angle", type=_finite, default=MAX_ANGLE_DEG, help="skip steeper hops")
-    _add_materials_table(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_simulate)
+    p.add_argument("--max-angle", type=_hop_angle, default=MAX_ANGLE_DEG, help="skip steeper hops")
 
-    p = sub.add_parser("identify", help="run the full identification pipeline, report per facet")
-    p.add_argument("--scene", required=True)
+    p = command(
+        "identify", _cmd_identify, "run the full identification pipeline, report per facet",
+        path, freq, table,
+    )
     p.add_argument("--measurements", required=True, help="CSV trajectory_id,measured_rl_db,u_db")
-    p.add_argument("--tx", action="append", required=True)
-    p.add_argument("--rx", action="append", required=True)
-    p.add_argument("--max-bounces", type=int, default=2)
-    p.add_argument("--freq", type=float, required=True, help="GHz")
     p.add_argument("--u", type=_positive, default=None, help="override per-row uncertainty")
     p.add_argument("--palette", default="wood,plaster,glass")
-    table = p.add_mutually_exclusive_group()  # a prebuilt table carries its own kappa
-    table.add_argument("--kappa", type=float, default=0.0)
-    table.add_argument("--db", default=None, help="prebuilt database CSV (else built on the fly)")
-    _add_materials_table(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_identify)
+    kappa_or_db = p.add_mutually_exclusive_group()  # a prebuilt table carries its own kappa
+    kappa_or_db.add_argument("--kappa", type=float, default=0.0)
+    kappa_or_db.add_argument("--db", default=None, help="prebuilt database CSV (else built on the fly)")
 
-    p = sub.add_parser("demo", help="write the bundled example scene")
+    p = command("demo", _cmd_demo, "write the bundled example scene")
     p.add_argument("--outdir", default=".")
-    _add_output(p)
-    p.set_defaults(func=_cmd_demo)
 
     return parser
 

@@ -353,9 +353,10 @@ def identify_loop(
     """Trace, enumerate, match, and propagate over every TX-RX pair in order.
 
     Pairs and trajectory ids come from :func:`traced_pairs`. ``measure``
-    returns the measurement for a trajectory or None to leave it out; records
-    with zero uncertainty fall back to the loop-wide ``u_db`` (None: every
-    record must carry its own, else ValueError). Each trajectory with
+    returns the measurement for a trajectory or None to leave it out. A given
+    ``u_db`` is the uncertainty of every measurement; with None each record's
+    own is used as is, so a record at 0 matches only an exact total (see
+    :func:`match_measurement`). Each trajectory with
     survivors is added to one :class:`Propagator` with a variable per facet,
     so the map constraint (one facet, one material) holds within and across
     trajectories. Every pair is traced: each added trajectory can only shrink
@@ -383,13 +384,9 @@ def identify_loop(
             except OutOfRangeError as err:
                 skipped.append(f"{tid} ({err})")
                 continue
-            u = record.uncertainty_db if record.uncertainty_db > 0 else u_db
-            if u is None:
-                raise ValueError(f"measurement for {tid} has zero uncertainty and no loop-wide u_db")
-            survivors = match_measurement(
-                candidates,
-                MeasurementRecord(tid, record.measured_total_rl_db, u),
-            )
+            if u_db is not None:
+                record = MeasurementRecord(tid, record.measured_total_rl_db, u_db)
+            survivors = match_measurement(candidates, record)
             for i, hop in enumerate(traj.hops):
                 hop_losses.setdefault(hop.facet_id, []).append(
                     {c.assignment[i][1]: c.per_hop_rl_db[i] for c in candidates}

@@ -49,8 +49,8 @@ class SettlingQuery:
     grid_step_m: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.tol_db > 0:
-            raise ValueError("tol_db must be > 0")
+        if not 0 < self.tol_db < math.inf:
+            raise ValueError(f"tol_db must be finite and > 0, got {self.tol_db}")
 
 
 def default_grid_step(f_ghz: float) -> float:
@@ -198,19 +198,3 @@ def thickness_sweep(
     return [
         (float(h), float(te), float(tm)) for h, te, tm in zip(grid, te_db, tm_db)
     ]
-
-
-def write_sweep_csv(rows: list[tuple[float, float, float]], fh) -> None:
-    """Write sweep rows as CSV columns h_m, te_db, tm_db."""
-    fh.write("h_m,te_db,tm_db\n")
-    for h, te, tm in rows:
-        fh.write(f"{h:.6g},{te:.6g},{tm:.6g}\n")
-
-
-def write_settling_csv(
-    results: list[tuple[str, float, float, float, float]], fh
-) -> None:
-    """Write settling results as CSV columns material, f_ghz, theta_deg, tol_db, h_m."""
-    fh.write("material,f_ghz,theta_deg,tol_db,h_m\n")
-    for name, f_ghz, theta_deg, tol_db, h_m in results:
-        fh.write(f"{name},{f_ghz:.6g},{theta_deg:.6g},{tol_db:.6g},{h_m:.6g}\n")

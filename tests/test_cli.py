@@ -154,6 +154,19 @@ def test_settling_rejects_an_oversized_grid(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "inf"), ("--tol", "nan"), ("--tol", "0"), ("--grid-step", "-1"), ("--grid-step", "nan")],
+)
+def test_settling_tol_and_grid_step_fail_naming_the_flag(capsys, tmp_path, flag, value):
+    output = tmp_path / "out.csv"
+    argv = ("settling", "--material", "glass", "--freq", "100", flag, value)
+    code, out, err = run(capsys, *argv, "--output", str(output))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: argument {flag}: must be a finite number > 0, got {value!r}\n")
+    assert not output.exists()
+
+
+@pytest.mark.parametrize(
     "line, extra",
     [
         ("bad, nan, 0, 0.01, 1.0, 0", ()),
@@ -536,6 +549,41 @@ def test_identify_contradiction_exit_code(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "command", ["coeff", "rl", "settling", "rldb", "trace", "simulate", "identify", "demo"]
+)
+def test_help_lists_the_shared_flags(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    path_flags = ("--scene", "--tx", "--rx", "--max-bounces")
+    for flag in ("--output", *(path_flags if command in ("trace", "simulate", "identify") else ())):
+        assert flag in out
+
+
+@pytest.mark.parametrize("command", ["rldb", "settling", "identify"])
+def test_a_material_listed_twice_is_an_error(capsys, tmp_path, command):
+    db_path = tmp_path / "db.csv"
+    output = tmp_path / "out.csv"
+    if command == "rldb":
+        argv = ["rldb", "build", "--db", str(db_path), "--materials", "wood, glass,wood"]
+    elif command == "settling":
+        argv = ["settling", "--material", "wood,glass,wood", "--freq", "100"]
+    else:
+        assert run(capsys, "rldb", "build", "--db", str(db_path), "--materials", "wood,glass")[0] == 0
+        scene_path, tx_flags, rx_flags = demo_files(tmp_path, capsys)
+        measurements = tmp_path / "m.csv"
+        measurements.write_text("p0t0,10,1\n", encoding="utf-8")
+        argv = ["identify", "--scene", str(scene_path), *tx_flags, *rx_flags, "--freq", "100",
+                "--measurements", str(measurements), "--db", str(db_path),
+                "--palette", "wood,glass,wood"]
+    code, out, err = run(capsys, *argv, "--output", str(output))
+    assert (code, out, err) == (1, "", "error: material 'wood' is listed twice\n")
+    assert not output.exists()
+    assert command != "rldb" or not db_path.exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     code, _, err = run(capsys, "rl", "--material", "glass", "--bogus", "1")
     assert code == 1
@@ -669,6 +717,8 @@ def test_frequency_must_be_finite(capsys, tmp_path, command, freq):
         ("--noise", "nan", "must be a finite number >= 0, got 'nan'"),
         ("--noise", "-0.5", "must be a finite number >= 0, got '-0.5'"),
         ("--max-angle", "nan", "must be a finite number, got 'nan'"),
+        ("--max-angle", "-5", "must be an angle in [0, 90] degrees, got '-5'"),
+        ("--max-angle", "90.5", "must be an angle in [0, 90] degrees, got '90.5'"),
         ("--ptx", "inf", "must be a finite number, got 'inf'"),
     ],
 )

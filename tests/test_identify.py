@@ -576,19 +576,34 @@ def test_identify_loop_report_ignores_reflection_point_cells(db100):
     assert texts[0] == texts[1]
 
 
-def test_identify_loop_rejects_zero_uncertainty_without_a_fallback(db100):
+def test_identify_loop_u_db_is_every_uncertainty_else_each_record_keeps_its_own(db100):
+    # one pass over a lone floor at 45 deg, where wood and plaster lie 3.2 dB
+    # apart and glass 7 dB below wood
     scene = scene_from_dict({"units": "m", "facets": [
         {"id": "floor", "vertices": [[-3, -3, 0], [6, -3, 0], [6, 3, 0], [-3, 3, 0]]},
     ]})
 
-    def measure(tid, traj):
-        loss = db100.lookup("wood", 100.0, np.degrees(traj.hops[0].theta_i))
-        return MeasurementRecord(tid, loss, 0.0)
+    def survivors(loss_of, u, u_db):
+        def measure(tid, traj):
+            losses = {m.name: db100.lookup(m.name, 100.0, np.degrees(traj.hops[0].theta_i))
+                      for m in PALETTE}
+            return MeasurementRecord(tid, loss_of(losses), u)
 
-    with pytest.raises(ValueError, match="p0t0 has zero uncertainty"):
-        identify_loop(
-            scene, [np.array([0.0, 0, 1])], [np.array([2.0, 0, 1])], PALETTE, db100, 100.0, None, 1, measure
+        belief, _ = identify_loop(
+            scene, [np.array([0.0, 0, 1])], [np.array([2.0, 0, 1])], PALETTE, db100,
+            100.0, u_db, 1, measure,
         )
+        return sorted(c.assignment[0][1] for c in belief.survivors.get("p0t0", []))
+
+    def between(losses):
+        return (losses["wood"] + losses["plaster"]) / 2
+
+    # the loop-wide 2 dB replaces the record's 0.1 dB, which would keep nothing
+    assert survivors(between, 0.1, None) == []
+    assert survivors(between, 0.1, 2.0) == ["plaster", "wood"]
+    # with no loop-wide u, a record at 0 is exact
+    assert survivors(lambda losses: losses["wood"], 0.0, None) == ["wood"]
+    assert survivors(lambda losses: losses["wood"] + 1e-9, 0.0, None) == []
 
 
 def test_report_section_headers_in_order():

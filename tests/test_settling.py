@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -133,6 +132,12 @@ def test_degenerate_grid_rejected():
             solve(GLASS, 100.0, grid_step_m=step)
     with pytest.raises(ValueError, match="tol_db"):
         settling.SettlingQuery(material=GLASS, f_ghz=100.0, tol_db=0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.2, math.inf, math.nan])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match=f"tol_db must be finite and > 0, got {tol}"):
+        settling.SettlingQuery(material=GLASS, f_ghz=100.0, tol_db=tol)
 
 
 def test_settling_table_builds_per_material():
@@ -320,12 +325,3 @@ def test_oversized_grid_fails_before_allocating(monkeypatch):
     # a bound of about 1.9e303 m: the point count overflows
     with pytest.raises(ValueError, match="inf points"):
         solve(MaterialParams("far", 2.0, 0.0, 1e-305, 0.0), 28.0, grid_step_m=1e-10)
-
-
-def test_csv_writers():
-    buf = io.StringIO()
-    settling.write_sweep_csv([(0.001, -7.5, -7.5)], buf)
-    assert buf.getvalue() == "h_m,te_db,tm_db\n0.001,-7.5,-7.5\n"
-    buf = io.StringIO()
-    settling.write_settling_csv([("glass", 1000.0, 0.0, 0.2, 0.00144)], buf)
-    assert buf.getvalue().splitlines()[1] == "glass,1000,0,0.2,0.00144"
