@@ -66,6 +66,7 @@ DIGESTS = {
     'settling glass 1000': '6931061e3a95620fd0a8261ac906dd8a514fbcb6eb1ee0fd3ebe4eb0d22a2b5c',
     'settling glass 100 --grid-step 0.01': '5fea334aaaddbd9ba0e58a14e8ed7b32ee9311fbd9cb510da8f62d72024987e1',
     'rldb build': 'e8564ee9a015dac48f9f5b87fb14c4fb40eab36de577065f22b7de117f494fc7',
+    'rldb show': 'e759c6baf03887ab3143f930562cd1eaad95c5b45ef5215170ad863e9e19f41f',
 }
 
 
@@ -176,3 +177,13 @@ def test_rldb_build_digest(tmp_path):
             "--angles", "0:85:5", "--kappa", "0.0002"]
     assert main(argv) == 0
     _check("rldb build", db.read_bytes())
+
+
+def test_rldb_show_digest(capsys, tmp_path):
+    db = tmp_path / "db.csv"
+    argv = ["rldb", "build", "--db", str(db), "--freqs", "28:1000:162",
+            "--angles", "0:85:5", "--kappa", "0.0002"]
+    assert main(argv) == 0
+    code, out = _stdout(capsys, "rldb", "show", "--db", str(db))
+    assert code == 0
+    _check("rldb show", out)
