@@ -3,10 +3,10 @@
 Pipeline: enumerate every material sequence a multi-bounce trajectory could
 have (with its summed reflection loss from the database), keep the sequences
 compatible with a measured total within its uncertainty, and intersect the
-survivors across trajectories that share a map variable until nothing changes.
-``identify_loop`` uses one variable per facet (the map constraint: one facet,
-one material) and reports per facet; ``merge_candidates`` uses one per
-reflection point, matched by facet id plus a quantized position (cell 1 cm).
+survivors across trajectories that share a facet until nothing changes. The
+facet is the only variable (the map constraint: one facet, one material);
+reflection points (facet plus a 1 cm cell) only label the result.
+``identify_loop`` runs ``merge_candidates`` and reports per facet.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 from operator import attrgetter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -30,9 +30,9 @@ from .tracer import Trajectory, trace
 RP_TOLERANCE_M = 0.01
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class RPKey:
-    """Identity of a reflection point: facet plus position quantized to 1 cm."""
+    """Label of a reflection point: facet plus position quantized to 1 cm."""
 
     facet_id: str
     cell: tuple[int, int, int]
@@ -72,7 +72,8 @@ class MeasurementRecord:
 
 @dataclass
 class BeliefState:
-    """Per-reflection-point material sets plus per-trajectory survivors."""
+    """Material set of each reflection point (each point carries its facet's
+    set) plus per-trajectory survivors."""
 
     rp_domains: dict[RPKey, set[str]]
     survivors: dict[str, list[SequenceCandidate]]
@@ -168,25 +169,24 @@ def match_measurement(
 
 
 class Propagator:
-    """Worklist constraint propagation over map variables (AC-3, Mackworth 1977).
+    """Worklist constraint propagation over facets (AC-3, Mackworth 1977).
 
-    ``var(key)`` maps a reflection point to the variable carrying its material.
-    Each trajectory is one table over its variables: a row per survivor, with
-    its ``variable -> material`` map; a candidate that gives one variable two
-    materials breaks the map constraint and is dropped. A revise prunes the
-    rows to the domains, narrows the table's variables to what the kept rows
-    use, and queues the trajectories watching a variable that shrank, in the
-    order the table names them. Domains only shrink, so a trajectory pruned to
-    nothing relaxes nothing. Every state depends only on the inputs; while no
-    trajectory is pruned to nothing, not even on the order of the adds.
+    Each facet is one variable, its domain the materials it may be made of.
+    Each trajectory is one table over its facets: a row per survivor, with its
+    ``facet -> material`` map; a candidate that gives one facet two materials
+    breaks the map constraint and is dropped. A revise prunes the rows to the
+    domains, narrows the table's facets to what the kept rows use, and queues
+    the trajectories watching a facet that shrank, in the order the table
+    names them. Domains only shrink, so a trajectory pruned to nothing relaxes
+    nothing. Every state depends only on the inputs; while no trajectory is
+    pruned to nothing, not even on the order of the adds.
     """
 
-    def __init__(self, var: Callable[[RPKey], Hashable]):
-        self.var = var
-        self.domains: dict[Hashable, set[str]] = {}
-        self._tables: dict[str, list[tuple[SequenceCandidate, dict[Hashable, str]]]] = {}
+    def __init__(self) -> None:
+        self.domains: dict[str, set[str]] = {}
+        self._tables: dict[str, list[tuple[SequenceCandidate, dict[str, str]]]] = {}
         self._points: dict[str, list[RPKey]] = {}  # each trajectory's reflection points
-        self._watchers: dict[Hashable, list[str]] = {}
+        self._watchers: dict[str, list[str]] = {}
 
     def add(self, tid: str, candidates: Iterable[SequenceCandidate]) -> None:
         """Add one trajectory's survivors, which name the same reflection
@@ -198,31 +198,31 @@ class Propagator:
         if any([key for key, _ in cand.assignment] != points for cand in candidates):
             raise ValueError(f"trajectory {tid!r}: candidates name different reflection points")
         self._points[tid] = points
-        hop_vars = [self.var(key) for key in points]
+        facets = [key.facet_id for key in points]
         self._tables[tid] = []
         for cand in candidates:
-            row: dict[Hashable, str] = {}
-            if all(row.setdefault(v, m) == m for v, (_, m) in zip(hop_vars, cand.assignment)):
+            row: dict[str, str] = {}
+            if all(row.setdefault(f, m) == m for f, (_, m) in zip(facets, cand.assignment)):
                 self._tables[tid].append((cand, row))
-        for v in dict.fromkeys(hop_vars):
-            self._watchers.setdefault(v, []).append(tid)
+        for f in dict.fromkeys(facets):
+            self._watchers.setdefault(f, []).append(tid)
         queue, queued = deque([tid]), {tid}
         while queue:
             t = queue.popleft()
             queued.discard(t)
-            for v in self._revise(t):
-                for w in self._watchers[v]:
+            for f in self._revise(t):
+                for w in self._watchers[f]:
                     if w != t and w not in queued:
                         queue.append(w)
                         queued.add(w)
 
     def belief(self) -> BeliefState:
-        """Per-RPKey snapshot: an empty set at a key is a contradiction (bad
-        measurement or wrong map), and so is every key of a trajectory whose
-        hypotheses were all eliminated."""
+        """Per-RPKey snapshot, each key with its facet's set: an empty set is a
+        contradiction (bad measurement or wrong map), and so is every key of a
+        trajectory whose hypotheses were all eliminated."""
         by_point = attrgetter("facet_id", "cell")
         keys = sorted(set().union(*self._points.values()), key=by_point)
-        rp_domains = {k: set(self.domains.get(self.var(k), ())) for k in keys}
+        rp_domains = {k: set(self.domains.get(k.facet_id, ())) for k in keys}
         contradictions = {key for key, dom in rp_domains.items() if not dom}
         for tid, table in self._tables.items():
             if not table:
@@ -233,40 +233,41 @@ class Propagator:
             contradictions=sorted(contradictions, key=by_point),
         )
 
-    def _revise(self, tid: str) -> list[Hashable]:
-        """Prune tid's rows to the domains, then narrow its variables to the
+    def _revise(self, tid: str) -> list[str]:
+        """Prune tid's rows to the domains, then narrow its facets to the
         materials of the rows kept (of all its rows, if none is); returns the
-        variables whose domains shrank, in the order the rows name them."""
+        facets whose domains shrank, in the order the rows name them."""
         table = self._tables[tid]
-        # a variable without a domain yet allows every material
+        # a facet without a domain yet allows every material
         self._tables[tid] = kept = [
             (cand, row) for cand, row in table
-            if all(name in self.domains.get(v, (name,)) for v, name in row.items())
+            if all(name in self.domains.get(f, (name,)) for f, name in row.items())
         ]
-        support: dict[Hashable, set[str]] = {}
+        support: dict[str, set[str]] = {}
         for _, row in kept or table:
-            for v, name in row.items():
-                support.setdefault(v, set()).add(name)
+            for f, name in row.items():
+                support.setdefault(f, set()).add(name)
         changed = []
-        for v, allowed in support.items():
-            current = self.domains.setdefault(v, allowed)
+        for f, allowed in support.items():
+            current = self.domains.setdefault(f, allowed)
             if not current <= allowed:
                 current &= allowed
-                changed.append(v)
+                changed.append(f)
         return changed
 
 
 def merge_candidates(
     states: Iterable[tuple[str, list[SequenceCandidate]]],
 ) -> BeliefState:
-    """Fixpoint constraint propagation across trajectories sharing RPKeys.
+    """Fixpoint constraint propagation across trajectories sharing facets.
 
-    Runs the :class:`Propagator` with every RPKey as its own variable. The
-    result depends only on the states; unless they contradict each other, not
-    even on their order. A trajectory whose candidates name different
-    reflection points, or one named twice, is a ValueError.
+    Runs the :class:`Propagator`, so every reflection point on a facet carries
+    the facet's material set, however far apart the points lie. The result
+    depends only on the states; unless they contradict each other, not even on
+    their order. A trajectory whose candidates name different reflection
+    points, or one named twice, is a ValueError.
     """
-    engine = Propagator(lambda key: key)
+    engine = Propagator()
     for tid, cands in states:
         engine.add(tid, cands)
     return engine.belief()
@@ -356,17 +357,16 @@ def identify_loop(
     returns the measurement for a trajectory or None to leave it out. A given
     ``u_db`` is the uncertainty of every measurement; with None each record's
     own is used as is, so a record at 0 matches only an exact total (see
-    :func:`match_measurement`). Each trajectory with
-    survivors is added to one :class:`Propagator` with a variable per facet,
-    so the map constraint (one facet, one material) holds within and across
-    trajectories. Every pair is traced: each added trajectory can only shrink
-    domains, so more (or more precise) data never covers or resolves fewer
-    facets. The report is per facet: resolved, ambiguous (with the RL spread
+    :func:`match_measurement`). The trajectories with survivors go, in trace
+    order, to one :func:`merge_candidates`, so the map constraint (one facet,
+    one material) holds within and across trajectories. Every pair is traced:
+    each added trajectory can only shrink domains, so more (or more precise)
+    data never covers or resolves fewer facets. The report is per facet: resolved, ambiguous (with the RL spread
     of its materials over every hop on it), uncovered or contradicted.
     """
     if not tx_positions or not rx_positions:
         raise ValueError("need at least one TX and one RX position")
-    engine = Propagator(lambda key: key.facet_id)
+    entries: list[tuple[str, list[SequenceCandidate]]] = []
     no_hypothesis: list[str] = []
     skipped: list[str] = []
     # per facet: each hop's table loss of every palette material
@@ -394,9 +394,9 @@ def identify_loop(
             if not survivors:
                 no_hypothesis.append(tid)
                 continue
-            engine.add(tid, survivors)
+            entries.append((tid, survivors))
 
-    belief = engine.belief()
+    belief = merge_candidates(entries)
     report = _build_report(scene, belief, hop_losses, no_hypothesis, skipped)
     return belief, report
 
@@ -408,8 +408,7 @@ def _build_report(
     no_hypothesis: list[str],
     skipped: list[str],
 ) -> IdentificationReport:
-    # the engine has one variable per facet, so every key on a facet carries
-    # the facet's domain
+    # every reflection point on a facet carries the facet's set
     facet_domains = {key.facet_id: dom for key, dom in belief.rp_domains.items()}
     conflicted_facets = {key.facet_id for key in belief.contradictions}
     resolved: dict[str, str] = {}

@@ -217,17 +217,14 @@ def test_merge_monotone_under_added_measurements():
         assert after[key] <= dom
 
 
-def propagate(var, entries) -> Propagator:
-    engine = Propagator(var)
+def propagate(entries) -> Propagator:
+    engine = Propagator()
     for tid, cands in entries:
         engine.add(tid, cands)
     return engine
 
 
-@pytest.mark.parametrize(
-    "var", [lambda key: key, lambda key: key.facet_id], ids=["rpkey", "facet"]
-)
-def test_merge_is_order_insensitive(var):
+def test_merge_is_order_insensitive():
     t1 = match_measurement(
         reference_candidates(TRAJ1_ANGLES_DEG, (RP1, RP2)),
         MeasurementRecord("t1", 19.0, 1.0),
@@ -236,20 +233,70 @@ def test_merge_is_order_insensitive(var):
         reference_candidates(TRAJ2_ANGLES_DEG, (RP1, RP3)),
         MeasurementRecord("t2", 21.5, 1.0),
     )
-    # a second point on RP2's facet: a separate variable per key, the same
-    # one per facet
+    # a second point on RP2's facet, which shares RP2's variable
     rp4 = RPKey.from_point(RP2.facet_id, [3.0, -7.5, 3.02])
     t3 = [
         SequenceCandidate(((rp4, name),), (rl,), rl)
         for name, rl in (("plaster", 10.0), ("glass", 11.0))
     ]
     entries = [("t1", t1), ("t2", t2), ("t3", t3)]
-    beliefs = [propagate(var, order).belief() for order in permutations(entries)]
+    beliefs = [propagate(order).belief() for order in permutations(entries)]
     for belief in beliefs[1:]:
         assert belief.rp_domains == beliefs[0].rp_domains
         assert belief.contradictions == beliefs[0].contradictions
         assert belief.survivors == beliefs[0].survivors
     assert beliefs[0].rp_domains[RP1] == {"glass"}
+
+
+def single_hop(facet_id, point, material):
+    """One trajectory's lone survivor: a hop at point with the given material."""
+    return [SequenceCandidate(((RPKey.from_point(facet_id, point), material),), (5.0,), 5.0)]
+
+
+def test_two_materials_far_apart_on_one_facet_contradict():
+    # one facet, two points 2 m apart: the map allows the facet one material
+    glass = single_hop("wall", [1.0, 0.0, 1.0], "glass")
+    plaster = single_hop("wall", [3.0, 0.0, 1.0], "plaster")
+    belief = merge_candidates([("t1", glass), ("t2", plaster)])
+    assert not belief.consistent
+    assert belief.contradictions == [glass[0].assignment[0][0], plaster[0].assignment[0][0]]
+    assert all(dom == set() for dom in belief.rp_domains.values())
+
+
+def test_two_materials_on_one_facet_do_not_depend_on_the_cell_edge():
+    # 2 mm apart across the 1 cm cell edge at x = 1.005, and 3 mm apart inside
+    # one cell: the same facet, so the same contradiction
+    outcomes = []
+    for x_glass, x_plaster, same_cell in ((1.004, 1.006, False), (1.001, 1.004, True)):
+        glass = single_hop("wall", [x_glass, 0.0, 1.0], "glass")
+        plaster = single_hop("wall", [x_plaster, 0.0, 1.0], "plaster")
+        keys = [glass[0].assignment[0][0], plaster[0].assignment[0][0]]
+        assert (keys[0] == keys[1]) == same_cell
+        belief = merge_candidates([("t1", glass), ("t2", plaster)])
+        outcomes.append((belief.consistent, sorted({k.facet_id for k in belief.contradictions}),
+                         sorted({k.facet_id: sorted(d) for k, d in belief.rp_domains.items()}.items())))
+    assert outcomes == [(False, ["wall"], [("wall", [])])] * 2
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_identify_loop_belief_is_merge_candidates_of_its_survivors(db100, k):
+    # the loop's belief is the one merge over the (tid, survivors) it matched,
+    # in trace order, so the report and merge_candidates never disagree
+    scene = demo_building()
+    txs, rxs = demo_positions(scene)
+    truth = {f.facet_id: f.material_label for f in scene.facets}
+    log = []
+    measure = make_measure_fn(scene, truth, 100.0, u_db=1.0, log=log)
+    belief, _ = identify_loop(scene, txs, rxs, PALETTE, db100, 100.0, 1.0, k, measure)
+    entries = []
+    for tid, traj, record, _true in log:
+        survivors = match_measurement(enumerate_sequences(traj, PALETTE, db100, 100.0), record)
+        if survivors:
+            entries.append((tid, survivors))
+    merged = merge_candidates(entries)
+    assert len({key.facet_id for key in merged.rp_domains}) < len(merged.rp_domains)
+    assert belief.rp_domains == merged.rp_domains
+    assert belief.survivors == merged.survivors
 
 
 # three 2-hop trajectories on a cycle of facets (w wood, p plaster, g glass):
@@ -264,7 +311,7 @@ CYCLE = {
 
 def cycle_outcomes() -> list:
     """(domains, contradicted facets, dead trajectories) of the cycle instance,
-    through a per-facet Propagator and through merge_candidates."""
+    through a Propagator and through merge_candidates."""
     names = {"w": "wood", "p": "plaster", "g": "glass"}
     keys = {fid: RPKey(fid, (i, 0, 0)) for i, fid in enumerate(("f3", "f4", "f5"))}
     entries = [
@@ -276,7 +323,7 @@ def cycle_outcomes() -> list:
         ])
         for tid, (facets, rows) in CYCLE.items()
     ]
-    beliefs = [propagate(lambda k: k.facet_id, entries).belief(), merge_candidates(entries)]
+    beliefs = [propagate(entries).belief(), merge_candidates(entries)]
     return [
         (
             sorted((key.facet_id, sorted(dom)) for key, dom in belief.rp_domains.items()),
@@ -684,7 +731,7 @@ def test_measurement_record_rejects_a_negative_uncertainty():
 
 def test_propagator_rejects_a_trajectory_added_twice():
     key = RPKey("floor", (0, 0, 0))
-    engine = Propagator(lambda k: k.facet_id)
+    engine = Propagator()
     engine.add("t1", [SequenceCandidate(((key, "wood"),), (5.0,), 5.0)])
     with pytest.raises(ValueError, match="'t1' was already added"):
         engine.add("t1", [SequenceCandidate(((key, "glass"),), (3.0,), 3.0)])
@@ -699,7 +746,7 @@ def test_a_trajectory_whose_candidates_name_different_points_is_rejected(other):
     message = "'t1': candidates name different reflection points"
     with pytest.raises(ValueError, match=message):
         merge_candidates([("t1", [a, b])])
-    engine = Propagator(lambda k: k.facet_id)
+    engine = Propagator()
     with pytest.raises(ValueError, match=message):
         engine.add("t1", [a, b])
     assert engine.belief() == BeliefState({}, {}, [])
@@ -822,9 +869,9 @@ def test_identify_loop_one_material_per_facet(db100):
 
 
 def test_facet_consistency_strengthens_merge(db100):
-    # one trajectory pins the shared facet via a second, single-hop trajectory
-    # at a *different* point of the same facet; per-key merge alone cannot
-    # transfer that, facet-level consistency can
+    # a single-hop trajectory pins the shared facet at a *different* point of
+    # it than the double-hop trajectory's; facet-level consistency transfers
+    # that to the double hop, which then pins the other facet
     t_double = synthetic_trajectory(
         (12.0, 12.0), facet_ids=["shared", "other"], points=[[0, 0, 1], [2, 0, 1]]
     )
@@ -845,10 +892,11 @@ def test_facet_consistency_strengthens_merge(db100):
         ("td", match_measurement(c_double, MeasurementRecord("td", glass_plaster.total_rl_db, 1.0))),
         ("ts", match_measurement(c_single, MeasurementRecord("ts", glass_single.total_rl_db, 1.0))),
     ]
-    plain = merge_candidates(entries)
-    keyed = {k.facet_id: dom for k, dom in plain.rp_domains.items() if k.facet_id == "other"}
-    assert keyed["other"] == {"glass", "plaster"}  # symmetric totals stay ambiguous
-    engine = propagate(lambda key: key.facet_id, entries)
+    merged = merge_candidates(entries)
+    by_facet = {k.facet_id: dom for k, dom in merged.rp_domains.items()}
+    assert by_facet == {"shared": {"glass"}, "other": {"plaster"}}
+    assert len(merged.rp_domains) == 3  # two points on the shared facet
+    engine = propagate(entries)
     assert engine.domains["shared"] == {"glass"}
     assert engine.domains["other"] == {"plaster"}
     assert engine.belief().consistent
