@@ -280,7 +280,6 @@ def simulate_measurement(
     p_tx_dbm: float,
     f_ghz: float,
     noise_sigma_db: float = 0.0,
-    seed: int | None = None,
     rng: random.Random | None = None,
     kappa: float = 0.0,
     uncertainty_db: float = 0.0,
@@ -290,18 +289,21 @@ def simulate_measurement(
 
     Computes the true per-hop losses from the ground-truth materials, builds
     the received power over the full trajectory length, adds seeded gaussian
-    noise, and runs the link-budget extraction in reverse. Same seed (or rng
-    state), same record.
+    noise drawn from ``rng``, and runs the link-budget extraction in reverse.
+    Same rng state, same record.
 
     Raises:
-        ValueError: if a hop's facet has no ground-truth material or
-            noise_sigma_db is not a finite number >= 0.
+        ValueError: if a hop's facet has no ground-truth material,
+            noise_sigma_db is not a finite number >= 0, or noise is asked for
+            without an rng.
         em.InconsistentMeasurementError: if the noise drawn is below minus the
             true total, so the receiver's check finds PL below FSPL. The draw
             is still taken from the rng.
     """
     if not 0 <= noise_sigma_db < math.inf:
         raise ValueError(f"noise_sigma_db must be finite and >= 0, got {noise_sigma_db}")
+    if noise_sigma_db > 0 and rng is None:
+        raise ValueError("noise_sigma_db > 0 needs an rng to draw the noise from")
     true_total = 0.0
     for hop in traj.hops:
         scene.facet(hop.facet_id)  # trajectory must belong to this scene
@@ -311,8 +313,7 @@ def simulate_measurement(
                 f"facet {hop.facet_id!r} has no ground-truth material"
             )
         true_total += em.reflection_loss(mat, f_ghz, hop.theta_i, kappa=kappa)
-    generator = rng if rng is not None else random.Random(seed)
-    noise = generator.gauss(0.0, noise_sigma_db) if noise_sigma_db > 0 else 0.0
+    noise = rng.gauss(0.0, noise_sigma_db) if noise_sigma_db > 0 else 0.0
     p_rx = p_tx_dbm - em.fspl(f_ghz, traj.total_length) - true_total - noise
     budget = em.extract_total_rl(p_tx_dbm, p_rx, f_ghz, traj.total_length)
     return MeasurementRecord(
