@@ -89,6 +89,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _incident_angle(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < 90:  # nan and inf fail here too
+        raise argparse.ArgumentTypeError(f"must be an angle in [0, 90) degrees, got {text!r}")
+    return value
+
+
 def _hop_angle(text: str) -> float:
     value = _finite(text)
     if not 0 <= value <= 90:
@@ -199,12 +206,14 @@ def _cmd_settling(args) -> int:
     return 0
 
 
-def _cmd_rldb(args) -> int:
-    if args.action == "build":
-        materials = _resolve_materials(args.materials, args.materials_table)
-        db = rldb.build(materials, _parse_grid(args.freqs), _parse_grid(args.angles), args.kappa)
-        db.save(args.db)
-        return 0
+def _cmd_rldb_build(args) -> int:
+    materials = _resolve_materials(args.materials, args.materials_table)
+    db = rldb.build(materials, _parse_grid(args.freqs), _parse_grid(args.angles), args.kappa)
+    db.save(args.db)
+    return 0
+
+
+def _cmd_rldb_show(args) -> int:
     db = rldb.load(args.db)
     with _open_output(args.output) as fh:
         fh.write(f"#version={rldb.FORMAT_VERSION}\n")
@@ -401,6 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     freq = argparse.ArgumentParser(add_help=False)
     freq.add_argument("--freq", type=float, required=True, help="GHz")
+    theta = argparse.ArgumentParser(add_help=False)
+    theta.add_argument("--theta", type=_incident_angle, default=0.0, help="degrees, in [0, 90)")
     path = argparse.ArgumentParser(add_help=False)  # simulate and identify must match trace
     path.add_argument("--scene", required=True)
     path.add_argument("--tx", action="append", required=True, help="x,y,z m (repeatable)")
@@ -410,14 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="raymat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, *parents):
-        p = sub.add_parser(name, help=help, parents=[*parents, output])
+    def command(name, func, help, *parents, into=sub):
+        p = into.add_parser(name, help=help, parents=[*parents, output])
         p.set_defaults(func=func)
         return p
 
-    p = command("coeff", _cmd_coeff, "slab reflection coefficient vs thickness", freq, table)
+    p = command("coeff", _cmd_coeff, "slab reflection coefficient vs thickness", freq, theta, table)
     p.add_argument("--material", required=True)
-    p.add_argument("--theta", type=float, default=0.0, help="degrees")
     p.add_argument("--h-grid", required=True, help="thickness grid in mm, start:stop:step")
 
     p = command("rl", _cmd_rl, "reflection loss vs incident angle", freq, table)
@@ -425,19 +435,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", required=True, help="degrees, start:stop:step")
     p.add_argument("--kappa", type=float, default=0.0, help="roughness coefficient")
 
-    p = command("settling", _cmd_settling, "settling thickness of a slab", freq, table)
+    p = command("settling", _cmd_settling, "settling thickness of a slab", freq, theta, table)
     p.add_argument("--material", required=True, help="name, or comma list")
     p.add_argument("--tol", type=_positive, default=0.2, help="band half-width in dB")
-    p.add_argument("--theta", type=float, default=0.0, help="degrees")
     p.add_argument("--grid-step", type=_positive, default=None, help="mm")
 
-    p = command("rldb", _cmd_rldb, "build or inspect a reflection-loss database", table)
-    p.add_argument("action", choices=("build", "show"))
-    p.add_argument("--db", required=True, help="database CSV path")
+    actions = sub.add_parser("rldb", help="build or inspect a reflection-loss database")
+    actions = actions.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("build", help="tabulate RL into a database CSV", parents=[table])
+    p.set_defaults(func=_cmd_rldb_build)  # writes --db only, so it takes no --output
+    p.add_argument("--db", required=True, help="database CSV path to write")
     p.add_argument("--materials", default="wood,plaster,glass")
     p.add_argument("--freqs", default="100", help="GHz grid or comma list")
     p.add_argument("--angles", default=f"0:{MAX_ANGLE_DEG:g}:1", help="degrees grid")
     p.add_argument("--kappa", type=float, default=0.0)
+    p = command("show", _cmd_rldb_show, "summarize a database CSV", into=actions)
+    p.add_argument("--db", required=True, help="database CSV path to read")
 
     command("trace", _cmd_trace, "list specular trajectories", path)
 

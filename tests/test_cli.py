@@ -166,6 +166,45 @@ def test_settling_tol_and_grid_step_fail_naming_the_flag(capsys, tmp_path, flag,
     assert not output.exists()
 
 
+@pytest.mark.parametrize("value", ["120", "90", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["coeff", "settling"])
+def test_theta_is_an_incident_angle_in_degrees(capsys, tmp_path, command, value):
+    output = tmp_path / "out.csv"
+    argv = [command, "--material", "glass", "--freq", "100", "--theta", value]
+    if command == "coeff":
+        argv += ["--h-grid", "0:5:1"]
+    code, out, err = run(capsys, *argv, "--output", str(output))
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        f"usage error: argument --theta: must be an angle in [0, 90) degrees, got {value!r}\n"
+    )
+    assert not output.exists()
+
+
+@pytest.mark.parametrize(
+    "action, flag, value",
+    [
+        ("build", "--output", "{tmp}/o.csv"),
+        ("show", "--materials", "glass"),
+        ("show", "--freqs", "28"),
+        ("show", "--angles", "0:10:1"),
+        ("show", "--kappa", "5"),
+        ("show", "--materials-table", "{tmp}/nope.txt"),
+    ],
+    ids=["build-output", "show-materials", "show-freqs", "show-angles", "show-kappa", "show-table"],
+)
+def test_rldb_rejects_the_flags_of_its_other_action(capsys, tmp_path, action, flag, value):
+    db_path = tmp_path / "db.csv"
+    assert run(capsys, "rldb", "build", "--db", str(db_path))[0] == 0
+    before = db_path.read_bytes()
+    argv = ("rldb", action, "--db", str(db_path), flag, value.format(tmp=tmp_path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: unrecognized arguments: {flag} ")
+    assert db_path.read_bytes() == before
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize(
     "line, extra",
     [
@@ -553,10 +592,17 @@ def test_identify_contradiction_exit_code(capsys, tmp_path):
     "command", ["coeff", "rl", "settling", "rldb", "trace", "simulate", "identify", "demo"]
 )
 def test_help_lists_the_shared_flags(capsys, command):
-    with pytest.raises(SystemExit) as exit_:
-        main([command, "--help"])
-    assert exit_.value.code == 0
-    out = capsys.readouterr().out
+    def help_text(*argv):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--help"])
+        assert exit_.value.code == 0
+        return capsys.readouterr().out
+
+    if command == "rldb":  # only show writes an output; build writes --db
+        assert "--output" in help_text("rldb", "show")
+        assert "--output" not in help_text("rldb", "build")
+        return
+    out = help_text(command)
     path_flags = ("--scene", "--tx", "--rx", "--max-bounces")
     for flag in ("--output", *(path_flags if command in ("trace", "simulate", "identify") else ())):
         assert flag in out
@@ -578,7 +624,9 @@ def test_a_material_listed_twice_is_an_error(capsys, tmp_path, command):
         argv = ["identify", "--scene", str(scene_path), *tx_flags, *rx_flags, "--freq", "100",
                 "--measurements", str(measurements), "--db", str(db_path),
                 "--palette", "wood,glass,wood"]
-    code, out, err = run(capsys, *argv, "--output", str(output))
+    if command != "rldb":  # rldb build writes only --db
+        argv += ["--output", str(output)]
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", "error: material 'wood' is listed twice\n")
     assert not output.exists()
     assert command != "rldb" or not db_path.exists()
