@@ -273,8 +273,9 @@ def test_two_materials_on_one_facet_do_not_depend_on_the_cell_edge():
         keys = [glass[0].assignment[0][0], plaster[0].assignment[0][0]]
         assert (keys[0] == keys[1]) == same_cell
         belief = merge_candidates([("t1", glass), ("t2", plaster)])
+        contradicted = {key.facet_id for key in belief.contradictions}
         by_facet = {key.facet_id: dom for key, dom in belief.rp_domains.items()}
-        outcomes.append((belief.consistent, {key.facet_id for key in belief.contradictions}, by_facet))
+        outcomes.append((belief.consistent, contradicted, by_facet))
     assert outcomes == [(False, {"wall"}, {"wall": set()})] * 2
 
 
