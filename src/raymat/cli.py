@@ -30,14 +30,17 @@ MAX_ANGLE_DEG = 85.0  # database hull: tables built here span 0..85 deg in 1 deg
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; this artifact reserves 2 for
-    # contradiction outcomes and uses 1 for every validation error
+    # contradiction outcomes and uses 1 for every validation error. The
+    # parser that failed (a subcommand's, for its own arguments) gives the usage.
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self.format_usage())
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -262,6 +265,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    em.check_kappa(args.kappa)
     scene, labelled = _pairs(args)
     catalog = _material_catalog(args.materials_table)
     ground_truth = {}
@@ -271,8 +275,14 @@ def _cmd_simulate(args) -> int:
     rng = random.Random(args.seed)
     rows = []  # every row before the file opens, so a failing run writes none
     for tid, traj in labelled:
-        if any(hop.facet_id not in ground_truth for hop in traj.hops):
-            continue  # unknown-material hop: no ground truth to simulate
+        unknown = next((h.facet_id for h in traj.hops if h.facet_id not in ground_truth), None)
+        if unknown is not None:  # no ground truth to simulate
+            label = scene.facet(unknown).material_label
+            sys.stderr.write(
+                f"warning: {tid}: facet {unknown!r} has material {label!r}, "
+                "which is not in the catalog; no row written\n"
+            )
+            continue
         if any(math.degrees(hop.theta_i) > args.max_angle for hop in traj.hops):
             continue  # outside the RL-database hull
         try:
@@ -485,8 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as err:
-        sys.stderr.write(f"usage error: {err}\n")
-        parser.print_usage(sys.stderr)
+        sys.stderr.write(f"usage error: {err}\n{err.usage}")
         return 1
     except (ValueError, KeyError, OSError, settling.NotSettledError) as err:
         sys.stderr.write(f"error: {err}\n")

@@ -168,109 +168,83 @@ def match_measurement(
     return [c for c in candidates if abs(c.total_rl_db - m) <= u]
 
 
-class Propagator:
+def merge_candidates(
+    states: Iterable[tuple[str, Iterable[SequenceCandidate]]],
+) -> BeliefState:
     """Worklist constraint propagation over facets (AC-3, Mackworth 1977).
 
-    Each facet is one variable, its domain the materials it may be made of.
-    Each trajectory is one table over its facets: a row per survivor, with its
-    ``facet -> material`` map; a candidate that gives one facet two materials
-    breaks the map constraint and is dropped. A revise prunes the rows to the
-    domains, narrows the table's facets to what the kept rows use, and queues
+    Each facet is one variable, its domain the materials it may be made of, so
+    every reflection point on a facet carries the facet's set, however far
+    apart the points lie. Each trajectory is one table over its facets: a row
+    per survivor, with its ``facet -> material`` map; a candidate that gives
+    one facet two materials breaks the map constraint and is dropped. The
+    trajectories are taken in order, each propagated to the fixpoint before
+    the next. A revise prunes a table's rows to the domains, narrows its
+    facets to what the kept rows use (all rows, if none is kept), and queues
     the trajectories watching a facet that shrank, in the order the table
     names them. Domains only shrink, so a trajectory pruned to nothing relaxes
-    nothing. Every state depends only on the inputs; while no trajectory is
-    pruned to nothing, not even on the order of the adds.
+    nothing. The result depends only on the states; unless they contradict
+    each other, not even on their order. A trajectory whose candidates name
+    different reflection points, or one named twice, is a ValueError.
+
+    An empty domain is a contradiction (bad measurement or wrong map), and so
+    is every reflection point of a trajectory whose hypotheses were all
+    eliminated.
     """
-
-    def __init__(self) -> None:
-        self.domains: dict[str, set[str]] = {}
-        self._tables: dict[str, list[tuple[SequenceCandidate, dict[str, str]]]] = {}
-        self._points: dict[str, list[RPKey]] = {}  # each trajectory's reflection points
-        self._watchers: dict[str, list[str]] = {}
-
-    def add(self, tid: str, candidates: Iterable[SequenceCandidate]) -> None:
-        """Add one trajectory's survivors, which name the same reflection
-        points, and propagate to the fixpoint."""
-        if tid in self._tables:
+    domains: dict[str, set[str]] = {}
+    tables: dict[str, list[tuple[SequenceCandidate, dict[str, str]]]] = {}
+    points: dict[str, list[RPKey]] = {}  # each trajectory's reflection points
+    watchers: dict[str, list[str]] = {}
+    for tid, candidates in states:
+        if tid in tables:
             raise ValueError(f"trajectory {tid!r} was already added")
         candidates = list(candidates)
-        points = [key for key, _ in candidates[0].assignment] if candidates else []
-        if any([key for key, _ in cand.assignment] != points for cand in candidates):
+        points[tid] = [key for key, _ in candidates[0].assignment] if candidates else []
+        if any([key for key, _ in cand.assignment] != points[tid] for cand in candidates):
             raise ValueError(f"trajectory {tid!r}: candidates name different reflection points")
-        self._points[tid] = points
-        facets = [key.facet_id for key in points]
-        self._tables[tid] = []
+        facets = [key.facet_id for key in points[tid]]
+        tables[tid] = []
         for cand in candidates:
             row: dict[str, str] = {}
             if all(row.setdefault(f, m) == m for f, (_, m) in zip(facets, cand.assignment)):
-                self._tables[tid].append((cand, row))
+                tables[tid].append((cand, row))
         for f in dict.fromkeys(facets):
-            self._watchers.setdefault(f, []).append(tid)
+            watchers.setdefault(f, []).append(tid)
         queue, queued = deque([tid]), {tid}
         while queue:
             t = queue.popleft()
             queued.discard(t)
-            for f in self._revise(t):
-                for w in self._watchers[f]:
-                    if w != t and w not in queued:
-                        queue.append(w)
-                        queued.add(w)
+            table = tables[t]
+            # a facet without a domain yet allows every material
+            tables[t] = kept = [
+                (cand, row) for cand, row in table
+                if all(name in domains.get(f, (name,)) for f, name in row.items())
+            ]
+            support: dict[str, set[str]] = {}
+            for _, row in kept or table:
+                for f, name in row.items():
+                    support.setdefault(f, set()).add(name)
+            for f, allowed in support.items():
+                current = domains.setdefault(f, allowed)
+                if not current <= allowed:
+                    current &= allowed
+                    for w in watchers[f]:
+                        if w != t and w not in queued:
+                            queue.append(w)
+                            queued.add(w)
 
-    def belief(self) -> BeliefState:
-        """Per-RPKey snapshot, each key with its facet's set: an empty set is a
-        contradiction (bad measurement or wrong map), and so is every key of a
-        trajectory whose hypotheses were all eliminated."""
-        by_point = attrgetter("facet_id", "cell")
-        keys = sorted(set().union(*self._points.values()), key=by_point)
-        rp_domains = {k: set(self.domains.get(k.facet_id, ())) for k in keys}
-        contradictions = {key for key, dom in rp_domains.items() if not dom}
-        for tid, table in self._tables.items():
-            if not table:
-                contradictions.update(self._points[tid])
-        return BeliefState(
-            rp_domains=rp_domains,
-            survivors={tid: [cand for cand, _ in table] for tid, table in self._tables.items()},
-            contradictions=sorted(contradictions, key=by_point),
-        )
-
-    def _revise(self, tid: str) -> list[str]:
-        """Prune tid's rows to the domains, then narrow its facets to the
-        materials of the rows kept (of all its rows, if none is); returns the
-        facets whose domains shrank, in the order the rows name them."""
-        table = self._tables[tid]
-        # a facet without a domain yet allows every material
-        self._tables[tid] = kept = [
-            (cand, row) for cand, row in table
-            if all(name in self.domains.get(f, (name,)) for f, name in row.items())
-        ]
-        support: dict[str, set[str]] = {}
-        for _, row in kept or table:
-            for f, name in row.items():
-                support.setdefault(f, set()).add(name)
-        changed = []
-        for f, allowed in support.items():
-            current = self.domains.setdefault(f, allowed)
-            if not current <= allowed:
-                current &= allowed
-                changed.append(f)
-        return changed
-
-
-def merge_candidates(
-    states: Iterable[tuple[str, list[SequenceCandidate]]],
-) -> BeliefState:
-    """Fixpoint constraint propagation across trajectories sharing facets.
-
-    Runs the :class:`Propagator`, so every reflection point on a facet carries
-    the facet's material set, however far apart the points lie. The result
-    depends only on the states; unless they contradict each other, not even on
-    their order. A trajectory whose candidates name different reflection
-    points, or one named twice, is a ValueError.
-    """
-    engine = Propagator()
-    for tid, cands in states:
-        engine.add(tid, cands)
-    return engine.belief()
+    by_point = attrgetter("facet_id", "cell")
+    keys = sorted(set().union(*points.values()), key=by_point)
+    rp_domains = {k: set(domains.get(k.facet_id, ())) for k in keys}
+    contradictions = {key for key, dom in rp_domains.items() if not dom}
+    for tid, table in tables.items():
+        if not table:
+            contradictions.update(points[tid])
+    return BeliefState(
+        rp_domains=rp_domains,
+        survivors={tid: [cand for cand, _ in table] for tid, table in tables.items()},
+        contradictions=sorted(contradictions, key=by_point),
+    )
 
 
 def simulate_measurement(

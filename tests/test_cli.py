@@ -1,8 +1,9 @@
+import json
 import math
 
 import pytest
 
-from raymat import settling
+from raymat import identify, settling
 from raymat.cli import main
 
 from .oracles import (
@@ -638,6 +639,23 @@ def test_unknown_flag_exits_1(capsys):
     assert "usage" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (("settling", "--material", "glass", "--freq", "100", "--theta", "120"), "raymat settling [-h]"),
+        (("rldb",), "raymat rldb [-h] {build,show} ..."),
+        (("rldb", "show"), "raymat rldb show [-h]"),
+        ((), "raymat [-h] {coeff,"),
+    ],
+    ids=["settling-theta", "rldb-no-action", "rldb-show-no-db", "no-command"],
+)
+def test_a_usage_error_prints_the_usage_of_the_parser_that_failed(capsys, argv, usage):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ")
+    assert err.splitlines()[1].startswith(f"usage: {usage}")
+
+
 def test_validation_error_exits_1(capsys):
     code, _, err = run(capsys, "rl", "--material", "granite", "--freq", "100", "--angles", "0:10:5")
     assert code == 1
@@ -806,6 +824,54 @@ def test_custom_material_table(capsys, tmp_path):
     assert code == 0
     (row,) = parse_csv(out)
     assert float(row["rl_db"]) > 0
+
+
+def test_simulate_checks_kappa_before_tracing(capsys, tmp_path, monkeypatch):
+    # --max-angle 0 skips every trajectory, so a per-hop check would never run
+    scene_path, tx_flags, rx_flags = demo_files(tmp_path, capsys)
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("traced before the kappa check")
+
+    monkeypatch.setattr(identify, "trace", no_trace)
+    code, out, err = run(
+        capsys,
+        "simulate", "--scene", str(scene_path), *tx_flags, *rx_flags,
+        "--freq", "100", "--kappa", "nan", "--max-angle", "0",
+    )
+    assert (code, out, err) == (1, "", "error: roughness kappa must be finite and >= 0, got nan\n")
+
+
+def test_simulate_warns_for_each_trajectory_on_a_material_not_in_the_catalog(capsys, tmp_path):
+    # the demo's walls relabelled concrete: every trajectory with a wall hop is
+    # skipped with one warning naming its first wall hop; the other rows are
+    # those of the demo as bundled, byte for byte
+    scene_path, tx_flags, rx_flags = demo_files(tmp_path, capsys)
+    doc = json.loads(scene_path.read_text(encoding="utf-8"))
+    for facet in doc["facets"]:
+        if facet["id"].startswith("wall_"):
+            facet["material"] = "concrete"
+    concrete_path = tmp_path / "concrete.json"
+    concrete_path.write_text(json.dumps(doc), encoding="utf-8")
+    common = [*tx_flags, *rx_flags, "--freq", "100", "--u", "1"]
+    code, out, err = run(capsys, "trace", "--scene", str(concrete_path), *tx_flags, *rx_flags)
+    assert code == 0
+    first_wall = {}
+    for row in parse_csv(out):
+        if row["facet_id"].startswith("wall_"):
+            first_wall.setdefault(row["trajectory_id"], row["facet_id"])
+    assert len(first_wall) >= 2
+    code, bundled, _ = run(capsys, "simulate", "--scene", str(scene_path), *common)
+    assert code == 0
+    code, out, err = run(capsys, "simulate", "--scene", str(concrete_path), *common)
+    assert code == 0
+    assert err == "".join(
+        f"warning: {tid}: facet {fid!r} has material 'concrete', which is not in the catalog; "
+        "no row written\n"
+        for tid, fid in first_wall.items()
+    )
+    kept = [line for line in bundled.splitlines(keepends=True) if line.split(",")[0] not in first_wall]
+    assert out == "".join(kept)
 
 
 def test_simulate_skips_a_draw_above_free_space_with_a_warning(capsys, tmp_path):

@@ -12,10 +12,8 @@ import raymat
 from raymat import em, rldb
 from raymat.demo import demo_building, demo_positions
 from raymat.identify import (
-    BeliefState,
     IdentificationReport,
     MeasurementRecord,
-    Propagator,
     RPKey,
     SequenceCandidate,
     enumerate_sequences,
@@ -217,13 +215,6 @@ def test_merge_monotone_under_added_measurements():
         assert after[key] <= dom
 
 
-def propagate(entries) -> Propagator:
-    engine = Propagator()
-    for tid, cands in entries:
-        engine.add(tid, cands)
-    return engine
-
-
 def test_merge_is_order_insensitive():
     t1 = match_measurement(
         reference_candidates(TRAJ1_ANGLES_DEG, (RP1, RP2)),
@@ -240,7 +231,7 @@ def test_merge_is_order_insensitive():
         for name, rl in (("plaster", 10.0), ("glass", 11.0))
     ]
     entries = [("t1", t1), ("t2", t2), ("t3", t3)]
-    beliefs = [propagate(order).belief() for order in permutations(entries)]
+    beliefs = [merge_candidates(order) for order in permutations(entries)]
     for belief in beliefs[1:]:
         assert belief.rp_domains == beliefs[0].rp_domains
         assert belief.contradictions == beliefs[0].contradictions
@@ -310,9 +301,8 @@ CYCLE = {
 }
 
 
-def cycle_outcomes() -> list:
-    """(domains, contradicted facets, dead trajectories) of the cycle instance,
-    through a Propagator and through merge_candidates."""
+def cycle_outcomes() -> tuple:
+    """(domains, contradicted facets, dead trajectories) of the cycle instance."""
     names = {"w": "wood", "p": "plaster", "g": "glass"}
     keys = {fid: RPKey(fid, (i, 0, 0)) for i, fid in enumerate(("f3", "f4", "f5"))}
     entries = [
@@ -324,15 +314,12 @@ def cycle_outcomes() -> list:
         ])
         for tid, (facets, rows) in CYCLE.items()
     ]
-    beliefs = [propagate(entries).belief(), merge_candidates(entries)]
-    return [
-        (
-            sorted((key.facet_id, sorted(dom)) for key, dom in belief.rp_domains.items()),
-            [key.facet_id for key in belief.contradictions],
-            sorted(tid for tid, cands in belief.survivors.items() if not cands),
-        )
-        for belief in beliefs
-    ]
+    belief = merge_candidates(entries)
+    return (
+        sorted((key.facet_id, sorted(dom)) for key, dom in belief.rp_domains.items()),
+        [key.facet_id for key in belief.contradictions],
+        sorted(tid for tid, cands in belief.survivors.items() if not cands),
+    )
 
 
 def test_contradicting_instance_has_one_outcome_under_every_hash_seed():
@@ -350,9 +337,9 @@ def test_contradicting_instance_has_one_outcome_under_every_hash_seed():
         outputs.add(child.stdout)
     expected = cycle_outcomes()
     assert outputs == {repr(expected) + "\n"}
-    for _domains, contradicted, dead in expected:
-        assert contradicted == ["f3", "f4"]
-        assert dead == ["t0"]
+    _domains, contradicted, dead = expected
+    assert contradicted == ["f3", "f4"]
+    assert dead == ["t0"]
 
 
 def test_merge_agrees_with_joint_enumeration_on_reference_instance():
@@ -734,11 +721,12 @@ def test_measurement_record_rejects_a_negative_uncertainty():
 
 def test_propagator_rejects_a_trajectory_added_twice():
     key = RPKey("floor", (0, 0, 0))
-    engine = Propagator()
-    engine.add("t1", [SequenceCandidate(((key, "wood"),), (5.0,), 5.0)])
+    wood = [SequenceCandidate(((key, "wood"),), (5.0,), 5.0)]
+    glass = [SequenceCandidate(((key, "glass"),), (3.0,), 3.0)]
     with pytest.raises(ValueError, match="'t1' was already added"):
-        engine.add("t1", [SequenceCandidate(((key, "glass"),), (3.0,), 3.0)])
-    assert engine.domains == {"floor": {"wood"}}
+        merge_candidates([("t1", wood), ("t1", glass)])
+    # the same candidates under two ids merge: the rejection is by id alone
+    assert merge_candidates([("t1", wood), ("t2", wood)]).rp_domains == {key: {"wood"}}
 
 
 @pytest.mark.parametrize("other", [RP2, RPKey(RP1.facet_id, (0, 0, 0))], ids=["other-facet", "same-facet"])
@@ -749,10 +737,9 @@ def test_a_trajectory_whose_candidates_name_different_points_is_rejected(other):
     message = "'t1': candidates name different reflection points"
     with pytest.raises(ValueError, match=message):
         merge_candidates([("t1", [a, b])])
-    engine = Propagator()
+    # also when the trajectory comes after one that merged cleanly
     with pytest.raises(ValueError, match=message):
-        engine.add("t1", [a, b])
-    assert engine.belief() == BeliefState({}, {}, [])
+        merge_candidates([("t0", [a]), ("t1", (c for c in [a, b]))])
 
 
 def test_identify_loop_reports_uncovered(db100):
@@ -899,7 +886,4 @@ def test_facet_consistency_strengthens_merge(db100):
     by_facet = {k.facet_id: dom for k, dom in merged.rp_domains.items()}
     assert by_facet == {"shared": {"glass"}, "other": {"plaster"}}
     assert len(merged.rp_domains) == 3  # two points on the shared facet
-    engine = propagate(entries)
-    assert engine.domains["shared"] == {"glass"}
-    assert engine.domains["other"] == {"plaster"}
-    assert engine.belief().consistent
+    assert merged.consistent
