@@ -32,7 +32,6 @@ from .identify import (
     merge_candidates,
     simulate_measurement,
 )
-from .geometry import incident_angle
 from .materials import GLASS, PLASTER, PRESETS, WOOD, MaterialParams, load_material_table, preset
 from .rldb import DatabaseFormatError, DatabaseVersionError, OutOfRangeError, RLDatabase, build, load
 from .scene import Facet, Scene, SceneValidationError, load_scene, save_scene
@@ -44,6 +43,6 @@ from .settling import (
     settling_thickness,
     thickness_sweep,
 )
-from .tracer import Hop, Trajectory, trace
+from .tracer import Hop, Trajectory, trace, trace_many
 
 __version__ = "0.1.0"

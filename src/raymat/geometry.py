@@ -70,21 +70,3 @@ def ray_plane_parameter(
     if not abs(denom) > GRAZING_COS * math.sqrt(direction @ direction):
         return None
     return float((plane_point - origin) @ normal) / denom
-
-
-def incident_angle(direction: np.ndarray, normal: np.ndarray) -> float:
-    """Angle in [0, pi/2) between the reversed incoming ray and the normal.
-
-    Both inputs must be unit vectors (within 1e-9). The surface is treated as
-    two-sided, so the result never exceeds pi/2; a direction with |cos| below
-    GRAZING_COS is rejected as degenerate.
-    """
-    d = np.asarray(direction, dtype=float)
-    n = np.asarray(normal, dtype=float)
-    for name, vec in (("direction", d), ("normal", n)):
-        if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-9:
-            raise ValueError(f"{name} must be a unit vector (within 1e-9)")
-    cos_t = abs(float(d @ n))
-    if cos_t < GRAZING_COS:
-        raise ValueError("direction is parallel to the surface (grazing)")
-    return math.acos(min(cos_t, 1.0))

@@ -15,7 +15,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -25,7 +25,8 @@ from . import em
 from .materials import MaterialParams
 from .rldb import OutOfRangeError, RLDatabase
 from .scene import Scene
-from .tracer import Trajectory, trace
+# trace has no caller here, but the benchmark's span hooks (perfbench/spans.py) wrap identify.trace by name
+from .tracer import Trajectory, trace, trace_many  # noqa: F401
 
 RP_TOLERANCE_M = 0.01
 
@@ -307,11 +308,14 @@ def traced_pairs(
 
     Trajectory ids are ``p<pair>t<index>``: the pair's place in the TX-major
     walk over the Cartesian product of positions, then the trajectory's place
-    in its trace order. Lazy: each pair is traced when the caller reaches it,
-    so a loop over the pairs holds one pair's trajectories at a time.
+    in its trace order. Lazy per transmitter: when the caller reaches a
+    transmitter's first pair, one :func:`trace_many` call traces all of its
+    receivers over one image tree, so a loop over the pairs holds one
+    transmitter's trajectories at a time. A receiver that :func:`trace` would
+    refuse raises its error before that transmitter's first pair is yielded.
     """
-    for pair, (tx, rx) in enumerate(product(tx_positions, rx_positions)):
-        trajectories = trace(scene, tx, rx, max_bounces=max_bounces)
+    per_tx = (trace_many(scene, tx, rx_positions, max_bounces) for tx in tx_positions)
+    for pair, trajectories in enumerate(chain.from_iterable(per_tx)):
         yield [(f"p{pair}t{ti}", traj) for ti, traj in enumerate(trajectories)]
 
 

@@ -1,15 +1,15 @@
 """Deterministic image-method ray tracing for multi-bounce specular paths.
 
-Facet sequences are traced depth first in blocks of at most BLOCK_ROWS rows, each
-under one np.errstate. A block is mirrored and folded back from the receiver
-together; then every path node is projected once onto every facet's plane and
-edges, and a leg's crossings interpolate its two nodes. A leg meets the plane of a
-facet it reflects off at one of its own ends only at that end, so those facets never
-occlude it, in the batch or in the exact check. Rows that are certainly invalid, or
-have a certainly occluded leg, are dropped. The exact check rebuilds each survivor:
-its reflection points must lie inside their polygons and be genuine crossings, and
-only legs the batch could not call clear get the exact occlusion test. Facets
-reflect on both sides.
+Facet sequences are traced depth first over one image tree per transmitter, in blocks
+of at most BLOCK_ROWS rows, one per sequence and receiver, each under one np.errstate.
+A block is mirrored and folded back from its receivers together; then every path
+node is projected once onto every facet's plane and edges, and a leg's crossings
+interpolate its two nodes. A leg meets the plane of a facet it reflects off at one of
+its own ends only at that end, so those facets never occlude it, in the batch or in
+the exact check. Rows that are certainly invalid, or have a certainly occluded leg,
+are dropped. The exact check rebuilds each survivor: its reflection points must lie
+inside their polygons and be genuine crossings, and only legs the batch could not
+call clear get the exact occlusion test. Facets reflect on both sides.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .scene import Facet, Scene
 
 OCCLUSION_EPS = 1e-6  # m; other facets met this near a leg's ends (a neighbour at a hop's edge) do not occlude it
 PRUNE_TOL = 1e-7  # m; far above rounding differences between batched and exact tests
-BLOCK_ROWS = 2048  # most facet sequences in one batch
+BLOCK_ROWS = 2048  # most rows, facet sequences times receivers, in one batch
 
-__all__ = ["Hop", "Trajectory", "trace", "OCCLUSION_EPS"]
+__all__ = ["Hop", "Trajectory", "trace", "trace_many", "OCCLUSION_EPS"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +106,9 @@ def _survivors(scene: Scene, seqs: np.ndarray, images: np.ndarray, rx: np.ndarra
     """The rows of seqs that may have a specular path, and two (rows, legs) masks of
     their legs, from the transmitter: certainly blocked, and certainly clear.
 
-    ``images[:, j]`` is the transmitter mirrored across the first j facets of each row.
-    Each hop's facet is cleared from the legs into and out of it.
+    ``images[:, j]`` is the transmitter mirrored across the first j facets of each row,
+    and ``rx`` is the receiver, or one per row. Each hop's facet is cleared from the
+    legs into and out of it.
     """
     rows, growth, points = np.arange(len(seqs)), 1.0, [np.broadcast_to(rx, (len(seqs), 3))]
     with np.errstate(divide="ignore", invalid="ignore"):  # one per block, for the near-parallel rows
@@ -134,10 +135,10 @@ def _survivors(scene: Scene, seqs: np.ndarray, images: np.ndarray, rx: np.ndarra
     return rows, must.any(axis=2), ~may.any(axis=2)
 
 
-def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int):
+def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int, cap: int):
     """Yield (sequences, images) for seqs, then, depth first, for their extensions
     up to max_bounces facets with no immediate repeat. Parents are cut into chunks
-    before they are extended, so a block of children has at most BLOCK_ROWS rows,
+    before they are extended, so a block of children has at most ``cap`` rows,
     or one parent's children if those are more.
 
     ``images[:, j]`` is the transmitter mirrored across the first j facets of each
@@ -149,11 +150,11 @@ def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int
     yield seqs, images
     if seqs.shape[1] < max_bounces:
         every = np.arange(len(scene.facets))
-        chunk = max(1, BLOCK_ROWS // max(1, len(every) - 1))  # parents per block of children
+        chunk = max(1, cap // max(1, len(every) - 1))  # parents per block of children
         for start in range(0, len(seqs), chunk):
             parent, nxt = np.nonzero(seqs[start : start + chunk, -1:] != every)  # no immediate repeat
             parent += start
-            yield from _blocks(scene, np.column_stack([seqs[parent], nxt]), images[parent], max_bounces)
+            yield from _blocks(scene, np.column_stack([seqs[parent], nxt]), images[parent], max_bounces, cap)
 
 
 def _trajectory(
@@ -207,26 +208,42 @@ def trace(scene: Scene, tx, rx, max_bounces: int = 2) -> list[Trajectory]:
         ValueError: if tx == rx, either endpoint is outside the scene bounds,
             or max_bounces is outside [1, 4].
     """
-    tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
-    if tx.shape != (3,) or rx.shape != (3,):
-        raise ValueError("tx and rx must be 3D points")
-    a, b = tx.tolist(), rx.tolist()
-    if math.dist(a, b) < 1e-12:
-        raise ValueError("tx and rx must be distinct")
-    if not 1 <= max_bounces <= 4:
-        raise ValueError(f"max_bounces must be in [1, 4], got {max_bounces}")
-    for label, p in (("tx", a), ("rx", b)):
-        if not scene.contains(p):
-            raise ValueError(f"{label} {p} is outside the scene bounds")
+    return trace_many(scene, tx, [rx], max_bounces)[0]
 
-    found: list[Trajectory] = []
-    first = np.arange(len(scene.facets))[:, None]
-    for seqs, images in _blocks(scene, first, np.broadcast_to(tx, (len(first), 1, 3)), max_bounces):
-        rows, blocked, clear = _survivors(scene, seqs, images, rx)
+
+def trace_many(scene: Scene, tx, rxs, max_bounces: int = 2) -> list[list[Trajectory]]:
+    """``[trace(scene, tx, rx, max_bounces) for rx in rxs]``, over one image tree.
+
+    Images depend only on the transmitter, so each block of facet sequences is tiled
+    over the receivers, one row per sequence and receiver; BLOCK_ROWS bounds those rows.
+    Receivers are checked in list order, so the first that fails raises trace's error.
+    """
+    tx, checked = np.asarray(tx, dtype=float), []
+    for rx in rxs:
+        rx = np.asarray(rx, dtype=float)
+        if tx.shape != (3,) or rx.shape != (3,):
+            raise ValueError("tx and rx must be 3D points")
+        a, b = tx.tolist(), rx.tolist()
+        if math.dist(a, b) < 1e-12:
+            raise ValueError("tx and rx must be distinct")
+        if not 1 <= max_bounces <= 4:
+            raise ValueError(f"max_bounces must be in [1, 4], got {max_bounces}")
+        for label, p in (("tx", a), ("rx", b)):
+            if not scene.contains(p):
+                raise ValueError(f"{label} {p} is outside the scene bounds")
+        checked.append(rx)
+    found: list[list[Trajectory]] = [[] for _ in checked]
+    if not checked:
+        return found
+    n, first = len(checked), np.arange(len(scene.facets))[:, None]
+    tree = _blocks(scene, first, np.broadcast_to(tx, (len(first), 1, 3)), max_bounces, max(1, BLOCK_ROWS // n))
+    for seqs, images in tree:  # row i of a tiled block: sequence i // n, receiver i % n
+        tiled = np.repeat(seqs, n, axis=0), np.repeat(images, n, axis=0), np.tile(checked, (len(seqs), 1))
+        rows, blocked, clear = _survivors(scene, *tiled)
         open_rows = ~blocked.any(axis=1)
-        for row, clear_legs in zip(seqs[rows[open_rows]].tolist(), clear[open_rows].tolist()):  # the exact check
+        rows, clear = rows[open_rows], clear[open_rows]
+        for row, r, clear_legs in zip(seqs[rows // n].tolist(), (rows % n).tolist(), clear.tolist()):  # the exact check
             sequence = tuple(scene.facets[i] for i in row)
-            if (trajectory := _trajectory(scene, sequence, tx, rx, clear_legs)) is not None:
-                found.append(trajectory)
-    found.sort(key=lambda t: (t.bounces, t.total_length, t.facet_ids))
-    return found
+            if (trajectory := _trajectory(scene, sequence, tx, checked[r], clear_legs)) is not None:
+                found[r].append(trajectory)
+    return [sorted(f, key=lambda t: (t.bounces, t.total_length, t.facet_ids)) for f in found]

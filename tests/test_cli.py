@@ -671,6 +671,48 @@ def test_missing_scene_exits_1(capsys, tmp_path):
     assert "error" in err
 
 
+# a pair the per-pair walk refuses, with its receiver in the middle of the list:
+# under the first transmitter, under the second, and before or after another bad pair
+_A, _B, _R1, _R2 = "4,2.5,5.6", "15,2.5,5.6", "7,7.5,1.4", "16.5,7.5,1.4"
+_OUT = "7,7.5,40"  # above the demo's padded box, which ends at z = 27 m
+_DISTINCT = "tx and rx must be distinct"
+BAD_PAIR_CASES = {
+    "rx-is-tx0": ([_A, _B], [_R1, _A, _R2], 0, _DISTINCT),
+    "rx-is-tx1": ([_A, _B], [_R1, _B, _R2], 1, _DISTINCT),
+    "rx-outside": ([_A, _B], [_R1, _OUT, _R2], 0, "rx [7.0, 7.5, 40.0] is outside the scene bounds"),
+    "rx-is-tx0-before-outside": ([_A, _B], [_R1, _A, _OUT], 0, _DISTINCT),
+    "rx-outside-before-tx1": ([_A, _B], [_R1, _OUT, _B], 0, "rx [7.0, 7.5, 40.0] is outside the scene bounds"),
+    "tx1-outside": ([_A, "60,2.5,5.6"], [_R1, _R2], 1, "tx [60.0, 2.5, 5.6] is outside the scene bounds"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PAIR_CASES))
+def test_a_bad_pair_fails_as_in_the_per_pair_walk(capsys, tmp_path, case):
+    """traced_pairs and ``raymat trace`` fail with the error that trace gives the first
+    pair of the TX-major walk it refuses, and the trace CLI with exit code 1 and no
+    output. traced_pairs has yielded every pair of the earlier transmitters by then."""
+    import itertools
+
+    from raymat import tracer
+    from raymat.scene import load_scene
+
+    txs, rxs, failing_tx, message = BAD_PAIR_CASES[case]
+    scene_path, _, _ = demo_files(tmp_path, capsys)
+    scene = load_scene(str(scene_path))
+    tx_points, rx_points = ([[float(v) for v in p.split(",")] for p in flags] for flags in (txs, rxs))
+    with pytest.raises(ValueError) as walked:
+        for tx, rx in itertools.product(tx_points, rx_points):
+            tracer.trace(scene, tx, rx, 2)
+    assert str(walked.value) == message
+    yielded = []
+    with pytest.raises(ValueError) as batched:
+        yielded.extend(identify.traced_pairs(scene, tx_points, rx_points, 2))
+    assert str(batched.value) == message
+    assert len(yielded) == failing_tx * len(rxs)
+    flags = [f for tx in txs for f in ("--tx", tx)] + [f for rx in rxs for f in ("--rx", rx)]
+    assert run(capsys, "trace", "--scene", str(scene_path), *flags) == (1, "", f"error: {message}\n")
+
+
 def test_trace_of_a_scene_with_a_non_object_facet_exits_1(capsys, tmp_path):
     scene_path = tmp_path / "scene.json"
     scene_path.write_text('{"units": "m", "facets": [1]}', encoding="utf-8")
@@ -833,7 +875,7 @@ def test_simulate_checks_kappa_before_tracing(capsys, tmp_path, monkeypatch):
     def no_trace(*args, **kwargs):
         raise AssertionError("traced before the kappa check")
 
-    monkeypatch.setattr(identify, "trace", no_trace)
+    monkeypatch.setattr(identify, "trace_many", no_trace)
     code, out, err = run(
         capsys,
         "simulate", "--scene", str(scene_path), *tx_flags, *rx_flags,

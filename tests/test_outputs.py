@@ -21,6 +21,9 @@ DIGESTS = {
     'trace k=2': 'df9a4899a4292ad7df3dd05c89a8522dd68946d04385711d5e6a65071f627975',
     'trace k=3': '7eb72beb3603a044e3947d8bcae1294ec2c173e346111a0153b1f4b957eb93b4',
     'trace k=4': '2c9a31906efd9515738a5973184c5bc15d471c16127e1f2fd2007abf2c8448ca',
+    'trace 3x4 k=1': '1cb4564ab72a40cc4101f8c4984bb8a2901f6ef069e82e5c4fd05701cbf38b68',
+    'trace 3x4 k=2': '22ced889a28f13641a5f5d86da7139ad487ef1230a6bb3986e0410eca982b141',
+    'trace 3x4 k=3': '16eae8672efeffc2ad057aac832b1295787b86ab50a91182ec35eb1e7c947635',
     'simulate k=2 seed=0': '3aeddb95e48785dd31e92f6bcea6ecf1daac1137b92730c4fc7ec307e7c7bc0b',
     'identify k=2 seed=0': 'c9f10fc89880caa0cedfda36c1f529f60c1ffec02eddd19df07e9a254d05f66c',
     'simulate k=2 seed=1': 'b3e9f237f14106a85cb9043af116013a9114212d10f5e3437f370e88c28d3be8',
@@ -116,6 +119,23 @@ def test_trace_digest(demo, capsys, k):
     code, out = _stdout(capsys, "trace", "--scene", scene, *flags, "--max-bounces", str(k))
     assert code == 0
     _check(f"trace k={k}", out)
+
+
+# 3 TX x 4 RX inside the demo building, the last RX inside the glass cubicle:
+# many receivers per transmitter, which the bundled demo (2 TX, 1 RX) lacks
+MULTI_RX_FLAGS = [
+    "--tx", "4,2.5,5.6", "--tx", "15,2.5,5.6", "--tx", "10,7,1.5",
+    "--rx", "7,7.5,1.4", "--rx", "16.5,7.5,1.4", "--rx", "3,12,6", "--rx", "3.5,11.5,1.2",
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_multi_receiver_trace_digest(demo, capsys, k):
+    outdir, _, _ = demo
+    scene = str(outdir / "demo_building.json")
+    code, out = _stdout(capsys, "trace", "--scene", scene, *MULTI_RX_FLAGS, "--max-bounces", str(k))
+    assert code == 0
+    _check(f"trace 3x4 k={k}", out)
 
 
 def _simulate_identify(demo, capsys, tmp_path, k, seed, noise):

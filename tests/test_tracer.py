@@ -7,7 +7,7 @@ import pytest
 from raymat import tracer
 from raymat.demo import demo_building, demo_positions
 from raymat.geometry import (
-    GRAZING_COS, incident_angle, ray_plane_parameter, reflect_direction, unit, validate_convex_polygon,
+    ray_plane_parameter, reflect_direction, unit, validate_convex_polygon,
 )
 from raymat.scene import Facet, Scene, SceneValidationError, load_scene, save_scene, scene_from_dict
 from raymat.settling import check_settling, settling_table
@@ -34,38 +34,6 @@ def point_in_convex_polygon(point, vertices, normal, tol=1e-9):
     edges = np.roll(v, -1, axis=0) - v
     side = np.cross(edges, np.asarray(point, dtype=float) - v) @ normal
     return bool(np.all(side >= -tol * np.maximum(np.linalg.norm(edges, axis=1), 1.0)))
-
-
-# --- incident_angle ------------------------------------------------------------
-
-
-def test_incident_angle_normal():
-    assert incident_angle(np.array([0.0, 0, -1]), np.array([0.0, 0, 1])) == 0.0
-
-
-def test_incident_angle_45deg():
-    d = np.array([1.0, 0, -1]) / math.sqrt(2)
-    assert incident_angle(d, np.array([0.0, 0, 1])) == pytest.approx(math.pi / 4, abs=1e-12)
-
-
-def test_incident_angle_requires_unit_vectors():
-    with pytest.raises(ValueError, match="unit"):
-        incident_angle(np.array([0.0, 0, -2]), np.array([0.0, 0, 1]))
-    with pytest.raises(ValueError, match="unit"):
-        incident_angle(np.array([0.0, 0, -1]), np.array([0.0, 0, 0.5]))
-
-
-def test_incident_angle_grazing_stays_below_right_angle():
-    d = unit(np.array([1.0, 0.0, -1e-7]))
-    angle = incident_angle(d, np.array([0.0, 0, 1.0]))
-    assert angle < math.pi / 2
-    assert angle == pytest.approx(math.pi / 2, abs=1e-6)
-    with pytest.raises(ValueError, match="parallel"):
-        incident_angle(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0, 1.0]))
-    # the cutoff is GRAZING_COS, the one _trajectory drops grazing hops at
-    assert incident_angle(unit(np.array([1.0, 0.0, -2 * GRAZING_COS])), np.array([0.0, 0, 1.0])) < math.pi / 2
-    with pytest.raises(ValueError, match="parallel"):
-        incident_angle(unit(np.array([1.0, 0.0, -0.9 * GRAZING_COS])), np.array([0.0, 0, 1.0]))
 
 
 # --- trace: hand-checkable scenes ----------------------------------------------
@@ -505,6 +473,60 @@ def test_trace_is_the_same_in_blocks_of_any_size(rows, default_blocks, monkeypat
     monkeypatch.setattr(tracer, "BLOCK_ROWS", rows)
     monkeypatch.setattr(tracer, "_survivors", capped)
     assert [_reprs(trace(*case)) for case in cases] == expected
+
+
+def _receiver_cases():
+    """(scene, tx, receivers, k) for every EXHAUSTIVE_CASES input and the demo at k=1..3.
+
+    Each case's receiver is joined by two points on its segment from the transmitter
+    and by itself again; in the demo, four receivers face three transmitters, one of
+    them inside the glass cubicle, so some receivers have no path.
+    """
+    cases = []
+    for _, scene, a, b in EXHAUSTIVE_CASES:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        cases.append((scene, a, [b, (a + b) / 2, 0.2 * a + 0.8 * b, b]))
+    demo = demo_building()
+    rxs = [np.array(p) for p in ((7, 7.5, 1.4), (16.5, 7.5, 1.4), (3, 12, 6), (3.5, 11.5, 1.2))]
+    cases += [(demo, np.array(tx), rxs) for tx in ((4, 2.5, 5.6), (15, 2.5, 5.6), (10, 7, 1.5))]
+    return [(scene, tx, rxs, k) for scene, tx, rxs in cases for k in (1, 2, 3)]
+
+
+@pytest.fixture(scope="module")
+def one_receiver_at_a_time():
+    """_receiver_cases() with each receiver traced alone."""
+    cases = _receiver_cases()
+    return cases, [[_reprs(trace(scene, tx, rx, k)) for rx in rxs] for scene, tx, rxs, k in cases]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, 10**6])
+def test_trace_many_is_trace_per_receiver_in_blocks_of_any_size(rows, one_receiver_at_a_time, monkeypatch):
+    """trace_many over one image tree gives each receiver what trace gives it alone, and
+    BLOCK_ROWS bounds its rows, sequences times receivers, beyond the first hops and
+    one parent's children. At 64 rows, a cap that ignored the receivers would let
+    several parents' children in one block and exceed the bound."""
+    cases, expected = one_receiver_at_a_time
+    survivors = tracer._survivors
+    receivers = []
+
+    def capped(scene, seqs, images, rx):
+        assert len(seqs) <= max(rows, len(receivers[-1]) * len(scene.facets))
+        return survivors(scene, seqs, images, rx)
+
+    monkeypatch.setattr(tracer, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(tracer, "_survivors", capped)
+    got = []
+    for scene, tx, rxs, k in cases:
+        receivers.append(rxs)
+        got.append([_reprs(found) for found in tracer.trace_many(scene, tx, rxs, k)])
+    assert got == expected
+    paths = [len(found) for per_case in expected for found in per_case]
+    assert paths.count(0) > 10 and len(paths) - paths.count(0) > 10
+
+
+def test_trace_many_of_no_receivers_is_empty():
+    demo = demo_building()
+    assert tracer.trace_many(demo, demo_positions(demo)[0][0], [], 3) == []
 
 
 @pytest.mark.parametrize("corner", ["edge", "vertex"])
