@@ -7,9 +7,12 @@ node is projected once onto every facet's plane and edges, and a leg's crossings
 interpolate its two nodes. A leg meets the plane of a facet it reflects off at one of
 its own ends only at that end, so those facets never occlude it, in the batch or in
 the exact check. Rows that are certainly invalid, or have a certainly occluded leg,
-are dropped. The exact check rebuilds each survivor: its reflection points must lie
-inside their polygons and be genuine crossings, and only legs the batch could not
-call clear get the exact occlusion test. Facets reflect on both sides.
+are dropped. The exact check then runs once per block, on arrays over the surviving
+rows, with the bits of the scalar 3-vector calls (a stacked matmul row is the 1-D
+``a @ b``): it rebuilds each row's images and reflection points, which must lie inside
+their polygons and be genuine crossings, and only legs the batch could not call clear
+get the exact occlusion test, a scalar loop. _trajectory is its one-row case. Facets
+reflect on both sides.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GRAZING_COS, mirror_point, ray_plane_parameter
+from .geometry import GRAZING_COS, ray_plane_parameter
 from .scene import Facet, Scene
 
 OCCLUSION_EPS = 1e-6  # m; other facets met this near a leg's ends (a neighbour at a hop's edge) do not occlude it
@@ -157,45 +160,80 @@ def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int
             yield from _blocks(scene, np.column_stack([seqs[parent], nxt]), images[parent], max_bounces, cap)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b along the last axis, row by row as a stacked matmul: each row is the 1-D
+    ``a @ b`` call, the BLAS ddot, so it has that call's bits (ddot is an FMA chain,
+    which an einsum or a sum of products does not reproduce)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _trajectories(
+    scene: Scene, seqs: np.ndarray, tx: np.ndarray, rxs: np.ndarray, clear: np.ndarray
+) -> list[Trajectory | None]:
+    """The specular path of each row from tx off the facets ``seqs[i]`` to ``rxs[i]``,
+    or None where there is none.
+
+    Images, hops, the polygon test, leg lengths and angles are computed for all rows at
+    once, with the bits of the 3-vector calls mirror_point, ray_plane_parameter,
+    Facet.contains and math.sqrt(v @ v). Legs, from the transmitter, flagged True in
+    ``clear[i]`` are known unoccluded and skip the exact occlusion test; every other leg
+    of a row that passed the rest gets it, in leg order, against every facet but the
+    ones it reflects off at its own ends.
+    """
+    found: list[Trajectory | None] = [None] * len(seqs)
+    if not len(seqs):
+        return found
+    k, n, plane = seqs.shape[1], scene.normals[seqs], scene.plane_points[seqs]  # (rows, hops, 3)
+    images = [np.broadcast_to(tx, (len(seqs), 3))]  # the transmitter mirrored across the first j facets
+    for j in range(k):
+        images.append(images[-1] - (2 * _dot(images[-1] - plane[:, j], n[:, j]))[:, None] * n[:, j])
+    aim = _dot(plane - np.stack(images[1:], axis=1), n)  # (plane_point - image) @ normal, per hop
+    points, ts, steep = [rxs], [], []  # reflection points, folded back from the receiver
+    with np.errstate(divide="ignore", invalid="ignore"):  # a row that fails a test is dropped below
+        for j in reversed(range(k)):  # ray_plane_parameter from image j + 1 towards the last point
+            direction = points[-1] - images[j + 1]
+            denom = _dot(direction, n[:, j])
+            ts.append(aim[:, j] / denom)
+            steep.append(np.abs(denom) > GRAZING_COS * np.sqrt(_dot(direction, direction)))
+            points.append(images[j + 1] + ts[-1][:, None] * direction)
+        path = np.stack([images[0], *reversed(points)], axis=1)
+        legs = path[:, 1:] - path[:, :-1]
+        lengths = np.sqrt(_dot(legs, legs))
+        cos = np.abs(_dot(legs[:, :k] / lengths[:, :k, None], n))
+        inward = np.matmul(scene.inward[seqs], path[:, 1:-1, :, None])[..., 0]  # Facet.contains's bits
+        inside = (scene.offsets[seqs] - inward <= scene.slack[seqs]).all(axis=(1, 2))
+    t = np.stack(ts, axis=1)
+    ok = (np.stack(steep, axis=1) & (0.0 < t) & (t < 1.0)).all(axis=1) & inside
+    ok &= ~(lengths <= OCCLUSION_EPS).any(axis=1) & ~(cos < GRAZING_COS).any(axis=1)  # NaN passes, as in the float tests
+    rows = np.flatnonzero(ok)
+    facets, clear = scene.facets, clear.tolist()
+    for row, nodes, ids, legs_m, cos_t in zip(
+        rows.tolist(), path[rows], seqs[rows].tolist(), lengths[rows].tolist(), cos[rows].tolist()
+    ):
+        sequence = [facets[i] for i in ids]
+        if any(
+            not c and _segment_blocked(scene, nodes[leg], nodes[leg + 1], sequence[max(leg - 1, 0) : leg + 1])
+            for leg, c in enumerate(clear[row])
+        ):
+            continue
+        hops = tuple(
+            Hop(point=p, facet_id=f.facet_id, theta_i=math.acos(min(c, 1.0)))
+            for p, f, c in zip(nodes[1:-1], sequence, cos_t)
+        )
+        found[row] = Trajectory(
+            tx=tx, rx=rxs[row], hops=hops, segment_lengths=tuple(legs_m), total_length=float(sum(legs_m))
+        )
+    return found
+
+
 def _trajectory(
     scene: Scene, sequence: tuple[Facet, ...], tx: np.ndarray, rx: np.ndarray, clear=()
 ) -> Trajectory | None:
-    """The specular path from tx off ``sequence`` to rx, or None if there is none.
-
-    Legs, from the transmitter, flagged True in ``clear`` are known unoccluded and
-    skip the exact occlusion test; every other leg gets it, against every facet but
-    the ones it reflects off at its own ends.
-    """
-    images = [tx]  # the transmitter mirrored across the first j facets
-    for facet in sequence:
-        images.append(mirror_point(images[-1], facet.plane_point, facet.normal))
-    points = [rx]  # reflection points, folded back from the receiver
-    for facet, origin in zip(reversed(sequence), reversed(images[1:])):
-        direction = points[-1] - origin
-        t = ray_plane_parameter(origin, direction, facet.plane_point, facet.normal)
-        if t is None or not 0.0 < t < 1.0:
-            return None
-        rp = origin + t * direction
-        if not facet.contains(rp):
-            return None
-        points.append(rp)
-    path = [tx, *reversed(points)]
-    legs = [b - a for a, b in zip(path, path[1:])]
-    lengths = [math.sqrt(leg @ leg) for leg in legs]  # the bits of np.linalg.norm
-    if any(length <= OCCLUSION_EPS for length in lengths):  # a hop at a leg's end: no path
-        return None
-    thetas = []
-    for leg, length, facet in zip(legs, lengths, sequence):
-        cos_t = abs(float((leg / length) @ facet.normal))  # leg / length is unit(leg)
-        if cos_t < GRAZING_COS:
-            return None
-        thetas.append(math.acos(min(cos_t, 1.0)))
-    clear = itertools.chain(clear, itertools.repeat(False))
-    for leg, (a, b, c) in enumerate(zip(path, path[1:], clear)):
-        if not c and _segment_blocked(scene, a, b, sequence[max(leg - 1, 0) : leg + 1]):
-            return None
-    hops = tuple(Hop(point=p, facet_id=f.facet_id, theta_i=th) for p, f, th in zip(path[1:-1], sequence, thetas))
-    return Trajectory(tx=tx, rx=rx, hops=hops, segment_lengths=tuple(lengths), total_length=float(sum(lengths)))
+    """The specular path from tx off ``sequence`` to rx, or None if there is none:
+    _trajectories on one row. Legs flagged True in ``clear`` skip the exact occlusion test."""
+    seqs = np.array([[scene.facets.index(f) for f in sequence]])
+    clear = itertools.islice(itertools.chain(clear, itertools.repeat(False)), len(sequence) + 1)
+    return _trajectories(scene, seqs, tx, rx[None], np.array([list(clear)]))[0]
 
 
 def trace(scene: Scene, tx, rx, max_bounces: int = 2) -> list[Trajectory]:
@@ -216,34 +254,37 @@ def trace_many(scene: Scene, tx, rxs, max_bounces: int = 2) -> list[list[Traject
 
     Images depend only on the transmitter, so each block of facet sequences is tiled
     over the receivers, one row per sequence and receiver; BLOCK_ROWS bounds those rows.
-    Receivers are checked in list order, so the first that fails raises trace's error.
+    The transmitter and max_bounces are checked first, with no receivers too; then the
+    receivers, in list order, so the first that fails raises trace's error.
     """
     tx, checked = np.asarray(tx, dtype=float), []
+    if tx.shape != (3,):
+        raise ValueError("tx and rx must be 3D points")
+    if not 1 <= max_bounces <= 4:
+        raise ValueError(f"max_bounces must be in [1, 4], got {max_bounces}")
+    if not scene.contains(a := tx.tolist()):
+        raise ValueError(f"tx {a} is outside the scene bounds")
     for rx in rxs:
         rx = np.asarray(rx, dtype=float)
-        if tx.shape != (3,) or rx.shape != (3,):
+        if rx.shape != (3,):
             raise ValueError("tx and rx must be 3D points")
-        a, b = tx.tolist(), rx.tolist()
-        if math.dist(a, b) < 1e-12:
+        if math.dist(a, b := rx.tolist()) < 1e-12:
             raise ValueError("tx and rx must be distinct")
-        if not 1 <= max_bounces <= 4:
-            raise ValueError(f"max_bounces must be in [1, 4], got {max_bounces}")
-        for label, p in (("tx", a), ("rx", b)):
-            if not scene.contains(p):
-                raise ValueError(f"{label} {p} is outside the scene bounds")
+        if not scene.contains(b):
+            raise ValueError(f"rx {b} is outside the scene bounds")
         checked.append(rx)
     found: list[list[Trajectory]] = [[] for _ in checked]
     if not checked:
         return found
-    n, first = len(checked), np.arange(len(scene.facets))[:, None]
+    n, receivers, first = len(checked), np.array(checked), np.arange(len(scene.facets))[:, None]
     tree = _blocks(scene, first, np.broadcast_to(tx, (len(first), 1, 3)), max_bounces, max(1, BLOCK_ROWS // n))
     for seqs, images in tree:  # row i of a tiled block: sequence i // n, receiver i % n
-        tiled = np.repeat(seqs, n, axis=0), np.repeat(images, n, axis=0), np.tile(checked, (len(seqs), 1))
+        tiled = np.repeat(seqs, n, axis=0), np.repeat(images, n, axis=0), np.tile(receivers, (len(seqs), 1))
         rows, blocked, clear = _survivors(scene, *tiled)
         open_rows = ~blocked.any(axis=1)
         rows, clear = rows[open_rows], clear[open_rows]
-        for row, r, clear_legs in zip(seqs[rows // n].tolist(), (rows % n).tolist(), clear.tolist()):  # the exact check
-            sequence = tuple(scene.facets[i] for i in row)
-            if (trajectory := _trajectory(scene, sequence, tx, checked[r], clear_legs)) is not None:
-                found[r].append(trajectory)
+        r = rows % n
+        for i, trajectory in zip(r.tolist(), _trajectories(scene, seqs[rows // n], tx, receivers[r], clear)):
+            if trajectory is not None:
+                found[i].append(trajectory)
     return [sorted(f, key=lambda t: (t.bounces, t.total_length, t.facet_ids)) for f in found]

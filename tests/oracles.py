@@ -2,15 +2,20 @@
 
 Everything here is deliberately written from scratch (different formulations,
 different code paths) so it can serve as an oracle for the package under test.
+The one exception is ``exact_trajectory``: the tracer's exact check written with
+scalar 3-vector calls, a bit-level reference for the batched check.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from itertools import product
+from itertools import chain, product, repeat
 
 import numpy as np
+
+from raymat import tracer
+from raymat.geometry import GRAZING_COS, mirror_point, ray_plane_parameter
 
 C0 = 299_792_458.0
 
@@ -267,3 +272,52 @@ def joint_enumeration_domains(entries) -> dict:
         for key, name in merged.items():
             domains.setdefault(key, set()).add(name)
     return domains
+
+
+# ---------------------------------------------------------------------------
+# the tracer's exact check, one facet sequence at a time in scalar calls
+
+
+def exact_trajectory(scene, sequence, tx, rx, clear=()):
+    """The specular path from tx off ``sequence`` to rx, or None if there is none,
+    with 3-vector numpy calls and Python floats: every bit the batched exact check
+    must reproduce.
+
+    Legs, from the transmitter, flagged True in ``clear`` are known unoccluded and
+    skip the exact occlusion test (tracer._segment_blocked); every other leg gets it,
+    against every facet but the ones it reflects off at its own ends.
+    """
+    images = [tx]  # the transmitter mirrored across the first j facets
+    for facet in sequence:
+        images.append(mirror_point(images[-1], facet.plane_point, facet.normal))
+    points = [rx]  # reflection points, folded back from the receiver
+    for facet, origin in zip(reversed(sequence), reversed(images[1:])):
+        direction = points[-1] - origin
+        t = ray_plane_parameter(origin, direction, facet.plane_point, facet.normal)
+        if t is None or not 0.0 < t < 1.0:
+            return None
+        rp = origin + t * direction
+        if not facet.contains(rp):
+            return None
+        points.append(rp)
+    path = [tx, *reversed(points)]
+    legs = [b - a for a, b in zip(path, path[1:])]
+    lengths = [math.sqrt(leg @ leg) for leg in legs]  # the bits of np.linalg.norm
+    if any(length <= tracer.OCCLUSION_EPS for length in lengths):  # a hop at a leg's end: no path
+        return None
+    thetas = []
+    for leg, length, facet in zip(legs, lengths, sequence):
+        cos_t = abs(float((leg / length) @ facet.normal))  # leg / length is unit(leg)
+        if cos_t < GRAZING_COS:
+            return None
+        thetas.append(math.acos(min(cos_t, 1.0)))
+    clear = chain(clear, repeat(False))
+    for leg, (a, b, c) in enumerate(zip(path, path[1:], clear)):
+        if not c and tracer._segment_blocked(scene, a, b, sequence[max(leg - 1, 0) : leg + 1]):
+            return None
+    hops = tuple(
+        tracer.Hop(point=p, facet_id=f.facet_id, theta_i=th) for p, f, th in zip(path[1:-1], sequence, thetas)
+    )
+    return tracer.Trajectory(
+        tx=tx, rx=rx, hops=hops, segment_lengths=tuple(lengths), total_length=float(sum(lengths))
+    )

@@ -14,7 +14,7 @@ from raymat.settling import check_settling, settling_table
 from raymat.tracer import OCCLUSION_EPS, _trajectory, trace
 from raymat.materials import GLASS, PLASTER, WOOD
 
-from .oracles import brute_force_double_bounce, brute_force_single_bounce
+from .oracles import brute_force_double_bounce, brute_force_single_bounce, exact_trajectory
 from .scenegen import random_endpoints, random_scene
 
 
@@ -285,19 +285,28 @@ def _segment_blocked_by_any(scene, start, end, ends):
     return False
 
 
+def _every_sequence(scene, max_bounces):
+    """Every facet sequence of 1..max_bounces facets without an immediate repeat, as
+    rows of facet indices, one array per length."""
+    for length in range(1, max_bounces + 1):
+        every = itertools.product(range(len(scene.facets)), repeat=length)
+        yield np.array([s for s in every if all(f != g for f, g in zip(s, s[1:]))], dtype=int).reshape(-1, length)
+
+
+def _exact_on_every_sequence(scene, tx, rx, max_bounces):
+    """(sequences, exact check results) for every sequence, no leg cleared, one block per length."""
+    tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
+    for seqs in _every_sequence(scene, max_bounces):
+        rows, legs = seqs.shape[0], seqs.shape[1] + 1
+        yield seqs, tracer._trajectories(scene, seqs, tx, np.tile(rx, (rows, 1)), np.zeros((rows, legs), bool))
+
+
 def _exhaustive_trace(scene, tx, rx, max_bounces):
-    """Every facet sequence without an immediate repeat, each through the exact check.
+    """Every facet sequence without an immediate repeat through the exact check.
 
     Run it with tracer._segment_blocked replaced by _segment_blocked_by_any.
     """
-    tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
-    found = []
-    for length in range(1, max_bounces + 1):
-        for sequence in itertools.product(scene.facets, repeat=length):
-            if any(f is g for f, g in zip(sequence, sequence[1:])):
-                continue
-            if (t := _trajectory(scene, sequence, tx, rx)) is not None:
-                found.append(t)
+    found = [t for _, ts in _exact_on_every_sequence(scene, tx, rx, max_bounces) for t in ts if t is not None]
     found.sort(key=lambda t: (t.bounces, t.total_length, t.facet_ids))
     return found
 
@@ -524,9 +533,82 @@ def test_trace_many_is_trace_per_receiver_in_blocks_of_any_size(rows, one_receiv
     assert paths.count(0) > 10 and len(paths) - paths.count(0) > 10
 
 
+def _assert_rows_match_the_oracle(scene, seqs, tx, rxs, clear, got, tally):
+    """Each row's exact check result is the scalar oracle's: None for None, else the same bits."""
+    for ids, rx, clear_legs, traj in zip(seqs.tolist(), rxs, clear.tolist(), got, strict=True):
+        want = exact_trajectory(scene, tuple(scene.facets[i] for i in ids), tx, rx, clear_legs)
+        where = f"{[scene.facets[i].facet_id for i in ids]}, tx {tx.tolist()}, rx {rx.tolist()}"
+        assert (traj is None) == (want is None), where
+        assert _reprs([traj] if traj else []) == _reprs([want] if want else []), where
+        tally[want is None] += 1
+
+
+def test_the_exact_check_is_the_scalar_oracle_on_every_row_it_receives(default_blocks, monkeypatch):
+    """Every row trace and trace_many hand the batched exact check, with the legs the batch
+    cleared, gets the scalar oracle's answer and bits: every EXHAUSTIVE_CASES input at
+    k=1..3, the demo at k=4, and _receiver_cases()."""
+    calls = []
+    exact = tracer._trajectories
+
+    def record(scene, seqs, tx, rxs, clear):
+        calls.append((scene, seqs, tx, rxs, clear, got := exact(scene, seqs, tx, rxs, clear)))
+        return got
+
+    monkeypatch.setattr(tracer, "_trajectories", record)
+    for case in default_blocks[0]:
+        trace(*case)
+    for scene, tx, rxs, k in _receiver_cases():
+        tracer.trace_many(scene, tx, rxs, k)
+    tally = {True: 0, False: 0}
+    for call in calls:
+        _assert_rows_match_the_oracle(*call, tally)
+    assert tally[False] > 1000 and tally[True] > 10, tally
+
+
+def test_the_exact_check_is_the_scalar_oracle_on_every_sequence():
+    """The batched exact check on every facet sequence of 1..3 facets of each
+    EXHAUSTIVE_CASES input, unpruned and with no leg cleared, so rows fail at every test
+    the oracle makes; the mixed scene's facets have 3, 4 and 5 edges, so padded
+    half-planes are used."""
+    tally = {True: 0, False: 0}
+    for _, scene, tx, rx in EXHAUSTIVE_CASES:
+        tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
+        for seqs, got in _exact_on_every_sequence(scene, tx, rx, 3):
+            clear = np.zeros((len(seqs), seqs.shape[1] + 1), bool)
+            _assert_rows_match_the_oracle(scene, seqs, tx, [rx] * len(seqs), clear, got, tally)
+    assert min(tally.values()) > 100, tally
+
+
 def test_trace_many_of_no_receivers_is_empty():
     demo = demo_building()
     assert tracer.trace_many(demo, demo_positions(demo)[0][0], [], 3) == []
+
+
+SINGLE_FAULTS = {
+    "tx-2d": ((1, 1), (2, 1, 1), 2, "tx and rx must be 3D points"),
+    "rx-4d": ((1, 1, 1), (2, 1, 1, 0), 2, "tx and rx must be 3D points"),
+    "rx-is-tx": ((1, 1, 1), (1, 1, 1), 2, "tx and rx must be distinct"),
+    "k-0": ((1, 1, 1), (2, 1, 1), 0, "max_bounces must be in [1, 4], got 0"),
+    "k-9": ((1, 1, 1), (2, 1, 1), 9, "max_bounces must be in [1, 4], got 9"),
+    "tx-outside": ((1e9, 1, 1), (2, 1, 1), 2, "tx [1000000000.0, 1.0, 1.0] is outside the scene bounds"),
+    "rx-outside": ((1, 1, 1), (2, 1, 1e9), 2, "rx [2.0, 1.0, 1000000000.0] is outside the scene bounds"),
+}
+
+
+@pytest.mark.parametrize("case", list(SINGLE_FAULTS))
+def test_trace_many_refuses_a_bad_transmitter_or_k_with_no_receivers(case):
+    """An input with one fault raises the same error from trace and from trace_many, and a
+    fault of the transmitter or of max_bounces raises it with no receivers too."""
+    tx, rx, k, message = SINGLE_FAULTS[case]
+    demo = demo_building()
+    for call in (lambda: trace(demo, tx, rx, k), lambda: tracer.trace_many(demo, tx, [(2, 2, 1), rx], k)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    if not case.startswith("rx-"):
+        with pytest.raises(ValueError) as err:
+            tracer.trace_many(demo, tx, [], k)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("corner", ["edge", "vertex"])
@@ -742,6 +824,25 @@ def test_scalar_math_gives_the_bits_of_numpy():
     assert [math.sqrt(v @ v) for v in vectors] == [float(np.linalg.norm(v)) for v in vectors]
     angles = rng.uniform(0, math.pi / 2, 20000).tolist() + [0.0, math.pi / 2, 1e-300]
     assert [math.degrees(x) for x in angles] == np.degrees(angles).tolist()
+
+
+def test_stacked_matmul_gives_the_bits_of_the_1d_products():
+    """The batched exact check takes a @ b row by row as a stacked matmul (tracer._dot),
+    and Facet.contains's inward @ p over many points as a stacked mat-vec on the scene's
+    zero-padded half-planes. A 1-D a @ b is the BLAS ddot, an FMA chain, so an einsum or
+    a sum of the component products differs from it in the last bit for about a third of
+    the rows; each row of a stacked matmul is that same BLAS call, so it must match the
+    1-D products bit for bit, or batched traces would shift silently."""
+    rng = np.random.default_rng(22)
+    a, b = (rng.standard_normal((20000, 3)) * 10.0 ** rng.uniform(-8, 4, (20000, 1)) for _ in range(2))
+    assert tracer._dot(a, b).tolist() == [x @ y for x, y in zip(a, b)]
+    # half-planes of facets with 3 to 6 edges, zero-padded to 6 rows as Scene stacks them
+    edges = rng.integers(3, 7, 20000)
+    inward = rng.standard_normal((20000, 6, 3)) * 10.0 ** rng.uniform(-8, 4, (20000, 1, 1))
+    inward[np.arange(6) >= edges[:, None]] = 0.0
+    stacked = np.matmul(inward, b[:, :, None])[..., 0]
+    for row, m, p, e in zip(stacked, inward, b, edges.tolist()):
+        assert row[:e].tolist() == (m[:e] @ p).tolist() and not row[e:].any()
 
 
 def test_geometry_rejects_degenerate_inputs():
