@@ -79,16 +79,14 @@ class Scene:
     """Immutable collection of facets with an axis-aligned bounding box.
 
     The facet geometry is also stacked once, for batched tests across facets:
-    unit ``normals`` (N, 3), ``plane_points`` (N, 3) and ``plane_offsets`` (N),
-    with normal @ p == offset on a facet's plane, and each facet's half-planes (``inward``,
-    ``offsets``, ``slack``, as on Facet) padded to the largest edge count with
-    zero rows, which every point passes.
+    unit ``normals`` (N, 3), ``plane_points`` (N, 3), and each facet's half-planes
+    (``inward``, ``offsets``, ``slack``, as on Facet) padded to the largest edge count
+    with zero rows, which every point passes.
     """
 
     facets: tuple[Facet, ...]
     normals: np.ndarray = field(init=False, repr=False)
     plane_points: np.ndarray = field(init=False, repr=False)
-    plane_offsets: np.ndarray = field(init=False, repr=False)
     inward: np.ndarray = field(init=False, repr=False)
     offsets: np.ndarray = field(init=False, repr=False)
     slack: np.ndarray = field(init=False, repr=False)
@@ -112,11 +110,8 @@ class Scene:
         pad = max(3.0, float((upper - lower).max()))
         object.__setattr__(self, "_box", tuple(zip((lower - pad - 1e-9).tolist(), (upper + pad + 1e-9).tolist())))
         object.__setattr__(self, "_by_id", {f.facet_id: f for f in facets})
-        normals = np.array([f.normal for f in facets])
-        plane_points = np.array([f.plane_point for f in facets])
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "plane_points", plane_points)
-        object.__setattr__(self, "plane_offsets", np.einsum("ij,ij->i", normals, plane_points))
+        object.__setattr__(self, "normals", np.array([f.normal for f in facets]))
+        object.__setattr__(self, "plane_points", np.array([f.plane_point for f in facets]))
         width = max(len(f.vertices) for f in facets)
         for name in ("inward", "offsets", "slack"):
             padded = np.zeros((len(facets), width, *getattr(facets[0], name).shape[1:]))

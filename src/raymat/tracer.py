@@ -2,32 +2,26 @@
 
 Facet sequences are traced depth first over one image tree per transmitter, in blocks
 of at most BLOCK_ROWS rows, one per sequence and receiver, each under one np.errstate.
-A block is mirrored and folded back from its receivers together; then every path
-node is projected once onto every facet's plane and edges, and a leg's crossings
-interpolate its two nodes. A leg meets the plane of a facet it reflects off at one of
-its own ends only at that end, so those facets never occlude it, in the batch or in
-the exact check. Rows that are certainly invalid, or have a certainly occluded leg,
-are dropped. The exact check then runs once per block, on arrays over the surviving
-rows, with the bits of the scalar 3-vector calls (a stacked matmul row is the 1-D
-``a @ b``): it rebuilds each row's images and reflection points, which must lie inside
-their polygons and be genuine crossings, and only legs the batch could not call clear
-get the exact occlusion test, a scalar loop. _trajectory is its one-row case. Facets
-reflect on both sides.
+Each image is mirrored once per sequence. One exact pass per block then folds every row
+back from its receiver, drops it at the first hop that is grazing, off its facet's
+plane segment or outside the facet's polygon, and tests the legs of the rows left for
+occlusion, on only the facets whose planes they cross strictly inside. Every step has
+the bits of the scalar 3-vector calls: a stacked matmul row is the 1-D ``a @ b``. A leg
+meets the plane of a facet it reflects off at one of its own ends only at that end, so
+those facets never occlude it. Facets reflect on both sides.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GRAZING_COS, ray_plane_parameter
-from .scene import Facet, Scene
+from .geometry import GRAZING_COS
+from .scene import Scene
 
 OCCLUSION_EPS = 1e-6  # m; other facets met this near a leg's ends (a neighbour at a hop's edge) do not occlude it
-PRUNE_TOL = 1e-7  # m; far above rounding differences between batched and exact tests
 BLOCK_ROWS = 2048  # most rows, facet sequences times receivers, in one batch
 
 __all__ = ["Hop", "Trajectory", "trace", "trace_many", "OCCLUSION_EPS"]
@@ -61,81 +55,11 @@ class Trajectory:
         return tuple(h.facet_id for h in self.hops)
 
 
-def _crossings(side_a, side_b, length, growth):
-    """t along segments a->b where they cross the facets' planes, from the signed distances
-    of a and b, and growth times 2|b - a| / |n @ (b - a)|: the bound on how far rounding
-    differences from the exact test have grown, inf or NaN near parallel."""
-    gap = side_a - side_b
-    return side_a / gap, 2 * growth * length / np.abs(gap)
-
-
-def _on_facets(t, length, inside, slack, growth, near=0.0):
-    """Whether crossings at t along segments of the given length, with half-plane values
-    ``inside`` (inward @ p - offsets, edges last), may or must lie on the facets.
-
-    The margin PRUNE_TOL * growth goes both ways: ``may`` is False only if the crossing
-    lies outside the segment, within ``near`` of an end, or outside a half-plane, by more
-    than the margin; ``must`` is True only if it lies beyond ``near`` from both ends and
-    inside every half-plane, by more than the margin, with growth finite. A crossing with
-    a facet at the segment's own end has reach about 0, so ``may`` keeps it.
-    """
-    reach, margin = np.minimum(t, 1 - t) * length, PRUNE_TOL * growth
-    # Facet.slack is 1e-9 per metre of edge scale; widen it by PRUNE_TOL * growth
-    widened = slack * (1 + growth[..., None] * (PRUNE_TOL / 1e-9))
-    may = ~((reach < near - margin) | (inside < -widened).any(axis=-1))  # NaN keeps a row
-    must = (reach > near + margin) & (inside >= widened).all(axis=-1) & np.isfinite(growth)
-    return may, must
-
-
-def _segment_blocked(scene: Scene, start: np.ndarray, end: np.ndarray, ends) -> bool:
-    """True if a facet other than those in ``ends`` cuts the open segment, OCCLUSION_EPS
-    away from both ends."""
-    direction = end - start
-    for facet in scene.facets:
-        if facet in ends:  # Facet compares by identity
-            continue
-        t = ray_plane_parameter(start, direction, facet.plane_point, facet.normal)
-        if t is None or not 0.0 < t < 1.0:
-            continue
-        point = start + t * direction
-        to_start, to_end = point - start, point - end
-        near_end = math.sqrt(min(to_start @ to_start, to_end @ to_end))
-        if near_end > OCCLUSION_EPS and facet.contains(point):
-            return True
-    return False
-
-
-def _survivors(scene: Scene, seqs: np.ndarray, images: np.ndarray, rx: np.ndarray):
-    """The rows of seqs that may have a specular path, and two (rows, legs) masks of
-    their legs, from the transmitter: certainly blocked, and certainly clear.
-
-    ``images[:, j]`` is the transmitter mirrored across the first j facets of each row,
-    and ``rx`` is the receiver, or one per row. Each hop's facet is cleared from the
-    legs into and out of it.
-    """
-    rows, growth, points = np.arange(len(seqs)), 1.0, [np.broadcast_to(rx, (len(seqs), 3))]
-    with np.errstate(divide="ignore", invalid="ignore"):  # one per block, for the near-parallel rows
-        for j in reversed(range(seqs.shape[1])):  # fold back from the receiver, one facet a row
-            f, a, b = seqs[rows, j], images[rows, j + 1], points[-1]
-            n, o, d = scene.normals[f], scene.plane_offsets[f], b - a
-            length = np.sqrt(np.einsum("ij,ij->i", d, d))
-            t, growth = _crossings(np.einsum("ij,ij->i", a, n) - o, np.einsum("ij,ij->i", b, n) - o, length, growth)
-            point = a + t[:, None] * d
-            inside = np.einsum("ikj,ij->ik", scene.inward[f], point) - scene.offsets[f]
-            ok, _ = _on_facets(t, length, inside, scene.slack[f], growth)
-            rows, growth, points = rows[ok], growth[ok], [p[ok] for p in (*points, point)]
-        path = np.stack([images[rows, 0], *reversed(points)], axis=1)  # the last growth bounds every hop
-        side = path @ scene.normals.T - scene.plane_offsets  # every node against every facet
-        inside = (path @ scene.inward.reshape(-1, 3).T).reshape(side.shape + scene.offsets.shape[1:]) - scene.offsets
-        d = path[:, 1:] - path[:, :-1]
-        legs = np.sqrt(np.einsum("...j,...j", d, d))[..., None]
-        t, growth = _crossings(side[:, :-1], side[:, 1:], legs, growth[:, None, None])
-        inside = inside[:, :-1] + t[..., None] * (inside[:, 1:] - inside[:, :-1])  # affine in the point
-        may, must = _on_facets(t, legs, inside, scene.slack, growth, OCCLUSION_EPS)
-    r, hop, ends = np.arange(len(rows))[:, None], np.arange(seqs.shape[1]), seqs[rows]
-    for mask, leg in itertools.product((may, must), (hop, hop + 1)):
-        mask[r, leg, ends] = False
-    return rows, must.any(axis=2), ~may.any(axis=2)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b along the last axis, row by row as a stacked matmul that broadcasts: each
+    row is the 1-D ``a @ b`` call, the BLAS ddot, so it has that call's bits (ddot is an
+    FMA chain, which an einsum or a sum of products does not reproduce)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int, cap: int):
@@ -145,11 +69,12 @@ def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int
     or one parent's children if those are more.
 
     ``images[:, j]`` is the transmitter mirrored across the first j facets of each
-    row; the image across the last facet is added here.
+    row; the image across the last facet is added here, with mirror_point's bits.
     """
-    n, last = scene.normals[seqs[:, -1]], images[:, -1]
-    side = np.einsum("ij,ij->i", last, n) - scene.plane_offsets[seqs[:, -1]]
-    images = np.concatenate([images, (last - 2 * side[:, None] * n)[:, None]], axis=1)
+    f, last = seqs[:, -1], images[:, -1]
+    n = scene.normals[f]
+    mirrored = last - (2 * _dot(last - scene.plane_points[f], n))[:, None] * n
+    images = np.concatenate([images, mirrored[:, None]], axis=1)
     yield seqs, images
     if seqs.shape[1] < max_bounces:
         every = np.arange(len(scene.facets))
@@ -160,80 +85,77 @@ def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int
             yield from _blocks(scene, np.column_stack([seqs[parent], nxt]), images[parent], max_bounces, cap)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b along the last axis, row by row as a stacked matmul: each row is the 1-D
-    ``a @ b`` call, the BLAS ddot, so it has that call's bits (ddot is an FMA chain,
-    which an einsum or a sum of products does not reproduce)."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+def _inside(scene: Scene, f: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Facet.contains of each point on facet f, with its bits (a stacked mat-vec row
+    is the 1-D ``inward @ p``); a padded half-plane row passes every point."""
+    inward = np.matmul(scene.inward[f], points[..., None])[..., 0]
+    return (scene.offsets[f] - inward <= scene.slack[f]).all(axis=-1)
 
 
-def _trajectories(
-    scene: Scene, seqs: np.ndarray, tx: np.ndarray, rxs: np.ndarray, clear: np.ndarray
-) -> list[Trajectory | None]:
-    """The specular path of each row from tx off the facets ``seqs[i]`` to ``rxs[i]``,
-    or None where there is none.
+def _blocked(scene: Scene, seqs: np.ndarray, path: np.ndarray) -> np.ndarray:
+    """Whether a leg of each row's path is occluded: cut by a facet, OCCLUSION_EPS away
+    from both its ends, other than the ones it reflects off at its own ends.
 
-    Images, hops, the polygon test, leg lengths and angles are computed for all rows at
-    once, with the bits of the 3-vector calls mirror_point, ray_plane_parameter,
-    Facet.contains and math.sqrt(v @ v). Legs, from the transmitter, flagged True in
-    ``clear[i]`` are known unoccluded and skip the exact occlusion test; every other leg
-    of a row that passed the rest gets it, in leg order, against every facet but the
-    ones it reflects off at its own ends.
+    A leg meets the plane of an end facet only at that end, however the hop rounds, so
+    those facets are left out by index. Only the crossings of steep planes strictly
+    inside a leg get the distance and polygon tests.
+    """
+    start, d = path[:, :-1], path[:, 1:] - path[:, :-1]  # (rows, legs, 3)
+    denom = _dot(d[:, :, None], scene.normals)  # (rows, legs, facets), as in ray_plane_parameter
+    t = _dot(scene.plane_points - start[:, :, None], scene.normals) / denom
+    crossing = (np.abs(denom) > GRAZING_COS * np.sqrt(_dot(d, d))[..., None]) & (0.0 < t) & (t < 1.0)
+    r, hop = np.arange(len(seqs))[:, None], np.arange(seqs.shape[1])
+    crossing[r, hop, seqs] = crossing[r, hop + 1, seqs] = False
+    r, leg, f = np.nonzero(crossing)
+    a, b = start[r, leg], path[r, leg + 1]
+    point = a + t[r, leg, f][:, None] * d[r, leg]
+    to_a, to_b = point - a, point - b
+    near = np.sqrt(np.minimum(_dot(to_a, to_a), _dot(to_b, to_b)))
+    blocked = np.zeros(len(seqs), dtype=bool)
+    blocked[r[(near > OCCLUSION_EPS) & _inside(scene, f, point)]] = True
+    return blocked
+
+
+def _trajectories(scene: Scene, seqs: np.ndarray, images: np.ndarray, rxs: np.ndarray) -> list[Trajectory | None]:
+    """The specular path of each row from ``images[i, 0]`` off the facets ``seqs[i]`` to
+    ``rxs[i]``, or None where there is none.
+
+    ``images[i, j]`` is the transmitter mirrored across the first j facets of row i. Each
+    row is folded back from its receiver and dropped at the first hop that fails the
+    grazing cut, 0 < t < 1 or the polygon test; a row that is left needs legs longer than
+    OCCLUSION_EPS, no hop with |cos| below GRAZING_COS and no occluded leg. Every step
+    has the bits of the 3-vector calls ray_plane_parameter, Facet.contains and
+    math.sqrt(v @ v).
     """
     found: list[Trajectory | None] = [None] * len(seqs)
-    if not len(seqs):
-        return found
-    k, n, plane = seqs.shape[1], scene.normals[seqs], scene.plane_points[seqs]  # (rows, hops, 3)
-    images = [np.broadcast_to(tx, (len(seqs), 3))]  # the transmitter mirrored across the first j facets
-    for j in range(k):
-        images.append(images[-1] - (2 * _dot(images[-1] - plane[:, j], n[:, j]))[:, None] * n[:, j])
-    aim = _dot(plane - np.stack(images[1:], axis=1), n)  # (plane_point - image) @ normal, per hop
-    points, ts, steep = [rxs], [], []  # reflection points, folded back from the receiver
-    with np.errstate(divide="ignore", invalid="ignore"):  # a row that fails a test is dropped below
+    k, rows, points = seqs.shape[1], np.arange(len(seqs)), [rxs]  # reflection points, from the receiver
+    with np.errstate(divide="ignore", invalid="ignore"):  # one per block; a row that fails a test is dropped
         for j in reversed(range(k)):  # ray_plane_parameter from image j + 1 towards the last point
-            direction = points[-1] - images[j + 1]
-            denom = _dot(direction, n[:, j])
-            ts.append(aim[:, j] / denom)
-            steep.append(np.abs(denom) > GRAZING_COS * np.sqrt(_dot(direction, direction)))
-            points.append(images[j + 1] + ts[-1][:, None] * direction)
-        path = np.stack([images[0], *reversed(points)], axis=1)
+            origin, f = images[rows, j + 1], seqs[rows, j]
+            direction, n = points[-1] - origin, scene.normals[f]
+            denom = _dot(direction, n)
+            t = _dot(scene.plane_points[f] - origin, n) / denom
+            point = origin + t[:, None] * direction
+            ok = (np.abs(denom) > GRAZING_COS * np.sqrt(_dot(direction, direction))) & (0.0 < t) & (t < 1.0)
+            ok &= _inside(scene, f, point)
+            rows, points = rows[ok], [p[ok] for p in (*points, point)]
+        path = np.stack([images[rows, 0], *reversed(points)], axis=1)
         legs = path[:, 1:] - path[:, :-1]
         lengths = np.sqrt(_dot(legs, legs))
-        cos = np.abs(_dot(legs[:, :k] / lengths[:, :k, None], n))
-        inward = np.matmul(scene.inward[seqs], path[:, 1:-1, :, None])[..., 0]  # Facet.contains's bits
-        inside = (scene.offsets[seqs] - inward <= scene.slack[seqs]).all(axis=(1, 2))
-    t = np.stack(ts, axis=1)
-    ok = (np.stack(steep, axis=1) & (0.0 < t) & (t < 1.0)).all(axis=1) & inside
-    ok &= ~(lengths <= OCCLUSION_EPS).any(axis=1) & ~(cos < GRAZING_COS).any(axis=1)  # NaN passes, as in the float tests
-    rows = np.flatnonzero(ok)
-    facets, clear = scene.facets, clear.tolist()
-    for row, nodes, ids, legs_m, cos_t in zip(
-        rows.tolist(), path[rows], seqs[rows].tolist(), lengths[rows].tolist(), cos[rows].tolist()
-    ):
-        sequence = [facets[i] for i in ids]
-        if any(
-            not c and _segment_blocked(scene, nodes[leg], nodes[leg + 1], sequence[max(leg - 1, 0) : leg + 1])
-            for leg, c in enumerate(clear[row])
-        ):
-            continue
+        cos = np.abs(_dot(legs[:, :k] / lengths[:, :k, None], scene.normals[seqs[rows]]))
+        # a NaN length or cos passes, as in the float tests
+        ok = ~(lengths <= OCCLUSION_EPS).any(axis=1) & ~(cos < GRAZING_COS).any(axis=1)
+        ok[ok] = ~_blocked(scene, seqs[rows[ok]], path[ok])
+    facets = scene.facets
+    for row, nodes, legs_m, cos_t in zip(rows[ok].tolist(), path[ok], lengths[ok].tolist(), cos[ok].tolist()):
         hops = tuple(
-            Hop(point=p, facet_id=f.facet_id, theta_i=math.acos(min(c, 1.0)))
-            for p, f, c in zip(nodes[1:-1], sequence, cos_t)
+            Hop(point=p, facet_id=facets[i].facet_id, theta_i=math.acos(min(c, 1.0)))
+            for p, i, c in zip(nodes[1:-1], seqs[row].tolist(), cos_t)
         )
         found[row] = Trajectory(
-            tx=tx, rx=rxs[row], hops=hops, segment_lengths=tuple(legs_m), total_length=float(sum(legs_m))
+            tx=nodes[0], rx=nodes[-1], hops=hops, segment_lengths=tuple(legs_m), total_length=float(sum(legs_m))
         )
     return found
-
-
-def _trajectory(
-    scene: Scene, sequence: tuple[Facet, ...], tx: np.ndarray, rx: np.ndarray, clear=()
-) -> Trajectory | None:
-    """The specular path from tx off ``sequence`` to rx, or None if there is none:
-    _trajectories on one row. Legs flagged True in ``clear`` skip the exact occlusion test."""
-    seqs = np.array([[scene.facets.index(f) for f in sequence]])
-    clear = itertools.islice(itertools.chain(clear, itertools.repeat(False)), len(sequence) + 1)
-    return _trajectories(scene, seqs, tx, rx[None], np.array([list(clear)]))[0]
 
 
 def trace(scene: Scene, tx, rx, max_bounces: int = 2) -> list[Trajectory]:
@@ -280,11 +202,7 @@ def trace_many(scene: Scene, tx, rxs, max_bounces: int = 2) -> list[list[Traject
     tree = _blocks(scene, first, np.broadcast_to(tx, (len(first), 1, 3)), max_bounces, max(1, BLOCK_ROWS // n))
     for seqs, images in tree:  # row i of a tiled block: sequence i // n, receiver i % n
         tiled = np.repeat(seqs, n, axis=0), np.repeat(images, n, axis=0), np.tile(receivers, (len(seqs), 1))
-        rows, blocked, clear = _survivors(scene, *tiled)
-        open_rows = ~blocked.any(axis=1)
-        rows, clear = rows[open_rows], clear[open_rows]
-        r = rows % n
-        for i, trajectory in zip(r.tolist(), _trajectories(scene, seqs[rows // n], tx, receivers[r], clear)):
+        for i, trajectory in enumerate(_trajectories(scene, *tiled)):
             if trajectory is not None:
-                found[i].append(trajectory)
+                found[i % n].append(trajectory)
     return [sorted(f, key=lambda t: (t.bounces, t.total_length, t.facet_ids)) for f in found]

@@ -2,15 +2,15 @@
 
 Everything here is deliberately written from scratch (different formulations,
 different code paths) so it can serve as an oracle for the package under test.
-The one exception is ``exact_trajectory``: the tracer's exact check written with
-scalar 3-vector calls, a bit-level reference for the batched check.
+The one exception is ``exact_trajectory`` with its ``segment_blocked``: the tracer's
+exact pass written with scalar 3-vector calls, a bit-level reference for the batched pass.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain, product, repeat
+from itertools import product
 
 import numpy as np
 
@@ -275,17 +275,32 @@ def joint_enumeration_domains(entries) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the tracer's exact check, one facet sequence at a time in scalar calls
+# the tracer's exact pass, one facet sequence at a time in scalar calls
 
 
-def exact_trajectory(scene, sequence, tx, rx, clear=()):
+def segment_blocked(scene, start, end, ends):
+    """True if a facet other than those in ``ends`` cuts the open segment start -> end,
+    OCCLUSION_EPS away from both ends."""
+    direction = end - start
+    for facet in scene.facets:
+        if facet in ends:  # Facet compares by identity
+            continue
+        t = ray_plane_parameter(start, direction, facet.plane_point, facet.normal)
+        if t is None or not 0.0 < t < 1.0:
+            continue
+        point = start + t * direction
+        to_start, to_end = point - start, point - end
+        near_end = math.sqrt(min(to_start @ to_start, to_end @ to_end))
+        if near_end > tracer.OCCLUSION_EPS and facet.contains(point):
+            return True
+    return False
+
+
+def exact_trajectory(scene, sequence, tx, rx):
     """The specular path from tx off ``sequence`` to rx, or None if there is none,
-    with 3-vector numpy calls and Python floats: every bit the batched exact check
-    must reproduce.
-
-    Legs, from the transmitter, flagged True in ``clear`` are known unoccluded and
-    skip the exact occlusion test (tracer._segment_blocked); every other leg gets it,
-    against every facet but the ones it reflects off at its own ends.
+    with 3-vector numpy calls and Python floats: every bit the batched exact pass
+    must reproduce. Every leg gets segment_blocked, against every facet but the ones
+    it reflects off at its own ends.
     """
     images = [tx]  # the transmitter mirrored across the first j facets
     for facet in sequence:
@@ -311,9 +326,8 @@ def exact_trajectory(scene, sequence, tx, rx, clear=()):
         if cos_t < GRAZING_COS:
             return None
         thetas.append(math.acos(min(cos_t, 1.0)))
-    clear = chain(clear, repeat(False))
-    for leg, (a, b, c) in enumerate(zip(path, path[1:], clear)):
-        if not c and tracer._segment_blocked(scene, a, b, sequence[max(leg - 1, 0) : leg + 1]):
+    for leg, (a, b) in enumerate(zip(path, path[1:])):
+        if segment_blocked(scene, a, b, sequence[max(leg - 1, 0) : leg + 1]):
             return None
     hops = tuple(
         tracer.Hop(point=p, facet_id=f.facet_id, theta_i=th) for p, f, th in zip(path[1:-1], sequence, thetas)

@@ -7,11 +7,11 @@ import pytest
 from raymat import tracer
 from raymat.demo import demo_building, demo_positions
 from raymat.geometry import (
-    ray_plane_parameter, reflect_direction, unit, validate_convex_polygon,
+    mirror_point, reflect_direction, unit, validate_convex_polygon,
 )
 from raymat.scene import Facet, Scene, SceneValidationError, load_scene, save_scene, scene_from_dict
 from raymat.settling import check_settling, settling_table
-from raymat.tracer import OCCLUSION_EPS, _trajectory, trace
+from raymat.tracer import trace
 from raymat.materials import GLASS, PLASTER, WOOD
 
 from .oracles import brute_force_double_bounce, brute_force_single_bounce, exact_trajectory
@@ -268,23 +268,6 @@ def test_image_method_agrees_with_brute_force_double_bounce():
 # --- trace against an exhaustive walk -------------------------------------------
 
 
-def _segment_blocked_by_any(scene, start, end, ends):
-    """The exact occlusion test run on every facet but the leg's own end facets
-    ``ends``, with no batched filter first."""
-    direction = end - start
-    for facet in scene.facets:
-        if any(facet is e for e in ends):
-            continue
-        t = ray_plane_parameter(start, direction, facet.plane_point, facet.normal)
-        if t is None or not 0.0 < t < 1.0:
-            continue
-        point = start + t * direction
-        near_end = min(np.linalg.norm(point - start), np.linalg.norm(point - end))
-        if near_end > OCCLUSION_EPS and facet.contains(point):
-            return True
-    return False
-
-
 def _every_sequence(scene, max_bounces):
     """Every facet sequence of 1..max_bounces facets without an immediate repeat, as
     rows of facet indices, one array per length."""
@@ -293,20 +276,11 @@ def _every_sequence(scene, max_bounces):
         yield np.array([s for s in every if all(f != g for f, g in zip(s, s[1:]))], dtype=int).reshape(-1, length)
 
 
-def _exact_on_every_sequence(scene, tx, rx, max_bounces):
-    """(sequences, exact check results) for every sequence, no leg cleared, one block per length."""
-    tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
-    for seqs in _every_sequence(scene, max_bounces):
-        rows, legs = seqs.shape[0], seqs.shape[1] + 1
-        yield seqs, tracer._trajectories(scene, seqs, tx, np.tile(rx, (rows, 1)), np.zeros((rows, legs), bool))
-
-
 def _exhaustive_trace(scene, tx, rx, max_bounces):
-    """Every facet sequence without an immediate repeat through the exact check.
-
-    Run it with tracer._segment_blocked replaced by _segment_blocked_by_any.
-    """
-    found = [t for _, ts in _exact_on_every_sequence(scene, tx, rx, max_bounces) for t in ts if t is not None]
+    """Every facet sequence without an immediate repeat through the scalar oracle."""
+    tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
+    every = (tuple(scene.facets[i] for i in ids) for seqs in _every_sequence(scene, max_bounces) for ids in seqs)
+    found = [t for t in (exact_trajectory(scene, sequence, tx, rx) for sequence in every) if t is not None]
     found.sort(key=lambda t: (t.bounces, t.total_length, t.facet_ids))
     return found
 
@@ -385,10 +359,10 @@ def _exhaustive_cases():
     for x in (5e-7, 7e-7, 7.1e-7, 1e-6, 1e-3):
         scene = Scene((Facet("floor", FLOOR_BIG), _screen_at(-1, 0, x)))
         yield f"occluder-near-end{x:g}", scene, (0, 0, 1), (2, 0, 1)
-    # grazing legs, 1e-9 m above a tilted floor over 10 m: batched and exact specular
-    # points differ by about 1e-6 m, ten times PRUNE_TOL, so only the growth bound
-    # keeps the prune and the occlusion classes sound. The floor ends, or a wall
-    # across the legs stands, within a few micrometres of the specular point.
+    # grazing legs, 1e-9 m above a tilted floor over 10 m: a specular point moves by
+    # about 1e-6 m for a rounding change in its image, so any arithmetic without the
+    # scalar calls' bits would keep or drop these paths differently. The floor ends, or
+    # a wall across the legs stands, within a few micrometres of the specular point.
     tx, rx = _grazing_at(0, -0.25, 1e-9), _grazing_at(10, -0.25, 1e-9)
     for s in (-3e-6, -2e-6, -1.5e-6, -1e-6, -5e-7, 0.0, 5e-7, 1e-6, 1.5e-6, 2e-6, 3e-6):
         u = 5 + s
@@ -416,46 +390,9 @@ EXHAUSTIVE_CASES = list(_exhaustive_cases())
 
 @pytest.mark.parametrize("case", EXHAUSTIVE_CASES, ids=[c[0] for c in EXHAUSTIVE_CASES])
 @pytest.mark.parametrize("max_bounces", [1, 2, 3])
-def test_trace_matches_exhaustive_walk(case, max_bounces, monkeypatch):
+def test_trace_matches_exhaustive_walk(case, max_bounces):
     _, scene, a, b = case
-    traced = _reprs(trace(scene, a, b, max_bounces))
-    monkeypatch.setattr(tracer, "_segment_blocked", _segment_blocked_by_any)
-    assert traced == _reprs(_exhaustive_trace(scene, a, b, max_bounces))
-
-
-@pytest.mark.parametrize("max_bounces", [1, 2, 3])
-def test_batched_occlusion_classes_agree_with_exact_test(max_bounces, monkeypatch):
-    """A leg the batch calls certainly blocked is blocked on the exact path, and a
-    leg it calls certainly clear is not, by the unfiltered exact test."""
-    batches, legs = [], []
-    survivors = tracer._survivors
-
-    def record(scene, seqs, images, rx):
-        rows, blocked, clear = survivors(scene, seqs, images, rx)
-        batches.append((seqs[rows], blocked, clear))
-        return rows, blocked, clear
-
-    monkeypatch.setattr(tracer, "_survivors", record)
-    # _trajectory then runs every leg through this and keeps the exact path's legs
-    monkeypatch.setattr(tracer, "_segment_blocked", lambda scene, a, b, ends: legs.append((a, b, ends)) or False)
-    classified = {"blocked": 0, "clear": 0}
-    for name, scene, tx, rx in EXHAUSTIVE_CASES:
-        batches.clear()
-        trace(scene, tx, rx, max_bounces)
-        for seqs, blocked, clear in batches:
-            for ids, blocked_legs, clear_legs in zip(seqs, blocked, clear):
-                sequence = tuple(scene.facets[i] for i in ids)
-                legs.clear()
-                if _trajectory(scene, sequence, np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)) is None:
-                    continue  # no exact path, so nothing to occlude
-                for leg, (a, b, ends) in enumerate(legs):
-                    exact = _segment_blocked_by_any(scene, a, b, ends)
-                    where = f"{name}, {[f.facet_id for f in sequence]}, leg {leg}"
-                    assert exact or not blocked_legs[leg], f"blocked only in the batch: {where}"
-                    assert not exact or not clear_legs[leg], f"clear only in the batch: {where}"
-                    classified["blocked"] += bool(blocked_legs[leg])
-                    classified["clear"] += bool(clear_legs[leg])
-    assert min(classified.values()) > 10, classified
+    assert _reprs(trace(scene, a, b, max_bounces)) == _reprs(_exhaustive_trace(scene, a, b, max_bounces))
 
 
 @pytest.fixture(scope="module")
@@ -473,14 +410,14 @@ def test_trace_is_the_same_in_blocks_of_any_size(rows, default_blocks, monkeypat
     """Splitting each depth into blocks of at most BLOCK_ROWS rows changes no output.
     A block is larger only when one parent's children, or the first hops, are."""
     cases, expected = default_blocks
-    survivors = tracer._survivors
+    exact = tracer._trajectories
 
-    def capped(scene, seqs, images, rx):
+    def capped(scene, seqs, images, rxs):
         assert len(seqs) <= max(rows, len(scene.facets))
-        return survivors(scene, seqs, images, rx)
+        return exact(scene, seqs, images, rxs)
 
     monkeypatch.setattr(tracer, "BLOCK_ROWS", rows)
-    monkeypatch.setattr(tracer, "_survivors", capped)
+    monkeypatch.setattr(tracer, "_trajectories", capped)
     assert [_reprs(trace(*case)) for case in cases] == expected
 
 
@@ -515,15 +452,15 @@ def test_trace_many_is_trace_per_receiver_in_blocks_of_any_size(rows, one_receiv
     one parent's children. At 64 rows, a cap that ignored the receivers would let
     several parents' children in one block and exceed the bound."""
     cases, expected = one_receiver_at_a_time
-    survivors = tracer._survivors
+    exact = tracer._trajectories
     receivers = []
 
-    def capped(scene, seqs, images, rx):
+    def capped(scene, seqs, images, rxs):
         assert len(seqs) <= max(rows, len(receivers[-1]) * len(scene.facets))
-        return survivors(scene, seqs, images, rx)
+        return exact(scene, seqs, images, rxs)
 
     monkeypatch.setattr(tracer, "BLOCK_ROWS", rows)
-    monkeypatch.setattr(tracer, "_survivors", capped)
+    monkeypatch.setattr(tracer, "_trajectories", capped)
     got = []
     for scene, tx, rxs, k in cases:
         receivers.append(rxs)
@@ -533,49 +470,67 @@ def test_trace_many_is_trace_per_receiver_in_blocks_of_any_size(rows, one_receiv
     assert paths.count(0) > 10 and len(paths) - paths.count(0) > 10
 
 
-def _assert_rows_match_the_oracle(scene, seqs, tx, rxs, clear, got, tally):
-    """Each row's exact check result is the scalar oracle's: None for None, else the same bits."""
-    for ids, rx, clear_legs, traj in zip(seqs.tolist(), rxs, clear.tolist(), got, strict=True):
-        want = exact_trajectory(scene, tuple(scene.facets[i] for i in ids), tx, rx, clear_legs)
-        where = f"{[scene.facets[i].facet_id for i in ids]}, tx {tx.tolist()}, rx {rx.tolist()}"
-        assert (traj is None) == (want is None), where
-        assert _reprs([traj] if traj else []) == _reprs([want] if want else []), where
-        tally[want is None] += 1
+def _assert_rows_match_the_oracle(scene, seqs, tx, rxs, got, tally, oracle):
+    """Each row's exact pass result is the scalar oracle's: None for None, else the same
+    bits. ``oracle`` keeps the oracle's reprs of rows already seen, by scene, facets and
+    endpoints."""
+    for ids, rx, traj in zip(map(tuple, seqs.tolist()), rxs, got, strict=True):
+        key = id(scene), ids, tx.tobytes(), rx.tobytes()
+        if key not in oracle:
+            want = exact_trajectory(scene, tuple(scene.facets[i] for i in ids), tx, rx)
+            oracle[key] = _reprs([want] if want else [])
+        assert _reprs([traj] if traj else []) == oracle[key], ([scene.facets[i].facet_id for i in ids], tx, rx)
+        tally[not oracle[key]] += 1
 
 
 def test_the_exact_check_is_the_scalar_oracle_on_every_row_it_receives(default_blocks, monkeypatch):
-    """Every row trace and trace_many hand the batched exact check, with the legs the batch
-    cleared, gets the scalar oracle's answer and bits: every EXHAUSTIVE_CASES input at
-    k=1..3, the demo at k=4, and _receiver_cases()."""
+    """trace_many hands the exact pass every facet sequence, tiled over every receiver,
+    with images from the transmitter, and every row gets the scalar oracle's answer and
+    bits: every EXHAUSTIVE_CASES input at k=1..3, the demo at k=4, and _receiver_cases()."""
     calls = []
     exact = tracer._trajectories
 
-    def record(scene, seqs, tx, rxs, clear):
-        calls.append((scene, seqs, tx, rxs, clear, got := exact(scene, seqs, tx, rxs, clear)))
+    def record(scene, seqs, images, rxs):
+        calls.append((seqs, images, rxs, got := exact(scene, seqs, images, rxs)))
         return got
 
     monkeypatch.setattr(tracer, "_trajectories", record)
-    for case in default_blocks[0]:
-        trace(*case)
-    for scene, tx, rxs, k in _receiver_cases():
+    tally, oracle = {True: 0, False: 0}, {}
+    for scene, tx, rxs, k in [(scene, a, [b], k) for scene, a, b, k in default_blocks[0]] + _receiver_cases():
+        calls.clear()
         tracer.trace_many(scene, tx, rxs, k)
-    tally = {True: 0, False: 0}
-    for call in calls:
-        _assert_rows_match_the_oracle(*call, tally)
+        tx, rows = np.asarray(tx, dtype=float), []
+        for seqs, images, got_rxs, got in calls:
+            assert (images[:, 0] == tx).all()
+            rows += [(ids, rx.tolist()) for ids, rx in zip(seqs.tolist(), got_rxs)]
+            _assert_rows_match_the_oracle(scene, seqs, tx, got_rxs, got, tally, oracle)
+        every = [list(ids) for seqs in _every_sequence(scene, k) for ids in seqs]
+        assert sorted(rows) == sorted((ids, np.asarray(rx, dtype=float).tolist()) for ids in every for rx in rxs)
     assert tally[False] > 1000 and tally[True] > 10, tally
 
 
+def _mirrored(scene, tx, seqs):
+    """``images[i, j]``: tx mirrored across the first j facets of row i, by mirror_point."""
+    images = np.empty((len(seqs), seqs.shape[1] + 1, 3))
+    for row, ids in zip(images, seqs.tolist()):
+        row[0] = tx
+        for j, i in enumerate(ids):
+            row[j + 1] = mirror_point(row[j], scene.facets[i].plane_point, scene.facets[i].normal)
+    return images
+
+
 def test_the_exact_check_is_the_scalar_oracle_on_every_sequence():
-    """The batched exact check on every facet sequence of 1..3 facets of each
-    EXHAUSTIVE_CASES input, unpruned and with no leg cleared, so rows fail at every test
-    the oracle makes; the mixed scene's facets have 3, 4 and 5 edges, so padded
-    half-planes are used."""
+    """The exact pass on every facet sequence of 1..3 facets of each EXHAUSTIVE_CASES input,
+    in one block per length with mirror_point's images, so rows fail at every test the
+    oracle makes; the mixed scene's facets have 3, 4 and 5 edges, so padded half-planes
+    are used."""
     tally = {True: 0, False: 0}
     for _, scene, tx, rx in EXHAUSTIVE_CASES:
         tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
-        for seqs, got in _exact_on_every_sequence(scene, tx, rx, 3):
-            clear = np.zeros((len(seqs), seqs.shape[1] + 1), bool)
-            _assert_rows_match_the_oracle(scene, seqs, tx, [rx] * len(seqs), clear, got, tally)
+        for seqs in _every_sequence(scene, 3):
+            rxs = np.tile(rx, (len(seqs), 1))
+            got = tracer._trajectories(scene, seqs, _mirrored(scene, tx, seqs), rxs)
+            _assert_rows_match_the_oracle(scene, seqs, tx, rxs, got, tally, {})
     assert min(tally.values()) > 100, tally
 
 
@@ -637,15 +592,14 @@ OWN_END_CASES = [c for c in EXHAUSTIVE_CASES if c[0].startswith("own-end-") and 
 
 
 @pytest.mark.parametrize("case", OWN_END_CASES, ids=[c[0] for c in OWN_END_CASES])
-def test_a_leg_is_never_occluded_by_its_own_end_facets(case, monkeypatch):
+def test_a_leg_is_never_occluded_by_its_own_end_facets(case):
     """TX and RX strictly on one side of a lone floor have exactly the floor path: a
     leg meets the plane of the facet it reflects off only at that hop, however the
-    hop rounds. The exact check tests both legs; the batch clears both, so trace
-    builds the same path without the exact occlusion test."""
+    hop rounds, so the oracle and trace both leave that facet out of the leg's
+    occlusion test and build the same path."""
     _, scene, tx, rx = case
-    exact = _trajectory(scene, scene.facets, np.asarray(tx, dtype=float), np.asarray(rx, dtype=float))
+    exact = exact_trajectory(scene, scene.facets, np.asarray(tx, dtype=float), np.asarray(rx, dtype=float))
     assert exact is not None and exact.facet_ids == ("floor",)
-    monkeypatch.setattr(tracer, "_segment_blocked", None)
     assert _reprs(trace(scene, tx, rx, 1)) == _reprs([exact])
 
 
@@ -657,7 +611,7 @@ def test_a_hop_at_a_leg_end_is_no_path(h, paths):
     tx, rx = np.array([0.0, 0.0, h]), np.array([2.0, 0.0, 1.0])
     traced = trace(Scene((floor,)), tx, rx, max_bounces=1)
     assert [t.facet_ids for t in traced] == [("floor",)] * paths
-    exact = _trajectory(Scene((floor,)), (floor,), tx, rx)
+    exact = exact_trajectory(Scene((floor,)), (floor,), tx, rx)
     assert _reprs([] if exact is None else [exact]) == _reprs(traced)
 
 
@@ -827,15 +781,18 @@ def test_scalar_math_gives_the_bits_of_numpy():
 
 
 def test_stacked_matmul_gives_the_bits_of_the_1d_products():
-    """The batched exact check takes a @ b row by row as a stacked matmul (tracer._dot),
-    and Facet.contains's inward @ p over many points as a stacked mat-vec on the scene's
-    zero-padded half-planes. A 1-D a @ b is the BLAS ddot, an FMA chain, so an einsum or
-    a sum of the component products differs from it in the last bit for about a third of
-    the rows; each row of a stacked matmul is that same BLAS call, so it must match the
-    1-D products bit for bit, or batched traces would shift silently."""
+    """The exact pass takes a @ b row by row as a stacked matmul (tracer._dot), also
+    broadcast, as the occlusion test takes legs (rows, legs, 1, 3) against facets
+    (facets, 3), and Facet.contains's inward @ p over many points as a stacked mat-vec on
+    the scene's zero-padded half-planes. A 1-D a @ b is the BLAS ddot, an FMA chain, so an
+    einsum or a sum of the component products differs from it in the last bit for about a
+    third of the rows; each row of a stacked matmul is that same BLAS call, so it must
+    match the 1-D products bit for bit, or batched traces would shift silently."""
     rng = np.random.default_rng(22)
     a, b = (rng.standard_normal((20000, 3)) * 10.0 ** rng.uniform(-8, 4, (20000, 1)) for _ in range(2))
     assert tracer._dot(a, b).tolist() == [x @ y for x, y in zip(a, b)]
+    legs, facets = a[:5000].reshape(1250, 4, 1, 3), b[:16]
+    assert tracer._dot(legs, facets).tolist() == [[[x @ y for y in facets] for x in row[:, 0]] for row in legs]
     # half-planes of facets with 3 to 6 edges, zero-padded to 6 rows as Scene stacks them
     edges = rng.integers(3, 7, 20000)
     inward = rng.standard_normal((20000, 6, 3)) * 10.0 ** rng.uniform(-8, 4, (20000, 1, 1))
