@@ -386,7 +386,7 @@ def _cmd_demo(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     scene_path = os.path.join(args.outdir, "demo_building.json")
     save_scene(scene, scene_path)
-    txs, rxs = demo_mod.demo_positions(scene)
+    txs, rxs = demo_mod.demo_positions()
     tx_flags = " ".join(f"--tx {p[0]:g},{p[1]:g},{p[2]:g}" for p in txs)
     rx_flags = " ".join(f"--rx {p[0]:g},{p[1]:g},{p[2]:g}" for p in rxs)
     m_path = os.path.join(args.outdir, "demo_measurements.csv")

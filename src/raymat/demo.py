@@ -5,8 +5,8 @@ glass railings and cubicle; the second storey is an open slab with an 8 x 8 m
 aperture fenced by 1 m glass railings. Surface thicknesses exceed the 100 GHz
 settling thickness of their materials, so every reflection is steady.
 
-``demo_positions`` returns one RX and two TX placements constructed so that
-two double-bounce trajectories share their first reflection point on a glass
+``demo_positions`` returns fixed placements of one RX and two TX at which two
+double-bounce trajectories share their first reflection point on a glass
 railing (second hops: plaster wall and wood floor), which lets a merged
 identification run pin all three materials.
 """
@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import mirror_point, ray_plane_parameter, reflect_direction, unit
 from .scene import Facet, Scene
-from .tracer import trace
 
 
 def _rect(p0, p1, p2, p3) -> np.ndarray:
@@ -53,35 +51,10 @@ def demo_building() -> Scene:
     return Scene(facets=facets)
 
 
-def demo_positions(scene: Scene | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Two TX positions and one RX position with a shared glass reflection point.
-
-    TX1 and RX are fixed; TX2 is derived: the outgoing leg of the shared
-    reflection point toward the wood floor is found by mirroring RX across the
-    floor plane, and TX2 sits on the specular continuation of that leg through
-    the glass railing.
-    """
-    scene = scene if scene is not None else demo_building()
+def demo_positions() -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Two TX positions and one RX position with a shared glass reflection point."""
     tx1 = np.array([6.7, 10.9, 5.7])
+    # TX2: 2 m back along the ray that the railing mirrors toward RX's floor image at TX1's glass->plaster hop
+    tx2 = np.array([6.803347480195275, 5.0639527709865995, 5.480020572234589])
     rx = np.array([7.4, 10.1, 1.0])
-
-    shared = None
-    for traj in trace(scene, tx1, rx, max_bounces=2):
-        labels = tuple(scene.facet(h.facet_id).material_label for h in traj.hops)
-        if traj.bounces == 2 and labels == ("glass", "plaster"):
-            shared = traj
-            break
-    if shared is None:
-        raise RuntimeError("demo geometry changed: no glass->plaster trajectory")
-
-    rp1 = shared.hops[0].point
-    railing = scene.facet(shared.hops[0].facet_id)
-    floor = scene.facet("floor")
-    rx_image = mirror_point(rx, floor.plane_point, floor.normal)
-    toward_floor = rx_image - rp1
-    t = ray_plane_parameter(rp1, toward_floor, floor.plane_point, floor.normal)
-    if t is None:
-        raise RuntimeError("demo geometry changed: floor leg is degenerate")
-    incoming = reflect_direction(unit(toward_floor), railing.normal)
-    tx2 = rp1 - 2.0 * incoming
     return [tx1, tx2], [rx]

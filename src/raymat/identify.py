@@ -127,6 +127,14 @@ def trajectory_keys(traj: Trajectory) -> tuple[RPKey, ...]:
     return tuple(RPKey.from_point(h.facet_id, h.point) for h in traj.hops)
 
 
+def _check_palette(palette: list[MaterialParams]) -> None:
+    if not palette:
+        raise ValueError("palette must be non-empty")
+    for i, mat in enumerate(palette):
+        if mat.name in [m.name for m in palette[:i]]:
+            raise ValueError(f"material {mat.name!r} is listed twice")
+
+
 def enumerate_sequences(
     traj: Trajectory,
     palette: list[MaterialParams],
@@ -139,11 +147,11 @@ def enumerate_sequences(
     is lexicographic in palette order.
 
     Raises:
+        ValueError: if the palette is empty or names a material twice.
         OutOfRangeError: naming the hop whose incident angle (or f) is outside
             the database grid.
     """
-    if not palette:
-        raise ValueError("palette must be non-empty")
+    _check_palette(palette)
     per_hop = []  # per hop: ((key, material name), table loss) of each palette material
     for i, (hop, key) in enumerate(zip(traj.hops, trajectory_keys(traj))):
         angle = math.degrees(hop.theta_i)  # the bits of np.degrees
@@ -340,50 +348,54 @@ def identify_loop(
     order, to one :func:`merge_candidates`, so the map constraint (one facet,
     one material) holds within and across trajectories. Every pair is traced:
     each added trajectory can only shrink domains, so more (or more precise)
-    data never covers or resolves fewer facets. The report is per facet: resolved, ambiguous (with the RL spread
-    of its materials over every hop on it), uncovered or contradicted.
+    data never covers or resolves fewer facets. The report is per facet:
+    resolved, ambiguous (with the RL spread of its materials, read from ``db``
+    at every enumerated hop's angle on it), uncovered or contradicted. No TX or
+    RX, an empty palette or one naming a material twice, or a ``u_db`` that is
+    not a finite number >= 0 is a ValueError before anything is traced.
     """
     if not tx_positions or not rx_positions:
         raise ValueError("need at least one TX and one RX position")
+    _check_palette(palette)
+    if u_db is not None and not 0 <= u_db < math.inf:
+        raise ValueError(f"u_db must be finite and >= 0, got {u_db}")
     entries: list[tuple[str, list[SequenceCandidate]]] = []
     no_hypothesis: list[str] = []
     skipped: list[str] = []
-    # per facet: each hop's table loss of every palette material
-    hop_losses: dict[str, list[dict[str, float]]] = {}
+    hop_angles: dict[str, list[float]] = {}  # per facet: each enumerated hop's angle, deg
 
     pairs = traced_pairs(scene, tx_positions, rx_positions, max_bounces)
-    for labelled in pairs:
-        for tid, traj in labelled:
-            record = measure(tid, traj)
-            if record is None:
-                skipped.append(tid)
-                continue
-            try:
-                candidates = enumerate_sequences(traj, palette, db, f_ghz)
-            except OutOfRangeError as err:
-                skipped.append(f"{tid} ({err})")
-                continue
-            if u_db is not None:
-                record = MeasurementRecord(tid, record.measured_total_rl_db, u_db)
-            survivors = match_measurement(candidates, record)
-            for i, hop in enumerate(traj.hops):
-                hop_losses.setdefault(hop.facet_id, []).append(
-                    {c.assignment[i][1]: c.per_hop_rl_db[i] for c in candidates}
-                )
-            if not survivors:
-                no_hypothesis.append(tid)
-                continue
-            entries.append((tid, survivors))
+    for tid, traj in chain.from_iterable(pairs):
+        record = measure(tid, traj)
+        if record is None:
+            skipped.append(tid)
+            continue
+        try:
+            candidates = enumerate_sequences(traj, palette, db, f_ghz)
+        except OutOfRangeError as err:
+            skipped.append(f"{tid} ({err})")
+            continue
+        if u_db is not None:
+            record = MeasurementRecord(tid, record.measured_total_rl_db, u_db)
+        survivors = match_measurement(candidates, record)
+        for hop in traj.hops:  # the angles enumerate_sequences looked up
+            hop_angles.setdefault(hop.facet_id, []).append(math.degrees(hop.theta_i))
+        if not survivors:
+            no_hypothesis.append(tid)
+            continue
+        entries.append((tid, survivors))
 
     belief = merge_candidates(entries)
-    report = _build_report(scene, belief, hop_losses, no_hypothesis, skipped)
+    report = _build_report(scene, belief, db, f_ghz, hop_angles, no_hypothesis, skipped)
     return belief, report
 
 
 def _build_report(
     scene: Scene,
     belief: BeliefState,
-    hop_losses: dict[str, list[dict[str, float]]],
+    db: RLDatabase,
+    f_ghz: float,
+    hop_angles: dict[str, list[float]],
     no_hypothesis: list[str],
     skipped: list[str],
 ) -> IdentificationReport:
@@ -403,16 +415,11 @@ def _build_report(
         f"facet {fid}: reflection-point material sets have empty intersection"
         for fid in sorted(conflicted_facets)
     )
-    uncovered = tuple(
-        f.facet_id for f in scene.facets if f.facet_id not in facet_domains
-    )
+    uncovered = tuple(f.facet_id for f in scene.facets if f.facet_id not in facet_domains)
     rl_spread_db: dict[str, float] = {}
     for fid, mats in ambiguous.items():
-        spread = 0.0
-        for losses in hop_losses[fid]:
-            row = [losses[name] for name in mats]
-            spread = max(spread, max(row) - min(row))
-        rl_spread_db[fid] = spread
+        rows = ([db.lookup(name, f_ghz, angle) for name in mats] for angle in hop_angles[fid])
+        rl_spread_db[fid] = max(max(row) - min(row) for row in rows)
     return IdentificationReport(
         resolved=resolved,
         ambiguous=ambiguous,

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -306,6 +308,22 @@ def test_demo_simulate_identify_pipeline(capsys, tmp_path):
     assert resolved.get("rail_s") == "glass"
     assert resolved.get("wall_n") == "plaster"
     assert resolved.get("floor") == "wood"
+
+
+def test_readme_end_to_end_flags_are_the_ones_demo_prints(capsys, tmp_path):
+    # the README's demo block spells out the placements; they must stay those of demo_positions
+    code, _, err = run(capsys, "demo", "--outdir", str(tmp_path))
+    assert code == 0
+
+    def placements(command):
+        return command.split()[1], re.findall(r"--[tr]x \S+", command)
+
+    printed = dict(placements(line) for line in err.split("next:\n", 1)[1].splitlines())
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in readme.split("```sh\n") if b.startswith("raymat demo --outdir")).split("```")[0]
+    documented = dict(placements(c) for c in block.replace("\\\n", " ").splitlines())
+    assert {name: documented.get(name) for name in printed} == printed
+    assert set(printed) == {"simulate", "identify"} and len(printed["simulate"]) == 3
 
 
 def test_simulate_byte_determinism(capsys, tmp_path):

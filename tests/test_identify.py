@@ -275,7 +275,7 @@ def test_identify_loop_belief_is_merge_candidates_of_its_survivors(db100, k):
     # the loop's belief is the one merge over the (tid, survivors) it matched,
     # in trace order, so the report and merge_candidates never disagree
     scene = demo_building()
-    txs, rxs = demo_positions(scene)
+    txs, rxs = demo_positions()
     truth = {f.facet_id: f.material_label for f in scene.facets}
     log = []
     measure = make_measure_fn(scene, truth, 100.0, u_db=1.0, log=log)
@@ -476,7 +476,7 @@ def test_simulate_requires_ground_truth():
 
 def test_demo_shared_rp_two_trajectory_merge(db100):
     scene = demo_building()
-    (tx1, tx2), (rx,) = demo_positions(scene)
+    (tx1, tx2), (rx,) = demo_positions()
     traj1 = next(
         t
         for t in trace(scene, tx1, rx, max_bounces=2)
@@ -517,7 +517,7 @@ def test_demo_shared_rp_two_trajectory_merge(db100):
 
 def test_identify_loop_demo_resolves_materials(db100):
     scene = demo_building()
-    txs, rxs = demo_positions(scene)
+    txs, rxs = demo_positions()
     truth = {f.facet_id: f.material_label for f in scene.facets}
     measure = make_measure_fn(scene, truth, 100.0, u_db=1.0)
     belief, report = identify_loop(
@@ -534,7 +534,7 @@ def test_identify_loop_demo_resolves_materials(db100):
 
 def test_identify_loop_single_trajectory_keeps_ambiguity(db100):
     scene = demo_building()
-    txs, rxs = demo_positions(scene)
+    txs, rxs = demo_positions()
     truth = {f.facet_id: PRESETS[f.material_label] for f in scene.facets}
 
     def only_rail_wall(tid, traj):
@@ -564,7 +564,7 @@ def test_identify_loop_spreads_equal_table_lookups_at_every_hop(db100, tx_order)
     # angle that landed on it; both TX orders, so that the hops on each facet
     # are recorded in both orders
     scene = demo_building()
-    txs, rxs = demo_positions(scene)
+    txs, rxs = demo_positions()
     truth = {f.facet_id: f.material_label for f in scene.facets}
     log = []
     measure = make_measure_fn(scene, truth, 100.0, u_db=6.0, log=log)
@@ -683,7 +683,7 @@ def test_identify_loop_never_identifies_less_from_tighter_data(db100, positions,
     # never covers or resolves fewer facets and never resolves one wrongly
     scene = demo_building()
     truth = {f.facet_id: f.material_label for f in scene.facets}
-    txs, rxs = demo_positions(scene) if positions == "demo" else DEMO_LATTICE
+    txs, rxs = demo_positions() if positions == "demo" else DEMO_LATTICE
 
     def measure_at(u):
         def measure(tid, traj):
@@ -762,6 +762,36 @@ def test_identify_loop_requires_positions(db100):
     scene, _ = random_scene(0)
     with pytest.raises(ValueError, match="position"):
         identify_loop(scene, [], [np.zeros(3)], PALETTE, db100, 100.0, 1.0, 1, lambda *_: None)
+
+
+@pytest.mark.parametrize(
+    "palette, u_db, message",
+    [
+        ([], 1.0, "^palette must be non-empty$"),
+        ([WOOD, WOOD], 1.0, "^material 'wood' is listed twice$"),
+        ([WOOD, PLASTER, GLASS, PLASTER], None, "^material 'plaster' is listed twice$"),
+        (PALETTE, -1.0, r"^u_db must be finite and >= 0, got -1\.0$"),
+        (PALETTE, math.nan, "^u_db must be finite and >= 0, got nan$"),
+        (PALETTE, math.inf, "^u_db must be finite and >= 0, got inf$"),
+    ],
+    ids=["empty-palette", "wood-twice", "plaster-twice", "negative-u", "nan-u", "inf-u"],
+)
+def test_identify_loop_checks_its_arguments_before_tracing(db100, monkeypatch, palette, u_db, message):
+    # with nothing measured, a bad palette or u_db never reaches the code that
+    # would trip over it; the loop has to refuse it up front
+    def no_trace(*args):
+        raise AssertionError("traced before the arguments were checked")
+
+    monkeypatch.setattr(raymat.identify, "trace_many", no_trace)
+    txs, rxs = demo_positions()
+    with pytest.raises(ValueError, match=message):
+        identify_loop(demo_building(), txs, rxs, palette, db100, 100.0, u_db, 2, lambda *_: None)
+
+
+def test_enumerate_rejects_a_material_named_twice(db100):
+    traj = synthetic_trajectory([30.0])
+    with pytest.raises(ValueError, match="^material 'wood' is listed twice$"):
+        enumerate_sequences(traj, [WOOD, WOOD], db100, 100.0)
 
 
 def test_identify_loop_soundness_random_scenes(db100):

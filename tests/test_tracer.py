@@ -180,7 +180,7 @@ def test_reciprocity_on_random_scenes(max_bounces):
 
 def test_reciprocity_on_demo_building_at_four_bounces():
     scene = demo_building()
-    (a, _), (b,) = demo_positions(scene)
+    (a, _), (b,) = demo_positions()
     fwd = trace(scene, a, b, max_bounces=4)
     assert any(t.bounces == 4 for t in fwd)
     assert _assert_reciprocal(fwd, trace(scene, b, a, max_bounces=4)) == len(fwd)
@@ -317,9 +317,20 @@ def _grazing_quad(*corners, far=0.0):
     return np.array([_grazing_at(*c, far=far) for c in corners])
 
 
+def _blade(a, b, eps):
+    """A 0.6 x 0.6 m blade centred on the middle of the leg a -> b, its plane turned
+    eps rad off the leg, so the leg crosses it there at |cos| of about eps."""
+    u = unit(b - a)
+    v = unit(np.array([0.7, 1.0, 0.7]))
+    v = unit(v - (v @ u) * u)
+    along, m = u + eps * np.cross(u, v), (a + b) / 2
+    return np.array([m - 0.3 * along - 0.3 * v, m + 0.3 * along - 0.3 * v,
+                     m + 0.3 * along + 0.3 * v, m - 0.3 * along + 0.3 * v])
+
+
 def _exhaustive_cases():
     demo = demo_building()
-    txs, rxs = demo_positions(demo)
+    txs, rxs = demo_positions()
     pairs = [(a, b) for a in txs for b in rxs]
     pairs += [((4.0, 2.5, 5.6), (7.0, 7.5, 1.4)), ((15.0, 2.5, 5.6), (16.5, 7.5, 1.4))]
     # mirror images across the slab_w plane z = 3.5: the transmitter's image
@@ -383,6 +394,13 @@ def _exhaustive_cases():
             for v in (-1.0, -0.25, 0.5):
                 tx, rx = (_grazing_at(u, v, 5 * cos, far=far) for u in (0, 10))
                 yield f"own-end-far{far:g}-cos{cos:g}-v{v:+g}", Scene((floor,)), tx, rx
+    # a blade along the first leg (0.3, 0.2, 1.1) -> (1.29, -0.13, 0) of a floor path,
+    # crossed in its middle at |cos| around GRAZING_COS: the last bit of the occlusion
+    # test's denominator decides whether the blade cuts the leg
+    tx, rx, hop = np.array([0.3, 0.2, 1.1]), np.array([2.1, -0.4, 0.9]), np.array([1.29, -0.13, 0.0])
+    for eps in (9.999e-13, 1.00008e-12, 1.0001e-12, 1.00013e-12, 1.0002e-12):
+        scene = Scene((Facet("floor", FLOOR_BIG), Facet("blade", _blade(tx, hop, eps))))
+        yield f"blade-cos{eps:g}", scene, tx, rx
 
 
 EXHAUSTIVE_CASES = list(_exhaustive_cases())
@@ -400,7 +418,7 @@ def default_blocks():
     """Every EXHAUSTIVE_CASES input at k=1..3 and the demo at k=4, with their traces."""
     cases = [(scene, a, b, k) for _, scene, a, b in EXHAUSTIVE_CASES for k in (1, 2, 3)]
     demo = demo_building()
-    (a, _), (b,) = demo_positions(demo)
+    (a, _), (b,) = demo_positions()
     cases.append((demo, a, b, 4))
     return cases, [_reprs(trace(*case)) for case in cases]
 
@@ -536,7 +554,7 @@ def test_the_exact_check_is_the_scalar_oracle_on_every_sequence():
 
 def test_trace_many_of_no_receivers_is_empty():
     demo = demo_building()
-    assert tracer.trace_many(demo, demo_positions(demo)[0][0], [], 3) == []
+    assert tracer.trace_many(demo, demo_positions()[0][0], [], 3) == []
 
 
 SINGLE_FAULTS = {
