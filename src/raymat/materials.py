@@ -17,7 +17,8 @@ class MaterialParams:
 
     Relative permittivity (real part) is a*f^b and conductivity is c*f^d
     with f in GHz. ``roughness_sigma`` is the RMS surface roughness in
-    meters; 0 means optically smooth. Every coefficient must be finite.
+    meters; 0 means optically smooth. Every coefficient must be finite. The
+    name is one token: no whitespace, no comma and no leading ``#``.
     """
 
     name: str
@@ -28,8 +29,14 @@ class MaterialParams:
     roughness_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("material name must be non-empty")
+        # one token: a table line and an RL-database header split on commas
+        # and whitespace, and a database treats a line opening with # as a header
+        name = self.name
+        if name.split() != [name] or "," in name or name.startswith("#"):
+            raise ValueError(
+                f"material name {name!r} must be one non-empty token with no "
+                "whitespace, no comma and no leading '#'"
+            )
         for field in ("a", "b", "c", "d", "roughness_sigma"):
             value = getattr(self, field)
             if not math.isfinite(value):

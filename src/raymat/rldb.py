@@ -134,13 +134,13 @@ class RLDatabase:
                 )
             fh.write(_COLUMNS + "\n")
             f_labels = [_fmt(f) for f in self._freqs]
-            a_labels = [_fmt(a) for a in self._angles]
+            # one % per row: prefix + prefix.join(tails) is one line, prefix +
+            # tail, per angle, and "%.6g" % v is the text of _fmt(v) for any float
+            tails = [f"{_fmt(a)},%.6g\n" for a in self._angles]
             for mi, m in enumerate(self.materials):
                 for f_label, row in zip(f_labels, self.rl_db[mi].tolist()):
-                    prefix = f"{m.name},{f_label},"
-                    fh.writelines(
-                        f"{prefix}{a},{v:.6g}\n" for a, v in zip(a_labels, row)
-                    )
+                    prefix = f"{m.name},{f_label},".replace("%", "%%")
+                    fh.write((prefix + prefix.join(tails)) % tuple(row))
 
 
 def _steps(nodes: list[float]) -> list[float]:

@@ -11,7 +11,10 @@ band holds: with |d| = exp(-2*alpha*h) the internal round-trip factor and
 rounding, since the principal root s = sqrt(eta - sin^2(theta)) has
 Re s >= 0), the slab-to-thick power ratio lies within
 [((1-|d|)/(1+|d|))^2, ((1+|d|)/(1-|d|))^2], so no grid point past the
-thickness where that range narrows to +/-tol/2 dB can leave the band.
+thickness where that range narrows to +/-tol/2 dB can leave the band. The
+answer follows the last out-of-band point, so the search evaluates the upper
+half of the grid first and the lower half only if the upper half is all in
+band.
 """
 
 from __future__ import annotations
@@ -109,7 +112,9 @@ def settling_thickness(query: SettlingQuery) -> float:
     Returns the smallest grid point h* such that every grid point from h* on
     keeps the slab coefficient within tol_db of the thick-slab value. Reported
     at grid resolution. The grid stops one point past the envelope bound:
-    points beyond it are in band by construction and never computed.
+    points beyond it are in band by construction and never computed. The upper
+    half of the grid is searched first; the lower half is computed only when
+    no upper point leaves the band.
 
     Raises:
         NotSettledError: (named in the message) if the material has gain or
@@ -134,11 +139,17 @@ def settling_thickness(query: SettlingQuery) -> float:
             "step (--grid-step)"
         )
     grid = np.arange(step, extent + step, step)  # h* may be the point past the bound
-    deviation = _band_deviation_db(query.material, query.f_ghz, query.theta_i, grid)
-    exceeding = np.nonzero(deviation > query.tol_db)[0]
-    if len(exceeding) == 0:
-        return float(grid[0])
-    return float(grid[exceeding[-1] + 1])
+    half = len(grid) // 2
+    for start, stop in ((half, len(grid)), (0, half)):
+        if start == stop:
+            continue
+        deviation = _band_deviation_db(
+            query.material, query.f_ghz, query.theta_i, grid[start:stop]
+        )
+        exceeding = np.nonzero(deviation > query.tol_db)[0]
+        if len(exceeding):
+            return float(grid[start + exceeding[-1] + 1])
+    return float(grid[0])
 
 
 def settling_table(

@@ -1,7 +1,11 @@
 import math
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from raymat import rldb
 from raymat.materials import (
     GLASS,
     PLASTER,
@@ -87,3 +91,31 @@ def test_load_material_table_reports_line(tmp_path):
     path.write_text("brick, 3.91\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":1:"):
         load_material_table(path)
+
+
+@pytest.mark.parametrize(
+    "name", ["oak board", "a,b", "x\ny", "x\r", "#x", "wood ", " pad", "x\u2028y"]
+)
+def test_a_name_must_be_one_token_a_database_reads_back(name):
+    # an RL database header splits on commas and whitespace, and a line that
+    # opens with # is a header: each of these names would not load as written
+    with pytest.raises(ValueError, match=re.escape(f"material name {name!r} must be one")):
+        MaterialParams(name, 4.0, 0.0, 0.01, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.text(
+        st.one_of(st.characters(), st.sampled_from("#,=% \t\r\n\x0b\x1c\x85")),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_every_accepted_name_survives_a_database_round_trip(tmp_path_factory, name):
+    try:
+        mat = MaterialParams(name, 4.0, 0.0, 0.01, 1.0)
+    except ValueError:
+        assume(False)
+    path = tmp_path_factory.getbasetemp() / "names.csv"
+    rldb.build([mat], [100.0], [0.0]).save(path)
+    assert rldb.load(path).materials == [mat]

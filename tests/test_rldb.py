@@ -309,6 +309,12 @@ def test_save_writes_the_documented_format(tmp_path):
         b"brick,123.457,0,9.83455\n"
         b"brick,123.457,12.3457,9.82541\n"
     )
+    # cells that need exponent form or trimming print as f"{v:.6g}" does
+    edge = [0.0, 1e-07, 20.0, 123456.7, 0.1 + 0.2]
+    rldb.RLDatabase([brick], [100.0], [0.0, 1.0, 2.0, 3.0, 4.0], [[edge]]).save(path)
+    rows = path.read_text(encoding="utf-8").splitlines()[-len(edge):]
+    cells = [row.rsplit(",", 1)[1] for row in rows]
+    assert cells == [f"{v:.6g}" for v in edge] == ["0", "1e-07", "20", "123457", "0.3"]
 
 
 def test_load_does_not_depend_on_row_order(tmp_path, db_multi):

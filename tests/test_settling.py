@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -78,20 +79,44 @@ def _no_grid(*args, **kwargs):
     raise AssertionError("a grid was allocated")
 
 
-def test_search_walks_the_grid_to_one_point_past_the_bound(monkeypatch):
-    grids = []
+@pytest.fixture
+def searched_blocks(monkeypatch):
+    """Every grid settling_thickness hands _band_deviation_db, in call order."""
+    blocks = []
     deviation = settling._band_deviation_db
 
     def spy(material, f_ghz, theta_i, grid):
-        grids.append(grid)
+        blocks.append(grid)
         return deviation(material, f_ghz, theta_i, grid)
 
     monkeypatch.setattr(settling, "_band_deviation_db", spy)
+    return blocks
+
+
+def _search(query, blocks):
+    """h* and where the search found it: at grid[0] when no point leaves the
+    band, else in the upper or lower half, which held the last such point."""
+    blocks.clear()
+    h = settling.settling_thickness(query)
+    assert 1 <= len(blocks) <= 2
+    return h, "grid[0]" if h == blocks[-1][0] else ("upper", "lower")[len(blocks) - 1]
+
+
+def test_search_walks_the_grid_to_one_point_past_the_bound(searched_blocks):
+    halves = []
     for tol in (0.2, 17.0):
-        h = solve(PLASTER, 100.0, tol_db=tol, grid_step_m=1e-5)
+        query = settling.SettlingQuery(PLASTER, 100.0, 0.0, tol, grid_step_m=1e-5)
+        h, where = _search(query, searched_blocks)
+        halves.append(where)
         bound = settling._envelope_bound(PLASTER, 100.0, 0.0, tol)
-        grid = grids.pop()
-        assert grid[-2] < bound <= grid[-1] and h <= grid[-1]
+        top = searched_blocks[0]  # the upper half comes first
+        assert top[-2] < bound <= top[-1] and h <= top[-1]
+        # the blocks tile the grid from the top, with no overlap
+        grid = np.arange(1e-5, bound + 1e-5, 1e-5)
+        assert top.size == grid.size - grid.size // 2
+        searched = np.concatenate(searched_blocks[::-1])
+        assert np.array_equal(searched, grid[grid.size - searched.size:])
+    assert halves == ["upper", "lower"]
 
 
 def test_lossless_material_never_settles(monkeypatch):
@@ -235,7 +260,7 @@ def _agree(query):
 
 
 @pytest.mark.parametrize("mat", [WOOD, PLASTER, GLASS], ids=lambda m: m.name)
-def test_bounded_search_equals_the_full_grid_search(mat):
+def test_bounded_search_equals_the_full_grid_search(mat, searched_blocks):
     queries = [
         settling.SettlingQuery(material=mat, f_ghz=f, theta_i=math.radians(t), tol_db=tol)
         for f in np.geomspace(28.0, 1000.0, 40).tolist()
@@ -255,8 +280,14 @@ def test_bounded_search_equals_the_full_grid_search(mat):
         for step in (1e-3, 2e-3, 5e-3, 1e-2)
         for tol in (0.1, 0.5, 3.0)
     ]
-    disagree = [q for q in queries + explicit + coarse if not _agree(q)]
+    disagree, where = [], Counter()
+    for q in queries + explicit + coarse:
+        h, half = _search(q, searched_blocks)
+        where[half] += 1
+        if h != _full_grid_search(q):
+            disagree.append(q)
     assert disagree == []
+    assert where["upper"] > 0 and where["lower"] > 0 and where["grid[0]"] > 0
     past_the_bound = [
         q for q in coarse
         if settling.settling_thickness(q)
@@ -283,10 +314,15 @@ def test_large_tolerance_settles_at_the_reference_thickness(f, theta_deg, tol):
     ],
     ids=lambda m: m.name,
 )
-def test_bounded_search_equals_the_full_grid_search_off_the_presets(mat):
+def test_bounded_search_equals_the_full_grid_search_off_the_presets(mat, searched_blocks):
+    where = Counter()
     for f in (28.0, 100.0, 1000.0):
         for tol in (0.05, 0.5, 3.0):
-            assert _agree(settling.SettlingQuery(mat, f, 0.4, tol, grid_step_m=2e-5))
+            query = settling.SettlingQuery(mat, f, 0.4, tol, grid_step_m=2e-5)
+            h, half = _search(query, searched_blocks)
+            where[half] += 1
+            assert h == _full_grid_search(query)
+    assert where["upper"] > 0 and where["lower"] > 0
 
 
 def test_envelope_bound_applies_only_to_decaying_slabs():
