@@ -71,39 +71,26 @@ def _parse_grid(text: str) -> np.ndarray:
     return start + step * np.arange(int(math.floor(points)) + 1)
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def _number(*rules):
+    """argparse type: a float that passes each (rule, test) pair, in order;
+    the first pair it fails gives "must be <rule>, got '<text>'"."""
+
+    def number(text: str) -> float:
+        value = float(text)
+        for rule, test in rules:
+            if not test(value):
+                raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return number
 
 
-def _non_negative(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
-
-
-def _positive(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
-
-
-def _incident_angle(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < 90:  # nan and inf fail here too
-        raise argparse.ArgumentTypeError(f"must be an angle in [0, 90) degrees, got {text!r}")
-    return value
-
-
-def _hop_angle(text: str) -> float:
-    value = _finite(text)
-    if not 0 <= value <= 90:
-        raise argparse.ArgumentTypeError(f"must be an angle in [0, 90] degrees, got {text!r}")
-    return value
+_FINITE = ("a finite number", math.isfinite)
+_finite = _number(_FINITE)
+_non_negative = _number(("a finite number >= 0", lambda v: 0 <= v < math.inf))
+_positive = _number(("a finite number > 0", lambda v: 0 < v < math.inf))
+_incident_angle = _number(("an angle in [0, 90) degrees", lambda v: 0 <= v < 90))
+_hop_angle = _number(_FINITE, ("an angle in [0, 90] degrees", lambda v: 0 <= v <= 90))
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -222,14 +209,8 @@ def _cmd_rldb_show(args) -> int:
         fh.write(f"#version={rldb.FORMAT_VERSION}\n")
         fh.write(f"#kappa={_fmt(db.kappa)}\n")
         fh.write(f"#materials={','.join(db.material_names)}\n")
-        fh.write(
-            f"#freqs_ghz={_fmt(float(db.freqs_ghz[0]))}..{_fmt(float(db.freqs_ghz[-1]))}"
-            f" (n={db.freqs_ghz.size})\n"
-        )
-        fh.write(
-            f"#angles_deg={_fmt(float(db.angles_deg[0]))}..{_fmt(float(db.angles_deg[-1]))}"
-            f" (n={db.angles_deg.size})\n"
-        )
+        for label, grid in (("freqs_ghz", db.freqs_ghz), ("angles_deg", db.angles_deg)):
+            fh.write(f"#{label}={_fmt(float(grid[0]))}..{_fmt(float(grid[-1]))} (n={grid.size})\n")
         fh.write("material,rl_min_db,rl_max_db\n")
         for i, name in enumerate(db.material_names):
             fh.write(f"{name},{_fmt(float(db.rl_db[i].min()))},{_fmt(float(db.rl_db[i].max()))}\n")

@@ -61,6 +61,7 @@ def _check_frequency(f_ghz: float) -> None:
 
 def _check_angle(theta_i: float | np.ndarray) -> None:
     """An angle, or every angle of an ndarray, must lie in [0, pi/2) rad."""
+    # Both sides run: a float per settling query, an ndarray per rldb.build row.
     if isinstance(theta_i, np.ndarray):
         bad = theta_i[~((theta_i >= 0) & (theta_i < _HALF_PI))]
         if bad.size:
@@ -129,30 +130,23 @@ def slab_coefficient(
     Fresnel coefficient r of the thick slab and one-way phase q. Exactly zero
     at h = 0 and converging to the thick-slab value as h grows.
 
-    ``h_m`` may be a scalar (returns complex fields) or an ndarray (returns
-    ndarray fields of the same shape).
+    ``h_m`` may be a float (gives np.complex128 fields, a subclass of complex)
+    or an ndarray (gives ndarray fields of the same shape).
     """
     h = np.asarray(h_m, dtype=float)
     if np.any(h < 0):
         raise ValueError("slab thickness must be >= 0")
     r = fresnel_thick(eta, theta_i)
-    q = phase_thickness(eta, theta_i, h, f_ghz)
-    decay = np.exp(-2j * q)
+    decay = np.exp(-2j * phase_thickness(eta, theta_i, h, f_ghz))
     te = r.te * (1 - decay) / (1 - r.te**2 * decay)
     tm = r.tm * (1 - decay) / (1 - r.tm**2 * decay)
-    if np.isscalar(h_m) or np.ndim(h_m) == 0:
-        return ReflectionCoefficients(te=complex(te), tm=complex(tm))
     return ReflectionCoefficients(te=te, tm=tm)
 
 
-def amplitude_db(value) -> float:
-    """Amplitude in dB, 20*log10|value|; -inf for zero."""
-    mag = np.abs(value)
+def amplitude_db(value):
+    """Amplitude in dB, 20*log10|value|, -inf for zero: np.float64 for a scalar."""
     with np.errstate(divide="ignore"):
-        out = 20 * np.log10(mag)
-    if np.ndim(value) == 0:
-        return float(out)
-    return out
+        return 20 * np.log10(np.abs(value))
 
 
 def roughness_attenuation_db(
@@ -162,14 +156,14 @@ def roughness_attenuation_db(
 
     Attenuation factor rho = exp(-kappa*(sigma*cos(theta)/lambda)^2); returns
     -20*log10(rho) >= 0. kappa = 0 disables roughness entirely. ``theta_i``
-    may be a float or an ndarray of angles.
+    may be a float (gives an np.float64) or an ndarray of angles.
     """
     check_kappa(kappa)
     _check_frequency(f_ghz)
     _check_angle(theta_i)
-    if kappa == 0 or sigma_m == 0:
-        return np.zeros(theta_i.shape) if isinstance(theta_i, np.ndarray) else 0.0
-    cos_t = np.cos(theta_i) if isinstance(theta_i, np.ndarray) else math.cos(theta_i)
+    cos_t = np.cos(theta_i)
+    if kappa == 0 or sigma_m == 0:  # exactly 0, even where sigma*cos overflows
+        return 0.0 * cos_t
     return _roughness_db(sigma_m, cos_t, f_ghz, kappa)
 
 
@@ -202,9 +196,9 @@ def reflection_loss(
     if kappa:  # 0 is valid; anything else is checked before any work
         check_kappa(kappa)
     eta = relative_permittivity(mat, f_ghz)
-    # A float, the per-hop case, skips the isinstance test. numpy's sin, cos and
-    # sqrt give math's and cmath's bits (tests/test_em.py checks it), and every
-    # other step is one IEEE operation on either type.
+    # Both sides run: an ndarray per rldb.build row, a float per simulated hop
+    # (math's scalar calls cost a fifth of a 0-d array's). numpy's sin, cos and
+    # sqrt give math's bits (tests/test_em.py checks it); the rest is IEEE ops.
     vector = type(theta_i) is not float and isinstance(theta_i, np.ndarray)
     if vector:
         _check_angle(theta_i)

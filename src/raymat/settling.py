@@ -204,8 +204,7 @@ def thickness_sweep(
         raise ValueError("thickness grid must be strictly ascending")
     eta = em.relative_permittivity(material, f_ghz)
     coeffs = em.slab_coefficient(eta, theta_i, grid, f_ghz)
-    te_db = np.atleast_1d(em.amplitude_db(coeffs.te))
-    tm_db = np.atleast_1d(em.amplitude_db(coeffs.tm))
+    te_db, tm_db = em.amplitude_db(coeffs.te), em.amplitude_db(coeffs.tm)
     return [
         (float(h), float(te), float(tm)) for h, te, tm in zip(grid, te_db, tm_db)
     ]

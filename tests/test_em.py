@@ -273,6 +273,13 @@ def test_vanishing_roughness_of_an_angle_array_is_an_array_of_zeros(sigma, kappa
     assert em.roughness_attenuation_db(sigma, 0.3, 100.0, kappa) == 0.0
 
 
+def test_vanishing_roughness_is_zero_where_sigma_squared_overflows():
+    # (sigma*cos/lambda)^2 is inf here, so 0 * inf would give nan
+    assert em.roughness_attenuation_db(1e200, 0.3, 100.0, 0.0) == 0.0
+    got = em.roughness_attenuation_db(1e200, np.array([0.0, 0.3]), 100.0, 0.0)
+    assert got.tolist() == [0.0, 0.0]
+
+
 def test_fitted_kappa_reproducible():
     refit = fit_kappa_oracle()
     assert refit == pytest.approx(em.FITTED_ROUGHNESS_KAPPA, abs=1e-4)
@@ -363,6 +370,14 @@ def test_amplitude_db():
     assert em.amplitude_db(0.0) == -math.inf
     arr = em.amplitude_db(np.array([1.0, 0.1]))
     assert arr[1] == pytest.approx(-20.0, abs=1e-12)
+
+
+def test_a_float_thickness_gives_python_number_subclasses():
+    eta = em.relative_permittivity(GLASS, 100.0)
+    r = em.slab_coefficient(eta, 0.3, 1e-3, 100.0)
+    assert isinstance(r.te, complex) and isinstance(r.tm, complex)
+    assert isinstance(em.amplitude_db(r.te), float)
+    assert isinstance(em.roughness_attenuation_db(1e-4, 0.3, 100.0, 1.0), float)
 
 
 def test_transverse_root_branch():
