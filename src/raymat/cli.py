@@ -297,9 +297,9 @@ def _read_measurements(path) -> dict[str, tuple[float, float, int]]:
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("trajectory_id"):
-                continue
             fields = line.split(",")
+            if not line or line.startswith("#") or fields[0] == "trajectory_id":
+                continue
             if len(fields) != 3:
                 raise ValueError(
                     f"{path}:{lineno}: expected trajectory_id,measured_rl_db,u_db"
@@ -320,11 +320,23 @@ def _read_measurements(path) -> dict[str, tuple[float, float, int]]:
     return out
 
 
+def _coefficients(mat: MaterialParams) -> list[str]:
+    """a, b, c, d and roughness sigma at the 6 digits an RL table stores."""
+    return [_fmt(v) for v in (mat.a, mat.b, mat.c, mat.d, mat.roughness_sigma)]
+
+
 def _cmd_identify(args) -> int:
     scene = load_scene(args.scene)
     palette = _resolve_materials(args.palette, args.materials_table)
     if args.db:
         db = rldb.load(args.db)
+        stored = {m.name: _coefficients(m) for m in db.materials}
+        for mat in palette:
+            if stored.get(mat.name, _coefficients(mat)) != _coefficients(mat):
+                raise ValueError(
+                    f"{args.db}: the table holds material {mat.name!r} with a,b,c,d,sigma = "
+                    f"{','.join(stored[mat.name])}, the palette with {','.join(_coefficients(mat))}"
+                )
     else:
         angles = np.arange(0.0, MAX_ANGLE_DEG + 1.0)
         db = rldb.build(palette, np.array([args.freq]), angles, args.kappa)

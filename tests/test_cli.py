@@ -375,10 +375,12 @@ def test_identify_no_hypothesis_exit_code(capsys, tmp_path):
         "p0t0,12.0,0.5\np0t1,12.0,0.5\n",
         "p0t0,12.0,0.5\nx1,12.0,0.5\n",
         "p0t0,12.0\n",
+        "p0t0,12.0,0.5\ntrajectory_id_typo,12.0,0.5\n",
     ],
     ids=[
         "nan", "inf", "nan-u", "inf-u", "negative-u", "zero-u", "text", "duplicate",
         "pair-out-of-range", "no-such-trajectory", "malformed-id", "two-fields",
+        "id-opening-like-the-header",
     ],
 )
 def test_identify_rejects_bad_measurement_rows(capsys, tmp_path, rows):
@@ -519,6 +521,30 @@ def test_identify_db_and_kappa_are_exclusive(capsys, tmp_path):
     code, out, err = run(capsys, *argv, "--kappa", "7.087")
     assert (code, out) == (1, "")
     assert "not allowed with argument" in err
+
+
+def test_identify_db_refuses_a_palette_material_the_table_defines_otherwise(capsys, tmp_path):
+    scene_path, tx_flags, rx_flags = demo_files(tmp_path, capsys)
+    as_wood, as_glass = tmp_path / "oak_wood.txt", tmp_path / "oak_glass.txt"
+    as_wood.write_text("oak, 1.99, 0, 0.0047, 1.0718, 0\n", encoding="utf-8")
+    as_glass.write_text("oak, 6.27, 0, 0.0043, 1.1925, 0\n", encoding="utf-8")
+    db_path, m_path = tmp_path / "db.csv", tmp_path / "m.csv"
+    assert run(
+        capsys, "rldb", "build", "--db", str(db_path), "--materials", "oak,plaster,glass",
+        "--materials-table", str(as_wood),
+    )[0] == 0
+    assert run(
+        capsys, "simulate", "--scene", str(scene_path), *tx_flags, *rx_flags,
+        "--freq", "100", "--output", str(m_path),
+    )[0] == 0
+    argv = [
+        "identify", "--scene", str(scene_path), *tx_flags, *rx_flags, "--freq", "100",
+        "--measurements", str(m_path), "--db", str(db_path), "--palette", "oak,plaster,glass",
+    ]
+    assert run(capsys, *argv, "--materials-table", str(as_wood))[0] == 0
+    code, out, err = run(capsys, *argv, "--materials-table", str(as_glass))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {db_path}: the table holds material 'oak' with ")
 
 
 @pytest.mark.parametrize("command", ["simulate", "identify"])
