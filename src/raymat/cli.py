@@ -320,22 +320,18 @@ def _read_measurements(path) -> dict[str, tuple[float, float, int]]:
     return out
 
 
-def _coefficients(mat: MaterialParams) -> list[str]:
-    """a, b, c, d and roughness sigma at the 6 digits an RL table stores."""
-    return [_fmt(v) for v in (mat.a, mat.b, mat.c, mat.d, mat.roughness_sigma)]
-
-
 def _cmd_identify(args) -> int:
     scene = load_scene(args.scene)
     palette = _resolve_materials(args.palette, args.materials_table)
     if args.db:
         db = rldb.load(args.db)
-        stored = {m.name: _coefficients(m) for m in db.materials}
+        stored = {m.name: rldb.material_header(m) for m in db.materials}
         for mat in palette:
-            if stored.get(mat.name, _coefficients(mat)) != _coefficients(mat):
+            ours = rldb.material_header(mat)
+            if stored.get(mat.name, ours) != ours:
                 raise ValueError(
-                    f"{args.db}: the table holds material {mat.name!r} with a,b,c,d,sigma = "
-                    f"{','.join(stored[mat.name])}, the palette with {','.join(_coefficients(mat))}"
+                    f"{args.db}: material {mat.name!r} differs: the table stores "
+                    f"{stored[mat.name]}, the palette {ours} (name,a,b,c,d,sigma)"
                 )
     else:
         angles = np.arange(0.0, MAX_ANGLE_DEG + 1.0)

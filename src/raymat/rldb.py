@@ -128,10 +128,7 @@ class RLDatabase:
             fh.write(f"#version={FORMAT_VERSION}\n")
             fh.write(f"#kappa={_fmt(self.kappa)}\n")
             for m in self.materials:
-                fh.write(
-                    f"#material={m.name},{_fmt(m.a)},{_fmt(m.b)},{_fmt(m.c)},"
-                    f"{_fmt(m.d)},{_fmt(m.roughness_sigma)}\n"
-                )
+                fh.write(f"#material={material_header(m)}\n")
             fh.write(_COLUMNS + "\n")
             f_labels = [_fmt(f) for f in self._freqs]
             # one % per row: prefix + prefix.join(tails) is one line, prefix +
@@ -141,6 +138,11 @@ class RLDatabase:
                 for f_label, row in zip(f_labels, self.rl_db[mi].tolist()):
                     prefix = f"{m.name},{f_label},".replace("%", "%%")
                     fh.write((prefix + prefix.join(tails)) % tuple(row))
+
+
+def material_header(m: MaterialParams) -> str:
+    """The material as a table's #material header stores it: name,a,b,c,d,sigma (6 digits)."""
+    return ",".join([m.name, *(_fmt(v) for v in (m.a, m.b, m.c, m.d, m.roughness_sigma))])
 
 
 def _steps(nodes: list[float]) -> list[float]:

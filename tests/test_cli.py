@@ -544,7 +544,10 @@ def test_identify_db_refuses_a_palette_material_the_table_defines_otherwise(caps
     assert run(capsys, *argv, "--materials-table", str(as_wood))[0] == 0
     code, out, err = run(capsys, *argv, "--materials-table", str(as_glass))
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: {db_path}: the table holds material 'oak' with ")
+    assert err == (
+        f"error: {db_path}: material 'oak' differs: the table stores oak,1.99,0,0.0047,1.0718,0,"
+        " the palette oak,6.27,0,0.0043,1.1925,0 (name,a,b,c,d,sigma)\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["simulate", "identify"])
