@@ -196,9 +196,9 @@ def reflection_loss(
     if kappa:  # 0 is valid; anything else is checked before any work
         check_kappa(kappa)
     eta = relative_permittivity(mat, f_ghz)
-    # Both sides run: an ndarray per rldb.build row, a float per simulated hop
-    # (math's scalar calls cost a fifth of a 0-d array's). numpy's sin, cos and
-    # sqrt give math's bits (tests/test_em.py checks it); the rest is IEEE ops.
+    # Both sides run: an ndarray per rldb.build row, a float per simulated hop,
+    # where math costs a fifth of a 0-d array. numpy's sin, cos and sqrt give
+    # math's and cmath's bits (tests/test_em.py checks it); the rest is IEEE ops.
     vector = type(theta_i) is not float and isinstance(theta_i, np.ndarray)
     if vector:
         _check_angle(theta_i)
