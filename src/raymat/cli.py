@@ -327,12 +327,19 @@ def _cmd_identify(args) -> int:
         db = rldb.load(args.db)
         stored = {m.name: rldb.material_header(m) for m in db.materials}
         for mat in palette:
+            if mat.name not in stored:
+                raise ValueError(f"material {mat.name!r} not in database ({', '.join(stored)})")
             ours = rldb.material_header(mat)
-            if stored.get(mat.name, ours) != ours:
+            if stored[mat.name] != ours:
                 raise ValueError(
                     f"{args.db}: material {mat.name!r} differs: the table stores "
                     f"{stored[mat.name]}, the palette {ours} (name,a,b,c,d,sigma)"
                 )
+        lo, hi = db.freqs_ghz[0], db.freqs_ghz[-1]
+        if not lo <= args.freq <= hi:
+            raise ValueError(
+                f"{args.db}: --freq {args.freq:g} GHz is outside the table's frequency range [{lo:g}, {hi:g}] GHz"
+            )
     else:
         angles = np.arange(0.0, MAX_ANGLE_DEG + 1.0)
         db = rldb.build(palette, np.array([args.freq]), angles, args.kappa)

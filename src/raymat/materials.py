@@ -18,7 +18,8 @@ class MaterialParams:
     Relative permittivity (real part) is a*f^b and conductivity is c*f^d
     with f in GHz. ``roughness_sigma`` is the RMS surface roughness in
     meters; 0 means optically smooth. Every coefficient must be finite. The
-    name is one token: no whitespace, no comma and no leading ``#``.
+    name is one token: no whitespace, no comma, no leading ``#`` and no lone
+    surrogate (tables are UTF-8).
     """
 
     name: str
@@ -30,12 +31,15 @@ class MaterialParams:
 
     def __post_init__(self) -> None:
         # one token: a table line and an RL-database header split on commas
-        # and whitespace, and a database treats a line opening with # as a header
+        # and whitespace, and a database treats a line opening with # as a header;
+        # tables are UTF-8, which cannot carry a lone surrogate
         name = self.name
-        if name.split() != [name] or "," in name or name.startswith("#"):
+        if name.split() != [name] or "," in name or name.startswith("#") or any(
+            "\ud800" <= ch <= "\udfff" for ch in name
+        ):
             raise ValueError(
                 f"material name {name!r} must be one non-empty token with no "
-                "whitespace, no comma and no leading '#'"
+                "whitespace, no comma, no leading '#' and no lone surrogate"
             )
         for field in ("a", "b", "c", "d", "roughness_sigma"):
             value = getattr(self, field)

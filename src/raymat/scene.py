@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import validate_convex_polygon
+from .geometry import COPLANARITY_TOL, validate_convex_polygon
 
 UNKNOWN_MATERIAL = "unknown"
 
@@ -81,7 +81,12 @@ class Scene:
     The facet geometry is also stacked once, for batched tests across facets:
     unit ``normals`` (N, 3), ``plane_points`` (N, 3), and each facet's half-planes
     (``inward``, ``offsets``, ``slack``, as on Facet) padded to the largest edge count
-    with zero rows, which every point passes.
+    with zero rows, which every point passes. For the tracer's reflection-cone cut,
+    ``vertices`` (N, V, 3) pads each facet's vertices with copies of its last one, and
+    two lengths per facet bound where a point that passes the facet's half-plane test
+    can lie: ``spill``, beyond any edge line, and ``reach``, off the hull of the
+    vertices. ``spill`` adds 8 and ``reach`` 4 times ``rounding``, a bound on one
+    rounding error of the tracer's arithmetic (tracer._blocks has the proof).
     """
 
     facets: tuple[Facet, ...]
@@ -90,6 +95,9 @@ class Scene:
     inward: np.ndarray = field(init=False, repr=False)
     offsets: np.ndarray = field(init=False, repr=False)
     slack: np.ndarray = field(init=False, repr=False)
+    vertices: np.ndarray = field(init=False, repr=False)
+    spill: np.ndarray = field(init=False, repr=False)
+    reach: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         facets = tuple(self.facets)
@@ -118,6 +126,26 @@ class Scene:
             for row, f in zip(padded, facets):
                 row[: len(f.vertices)] = getattr(f, name)
             object.__setattr__(self, name, padded)
+        count = np.array([len(f.vertices) for f in facets])
+        real = np.arange(width) < count[:, None]  # (facets, width): a facet's own edges and vertices
+        first = np.cumsum(count) - count  # of each facet's vertices in stacked
+        object.__setattr__(self, "vertices", stacked[first[:, None] + np.minimum(np.arange(width), count[:, None] - 1)])
+        # every coordinate the tracer meets is below 9 * far: endpoints and hops lie in
+        # the box, and an image mirrored k <= 4 times is within (2k + 1) * far of the origin
+        far = max(abs(x) for bounds in self._box for x in bounds)
+        rounding = 2.0**-36 * far  # 2**16 ulps of far: over 100 times the 64 ulps of 9 * far that bound one error
+        length = np.sqrt((self.inward**2).sum(axis=2))  # |normal x edge|, the edge's length
+        centre = (self.vertices * real[..., None]).sum(axis=1) / count[:, None]
+        inside = np.matmul(self.inward, centre[..., None])[..., 0] - self.offsets  # centre's depth times length
+        with np.errstate(divide="ignore", invalid="ignore"):  # padded edges are masked out
+            spill = np.where(real, self.slack / length, 0.0).max(axis=1) + 8 * rounding
+            inradius = np.where(real, inside / length, np.inf).min(axis=1) - rounding
+            spread = np.sqrt(((self.vertices - centre[:, None]) ** 2).sum(axis=2)).max(axis=1) + rounding
+            # a point within spill of every edge line is within spill * spread / inradius
+            # of the polygon: shrink it towards the centre by 1 + spill / inradius
+            grown = np.where(inradius > 0, spill * spread / inradius, np.inf)
+        object.__setattr__(self, "spill", spill)
+        object.__setattr__(self, "reach", grown + COPLANARITY_TOL + 4 * rounding)
 
     def facet(self, facet_id: str) -> Facet:
         try:

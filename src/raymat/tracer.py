@@ -2,8 +2,13 @@
 
 Facet sequences are traced depth first over one image tree per transmitter, in blocks
 of at most BLOCK_ROWS rows, one per sequence and receiver, each under one np.errstate.
-Each image is mirrored once per sequence. One exact pass per block then folds every row
-back from its receiver, drops it at the first hop that is grazing, off its facet's
+Each image is mirrored once per sequence. A sequence is extended only to the facets its
+reflection cone can reach: the next hop lies on a ray from the sequence's last image
+through its last facet's polygon, beyond that facet, so a facet whose vertices all lie
+beyond one face of that cone, by a margin that covers the polygon tests' slack and the
+rounding, is cut with its whole subtree (beam tracing's visibility test, Funkhouser et
+al., SIGGRAPH 1998; _blocks proves that no path is lost). One exact pass per block then
+folds every row back from its receiver, drops it at the first hop that is grazing, off its facet's
 plane segment or outside the facet's polygon, and tests the legs of the rows left for
 occlusion, on only the facets whose planes they cross strictly inside. Every step has
 the bits of the scalar 3-vector calls: a stacked matmul row is the 1-D ``a @ b``. A leg
@@ -64,12 +69,41 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int, cap: int):
     """Yield (sequences, images) for seqs, then, depth first, for their extensions
-    up to max_bounces facets with no immediate repeat. Parents are cut into chunks
-    before they are extended, so a block of children has at most ``cap`` rows,
-    or one parent's children if those are more.
+    up to max_bounces facets with no immediate repeat, to the next facets _reachable
+    keeps. The children kept from all of a block's parents are packed into blocks of
+    at most ``cap`` rows; only the first hops, one row per facet, can make more.
 
     ``images[:, j]`` is the transmitter mirrored across the first j facets of each
     row; the image across the last facet is added here, with mirror_point's bits.
+
+    The cut loses no path. Take a row ending on facet f with image I (``mirrored``),
+    a child g, and any extension of it that the exact pass accepts. Its hop Q on g
+    passed g's polygon test, and its hop P on f is I + t (Q - I) with 0 < t < 1 and
+    passed f's, so Q = I + s (P - I) with s = 1 / t > 1. Every coordinate met is below
+    9 * far (Scene), each rounding error of the arithmetic below is under 64 ulps of
+    that, and Scene's ``rounding`` is over 100 times that much: call it r. Then
+      (a) P is within spill_f of f's plane and of the inner side of each edge line of
+          f: slack_e / |edge e| from the test, plus rounding; spill_f adds 8 r;
+      (b) Q is within reach_g of the hull of g's vertices: if a convex polygon's
+          centre c is at least r0 inside each edge line and R from each vertex, a
+          point within spill_g of every edge line is within spill_g * R / r0 of the
+          polygon (shrink it towards c by 1 + spill_g / r0); plus COPLANARITY_TOL,
+          Q's rounding off g's plane and the rounding of the vertex tests, 4 r.
+      (c) f's plane: with z the height over it, signed towards I, z(Q) = (1 - s) z(I)
+          + s z(P) <= spill_f once z(I) >= spill_f, since s > 1. So g is cut when
+          every vertex has z > spill_f + reach_g.
+      (d) the plane through I and an edge of f, with h the distance beyond it: h is
+          affine and h(I) is a rounding error, so h(Q) = (1 - s) h(I) + s h(P) <=
+          s * spill_f, and s = (z(I) - z(Q)) / (z(I) - z(P)) is at most
+          stretch = (z(I) + max |z(vertex)| + reach_g + spill_f) / (z(I) - spill_f).
+          So g is cut when every vertex has h > stretch * spill_f + reach_g. As I
+          nears f's plane stretch grows without bound (a hop within slack of f maps
+          to points |Q - I| / |P - I| times as far beyond the face), and when z(I) <=
+          spill_f nothing is cut.
+    A vertex beyond a face by more than the bound puts every point of g's hull there,
+    and every point within reach_g of it beyond the bound on Q, so there is no Q.
+    The test's einsum and matmul products have no pinned bits; the margin, not
+    their last bits, decides every cut.
     """
     f, last = seqs[:, -1], images[:, -1]
     n = scene.normals[f]
@@ -77,12 +111,44 @@ def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int
     images = np.concatenate([images, mirrored[:, None]], axis=1)
     yield seqs, images
     if seqs.shape[1] < max_bounces:
-        every = np.arange(len(scene.facets))
-        chunk = max(1, cap // max(1, len(every) - 1))  # parents per block of children
-        for start in range(0, len(seqs), chunk):
-            parent, nxt = np.nonzero(seqs[start : start + chunk, -1:] != every)  # no immediate repeat
-            parent += start
-            yield from _blocks(scene, np.column_stack([seqs[parent], nxt]), images[parent], max_bounces, cap)
+        parent, nxt = np.nonzero(_reachable(scene, f, mirrored))
+        for start in range(0, len(parent), cap):
+            p, g = parent[start : start + cap], nxt[start : start + cap]
+            yield from _blocks(scene, np.column_stack([seqs[p], g]), images[p], max_bounces, cap)
+
+
+def _reachable(scene: Scene, f: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """(rows, facets): whether a facet g other than f may follow a row that ends on
+    facet f with ``image``, the transmitter mirrored across all of the row's facets.
+
+    g is cut when all its vertices lie beyond one face of the reflection cone
+    {image + s (P - image): s > 1, P on f} by more than the margin _blocks proves.
+    The faces are f's plane and, per edge of f, the plane through the image and the
+    edge (the pencil of f's plane and the edge's half-plane); each is
+    ``planes @ x - levels``, positive beyond it, scaled by |planes|.
+    """
+    n, inward, offsets = scene.normals[f], scene.inward[f], scene.offsets[f]
+    level = np.einsum("ij,ij->i", n, scene.plane_points[f])
+    height = np.einsum("ij,ij->i", n, image) - level  # the image over f's plane
+    sign, above = np.sign(height), np.abs(height)
+    side = sign[:, None] * (np.einsum("ikj,ij->ik", inward, image) - offsets)  # (rows, edges)
+    pencil = side[..., None] * n[:, None] - above[:, None, None] * inward
+    planes = np.concatenate([sign[:, None, None] * n[:, None], pencil], axis=1)
+    levels = np.concatenate([(sign * level)[:, None], side * level[:, None] - above[:, None] * offsets], axis=1)
+    beyond = np.full((*levels.shape, len(scene.facets)), np.inf)  # (rows, faces, facets), least over g's vertices
+    tallest = np.zeros((len(f), len(scene.facets)))  # largest |height| of g's vertices over f's plane
+    flat = planes.reshape(-1, 3)  # one matrix product per vertex index
+    for corner in scene.vertices.transpose(1, 0, 2):  # one vertex of every facet
+        out = (flat @ corner.T).reshape(beyond.shape) - levels[..., None]
+        np.minimum(beyond, out, out=beyond)
+        np.maximum(tallest, np.abs(out[:, 0]), out=tallest)
+    spill, reach = scene.spill[f][:, None], scene.reach
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a NaN or inf margin cuts nothing
+        stretch = (above[:, None] + tallest + reach + spill) / (above[:, None] - spill)
+        scale = np.sqrt(_dot(planes[:, 1:], planes[:, 1:]))[..., None]  # 0 for a padded edge
+        cut = (beyond[:, 0] > spill + reach) | (beyond[:, 1:] > scale * (stretch * spill + reach)[:, None]).any(axis=1)
+    cut &= above[:, None] > spill
+    return ~cut & (f[:, None] != np.arange(len(scene.facets)))
 
 
 def _inside(scene: Scene, f: np.ndarray, points: np.ndarray) -> np.ndarray:

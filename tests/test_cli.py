@@ -550,6 +550,37 @@ def test_identify_db_refuses_a_palette_material_the_table_defines_otherwise(caps
     )
 
 
+def _identify_with_db(capsys, tmp_path, materials, *extra):
+    """identify on the demo with a table of ``materials`` built at 100 GHz."""
+    scene_path, tx_flags, rx_flags = demo_files(tmp_path, capsys)
+    db_path, m_path = tmp_path / "db.csv", tmp_path / "m.csv"
+    assert run(capsys, "rldb", "build", "--db", str(db_path), "--materials", materials)[0] == 0
+    assert run(
+        capsys, "simulate", "--scene", str(scene_path), *tx_flags, *rx_flags,
+        "--freq", "100", "--output", str(m_path),
+    )[0] == 0
+    argv = [
+        "identify", "--scene", str(scene_path), *tx_flags, *rx_flags,
+        "--measurements", str(m_path), "--db", str(db_path), *extra,
+    ]
+    return db_path, run(capsys, *argv)
+
+
+@pytest.mark.parametrize("freq", ["28", "99.99", "nan"])
+def test_identify_db_refuses_a_frequency_outside_the_table(capsys, tmp_path, freq):
+    """A --freq the table does not span fails before tracing, naming it and the table's
+    range, instead of reporting every facet as uncovered."""
+    db_path, (code, out, err) = _identify_with_db(capsys, tmp_path, "wood,plaster,glass", "--freq", freq)
+    assert (code, out) == (1, "")
+    assert err == f"error: {db_path}: --freq {float(freq):g} GHz is outside the table's frequency range [100, 100] GHz\n"
+
+
+def test_identify_db_refuses_a_palette_material_the_table_lacks(capsys, tmp_path):
+    _, (code, out, err) = _identify_with_db(capsys, tmp_path, "wood,glass", "--freq", "100")
+    assert (code, out) == (1, "")
+    assert err == "error: material 'plaster' not in database (wood, glass)\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "identify"])
 @pytest.mark.parametrize("u", ["0", "-1", "nan", "inf"])
 def test_u_flag_must_be_positive(capsys, command, u):

@@ -94,11 +94,12 @@ def test_load_material_table_reports_line(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["oak board", "a,b", "x\ny", "x\r", "#x", "wood ", " pad", "x\u2028y"]
+    "name", ["oak board", "a,b", "x\ny", "x\r", "#x", "wood ", " pad", "x\u2028y", "\ud800", "x\udfffy"]
 )
 def test_a_name_must_be_one_token_a_database_reads_back(name):
-    # an RL database header splits on commas and whitespace, and a line that
-    # opens with # is a header: each of these names would not load as written
+    # an RL database header splits on commas and whitespace, a line that opens
+    # with # is a header, and UTF-8 has no lone surrogate: each of these names
+    # would not load, or not save, as written
     with pytest.raises(ValueError, match=re.escape(f"material name {name!r} must be one")):
         MaterialParams(name, 4.0, 0.0, 0.01, 1.0)
 

@@ -1,8 +1,11 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raymat import tracer
 from raymat.demo import demo_building, demo_positions
@@ -401,6 +404,48 @@ def _exhaustive_cases():
     for eps in (9.999e-13, 1.00008e-12, 1.0001e-12, 1.00013e-12, 1.0002e-12):
         scene = Scene((Facet("floor", FLOOR_BIG), Facet("blade", _blade(tx, hop, eps))))
         yield f"blade-cos{eps:g}", scene, tx, rx
+    # transmitters 1e-7 m or less from the floor's plane, with paths off the floor: the
+    # image of such a transmitter across the floor is as near its plane, so the cone
+    # faces through the floor's edges are steep, and a hop within slack of the floor
+    # maps to points far beyond them; the cut's margin grows with that ratio
+    end = Facet("end", rect((5, -2, 0), (5, -2, 3), (5, 2, 3), (5, 2, 0)))
+    side = Facet("side", rect((-1, 2, 0), (5, 2, 0), (5, 2, 3), (-1, 2, 3)))
+    for h in (1e-7, 5e-8, -1e-7):
+        for i, rx in enumerate(((4, -1, 1e-7), (3, 1, 1.5))):
+            yield f"near-plane{h:+g}-{i}", Scene((Facet("floor", FLOOR_BIG), end, side)), (0, 0, h), rx
+    # a transmitter 1e-6 m above the floor and 1e-6 m in from its edge x = 1, whose
+    # image across the floor is as near: a floor hop e past that edge, within the floor's
+    # slack, sends the ray up to a screen about 7e5 * e below the cone face through the
+    # image and the edge, and the screen lies wholly 7e-6 m or more below that face, so
+    # a margin that does not grow with |X - I| / |P - I| cuts a path the exact pass finds
+    floor = Facet("floor", rect((-1, -2, 0), (1, -2, 0), (1, 2, 0), (-1, 2, 0)))
+    screen = Facet("screen", rect((1.7, -0.5, 0.6), (1.7, 0.5, 0.6), (1.7, 0.5, 0.69999), (1.7, -0.5, 0.69999)))
+    tx = np.array([1 - 1e-6, 0, 1e-6])
+    for e in (0.0, 2.5e-10, 5e-10, 1e-9):
+        hop = np.array([1 + e, 0, 0])
+        up = hop - tx * [1, 1, -1]  # from the image through the hop
+        back = unit(up) * [-1, 1, 1]  # off the screen x = 1.7
+        rx = tx * [1, 1, -1] + (1.7 - (1 - 1e-6)) / up[0] * up + 0.5 * back
+        yield f"near-plane-slack{e:g}", Scene((floor, screen)), tx, rx
+    # the cone from the image (0, 0, -1) through the floor x <= 1 has the face x - z = 1;
+    # the screen's top vertices lie on it, or d beyond it, and the path to (1, 0, 2 - 3e)
+    # meets the floor e past its edge, within its slack (1e-9 m) for some of them; the
+    # same near the origin and about 1e6 m out
+    for far in (0.0, 1e6):
+        for d in (0.0, 1e-9, 2e-9):
+            x = 2 + d
+            screen = Facet("screen", rect((x, -1, 0), (x, 1, 0), (x, 1, 1), (x, -1, 1)) + far)
+            scene = Scene((Facet("floor", rect((-2, -2, 0), (1, -2, 0), (1, 2, 0), (-2, 2, 0)) + far), screen))
+            for e in (0.0, 5e-10, 1e-9):
+                tx, rx = np.array([0, 0, 1]) + far, np.array([1, 0, 2 - 3 * e]) + far
+                yield f"cone-face-far{far:g}-d{d:g}-e{e:g}", scene, tx, rx
+    # coplanar floors sharing the edge x = 1, as the slab pieces do, under a roof: the
+    # first pair's floor hop is on the shared edge
+    west = Facet("west", rect((-2, -2, 0), (1, -2, 0), (1, 2, 0), (-2, 2, 0)))
+    east = Facet("east", rect((1, -2, 0), (4, -2, 0), (4, 2, 0), (1, 2, 0)))
+    roof = Facet("roof", rect((-2, -2, 3), (-2, 2, 3), (4, 2, 3), (4, -2, 3)))
+    for i, (a, b) in enumerate((((0, 0, 1), (2, 0, 1)), ((0.5, -1, 2), (1.5, 1, 0.5)), ((-1, 0, 1.5), (3, 0.5, 1.5)))):
+        yield f"coplanar-{i}", Scene((west, east, roof)), a, b
 
 
 EXHAUSTIVE_CASES = list(_exhaustive_cases())
@@ -426,12 +471,13 @@ def default_blocks():
 @pytest.mark.parametrize("rows", [1, 7, 10**6])
 def test_trace_is_the_same_in_blocks_of_any_size(rows, default_blocks, monkeypatch):
     """Splitting each depth into blocks of at most BLOCK_ROWS rows changes no output.
-    A block is larger only when one parent's children, or the first hops, are."""
+    The children kept from all of a block's parents are packed into full blocks, so only
+    the first hops, one row per facet, can make a larger block."""
     cases, expected = default_blocks
     exact = tracer._trajectories
 
     def capped(scene, seqs, images, rxs):
-        assert len(seqs) <= max(rows, len(scene.facets))
+        assert len(seqs) <= rows or seqs.shape[1] == 1
         return exact(scene, seqs, images, rxs)
 
     monkeypatch.setattr(tracer, "BLOCK_ROWS", rows)
@@ -451,9 +497,12 @@ def _receiver_cases():
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         cases.append((scene, a, [b, (a + b) / 2, 0.2 * a + 0.8 * b, b]))
     demo = demo_building()
-    rxs = [np.array(p) for p in ((7, 7.5, 1.4), (16.5, 7.5, 1.4), (3, 12, 6), (3.5, 11.5, 1.2))]
-    cases += [(demo, np.array(tx), rxs) for tx in ((4, 2.5, 5.6), (15, 2.5, 5.6), (10, 7, 1.5))]
+    cases += [(demo, tx, DEMO_RECEIVERS) for tx in DEMO_TRANSMITTERS]
     return [(scene, tx, rxs, k) for scene, tx, rxs in cases for k in (1, 2, 3)]
+
+
+DEMO_TRANSMITTERS = [np.array(p, dtype=float) for p in ((4, 2.5, 5.6), (15, 2.5, 5.6), (10, 7, 1.5))]
+DEMO_RECEIVERS = [np.array(p, dtype=float) for p in ((7, 7.5, 1.4), (16.5, 7.5, 1.4), (3, 12, 6), (3.5, 11.5, 1.2))]
 
 
 @pytest.fixture(scope="module")
@@ -466,15 +515,15 @@ def one_receiver_at_a_time():
 @pytest.mark.parametrize("rows", [1, 7, 64, 10**6])
 def test_trace_many_is_trace_per_receiver_in_blocks_of_any_size(rows, one_receiver_at_a_time, monkeypatch):
     """trace_many over one image tree gives each receiver what trace gives it alone, and
-    BLOCK_ROWS bounds its rows, sequences times receivers, beyond the first hops and
-    one parent's children. At 64 rows, a cap that ignored the receivers would let
-    several parents' children in one block and exceed the bound."""
+    BLOCK_ROWS bounds its rows, sequences times receivers, beyond the first hops; a
+    block has at least one sequence. At 64 rows, a cap that ignored the receivers would
+    pack 64 sequences, 256 rows with four receivers, into one block."""
     cases, expected = one_receiver_at_a_time
     exact = tracer._trajectories
     receivers = []
 
     def capped(scene, seqs, images, rxs):
-        assert len(seqs) <= max(rows, len(receivers[-1]) * len(scene.facets))
+        assert len(seqs) <= max(rows, len(receivers[-1])) or seqs.shape[1] == 1
         return exact(scene, seqs, images, rxs)
 
     monkeypatch.setattr(tracer, "BLOCK_ROWS", rows)
@@ -501,10 +550,33 @@ def _assert_rows_match_the_oracle(scene, seqs, tx, rxs, got, tally, oracle):
         tally[not oracle[key]] += 1
 
 
+def _assert_cut_rows_have_no_path(scene, tx, rxs, k, calls, tally, oracle):
+    """The rows trace_many handed the exact pass (``calls``) and the rows its cut kept
+    back together make every facet sequence of 1..k facets times every receiver, as a
+    multiset, and the scalar oracle finds no path for any row kept back."""
+    handed = Counter(
+        (tuple(ids), rx.tobytes()) for seqs, _, got_rxs, _ in calls for ids, rx in zip(seqs.tolist(), got_rxs)
+    )
+    every = Counter(
+        (tuple(ids), np.asarray(rx, dtype=float).tobytes())
+        for seqs in _every_sequence(scene, k) for ids in seqs.tolist() for rx in rxs
+    )
+    assert not handed - every
+    for ids, rx in (every - handed).elements():
+        key = id(scene), ids, tx.tobytes(), rx
+        if key not in oracle:
+            want = exact_trajectory(scene, tuple(scene.facets[i] for i in ids), tx, np.frombuffer(rx))
+            oracle[key] = _reprs([want] if want else [])
+        assert oracle[key] == [], ([scene.facets[i].facet_id for i in ids], tx, np.frombuffer(rx))
+        tally["cut"] += 1
+
+
 def test_the_exact_check_is_the_scalar_oracle_on_every_row_it_receives(default_blocks, monkeypatch):
-    """trace_many hands the exact pass every facet sequence, tiled over every receiver,
-    with images from the transmitter, and every row gets the scalar oracle's answer and
-    bits: every EXHAUSTIVE_CASES input at k=1..3, the demo at k=4, and _receiver_cases()."""
+    """trace_many hands the exact pass facet sequences tiled over receivers, with images
+    from the transmitter, and every row gets the scalar oracle's answer and bits; every
+    row of every sequence and receiver that the reflection-cone cut keeps back has no
+    path under the oracle: every EXHAUSTIVE_CASES input at k=1..3, the demo at k=4, and
+    _receiver_cases(). The oracle sees each row once."""
     calls = []
     exact = tracer._trajectories
 
@@ -513,18 +585,59 @@ def test_the_exact_check_is_the_scalar_oracle_on_every_row_it_receives(default_b
         return got
 
     monkeypatch.setattr(tracer, "_trajectories", record)
-    tally, oracle = {True: 0, False: 0}, {}
+    tally, oracle = {True: 0, False: 0, "cut": 0}, {}
     for scene, tx, rxs, k in [(scene, a, [b], k) for scene, a, b, k in default_blocks[0]] + _receiver_cases():
         calls.clear()
         tracer.trace_many(scene, tx, rxs, k)
-        tx, rows = np.asarray(tx, dtype=float), []
+        tx = np.asarray(tx, dtype=float)
         for seqs, images, got_rxs, got in calls:
             assert (images[:, 0] == tx).all()
-            rows += [(ids, rx.tolist()) for ids, rx in zip(seqs.tolist(), got_rxs)]
             _assert_rows_match_the_oracle(scene, seqs, tx, got_rxs, got, tally, oracle)
-        every = [list(ids) for seqs in _every_sequence(scene, k) for ids in seqs]
-        assert sorted(rows) == sorted((ids, np.asarray(rx, dtype=float).tolist()) for ids in every for rx in rxs)
-    assert tally[False] > 1000 and tally[True] > 10, tally
+        _assert_cut_rows_have_no_path(scene, tx, rxs, k, calls, tally, oracle)
+    assert tally[False] > 1000 and tally[True] > 10 and tally["cut"] > 10000, tally
+
+
+@pytest.mark.parametrize("k, rows", [(3, (4422, 27316)), (4, (44036, 271872))])
+def test_the_cut_hands_the_exact_pass_a_pinned_number_of_rows(k, rows, monkeypatch):
+    """The rows, sequences times receivers, that trace_many hands the exact pass on the
+    demo building: demo_positions(), and DEMO_TRANSMITTERS to DEMO_RECEIVERS. With no
+    cut they would be every sequence of 1..k facets, 5526 (k=3) or 93960 (k=4) per
+    transmitter, times the receivers: 11052 and 66312 rows at k=3, 187920 and 1127520
+    at k=4. A change to the reflection-cone cut or its margin moves these figures."""
+    demo, exact, counted = demo_building(), tracer._trajectories, []
+
+    def count(scene, seqs, images, rxs):
+        counted[-1] += len(seqs)
+        return exact(scene, seqs, images, rxs)
+
+    monkeypatch.setattr(tracer, "_trajectories", count)
+    for txs, rxs in (demo_positions(), (DEMO_TRANSMITTERS, DEMO_RECEIVERS)):
+        counted.append(0)
+        for tx in txs:
+            tracer.trace_many(demo, tx, rxs, k)
+    assert tuple(counted) == rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), k=st.integers(2, 3))
+def test_the_cut_keeps_back_no_path_on_random_scenes(seed, k):
+    """On a seeded random scene (a floor and two tilted walls), with four receivers of
+    one transmitter, no row the reflection-cone cut keeps back has a path. The cut keeps
+    back rows in about one draw in five."""
+    scene, _ = random_scene(seed)
+    tx, *rxs = random_endpoints(np.random.default_rng(seed), 5)
+    calls, exact = [], tracer._trajectories
+
+    def record(scene, seqs, images, got_rxs):
+        calls.append((seqs, images, got_rxs, None))
+        return exact(scene, seqs, images, got_rxs)
+
+    tracer._trajectories = record
+    try:
+        tracer.trace_many(scene, tx, rxs, k)
+    finally:
+        tracer._trajectories = exact
+    _assert_cut_rows_have_no_path(scene, tx, rxs, k, calls, {"cut": 0}, {})
 
 
 def _mirrored(scene, tx, seqs):
