@@ -26,7 +26,7 @@ from .materials import MaterialParams
 from .rldb import OutOfRangeError, RLDatabase
 from .scene import Scene
 # trace has no caller here, but the benchmark's span hooks (perfbench/spans.py) wrap identify.trace by name
-from .tracer import Trajectory, trace, trace_many  # noqa: F401
+from .tracer import Trajectory, trace, trace_pairs  # noqa: F401
 
 RP_TOLERANCE_M = 0.01
 
@@ -316,14 +316,12 @@ def traced_pairs(
 
     Trajectory ids are ``p<pair>t<index>``: the pair's place in the TX-major
     walk over the Cartesian product of positions, then the trajectory's place
-    in its trace order. Lazy per transmitter: when the caller reaches a
-    transmitter's first pair, one :func:`trace_many` call traces all of its
-    receivers over one image tree, so a loop over the pairs holds one
-    transmitter's trajectories at a time. A receiver that :func:`trace` would
-    refuse raises its error before that transmitter's first pair is yielded.
+    in its trace order. When the caller reaches the first pair, one
+    :func:`trace_pairs` call traces every pair over one image forest. A pair that
+    :func:`trace` would refuse raises the error of the first such pair in the
+    walk before any pair is yielded.
     """
-    per_tx = (trace_many(scene, tx, rx_positions, max_bounces) for tx in tx_positions)
-    for pair, trajectories in enumerate(chain.from_iterable(per_tx)):
+    for pair, trajectories in enumerate(trace_pairs(scene, tx_positions, rx_positions, max_bounces)):
         yield [(f"p{pair}t{ti}", traj) for ti, traj in enumerate(trajectories)]
 
 
@@ -354,7 +352,7 @@ def identify_loop(
     RX, an empty palette or one naming a material twice, or a ``u_db`` that is
     not a finite number >= 0 is a ValueError before anything is traced.
     """
-    if not tx_positions or not rx_positions:
+    if len(tx_positions) == 0 or len(rx_positions) == 0:
         raise ValueError("need at least one TX and one RX position")
     _check_palette(palette)
     if u_db is not None and not 0 <= u_db < math.inf:

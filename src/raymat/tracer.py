@@ -1,9 +1,10 @@
 """Deterministic image-method ray tracing for multi-bounce specular paths.
 
-Facet sequences are traced depth first over one image tree per transmitter, in blocks
-of at most BLOCK_ROWS rows, one per sequence and receiver, each under one np.errstate.
-Each image is mirrored once per sequence. A sequence is extended only to the facets its
-reflection cone can reach: the next hop lies on a ray from the sequence's last image
+Facet sequences are traced depth first over one image forest, whose roots are every
+(transmitter, facet), in blocks of at most BLOCK_ROWS rows, one per sequence and
+receiver, each under one np.errstate; a block may mix transmitters, and each row carries
+its transmitter's index. Each image is mirrored once per sequence. A sequence is
+extended only to the facets its reflection cone can reach: the next hop lies on a ray from the sequence's last image
 through its last facet's polygon, beyond that facet, so a facet whose vertices all lie
 beyond one face of that cone, by a margin that covers the polygon tests' slack and the
 rounding, is cut with its whole subtree (beam tracing's visibility test, Funkhouser et
@@ -29,7 +30,7 @@ from .scene import Scene
 OCCLUSION_EPS = 1e-6  # m; other facets met this near a leg's ends (a neighbour at a hop's edge) do not occlude it
 BLOCK_ROWS = 2048  # most rows, facet sequences times receivers, in one batch
 
-__all__ = ["Hop", "Trajectory", "trace", "trace_many", "OCCLUSION_EPS"]
+__all__ = ["Hop", "Trajectory", "trace", "trace_many", "trace_pairs", "OCCLUSION_EPS"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,14 +68,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int, cap: int):
-    """Yield (sequences, images) for seqs, then, depth first, for their extensions
-    up to max_bounces facets with no immediate repeat, to the next facets _reachable
-    keeps. The children kept from all of a block's parents are packed into blocks of
-    at most ``cap`` rows; only the first hops, one row per facet, can make more.
+def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, owner: np.ndarray, max_bounces: int, cap: int):
+    """Yield (sequences, images, owner) for seqs in blocks of at most ``cap`` rows, each
+    followed, depth first, by its rows' extensions up to max_bounces facets with no
+    immediate repeat, to the next facets _reachable keeps. The children kept from all
+    of a block's parents are packed into full blocks in turn, whatever their transmitter.
 
     ``images[:, j]`` is the transmitter mirrored across the first j facets of each
-    row; the image across the last facet is added here, with mirror_point's bits.
+    row, and ``owner`` the index of that transmitter; the image across the last facet
+    is added here, with mirror_point's bits.
 
     The cut loses no path. Take a row ending on facet f with image I (``mirrored``),
     a child g, and any extension of it that the exact pass accepts. Its hop Q on g
@@ -105,16 +107,16 @@ def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, max_bounces: int
     The test's einsum and matmul products have no pinned bits; the margin, not
     their last bits, decides every cut.
     """
-    f, last = seqs[:, -1], images[:, -1]
-    n = scene.normals[f]
-    mirrored = last - (2 * _dot(last - scene.plane_points[f], n))[:, None] * n
-    images = np.concatenate([images, mirrored[:, None]], axis=1)
-    yield seqs, images
-    if seqs.shape[1] < max_bounces:
-        parent, nxt = np.nonzero(_reachable(scene, f, mirrored))
-        for start in range(0, len(parent), cap):
-            p, g = parent[start : start + cap], nxt[start : start + cap]
-            yield from _blocks(scene, np.column_stack([seqs[p], g]), images[p], max_bounces, cap)
+    for start in range(0, len(seqs), cap):
+        rows = slice(start, start + cap)
+        block, tx_index, f, last = seqs[rows], owner[rows], seqs[rows, -1], images[rows, -1]
+        n = scene.normals[f]
+        mirrored = last - (2 * _dot(last - scene.plane_points[f], n))[:, None] * n
+        imaged = np.concatenate([images[rows], mirrored[:, None]], axis=1)
+        yield block, imaged, tx_index
+        if block.shape[1] < max_bounces:
+            p, g = np.nonzero(_reachable(scene, f, mirrored))
+            yield from _blocks(scene, np.column_stack([block[p], g]), imaged[p], tx_index[p], max_bounces, cap)
 
 
 def _reachable(scene: Scene, f: np.ndarray, image: np.ndarray) -> np.ndarray:
@@ -234,41 +236,57 @@ def trace(scene: Scene, tx, rx, max_bounces: int = 2) -> list[Trajectory]:
         ValueError: if tx == rx, either endpoint is outside the scene bounds,
             or max_bounces is outside [1, 4].
     """
-    return trace_many(scene, tx, [rx], max_bounces)[0]
+    return trace_pairs(scene, [tx], [rx], max_bounces)[0]
 
 
 def trace_many(scene: Scene, tx, rxs, max_bounces: int = 2) -> list[list[Trajectory]]:
-    """``[trace(scene, tx, rx, max_bounces) for rx in rxs]``, over one image tree.
+    """``[trace(scene, tx, rx, max_bounces) for rx in rxs]``: trace_pairs with one
+    transmitter. The transmitter and max_bounces are checked with no receivers too."""
+    return trace_pairs(scene, [tx], rxs, max_bounces)
+
+
+def trace_pairs(scene: Scene, txs, rxs, max_bounces: int = 2) -> list[list[Trajectory]]:
+    """``[trace(scene, tx, rx, max_bounces) for tx in txs for rx in rxs]``, over one
+    image forest.
 
     Images depend only on the transmitter, so each block of facet sequences is tiled
-    over the receivers, one row per sequence and receiver; BLOCK_ROWS bounds those rows.
-    The transmitter and max_bounces are checked first, with no receivers too; then the
-    receivers, in list order, so the first that fails raises trace's error.
+    over the receivers, one row per sequence and receiver, and a block may hold the
+    sequences of several transmitters; at most ``max(1, BLOCK_ROWS // len(rxs))``
+    sequences make a block. Every pair is checked before anything is traced, in this
+    list's order: a transmitter and max_bounces, with no receivers too, then each
+    receiver against it, so the first pair that fails raises trace's error.
     """
-    tx, checked = np.asarray(tx, dtype=float), []
-    if tx.shape != (3,):
-        raise ValueError("tx and rx must be 3D points")
-    if not 1 <= max_bounces <= 4:
-        raise ValueError(f"max_bounces must be in [1, 4], got {max_bounces}")
-    if not scene.contains(a := tx.tolist()):
-        raise ValueError(f"tx {a} is outside the scene bounds")
-    for rx in rxs:
-        rx = np.asarray(rx, dtype=float)
-        if rx.shape != (3,):
+    rxs, checked = list(rxs), []
+    for tx in txs:
+        tx = np.asarray(tx, dtype=float)
+        if tx.shape != (3,):
             raise ValueError("tx and rx must be 3D points")
-        if math.dist(a, b := rx.tolist()) < 1e-12:
-            raise ValueError("tx and rx must be distinct")
-        if not scene.contains(b):
-            raise ValueError(f"rx {b} is outside the scene bounds")
-        checked.append(rx)
-    found: list[list[Trajectory]] = [[] for _ in checked]
-    if not checked:
+        if not 1 <= max_bounces <= 4:
+            raise ValueError(f"max_bounces must be in [1, 4], got {max_bounces}")
+        if not scene.contains(a := tx.tolist()):
+            raise ValueError(f"tx {a} is outside the scene bounds")
+        for rx in rxs:
+            rx = np.asarray(rx, dtype=float)
+            if rx.shape != (3,):
+                raise ValueError("tx and rx must be 3D points")
+            if math.dist(a, b := rx.tolist()) < 1e-12:
+                raise ValueError("tx and rx must be distinct")
+            if not scene.contains(b):
+                raise ValueError(f"rx {b} is outside the scene bounds")
+        checked.append(tx)
+    n = len(rxs)
+    found: list[list[Trajectory]] = [[] for _ in range(len(checked) * n)]
+    if not found:
         return found
-    n, receivers, first = len(checked), np.array(checked), np.arange(len(scene.facets))[:, None]
-    tree = _blocks(scene, first, np.broadcast_to(tx, (len(first), 1, 3)), max_bounces, max(1, BLOCK_ROWS // n))
-    for seqs, images in tree:  # row i of a tiled block: sequence i // n, receiver i % n
+    facets, receivers = len(scene.facets), np.array(rxs, dtype=float)
+    roots = np.tile(np.arange(facets), len(checked))[:, None]  # (transmitter, facet), TX-major
+    owner = np.repeat(np.arange(len(checked)), facets)
+    images = np.repeat(np.array(checked), facets, axis=0)[:, None]
+    for seqs, images, tx_index in _blocks(scene, roots, images, owner, max_bounces, max(1, BLOCK_ROWS // n)):
+        # row i of a tiled block: sequence i // n, receiver i % n
         tiled = np.repeat(seqs, n, axis=0), np.repeat(images, n, axis=0), np.tile(receivers, (len(seqs), 1))
-        for i, trajectory in enumerate(_trajectories(scene, *tiled)):
+        pairs = (np.repeat(tx_index, n) * n + np.tile(np.arange(n), len(seqs))).tolist()
+        for pair, trajectory in zip(pairs, _trajectories(scene, *tiled)):
             if trajectory is not None:
-                found[i % n].append(trajectory)
+                found[pair].append(trajectory)
     return [sorted(f, key=lambda t: (t.bounces, t.total_length, t.facet_ids)) for f in found]

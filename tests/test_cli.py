@@ -753,14 +753,20 @@ def test_missing_scene_exits_1(capsys, tmp_path):
 # under the first transmitter, under the second, and before or after another bad pair
 _A, _B, _R1, _R2 = "4,2.5,5.6", "15,2.5,5.6", "7,7.5,1.4", "16.5,7.5,1.4"
 _OUT = "7,7.5,40"  # above the demo's padded box, which ends at z = 27 m
+_FAR = "60,2.5,5.6"  # beyond the box's x end
 _DISTINCT = "tx and rx must be distinct"
+_RX_OUT = "rx [7.0, 7.5, 40.0] is outside the scene bounds"
 BAD_PAIR_CASES = {
-    "rx-is-tx0": ([_A, _B], [_R1, _A, _R2], 0, _DISTINCT),
-    "rx-is-tx1": ([_A, _B], [_R1, _B, _R2], 1, _DISTINCT),
-    "rx-outside": ([_A, _B], [_R1, _OUT, _R2], 0, "rx [7.0, 7.5, 40.0] is outside the scene bounds"),
-    "rx-is-tx0-before-outside": ([_A, _B], [_R1, _A, _OUT], 0, _DISTINCT),
-    "rx-outside-before-tx1": ([_A, _B], [_R1, _OUT, _B], 0, "rx [7.0, 7.5, 40.0] is outside the scene bounds"),
-    "tx1-outside": ([_A, "60,2.5,5.6"], [_R1, _R2], 1, "tx [60.0, 2.5, 5.6] is outside the scene bounds"),
+    "rx-is-tx0": ([_A, _B], [_R1, _A, _R2], _DISTINCT),
+    "rx-is-tx1": ([_A, _B], [_R1, _B, _R2], _DISTINCT),
+    "rx-outside": ([_A, _B], [_R1, _OUT, _R2], _RX_OUT),
+    "rx-is-tx0-before-outside": ([_A, _B], [_R1, _A, _OUT], _DISTINCT),
+    "rx-outside-before-tx1": ([_A, _B], [_R1, _OUT, _B], _RX_OUT),
+    "tx1-outside": ([_A, _FAR], [_R1, _R2], "tx [60.0, 2.5, 5.6] is outside the scene bounds"),
+    # a receiver equal to tx1 is checked against tx1 only after every receiver is
+    # checked against tx0, and before tx2 is checked at all
+    "rx-is-tx1-after-outside": ([_A, _B], [_R1, _B, _OUT], _RX_OUT),
+    "rx-is-tx1-before-tx2-outside": ([_A, _B, _FAR], [_R1, _B], _DISTINCT),
 }
 
 
@@ -768,13 +774,14 @@ BAD_PAIR_CASES = {
 def test_a_bad_pair_fails_as_in_the_per_pair_walk(capsys, tmp_path, case):
     """traced_pairs and ``raymat trace`` fail with the error that trace gives the first
     pair of the TX-major walk it refuses, and the trace CLI with exit code 1 and no
-    output. traced_pairs has yielded every pair of the earlier transmitters by then."""
+    output. Every pair is checked before any is traced, so traced_pairs has yielded
+    none by then."""
     import itertools
 
     from raymat import tracer
     from raymat.scene import load_scene
 
-    txs, rxs, failing_tx, message = BAD_PAIR_CASES[case]
+    txs, rxs, message = BAD_PAIR_CASES[case]
     scene_path, _, _ = demo_files(tmp_path, capsys)
     scene = load_scene(str(scene_path))
     tx_points, rx_points = ([[float(v) for v in p.split(",")] for p in flags] for flags in (txs, rxs))
@@ -786,7 +793,7 @@ def test_a_bad_pair_fails_as_in_the_per_pair_walk(capsys, tmp_path, case):
     with pytest.raises(ValueError) as batched:
         yielded.extend(identify.traced_pairs(scene, tx_points, rx_points, 2))
     assert str(batched.value) == message
-    assert len(yielded) == failing_tx * len(rxs)
+    assert yielded == []
     flags = [f for tx in txs for f in ("--tx", tx)] + [f for rx in rxs for f in ("--rx", rx)]
     assert run(capsys, "trace", "--scene", str(scene_path), *flags) == (1, "", f"error: {message}\n")
 
@@ -953,7 +960,7 @@ def test_simulate_checks_kappa_before_tracing(capsys, tmp_path, monkeypatch):
     def no_trace(*args, **kwargs):
         raise AssertionError("traced before the kappa check")
 
-    monkeypatch.setattr(identify, "trace_many", no_trace)
+    monkeypatch.setattr(identify, "trace_pairs", no_trace)
     code, out, err = run(
         capsys,
         "simulate", "--scene", str(scene_path), *tx_flags, *rx_flags,

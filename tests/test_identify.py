@@ -764,6 +764,21 @@ def test_identify_loop_requires_positions(db100):
         identify_loop(scene, [], [np.zeros(3)], PALETTE, db100, 100.0, 1.0, 1, lambda *_: None)
 
 
+def test_identify_loop_takes_positions_as_numpy_arrays(db100):
+    # traced_pairs takes arrays of positions; the emptiness check must too
+    scene = demo_building()
+    txs, rxs = demo_positions()
+    truth = {f.facet_id: f.material_label for f in scene.facets}
+    reports = [
+        identify_loop(scene, a, b, PALETTE, db100, 100.0, 1.0, 2, make_measure_fn(scene, truth, 100.0, 1.0))[1]
+        for a, b in ((txs, rxs), (np.array(txs), np.array(rxs)))
+    ]
+    assert reports[1].to_text() == reports[0].to_text()
+    assert reports[0].resolved.get("floor") == "wood"
+    with pytest.raises(ValueError, match="position"):
+        identify_loop(scene, np.empty((0, 3)), np.array(rxs), PALETTE, db100, 100.0, 1.0, 1, lambda *_: None)
+
+
 @pytest.mark.parametrize(
     "palette, u_db, message",
     [
@@ -782,7 +797,7 @@ def test_identify_loop_checks_its_arguments_before_tracing(db100, monkeypatch, p
     def no_trace(*args):
         raise AssertionError("traced before the arguments were checked")
 
-    monkeypatch.setattr(raymat.identify, "trace_many", no_trace)
+    monkeypatch.setattr(raymat.identify, "trace_pairs", no_trace)
     txs, rxs = demo_positions()
     with pytest.raises(ValueError, match=message):
         identify_loop(demo_building(), txs, rxs, palette, db100, 100.0, u_db, 2, lambda *_: None)

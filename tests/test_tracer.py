@@ -471,13 +471,13 @@ def default_blocks():
 @pytest.mark.parametrize("rows", [1, 7, 10**6])
 def test_trace_is_the_same_in_blocks_of_any_size(rows, default_blocks, monkeypatch):
     """Splitting each depth into blocks of at most BLOCK_ROWS rows changes no output.
-    The children kept from all of a block's parents are packed into full blocks, so only
-    the first hops, one row per facet, can make a larger block."""
+    The first hops and the children kept from all of a block's parents are packed into
+    full blocks, so no block, at any depth, is larger."""
     cases, expected = default_blocks
     exact = tracer._trajectories
 
     def capped(scene, seqs, images, rxs):
-        assert len(seqs) <= rows or seqs.shape[1] == 1
+        assert len(seqs) <= rows
         return exact(scene, seqs, images, rxs)
 
     monkeypatch.setattr(tracer, "BLOCK_ROWS", rows)
@@ -505,25 +505,46 @@ DEMO_TRANSMITTERS = [np.array(p, dtype=float) for p in ((4, 2.5, 5.6), (15, 2.5,
 DEMO_RECEIVERS = [np.array(p, dtype=float) for p in ((7, 7.5, 1.4), (16.5, 7.5, 1.4), (3, 12, 6), (3.5, 11.5, 1.2))]
 
 
+def _transmitter_cases():
+    """(scene, transmitters, receivers, k) with several transmitters, one of them repeated.
+
+    Each EXHAUSTIVE_CASES input (k=1, 2) has its transmitter, the midpoint of its
+    segment and its transmitter again facing its receiver and a point near it; the demo
+    (k=1, 2) has DEMO_TRANSMITTERS and the first again facing DEMO_RECEIVERS.
+    """
+    cases = []
+    for _, scene, a, b in EXHAUSTIVE_CASES:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        cases += [(scene, [a, (a + b) / 2, a], [b, 0.2 * a + 0.8 * b], k) for k in (1, 2)]
+    demo = demo_building()
+    return cases + [(demo, [*DEMO_TRANSMITTERS, DEMO_TRANSMITTERS[0]], DEMO_RECEIVERS, k) for k in (1, 2)]
+
+
 @pytest.fixture(scope="module")
-def one_receiver_at_a_time():
-    """_receiver_cases() with each receiver traced alone."""
-    cases = _receiver_cases()
-    return cases, [[_reprs(trace(scene, tx, rx, k)) for rx in rxs] for scene, tx, rxs, k in cases]
+def one_pair_at_a_time():
+    """_receiver_cases() with each receiver traced alone, and _transmitter_cases() with
+    each pair traced alone, TX-major."""
+    cases, forests = _receiver_cases(), _transmitter_cases()
+    return (
+        (cases, [[_reprs(trace(scene, tx, rx, k)) for rx in rxs] for scene, tx, rxs, k in cases]),
+        (forests, [[_reprs(trace(scene, tx, rx, k)) for tx in txs for rx in rxs] for scene, txs, rxs, k in forests]),
+    )
 
 
 @pytest.mark.parametrize("rows", [1, 7, 64, 10**6])
-def test_trace_many_is_trace_per_receiver_in_blocks_of_any_size(rows, one_receiver_at_a_time, monkeypatch):
+def test_trace_many_is_trace_per_receiver_in_blocks_of_any_size(rows, one_pair_at_a_time, monkeypatch):
     """trace_many over one image tree gives each receiver what trace gives it alone, and
-    BLOCK_ROWS bounds its rows, sequences times receivers, beyond the first hops; a
-    block has at least one sequence. At 64 rows, a cap that ignored the receivers would
-    pack 64 sequences, 256 rows with four receivers, into one block."""
-    cases, expected = one_receiver_at_a_time
+    trace_pairs over one image forest gives each pair of several transmitters, a repeated
+    one among them, what trace gives it alone; BLOCK_ROWS bounds their rows, sequences
+    times receivers, at every depth, first hops included, and a block has at least one
+    sequence. At 64 rows, a cap that ignored the receivers would pack 64 sequences, 256
+    rows with four receivers, into one block."""
+    (cases, expected), (forests, expected_pairs) = one_pair_at_a_time
     exact = tracer._trajectories
     receivers = []
 
     def capped(scene, seqs, images, rxs):
-        assert len(seqs) <= max(rows, len(receivers[-1])) or seqs.shape[1] == 1
+        assert len(seqs) <= max(rows, len(receivers[-1]))
         return exact(scene, seqs, images, rxs)
 
     monkeypatch.setattr(tracer, "BLOCK_ROWS", rows)
@@ -535,6 +556,11 @@ def test_trace_many_is_trace_per_receiver_in_blocks_of_any_size(rows, one_receiv
     assert got == expected
     paths = [len(found) for per_case in expected for found in per_case]
     assert paths.count(0) > 10 and len(paths) - paths.count(0) > 10
+    got = []
+    for scene, txs, rxs, k in forests:
+        receivers.append(rxs)
+        got.append([_reprs(found) for found in tracer.trace_pairs(scene, txs, rxs, k)])
+    assert got == expected_pairs
 
 
 def _assert_rows_match_the_oracle(scene, seqs, tx, rxs, got, tally, oracle):
