@@ -43,6 +43,6 @@ from .settling import (
     settling_thickness,
     thickness_sweep,
 )
-from .tracer import Hop, Trajectory, trace, trace_many, trace_pairs
+from .tracer import Hop, Trajectory, trace, trace_pairs
 
 __version__ = "0.1.0"

@@ -232,8 +232,7 @@ def _pairs(args):
     scene = load_scene(args.scene)
     txs = [_parse_point(p) for p in args.tx]
     rxs = [_parse_point(p) for p in args.rx]
-    pairs = identify.traced_pairs(scene, txs, rxs, args.max_bounces)
-    return scene, [item for labelled in pairs for item in labelled]
+    return scene, identify.traced_pairs(scene, txs, rxs, args.max_bounces)
 
 
 def _cmd_trace(args) -> int:

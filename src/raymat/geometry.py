@@ -24,10 +24,12 @@ def unit(v: np.ndarray) -> np.ndarray:
 
 
 def validate_convex_polygon(vertices: np.ndarray) -> tuple[np.ndarray, float]:
-    """Check planarity, convexity, and non-degeneracy; return (normal, area)."""
+    """Check finiteness, planarity, convexity, and non-degeneracy; return (normal, area)."""
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 3:
         raise ValueError("polygon needs an (n, 3) array with n >= 3")
+    if not np.isfinite(v).all():
+        raise ValueError("polygon vertices must be finite")
     rel = v - v[0]  # offsets from a vertex, so far-out coordinates do not cancel
     normal = np.sum(np.cross(rel, np.roll(rel, -1, axis=0)), axis=0)  # Newell's method
     doubled_area = float(np.linalg.norm(normal))

@@ -15,9 +15,9 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import product
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -311,18 +311,17 @@ MeasureFn = Callable[[str, Trajectory], "MeasurementRecord | None"]
 
 def traced_pairs(
     scene: Scene, tx_positions: list, rx_positions: list, max_bounces: int
-) -> Iterator[list[tuple[str, Trajectory]]]:
-    """Each TX-RX pair's ``[(trajectory id, trajectory), ...]``, TX-major.
+) -> list[tuple[str, Trajectory]]:
+    """Every TX-RX pair's ``(trajectory id, trajectory)``, TX-major, in one list.
 
     Trajectory ids are ``p<pair>t<index>``: the pair's place in the TX-major
     walk over the Cartesian product of positions, then the trajectory's place
-    in its trace order. When the caller reaches the first pair, one
-    :func:`trace_pairs` call traces every pair over one image forest. A pair that
-    :func:`trace` would refuse raises the error of the first such pair in the
-    walk before any pair is yielded.
+    in its trace order. One :func:`trace_pairs` call traces every pair over one
+    image forest. A pair that :func:`trace` would refuse raises the error of
+    the first such pair in the walk.
     """
-    for pair, trajectories in enumerate(trace_pairs(scene, tx_positions, rx_positions, max_bounces)):
-        yield [(f"p{pair}t{ti}", traj) for ti, traj in enumerate(trajectories)]
+    pairs = trace_pairs(scene, tx_positions, rx_positions, max_bounces)
+    return [(f"p{pair}t{ti}", traj) for pair, found in enumerate(pairs) for ti, traj in enumerate(found)]
 
 
 def identify_loop(
@@ -362,8 +361,7 @@ def identify_loop(
     skipped: list[str] = []
     hop_angles: dict[str, list[float]] = {}  # per facet: each enumerated hop's angle, deg
 
-    pairs = traced_pairs(scene, tx_positions, rx_positions, max_bounces)
-    for tid, traj in chain.from_iterable(pairs):
+    for tid, traj in traced_pairs(scene, tx_positions, rx_positions, max_bounces):
         record = measure(tid, traj)
         if record is None:
             skipped.append(tid)

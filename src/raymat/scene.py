@@ -15,6 +15,7 @@ offending facet id.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +58,10 @@ class Facet:
             normal, area = validate_convex_polygon(verts)
         except ValueError as err:
             raise SceneValidationError(str(err), facet_id=self.facet_id) from None
-        if self.thickness_m < 0:
-            raise SceneValidationError("thickness must be >= 0", facet_id=self.facet_id)
+        if not 0 <= self.thickness_m < math.inf:  # NaN fails both
+            raise SceneValidationError(
+                f"thickness must be >= 0 and finite, got {self.thickness_m}", facet_id=self.facet_id
+            )
         edges = np.roll(verts, -1, axis=0) - verts
         inward = np.cross(normal, edges)  # normal x edge points inward (CCW)
         object.__setattr__(self, "vertices", verts)
@@ -178,12 +181,15 @@ def scene_from_dict(data: dict) -> Scene:
             raise SceneValidationError(
                 f"bad or missing 'vertices': {err}", facet_id=facet_id
             ) from None
+        thickness = entry.get("thickness_m", 0.0)
+        if type(thickness) not in (int, float):  # not a string, a list, a bool or null
+            raise SceneValidationError(f"'thickness_m' must be a number, got {thickness!r}", facet_id=facet_id)
         facets.append(
             Facet(
                 facet_id=facet_id,
                 vertices=vertices,
                 material_label=str(entry.get("material", UNKNOWN_MATERIAL)),
-                thickness_m=float(entry.get("thickness_m", 0.0)),
+                thickness_m=float(thickness),
             )
         )
     return Scene(facets=tuple(facets))

@@ -30,7 +30,7 @@ from .scene import Scene
 OCCLUSION_EPS = 1e-6  # m; other facets met this near a leg's ends (a neighbour at a hop's edge) do not occlude it
 BLOCK_ROWS = 2048  # most rows, facet sequences times receivers, in one batch
 
-__all__ = ["Hop", "Trajectory", "trace", "trace_many", "trace_pairs", "OCCLUSION_EPS"]
+__all__ = ["Hop", "Trajectory", "trace", "trace_pairs", "OCCLUSION_EPS"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,12 +239,6 @@ def trace(scene: Scene, tx, rx, max_bounces: int = 2) -> list[Trajectory]:
     return trace_pairs(scene, [tx], [rx], max_bounces)[0]
 
 
-def trace_many(scene: Scene, tx, rxs, max_bounces: int = 2) -> list[list[Trajectory]]:
-    """``[trace(scene, tx, rx, max_bounces) for rx in rxs]``: trace_pairs with one
-    transmitter. The transmitter and max_bounces are checked with no receivers too."""
-    return trace_pairs(scene, [tx], rxs, max_bounces)
-
-
 def trace_pairs(scene: Scene, txs, rxs, max_bounces: int = 2) -> list[list[Trajectory]]:
     """``[trace(scene, tx, rx, max_bounces) for tx in txs for rx in rxs]``, over one
     image forest.
@@ -252,17 +246,18 @@ def trace_pairs(scene: Scene, txs, rxs, max_bounces: int = 2) -> list[list[Traje
     Images depend only on the transmitter, so each block of facet sequences is tiled
     over the receivers, one row per sequence and receiver, and a block may hold the
     sequences of several transmitters; at most ``max(1, BLOCK_ROWS // len(rxs))``
-    sequences make a block. Every pair is checked before anything is traced, in this
-    list's order: a transmitter and max_bounces, with no receivers too, then each
-    receiver against it, so the first pair that fails raises trace's error.
+    sequences make a block. max_bounces is checked first, with no transmitters or
+    receivers too, then every pair before anything is traced, in this list's order: a
+    transmitter, with no receivers too, then each receiver against it, so the first
+    pair that fails raises trace's error.
     """
+    if not 1 <= max_bounces <= 4:
+        raise ValueError(f"max_bounces must be in [1, 4], got {max_bounces}")
     rxs, checked = list(rxs), []
     for tx in txs:
         tx = np.asarray(tx, dtype=float)
         if tx.shape != (3,):
             raise ValueError("tx and rx must be 3D points")
-        if not 1 <= max_bounces <= 4:
-            raise ValueError(f"max_bounces must be in [1, 4], got {max_bounces}")
         if not scene.contains(a := tx.tolist()):
             raise ValueError(f"tx {a} is outside the scene bounds")
         for rx in rxs:

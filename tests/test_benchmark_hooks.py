@@ -59,3 +59,28 @@ def test_one_untraced_pass_of_each_in_process_workload_passes_its_checks(monkeyp
         numbers = {**w.work(ctx, out), **w.layer_extras(ctx, out)}
         assert all(isinstance(v, (int, float)) for v in numbers.values()), name
     assert resolved == {"demo_k3": 7, "demo_k1_grid": 10, "model_tables": 10}
+
+
+def test_the_benchmark_reads_the_pair_that_traced_pairs_minted(monkeypatch):
+    """perfbench's MeasurementProvider parses the pair out of each ``p<pair>t<index>``
+    id itself and seeds its noise with that pair's lattice label. For every (tid,
+    trajectory) that traced_pairs returns on the demo_k1_grid placements (seed 1), it
+    records the TX-major pair index that traced_pairs minted: the pair trace_pairs
+    traced the trajectory for, whose label names its own transmitter and receiver."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    inputs = importlib.import_module("inputs")
+    scene = demo.demo_building()
+    txs, rxs, labels = inputs.placements("demo_k1_grid", 1)
+    truth = {f.facet_id: materials.PRESETS[f.material_label] for f in scene.facets}
+    provider = inputs.MeasurementProvider(identify, scene, truth, labels, 100.0, 1.0, 4.0)
+    minted = [pair for pair, found in enumerate(identify.trace_pairs(scene, txs, rxs, 1)) for _ in found]
+    recorded = []
+    for tid, traj in identify.traced_pairs(scene, txs, rxs, 1):
+        provider.reset()
+        provider(tid, traj)
+        (pair,) = provider.pairs
+        recorded.append(pair)
+        i, j = labels[pair]
+        assert (traj.tx.tolist(), traj.rx.tolist()) == (list(txs[i]), list(rxs[j])), tid
+    assert recorded == minted
+    assert len(set(recorded)) > 100

@@ -774,8 +774,7 @@ BAD_PAIR_CASES = {
 def test_a_bad_pair_fails_as_in_the_per_pair_walk(capsys, tmp_path, case):
     """traced_pairs and ``raymat trace`` fail with the error that trace gives the first
     pair of the TX-major walk it refuses, and the trace CLI with exit code 1 and no
-    output. Every pair is checked before any is traced, so traced_pairs has yielded
-    none by then."""
+    output."""
     import itertools
 
     from raymat import tracer
@@ -789,11 +788,9 @@ def test_a_bad_pair_fails_as_in_the_per_pair_walk(capsys, tmp_path, case):
         for tx, rx in itertools.product(tx_points, rx_points):
             tracer.trace(scene, tx, rx, 2)
     assert str(walked.value) == message
-    yielded = []
     with pytest.raises(ValueError) as batched:
-        yielded.extend(identify.traced_pairs(scene, tx_points, rx_points, 2))
+        identify.traced_pairs(scene, tx_points, rx_points, 2)
     assert str(batched.value) == message
-    assert yielded == []
     flags = [f for tx in txs for f in ("--tx", tx)] + [f for rx in rxs for f in ("--rx", rx)]
     assert run(capsys, "trace", "--scene", str(scene_path), *flags) == (1, "", f"error: {message}\n")
 
@@ -803,6 +800,29 @@ def test_trace_of_a_scene_with_a_non_object_facet_exits_1(capsys, tmp_path):
     scene_path.write_text('{"units": "m", "facets": [1]}', encoding="utf-8")
     code, out, err = run(capsys, "trace", "--scene", str(scene_path), "--tx", "0,0,1", "--rx", "1,0,1")
     assert (code, out, err) == (1, "", "error: facet #0 must be a JSON object\n")
+
+
+_TRIANGLE = '"vertices": [[1, 1, 0], [2, 1, 0], [2, 2, 0]]'
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ('"vertices": [[1, 1, 0], [2, 1, 0], [2, 2, NaN]]', "polygon vertices must be finite"),
+        ('"vertices": [[1, 1, 0], [2, 1, 0], [2, 2, Infinity]]', "polygon vertices must be finite"),
+        (_TRIANGLE + ', "thickness_m": [1]', "'thickness_m' must be a number, got [1]"),
+        (_TRIANGLE + ', "thickness_m": "thick"', "'thickness_m' must be a number, got 'thick'"),
+        (_TRIANGLE + ', "thickness_m": Infinity', "thickness must be >= 0 and finite, got inf"),
+    ],
+    ids=["nan-vertex", "inf-vertex", "list-thickness", "text-thickness", "inf-thickness"],
+)
+def test_trace_of_a_scene_with_a_bad_facet_number_names_the_facet(capsys, tmp_path, field, message):
+    """A non-finite vertex or thickness, or a thickness that is no number, is a scene
+    error naming the facet, not a traceback or a later error about the endpoints."""
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(f'{{"units": "m", "facets": [{{"id": "floor", {field}}}]}}', encoding="utf-8")
+    code, out, err = run(capsys, "trace", "--scene", str(scene_path), "--tx", "1,1,1", "--rx", "2,1,1")
+    assert (code, out, err) == (1, "", f"error: facet 'floor': {message}\n")
 
 
 def test_simulate_that_fails_leaves_no_output_file(capsys, tmp_path):

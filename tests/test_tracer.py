@@ -468,23 +468,6 @@ def default_blocks():
     return cases, [_reprs(trace(*case)) for case in cases]
 
 
-@pytest.mark.parametrize("rows", [1, 7, 10**6])
-def test_trace_is_the_same_in_blocks_of_any_size(rows, default_blocks, monkeypatch):
-    """Splitting each depth into blocks of at most BLOCK_ROWS rows changes no output.
-    The first hops and the children kept from all of a block's parents are packed into
-    full blocks, so no block, at any depth, is larger."""
-    cases, expected = default_blocks
-    exact = tracer._trajectories
-
-    def capped(scene, seqs, images, rxs):
-        assert len(seqs) <= rows
-        return exact(scene, seqs, images, rxs)
-
-    monkeypatch.setattr(tracer, "BLOCK_ROWS", rows)
-    monkeypatch.setattr(tracer, "_trajectories", capped)
-    assert [_reprs(trace(*case)) for case in cases] == expected
-
-
 def _receiver_cases():
     """(scene, tx, receivers, k) for every EXHAUSTIVE_CASES input and the demo at k=1..3.
 
@@ -521,25 +504,27 @@ def _transmitter_cases():
 
 
 @pytest.fixture(scope="module")
-def one_pair_at_a_time():
-    """_receiver_cases() with each receiver traced alone, and _transmitter_cases() with
-    each pair traced alone, TX-major."""
-    cases, forests = _receiver_cases(), _transmitter_cases()
-    return (
-        (cases, [[_reprs(trace(scene, tx, rx, k)) for rx in rxs] for scene, tx, rxs, k in cases]),
-        (forests, [[_reprs(trace(scene, tx, rx, k)) for tx in txs for rx in rxs] for scene, txs, rxs, k in forests]),
-    )
+def pair_cases(default_blocks):
+    """(scene, transmitters, receivers, k) with each pair traced alone, TX-major: each
+    default_blocks input as one pair, _receiver_cases() with one transmitter, and
+    _transmitter_cases()."""
+    one_pair, expected = default_blocks
+    more = [(scene, [tx], rxs, k) for scene, tx, rxs, k in _receiver_cases()] + _transmitter_cases()
+    expected = [[found] for found in expected]
+    expected += [[_reprs(trace(scene, tx, rx, k)) for tx in txs for rx in rxs] for scene, txs, rxs, k in more]
+    return [(scene, [a], [b], k) for scene, a, b, k in one_pair] + more, expected
 
 
 @pytest.mark.parametrize("rows", [1, 7, 64, 10**6])
-def test_trace_many_is_trace_per_receiver_in_blocks_of_any_size(rows, one_pair_at_a_time, monkeypatch):
-    """trace_many over one image tree gives each receiver what trace gives it alone, and
-    trace_pairs over one image forest gives each pair of several transmitters, a repeated
-    one among them, what trace gives it alone; BLOCK_ROWS bounds their rows, sequences
-    times receivers, at every depth, first hops included, and a block has at least one
-    sequence. At 64 rows, a cap that ignored the receivers would pack 64 sequences, 256
-    rows with four receivers, into one block."""
-    (cases, expected), (forests, expected_pairs) = one_pair_at_a_time
+def test_trace_is_the_same_in_blocks_of_any_size(rows, pair_cases, monkeypatch):
+    """trace_pairs over one image forest gives each pair what trace gives it alone, for
+    one pair, for several receivers of one transmitter and for several transmitters, a
+    repeated one among them; BLOCK_ROWS bounds their rows, sequences times receivers,
+    at every depth, first hops included, and a block has at least one sequence. The
+    children kept from all of a block's parents are packed into full blocks. At 64
+    rows, a cap that ignored the receivers would pack 64 sequences, 256 rows with four
+    receivers, into one block."""
+    cases, expected = pair_cases
     exact = tracer._trajectories
     receivers = []
 
@@ -550,17 +535,12 @@ def test_trace_many_is_trace_per_receiver_in_blocks_of_any_size(rows, one_pair_a
     monkeypatch.setattr(tracer, "BLOCK_ROWS", rows)
     monkeypatch.setattr(tracer, "_trajectories", capped)
     got = []
-    for scene, tx, rxs, k in cases:
+    for scene, txs, rxs, k in cases:
         receivers.append(rxs)
-        got.append([_reprs(found) for found in tracer.trace_many(scene, tx, rxs, k)])
+        got.append([_reprs(found) for found in tracer.trace_pairs(scene, txs, rxs, k)])
     assert got == expected
     paths = [len(found) for per_case in expected for found in per_case]
     assert paths.count(0) > 10 and len(paths) - paths.count(0) > 10
-    got = []
-    for scene, txs, rxs, k in forests:
-        receivers.append(rxs)
-        got.append([_reprs(found) for found in tracer.trace_pairs(scene, txs, rxs, k)])
-    assert got == expected_pairs
 
 
 def _assert_rows_match_the_oracle(scene, seqs, tx, rxs, got, tally, oracle):
@@ -577,7 +557,7 @@ def _assert_rows_match_the_oracle(scene, seqs, tx, rxs, got, tally, oracle):
 
 
 def _assert_cut_rows_have_no_path(scene, tx, rxs, k, calls, tally, oracle):
-    """The rows trace_many handed the exact pass (``calls``) and the rows its cut kept
+    """The rows trace_pairs handed the exact pass (``calls``) and the rows its cut kept
     back together make every facet sequence of 1..k facets times every receiver, as a
     multiset, and the scalar oracle finds no path for any row kept back."""
     handed = Counter(
@@ -598,7 +578,7 @@ def _assert_cut_rows_have_no_path(scene, tx, rxs, k, calls, tally, oracle):
 
 
 def test_the_exact_check_is_the_scalar_oracle_on_every_row_it_receives(default_blocks, monkeypatch):
-    """trace_many hands the exact pass facet sequences tiled over receivers, with images
+    """trace_pairs hands the exact pass facet sequences tiled over receivers, with images
     from the transmitter, and every row gets the scalar oracle's answer and bits; every
     row of every sequence and receiver that the reflection-cone cut keeps back has no
     path under the oracle: every EXHAUSTIVE_CASES input at k=1..3, the demo at k=4, and
@@ -614,7 +594,7 @@ def test_the_exact_check_is_the_scalar_oracle_on_every_row_it_receives(default_b
     tally, oracle = {True: 0, False: 0, "cut": 0}, {}
     for scene, tx, rxs, k in [(scene, a, [b], k) for scene, a, b, k in default_blocks[0]] + _receiver_cases():
         calls.clear()
-        tracer.trace_many(scene, tx, rxs, k)
+        tracer.trace_pairs(scene, [tx], rxs, k)
         tx = np.asarray(tx, dtype=float)
         for seqs, images, got_rxs, got in calls:
             assert (images[:, 0] == tx).all()
@@ -625,7 +605,7 @@ def test_the_exact_check_is_the_scalar_oracle_on_every_row_it_receives(default_b
 
 @pytest.mark.parametrize("k, rows", [(3, (4422, 27316)), (4, (44036, 271872))])
 def test_the_cut_hands_the_exact_pass_a_pinned_number_of_rows(k, rows, monkeypatch):
-    """The rows, sequences times receivers, that trace_many hands the exact pass on the
+    """The rows, sequences times receivers, that trace_pairs hands the exact pass on the
     demo building: demo_positions(), and DEMO_TRANSMITTERS to DEMO_RECEIVERS. With no
     cut they would be every sequence of 1..k facets, 5526 (k=3) or 93960 (k=4) per
     transmitter, times the receivers: 11052 and 66312 rows at k=3, 187920 and 1127520
@@ -640,7 +620,7 @@ def test_the_cut_hands_the_exact_pass_a_pinned_number_of_rows(k, rows, monkeypat
     for txs, rxs in (demo_positions(), (DEMO_TRANSMITTERS, DEMO_RECEIVERS)):
         counted.append(0)
         for tx in txs:
-            tracer.trace_many(demo, tx, rxs, k)
+            tracer.trace_pairs(demo, [tx], rxs, k)
     assert tuple(counted) == rows
 
 
@@ -660,7 +640,7 @@ def test_the_cut_keeps_back_no_path_on_random_scenes(seed, k):
 
     tracer._trajectories = record
     try:
-        tracer.trace_many(scene, tx, rxs, k)
+        tracer.trace_pairs(scene, [tx], rxs, k)
     finally:
         tracer._trajectories = exact
     _assert_cut_rows_have_no_path(scene, tx, rxs, k, calls, {"cut": 0}, {})
@@ -691,9 +671,10 @@ def test_the_exact_check_is_the_scalar_oracle_on_every_sequence():
     assert min(tally.values()) > 100, tally
 
 
-def test_trace_many_of_no_receivers_is_empty():
+def test_trace_pairs_of_no_receivers_or_no_transmitters_is_empty():
     demo = demo_building()
-    assert tracer.trace_many(demo, demo_positions()[0][0], [], 3) == []
+    txs, rxs = demo_positions()
+    assert tracer.trace_pairs(demo, txs, [], 3) == tracer.trace_pairs(demo, [], rxs, 3) == []
 
 
 SINGLE_FAULTS = {
@@ -708,18 +689,20 @@ SINGLE_FAULTS = {
 
 
 @pytest.mark.parametrize("case", list(SINGLE_FAULTS))
-def test_trace_many_refuses_a_bad_transmitter_or_k_with_no_receivers(case):
-    """An input with one fault raises the same error from trace and from trace_many, and a
-    fault of the transmitter or of max_bounces raises it with no receivers too."""
+def test_trace_pairs_refuses_a_bad_transmitter_or_k_with_no_receivers(case):
+    """An input with one fault raises the same error from trace and from trace_pairs, a
+    fault of the transmitter or of max_bounces raises it with no receivers too, and a
+    fault of max_bounces with no transmitters too."""
     tx, rx, k, message = SINGLE_FAULTS[case]
     demo = demo_building()
-    for call in (lambda: trace(demo, tx, rx, k), lambda: tracer.trace_many(demo, tx, [(2, 2, 1), rx], k)):
+    calls = [lambda: trace(demo, tx, rx, k), lambda: tracer.trace_pairs(demo, [tx], [(2, 2, 1), rx], k)]
+    if not case.startswith("rx-"):
+        calls.append(lambda: tracer.trace_pairs(demo, [tx], [], k))
+    if case.startswith("k-"):
+        calls += [lambda: tracer.trace_pairs(demo, [], [rx], k), lambda: tracer.trace_pairs(demo, [], [], k)]
+    for call in calls:
         with pytest.raises(ValueError) as err:
             call()
-        assert str(err.value) == message
-    if not case.startswith("rx-"):
-        with pytest.raises(ValueError) as err:
-            tracer.trace_many(demo, tx, [], k)
         assert str(err.value) == message
 
 
@@ -866,6 +849,9 @@ def test_facet_rejects_an_empty_id_and_a_negative_thickness():
         Facet("", FLOOR_BIG)
     with pytest.raises(SceneValidationError, match="thickness must be >= 0"):
         Facet("floor", FLOOR_BIG, "wood", -0.1)
+    for value in (math.nan, math.inf):
+        with pytest.raises(SceneValidationError, match=f"^facet 'floor': thickness must be >= 0 and finite, got {value}$"):
+            Facet("floor", FLOOR_BIG, "wood", value)
 
 
 def test_scene_facet_lookup_names_an_unknown_id():
@@ -874,6 +860,11 @@ def test_scene_facet_lookup_names_an_unknown_id():
 
 
 _SQUARE = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+_NOT_A_NUMBER = "facet 'floor': 'thickness_m' must be a number, got "
+
+
+def _square(**fields):
+    return [{"id": "floor", "vertices": _SQUARE, **fields}]
 
 
 @pytest.mark.parametrize(
@@ -888,8 +879,19 @@ _SQUARE = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
         ([{"id": "floor", "vertices": [[0, 0, 0], [1, 0], [1, 1, 0]]}], "bad or missing 'vertices'"),
         ([1], "facet #0 must be a JSON object"),
         ([{"id": "floor", "vertices": _SQUARE}, "wall"], "facet #1 must be a JSON object"),
+        (_square(thickness_m=[1]), _NOT_A_NUMBER + r"\[1\]"),
+        (_square(thickness_m="thick"), _NOT_A_NUMBER + "'thick'"),
+        (_square(thickness_m=True), _NOT_A_NUMBER + "True"),
+        (_square(thickness_m=None), _NOT_A_NUMBER + "None"),
+        (_square(thickness_m=math.nan), "facet 'floor': thickness must be >= 0 and finite, got nan"),
+        (_square(vertices=[[0, 0, 0], [1, math.inf, 0], [1, 1, 0]]), "facet 'floor': polygon vertices must be finite"),
+        (_square(vertices=[[0, 0, 0], [1, math.nan, 0], [1, 1, 0]]), "facet 'floor': polygon vertices must be finite"),
     ],
-    ids=["not-a-list", "empty", "no-id", "number-id", "no-vertices", "text-vertex", "ragged", "number", "text"],
+    ids=[
+        "not-a-list", "empty", "no-id", "number-id", "no-vertices", "text-vertex", "ragged", "number", "text",
+        "list-thickness", "text-thickness", "bool-thickness", "null-thickness", "nan-thickness", "inf-vertex",
+        "nan-vertex",
+    ],
 )
 def test_scene_loader_rejects_malformed_facets(facets, match):
     with pytest.raises(SceneValidationError, match=match):
@@ -967,3 +969,6 @@ def test_geometry_rejects_degenerate_inputs():
             validate_convex_polygon(bad)
     with pytest.raises(ValueError, match="zero-length edge"):
         validate_convex_polygon(rect((0, 0, 0), (1, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)))
+    for value in (math.nan, math.inf, -math.inf):  # refused before Newell's normal, which they make NaN
+        with pytest.raises(ValueError, match="^polygon vertices must be finite$"):
+            validate_convex_polygon(rect((0, 0, 0), (1, value, 0), (1, 1, 0), (0, 1, 0)))
