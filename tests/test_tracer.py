@@ -503,27 +503,39 @@ def _transmitter_cases():
     return cases + [(demo, [*DEMO_TRANSMITTERS, DEMO_TRANSMITTERS[0]], DEMO_RECEIVERS, k) for k in (1, 2)]
 
 
+@pytest.mark.parametrize("rows", [1, 7, 64, 10**6])
+def test_trace_is_the_same_in_blocks_of_any_size(rows, default_blocks, monkeypatch):
+    """Splitting each depth into blocks of at most BLOCK_ROWS rows changes no output.
+    The first hops and the children kept from all of a block's parents are packed into
+    full blocks, so no block, at any depth, is larger."""
+    cases, expected = default_blocks
+    exact = tracer._trajectories
+
+    def capped(scene, seqs, images, rxs):
+        assert len(seqs) <= rows
+        return exact(scene, seqs, images, rxs)
+
+    monkeypatch.setattr(tracer, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(tracer, "_trajectories", capped)
+    assert [_reprs(trace(*case)) for case in cases] == expected
+
+
 @pytest.fixture(scope="module")
-def pair_cases(default_blocks):
-    """(scene, transmitters, receivers, k) with each pair traced alone, TX-major: each
-    default_blocks input as one pair, _receiver_cases() with one transmitter, and
-    _transmitter_cases()."""
-    one_pair, expected = default_blocks
-    more = [(scene, [tx], rxs, k) for scene, tx, rxs, k in _receiver_cases()] + _transmitter_cases()
-    expected = [[found] for found in expected]
-    expected += [[_reprs(trace(scene, tx, rx, k)) for tx in txs for rx in rxs] for scene, txs, rxs, k in more]
-    return [(scene, [a], [b], k) for scene, a, b, k in one_pair] + more, expected
+def pair_cases():
+    """(scene, transmitters, receivers, k) with each pair traced alone, TX-major:
+    _receiver_cases() with one transmitter, and _transmitter_cases()."""
+    cases = [(scene, [tx], rxs, k) for scene, tx, rxs, k in _receiver_cases()] + _transmitter_cases()
+    return cases, [[_reprs(trace(scene, tx, rx, k)) for tx in txs for rx in rxs] for scene, txs, rxs, k in cases]
 
 
 @pytest.mark.parametrize("rows", [1, 7, 64, 10**6])
-def test_trace_is_the_same_in_blocks_of_any_size(rows, pair_cases, monkeypatch):
+def test_trace_many_is_trace_per_receiver_in_blocks_of_any_size(rows, pair_cases, monkeypatch):
     """trace_pairs over one image forest gives each pair what trace gives it alone, for
-    one pair, for several receivers of one transmitter and for several transmitters, a
-    repeated one among them; BLOCK_ROWS bounds their rows, sequences times receivers,
-    at every depth, first hops included, and a block has at least one sequence. The
-    children kept from all of a block's parents are packed into full blocks. At 64
-    rows, a cap that ignored the receivers would pack 64 sequences, 256 rows with four
-    receivers, into one block."""
+    several receivers of one transmitter and for several transmitters, a repeated one
+    among them; BLOCK_ROWS bounds their rows, sequences times receivers, at every depth,
+    first hops included, and a block has at least one sequence. At 64 rows, a cap that
+    ignored the receivers would pack 64 sequences, 256 rows with four receivers, into
+    one block."""
     cases, expected = pair_cases
     exact = tracer._trajectories
     receivers = []
