@@ -32,14 +32,12 @@ from .identify import (
     merge_candidates,
     simulate_measurement,
 )
-from .materials import GLASS, PLASTER, PRESETS, WOOD, MaterialParams, load_material_table, preset
+from .materials import GLASS, PLASTER, PRESETS, WOOD, MaterialParams, load_material_table
 from .rldb import DatabaseFormatError, DatabaseVersionError, OutOfRangeError, RLDatabase, build, load
 from .scene import Facet, Scene, SceneValidationError, load_scene, save_scene
 from .settling import (
     NotSettledError,
     SettlingQuery,
-    check_settling,
-    settling_table,
     settling_thickness,
     thickness_sweep,
 )

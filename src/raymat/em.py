@@ -149,32 +149,6 @@ def amplitude_db(value):
         return 20 * np.log10(np.abs(value))
 
 
-def roughness_attenuation_db(
-    sigma_m: float, theta_i: float | np.ndarray, f_ghz: float, kappa: float
-) -> float | np.ndarray:
-    """Extra loss in dB of the specular component over a rough surface.
-
-    Attenuation factor rho = exp(-kappa*(sigma*cos(theta)/lambda)^2); returns
-    -20*log10(rho) >= 0. kappa = 0 disables roughness entirely. ``theta_i``
-    may be a float (gives an np.float64) or an ndarray of angles.
-    """
-    check_kappa(kappa)
-    _check_frequency(f_ghz)
-    _check_angle(theta_i)
-    cos_t = np.cos(theta_i)
-    if kappa == 0 or sigma_m == 0:  # exactly 0, even where sigma*cos overflows
-        return 0.0 * cos_t
-    return _roughness_db(sigma_m, cos_t, f_ghz, kappa)
-
-
-def _roughness_db(
-    sigma_m: float, cos_t: float | np.ndarray, f_ghz: float, kappa: float
-) -> float | np.ndarray:
-    """roughness_attenuation_db from cos(theta), without the argument checks."""
-    x = sigma_m * cos_t / (SPEED_OF_LIGHT / (f_ghz * 1e9))
-    return 20 * math.log10(math.e) * kappa * x * x
-
-
 def reflection_loss(
     mat: MaterialParams,
     f_ghz: float,
@@ -186,8 +160,10 @@ def reflection_loss(
     The loss is the power average of the two Fresnel coefficients,
     -10*log10((|te|^2 + |tm|^2)/2), taken in real arithmetic from
     s = sqrt(eta - sin^2(theta)) (``fresnel_thick`` gives each polarization).
-    A non-zero ``kappa`` adds the roughness attenuation for the material's
-    roughness_sigma. No impedance contrast (nothing reflects) gives inf.
+    A non-zero ``kappa`` adds the roughness attenuation of the specular
+    component, -20*log10(rho) >= 0 with rho = exp(-kappa*(sigma*cos(theta)/lambda)^2)
+    for the material's roughness_sigma; kappa = 0 or sigma = 0 adds exactly 0.
+    No impedance contrast (nothing reflects) gives inf.
 
     ``theta_i`` may be a float (returns a float) or an ndarray of angles
     (returns an ndarray of the same shape, each element bit-equal to the float
@@ -224,7 +200,8 @@ def reflection_loss(
     else:
         loss = -10 * float(np.log10(power))  # np.log10, as for an ndarray
     if kappa and mat.roughness_sigma:
-        return loss + _roughness_db(mat.roughness_sigma, cos_t, f_ghz, kappa)
+        x = mat.roughness_sigma * cos_t / (SPEED_OF_LIGHT / (f_ghz * 1e9))
+        return loss + 20 * math.log10(math.e) * kappa * x * x
     return loss + 0.0  # + 0.0 turns a lossless -0.0 into 0.0
 
 

@@ -59,20 +59,6 @@ GLASS = MaterialParams("glass", 6.27, 0.0, 0.0043, 1.1925, roughness_sigma=0.0)
 PRESETS: dict[str, MaterialParams] = {m.name: m for m in (WOOD, PLASTER, GLASS)}
 
 
-def preset(name: str) -> MaterialParams:
-    """Return a built-in material by name.
-
-    Raises:
-        KeyError: if the name is not a built-in preset.
-    """
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown material {name!r}; built-ins: {', '.join(sorted(PRESETS))}"
-        ) from None
-
-
 def parse_material_line(line: str) -> MaterialParams:
     """Parse one table line ``name, a, b, c, d, sigma_m``.
 

@@ -96,23 +96,18 @@ class RLDatabase:
     def material_names(self) -> list[str]:
         return [m.name for m in self.materials]
 
-    def material_index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(
-                f"material {name!r} not in database ({', '.join(self._index)})"
-            ) from None
-
     def lookup(self, material: str, f_ghz: float, angle_deg: float) -> float:
         """Bilinear interpolation in (log-frequency, angle); exact at grid nodes.
 
         Raises:
+            KeyError: if the material is not in the database, naming the known ones.
             OutOfRangeError: if f or angle falls outside the grid hull.
         """
         mi = self._index.get(material)
         if mi is None:
-            mi = self.material_index(material)  # raises, naming the known materials
+            raise KeyError(
+                f"material {material!r} not in database ({', '.join(self._index)})"
+            )
         fi0, fi1, wf = _bracket(
             self._freqs, f_ghz, "frequency", self._log_steps, self._log_freqs
         )

@@ -177,21 +177,21 @@ def scene_from_dict(data: dict) -> Scene:
             raise SceneValidationError(f"facet #{i} is missing a string 'id'")
         try:
             vertices = np.asarray(entry["vertices"], dtype=float)
-        except (KeyError, ValueError) as err:
+        except (KeyError, ValueError, OverflowError) as err:  # an int past float's range overflows
             raise SceneValidationError(
                 f"bad or missing 'vertices': {err}", facet_id=facet_id
             ) from None
         thickness = entry.get("thickness_m", 0.0)
         if type(thickness) not in (int, float):  # not a string, a list, a bool or null
             raise SceneValidationError(f"'thickness_m' must be a number, got {thickness!r}", facet_id=facet_id)
-        facets.append(
-            Facet(
-                facet_id=facet_id,
-                vertices=vertices,
-                material_label=str(entry.get("material", UNKNOWN_MATERIAL)),
-                thickness_m=float(thickness),
-            )
-        )
+        try:
+            thickness = float(thickness)
+        except OverflowError as err:
+            raise SceneValidationError(f"bad 'thickness_m': {err}", facet_id=facet_id) from None
+        material = entry.get("material", UNKNOWN_MATERIAL)
+        if not isinstance(material, str):
+            raise SceneValidationError(f"'material' must be a string, got {material!r}", facet_id=facet_id)
+        facets.append(Facet(facet_id, vertices, material, thickness))
     return Scene(facets=tuple(facets))
 
 

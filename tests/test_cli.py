@@ -803,6 +803,7 @@ def test_trace_of_a_scene_with_a_non_object_facet_exits_1(capsys, tmp_path):
 
 
 _TRIANGLE = '"vertices": [[1, 1, 0], [2, 1, 0], [2, 2, 0]]'
+_TOO_LARGE = "bad {}: int too large to convert to float"
 
 
 @pytest.mark.parametrize(
@@ -813,12 +814,15 @@ _TRIANGLE = '"vertices": [[1, 1, 0], [2, 1, 0], [2, 2, 0]]'
         (_TRIANGLE + ', "thickness_m": [1]', "'thickness_m' must be a number, got [1]"),
         (_TRIANGLE + ', "thickness_m": "thick"', "'thickness_m' must be a number, got 'thick'"),
         (_TRIANGLE + ', "thickness_m": Infinity', "thickness must be >= 0 and finite, got inf"),
+        (f'"vertices": [[1, 1, 0], [2, 1, 0], [2, 2, 1{"0" * 400}]]', _TOO_LARGE.format("or missing 'vertices'")),
+        (_TRIANGLE + f', "thickness_m": 1{"0" * 400}', _TOO_LARGE.format("'thickness_m'")),
     ],
-    ids=["nan-vertex", "inf-vertex", "list-thickness", "text-thickness", "inf-thickness"],
+    ids=["nan-vertex", "inf-vertex", "list-thickness", "text-thickness", "inf-thickness", "huge-int-vertex", "huge-int-thickness"],
 )
 def test_trace_of_a_scene_with_a_bad_facet_number_names_the_facet(capsys, tmp_path, field, message):
-    """A non-finite vertex or thickness, or a thickness that is no number, is a scene
-    error naming the facet, not a traceback or a later error about the endpoints."""
+    """A non-finite vertex or thickness, an integer too large for a float, or a thickness
+    that is no number, is a scene error naming the facet, not a traceback or a later
+    error about the endpoints."""
     scene_path = tmp_path / "scene.json"
     scene_path.write_text(f'{{"units": "m", "facets": [{{"id": "floor", {field}}}]}}', encoding="utf-8")
     code, out, err = run(capsys, "trace", "--scene", str(scene_path), "--tx", "1,1,1", "--rx", "2,1,1")

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -54,7 +55,7 @@ def test_permittivity_rejects_bad_frequency(f):
         lambda f: em.relative_permittivity(GLASS, f),
         lambda f: em.reflection_loss(GLASS, f, 0.3),
         lambda f: em.phase_thickness(4 - 0.1j, 0.3, 0.01, f),
-        lambda f: em.roughness_attenuation_db(0.001, 0.3, f, 1.0),
+        lambda f: em.reflection_loss(WOOD, f, 0.3, kappa=1.0),
         lambda f: em.fspl(f, 10.0),
     ],
     ids=["permittivity", "reflection_loss", "phase_thickness", "roughness", "fspl"],
@@ -235,7 +236,7 @@ def test_rl_angle_array_validation():
     with pytest.raises(ValueError, match=r"\[0, pi/2\) rad, got nan"):
         em.reflection_loss(GLASS, 100.0, np.array([0.1, math.nan]))
     with pytest.raises(ValueError, match="got -0.1"):
-        em.roughness_attenuation_db(1e-4, np.array([-0.1, 0.2]), 100.0, kappa=1.0)
+        em.reflection_loss(WOOD, 100.0, np.array([-0.1, 0.2]), kappa=1.0)
     with pytest.raises(ValueError, match="kappa must be finite"):
         em.reflection_loss(WOOD, 100.0, 0.3, kappa=math.nan)
     air = MaterialParams("air", a=1.0, b=0.0, c=0.0, d=0.0)
@@ -248,36 +249,42 @@ def test_rl_rejects_a_float_angle_outside_the_quarter_turn(theta):
         em.reflection_loss(GLASS, 100.0, theta)
 
 
+def _roughness_db(mat, f, theta, kappa):
+    """The roughness term of reflection_loss: its loss less the smooth material's."""
+    smooth = dataclasses.replace(mat, roughness_sigma=0.0)
+    return em.reflection_loss(mat, f, theta, kappa) - em.reflection_loss(smooth, f, theta, 0.0)
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 @pytest.mark.parametrize("f", [28.0, 100.0, 1000.0])
 def test_roughness_attenuation_matches_independent_oracle(name, f):
-    sigma, kappa = PRESETS[name].roughness_sigma, em.FITTED_ROUGHNESS_KAPPA
+    mat, kappa = PRESETS[name], em.FITTED_ROUGHNESS_KAPPA
+    smooth = dataclasses.replace(mat, roughness_sigma=0.0)
     degrees = [0.0, 30.0, 60.0, 85.0]
     expected = [roughness_db_oracle(name, f, d, kappa) for d in degrees]
     for d, want in zip(degrees, expected):
-        assert em.roughness_attenuation_db(sigma, math.radians(d), f, kappa) == pytest.approx(want, abs=1e-12)
-        assert em.roughness_attenuation_db(sigma, math.radians(d), f, 0.0) == 0.0
-        assert em.roughness_attenuation_db(0.0, math.radians(d), f, kappa) == 0.0
-    got = em.roughness_attenuation_db(sigma, np.radians(degrees), f, kappa)
+        theta = math.radians(d)
+        assert _roughness_db(mat, f, theta, kappa) == pytest.approx(want, abs=1e-12)
+        assert em.reflection_loss(smooth, f, theta, kappa) == em.reflection_loss(mat, f, theta, 0.0)
+    got = _roughness_db(mat, f, np.radians(degrees), kappa)
     assert got.tolist() == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize(
-    "sigma, kappa", [(GLASS.roughness_sigma, em.FITTED_ROUGHNESS_KAPPA), (WOOD.roughness_sigma, 0.0)],
-    ids=["glass-sigma-0", "kappa-0"],
+    "mat, kappa", [(GLASS, em.FITTED_ROUGHNESS_KAPPA), (WOOD, 0.0)], ids=["glass-sigma-0", "kappa-0"]
 )
-def test_vanishing_roughness_of_an_angle_array_is_an_array_of_zeros(sigma, kappa):
-    assert sigma == 0 or kappa == 0
-    got = em.roughness_attenuation_db(sigma, np.radians([[0.0, 30.0, 60.0], [85.0, 10.0, 45.0]]), 100.0, kappa)
+def test_vanishing_roughness_of_an_angle_array_is_an_array_of_zeros(mat, kappa):
+    assert mat.roughness_sigma == 0 or kappa == 0
+    got = _roughness_db(mat, 100.0, np.radians([[0.0, 30.0, 60.0], [85.0, 10.0, 45.0]]), kappa)
     assert isinstance(got, np.ndarray) and got.shape == (2, 3) and got.tolist() == [[0.0] * 3] * 2
-    assert em.roughness_attenuation_db(sigma, 0.3, 100.0, kappa) == 0.0
+    assert _roughness_db(mat, 100.0, 0.3, kappa) == 0.0
 
 
 def test_vanishing_roughness_is_zero_where_sigma_squared_overflows():
     # (sigma*cos/lambda)^2 is inf here, so 0 * inf would give nan
-    assert em.roughness_attenuation_db(1e200, 0.3, 100.0, 0.0) == 0.0
-    got = em.roughness_attenuation_db(1e200, np.array([0.0, 0.3]), 100.0, 0.0)
-    assert got.tolist() == [0.0, 0.0]
+    rough = dataclasses.replace(WOOD, roughness_sigma=1e200)
+    assert _roughness_db(rough, 100.0, 0.3, 0.0) == 0.0
+    assert _roughness_db(rough, 100.0, np.array([0.0, 0.3]), 0.0).tolist() == [0.0, 0.0]
 
 
 def test_fitted_kappa_reproducible():
@@ -299,8 +306,8 @@ def test_roughness_zero_kappa_is_noop():
     assert em.reflection_loss(WOOD, 100.0, theta, kappa=0.0) == em.reflection_loss(
         WOOD, 100.0, theta
     )
-    with pytest.raises(ValueError):
-        em.roughness_attenuation_db(1e-4, theta, 100.0, kappa=-1.0)
+    with pytest.raises(ValueError, match="kappa must be finite and >= 0, got -1.0"):
+        em.reflection_loss(WOOD, 100.0, theta, kappa=-1.0)
 
 
 def test_lossless_total_reflection_is_positive_zero_loss():
@@ -377,7 +384,7 @@ def test_a_float_thickness_gives_python_number_subclasses():
     r = em.slab_coefficient(eta, 0.3, 1e-3, 100.0)
     assert isinstance(r.te, complex) and isinstance(r.tm, complex)
     assert isinstance(em.amplitude_db(r.te), float)
-    assert isinstance(em.roughness_attenuation_db(1e-4, 0.3, 100.0, 1.0), float)
+    assert isinstance(em.reflection_loss(WOOD, 100.0, 0.3, 1.0), float)
 
 
 def test_transverse_root_branch():

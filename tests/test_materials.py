@@ -14,7 +14,6 @@ from raymat.materials import (
     MaterialParams,
     load_material_table,
     parse_material_line,
-    preset,
 )
 
 
@@ -26,12 +25,6 @@ def test_presets_match_itu_table_exactly():
     assert PLASTER.roughness_sigma == 0.2e-3
     assert GLASS.roughness_sigma == 0.0
     assert set(PRESETS) == {"wood", "plaster", "glass"}
-
-
-def test_preset_lookup():
-    assert preset("glass") is GLASS
-    with pytest.raises(KeyError, match="unknown material"):
-        preset("granite")
 
 
 @pytest.mark.parametrize(

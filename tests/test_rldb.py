@@ -337,9 +337,9 @@ def test_load_does_not_depend_on_row_order(tmp_path, db_multi):
     for a, b in [(got.freqs_ghz, want.freqs_ghz), (got.angles_deg, want.angles_deg)]:
         assert a.tolist() == b.tolist() and np.signbit(a).tolist() == np.signbit(b).tolist()
     for mat in want.materials:
-        mi = got.material_index(mat.name)
+        mi = got.material_names.index(mat.name)
         assert got.materials[mi] == mat
-        assert np.array_equal(got.rl_db[mi], want.rl_db[want.material_index(mat.name)])
+        assert np.array_equal(got.rl_db[mi], want.rl_db[want.material_names.index(mat.name)])
 
     # a non-numeric row, then a duplicate of an earlier cell: the first fault is named
     data = [row for row in rows if row]

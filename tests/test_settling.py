@@ -165,12 +165,6 @@ def test_tolerance_must_be_finite_and_positive(tol):
         settling.SettlingQuery(material=GLASS, f_ghz=100.0, tol_db=tol)
 
 
-def test_settling_table_builds_per_material():
-    table = settling.settling_table([WOOD, GLASS], 1000.0)
-    assert set(table) == {"wood", "glass"}
-    assert table["glass"] < table["wood"]
-
-
 def test_sweep_zero_thickness_marker():
     rows = settling.thickness_sweep(GLASS, 1000.0, 0.0, [0.0, 1e-3])
     assert rows[0][1] == -math.inf and rows[0][2] == -math.inf

@@ -13,9 +13,7 @@ from raymat.geometry import (
     mirror_point, reflect_direction, unit, validate_convex_polygon,
 )
 from raymat.scene import Facet, Scene, SceneValidationError, load_scene, save_scene, scene_from_dict
-from raymat.settling import check_settling, settling_table
 from raymat.tracer import trace
-from raymat.materials import GLASS, PLASTER, WOOD
 
 from .oracles import brute_force_double_bounce, brute_force_single_bounce, exact_trajectory
 from .scenegen import random_endpoints, random_scene
@@ -767,22 +765,6 @@ def test_a_hop_at_a_leg_end_is_no_path(h, paths):
     assert _reprs([] if exact is None else [exact]) == _reprs(traced)
 
 
-# --- check_settling -------------------------------------------------------------
-
-
-def test_check_settling_against_reference_thicknesses():
-    glass_pane = Facet("pane", FLOOR_BIG, "glass", thickness_m=5e-3)
-    wood_board = Facet("board", rect((-1, -2, 1), (5, -2, 1), (5, 2, 1), (-1, 2, 1)), "wood", thickness_m=10e-3)
-    mystery = Facet("mystery", rect((-1, -2, 2), (5, -2, 2), (5, 2, 2), (-1, 2, 2)), "unknown", thickness_m=1.0)
-    scene = Scene(facets=(glass_pane, wood_board, mystery))
-
-    at_1thz = check_settling(scene, settling_table([GLASS, WOOD, PLASTER], 1000.0))
-    assert ("pane", True) in at_1thz  # 5 mm >= 1.4 mm
-    at_100ghz = check_settling(scene, settling_table([GLASS, WOOD, PLASTER], 100.0))
-    assert ("board", False) in at_100ghz  # 10 mm < 21 mm
-    assert ("mystery", None) in at_100ghz
-
-
 # --- scene validation and IO -----------------------------------------------------
 
 
@@ -873,6 +855,8 @@ def test_scene_facet_lookup_names_an_unknown_id():
 
 _SQUARE = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
 _NOT_A_NUMBER = "facet 'floor': 'thickness_m' must be a number, got "
+_NOT_A_STRING = "^facet 'floor': 'material' must be a string, got "
+_TOO_LARGE = "^facet 'floor': bad {}: int too large to convert to float$"
 
 
 def _square(**fields):
@@ -898,11 +882,16 @@ def _square(**fields):
         (_square(thickness_m=math.nan), "facet 'floor': thickness must be >= 0 and finite, got nan"),
         (_square(vertices=[[0, 0, 0], [1, math.inf, 0], [1, 1, 0]]), "facet 'floor': polygon vertices must be finite"),
         (_square(vertices=[[0, 0, 0], [1, math.nan, 0], [1, 1, 0]]), "facet 'floor': polygon vertices must be finite"),
+        (_square(vertices=[[0, 0, 0], [10**400, 0, 0], [1, 1, 0]]), _TOO_LARGE.format("or missing 'vertices'")),
+        (_square(thickness_m=10**400), _TOO_LARGE.format("'thickness_m'")),
+        (_square(material=None), _NOT_A_STRING + "None"),
+        (_square(material=["wood"]), _NOT_A_STRING + r"\['wood'\]"),
+        (_square(material=5), _NOT_A_STRING + "5"),
     ],
     ids=[
         "not-a-list", "empty", "no-id", "number-id", "no-vertices", "text-vertex", "ragged", "number", "text",
         "list-thickness", "text-thickness", "bool-thickness", "null-thickness", "nan-thickness", "inf-vertex",
-        "nan-vertex",
+        "nan-vertex", "huge-int-vertex", "huge-int-thickness", "null-material", "list-material", "number-material",
     ],
 )
 def test_scene_loader_rejects_malformed_facets(facets, match):
