@@ -6,7 +6,15 @@ compatible with a measured total within its uncertainty, and intersect the
 survivors across trajectories that share a facet until nothing changes. The
 facet is the only variable (the map constraint: one facet, one material);
 reflection points (facet plus a 1 cm cell) only label the result.
-``identify_loop`` runs ``merge_candidates`` and reports per facet.
+
+``identify_loop`` scores all of a run's measured trajectories in one array
+pass: one ``RLDatabase.lookup_many`` reads every hop's loss for every palette
+material, each trajectory's totals are broadcast sums in hop order, and one
+closed ±u mask keeps the survivors, the only candidates built as objects.
+``enumerate_sequences`` is that scoring for one trajectory, keeping all, and
+``match_measurement`` the band as a list filter. ``identify_loop`` then runs
+``merge_candidates`` and reports per facet, the RL spread read from the same
+loss rows.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
@@ -144,28 +151,93 @@ def enumerate_sequences(
     """All |palette|^k material sequences for a k-bounce trajectory.
 
     Per-hop losses come from the database at (material, f, hop angle); order
-    is lexicographic in palette order.
+    is lexicographic in palette order. The one-trajectory case of the scoring
+    that :func:`identify_loop` runs, with a band that keeps every candidate.
 
     Raises:
         ValueError: if the palette is empty or names a material twice.
+        KeyError: if the database lacks a palette material.
         OutOfRangeError: naming the hop whose incident angle (or f) is outside
             the database grid.
     """
+    (scored,), _ = _score([traj], palette, db, f_ghz, [(0.0, math.inf)])  # a band that keeps all
+    if isinstance(scored, OutOfRangeError):
+        raise scored
+    return scored
+
+
+SCORE_CELLS = 1 << 16  # most candidate totals, trajectories times |palette|^k, held at once
+
+
+def _score(
+    trajs: list[Trajectory],
+    palette: list[MaterialParams],
+    db: RLDatabase,
+    f_ghz: float,
+    bands: list[tuple[float, float]],
+) -> tuple[list[list[SequenceCandidate] | OutOfRangeError], np.ndarray]:
+    """Score trajectories in one array pass.
+
+    Returns, per trajectory in order, the candidates whose total lies within
+    its (measured, u) band or the OutOfRangeError naming its first hop outside
+    the table; and the (hops, palette) table losses of every hop, the
+    trajectories' hops in order. One :meth:`RLDatabase.lookup_many` reads
+    every loss. Per hop count k, each trajectory's |palette|^k totals are k
+    broadcast adds from 0.0 in hop order, lexicographic in palette order, and
+    one closed-band mask ``abs(total - measured) <= u`` picks the candidates
+    that are built.
+    """
     _check_palette(palette)
-    per_hop = []  # per hop: ((key, material name), table loss) of each palette material
-    for i, (hop, key) in enumerate(zip(traj.hops, trajectory_keys(traj))):
-        angle = math.degrees(hop.theta_i)  # the bits of np.degrees
-        try:
-            per_hop.append([((key, mat.name), db.lookup(mat.name, f_ghz, angle)) for mat in palette])
-        except OutOfRangeError as err:
-            raise OutOfRangeError(
-                f"hop {i} (facet {hop.facet_id!r}, theta={angle:.3g} deg): {err}"
-            ) from None
-    candidates = []
-    for combo in product(*per_hop):
-        assignment, losses = zip(*combo) if combo else ((), ())  # no hops: one empty candidate
-        candidates.append(SequenceCandidate(assignment, losses, float(sum(losses))))
-    return candidates
+    names = [m.name for m in palette]
+    angles = [math.degrees(h.theta_i) for t in trajs for h in t.hops]  # the bits of np.degrees
+    try:
+        losses, outside = db.lookup_many(names, f_ghz, angles)
+    except OutOfRangeError:  # the frequency: no hop is inside, and lookup names it per hop
+        losses, outside = np.full((len(angles), len(names)), np.nan), np.ones(len(angles), dtype=bool)
+    flags = outside.tolist()
+    scored: list[list[SequenceCandidate] | OutOfRangeError] = []
+    groups: dict[int, list[tuple[int, int]]] = {}  # hop count -> (trajectory, first hop row)
+    start = 0
+    for i, traj in enumerate(trajs):
+        k = traj.bounces
+        if True in flags[start:start + k]:
+            scored.append(_hull_error(traj, flags.index(True, start) - start, db, names[0], f_ghz))
+        else:
+            scored.append([])
+            groups.setdefault(k, []).append((i, start))
+        start += k
+    for k, members in groups.items():
+        step = max(1, SCORE_CELLS // len(names) ** k)
+        for chunk in (members[c:c + step] for c in range(0, len(members), step)):
+            n = len(chunk)
+            hop_losses = losses[np.array([first for _, first in chunk])[:, None] + np.arange(k)]  # (n, k, P)
+            totals = np.zeros(n)
+            for j in range(k):  # a new axis per hop: (n, P, ..., P)
+                totals = totals[..., None] + hop_losses[:, j].reshape((n,) + (1,) * j + (len(names),))
+            m, u = np.array([bands[i] for i, _ in chunk]).T.reshape((2, n) + (1,) * k)
+            hits = np.nonzero(np.abs(totals - m) <= u)
+            combos = np.array(hits[1:], dtype=int).T.reshape(len(hits[0]), k)
+            per_hop = hop_losses[hits[0][:, None], np.arange(k), combos]
+            last = -1
+            for row, combo, hop_rl, total in zip(
+                hits[0].tolist(), combos.tolist(), per_hop.tolist(), totals[hits].tolist()
+            ):
+                if row != last:
+                    last, i = row, chunk[row][0]
+                    keys, kept = trajectory_keys(trajs[i]), scored[i]
+                kept.append(SequenceCandidate(tuple(zip(keys, [names[c] for c in combo])), tuple(hop_rl), total))
+    return scored, losses
+
+
+def _hull_error(traj: Trajectory, i: int, db: RLDatabase, name: str, f_ghz: float) -> OutOfRangeError:
+    """Hop i's OutOfRangeError, in the words of the scalar lookup it fails."""
+    hop = traj.hops[i]
+    angle = math.degrees(hop.theta_i)
+    try:
+        db.lookup(name, f_ghz, angle)  # the frequency's error first, as in lookup
+    except OutOfRangeError as err:
+        return OutOfRangeError(f"hop {i} (facet {hop.facet_id!r}, theta={angle:.3g} deg): {err}")
+    raise AssertionError(f"hop {i}: lookup_many and lookup disagree on the hull")
 
 
 def match_measurement(
@@ -335,7 +407,7 @@ def identify_loop(
     max_bounces: int,
     measure: MeasureFn,
 ) -> tuple[BeliefState, IdentificationReport]:
-    """Trace, enumerate, match, and propagate over every TX-RX pair in order.
+    """Trace, score and propagate over every TX-RX pair in order.
 
     Pairs and trajectory ids come from :func:`traced_pairs`. ``measure``
     returns the measurement for a trajectory or None to leave it out. A given
@@ -346,52 +418,58 @@ def identify_loop(
     one material) holds within and across trajectories. Every pair is traced:
     each added trajectory can only shrink domains, so more (or more precise)
     data never covers or resolves fewer facets. The report is per facet:
-    resolved, ambiguous (with the RL spread of its materials, read from ``db``
-    at every enumerated hop's angle on it), uncovered or contradicted. No TX or
-    RX, an empty palette or one naming a material twice, or a ``u_db`` that is
-    not a finite number >= 0 is a ValueError before anything is traced.
+    resolved, ambiguous (with the RL spread of its materials: the widest gap
+    between their table losses at any scored hop on it), uncovered or
+    contradicted. A trajectory with no measurement, or with a hop outside the
+    table, is skipped. No TX or RX, an empty palette or one naming a material
+    twice, or a ``u_db`` that is not a finite number >= 0 is a ValueError
+    before anything is traced; a palette material the table lacks is a
+    KeyError after every trajectory is measured, at the one table read.
     """
     if len(tx_positions) == 0 or len(rx_positions) == 0:
         raise ValueError("need at least one TX and one RX position")
     _check_palette(palette)
     if u_db is not None and not 0 <= u_db < math.inf:
         raise ValueError(f"u_db must be finite and >= 0, got {u_db}")
+    walk = [
+        (tid, traj, measure(tid, traj))
+        for tid, traj in traced_pairs(scene, tx_positions, rx_positions, max_bounces)
+    ]
+    measured = [(traj, record) for _, traj, record in walk if record is not None]
+    bands = [(r.measured_total_rl_db, r.uncertainty_db if u_db is None else u_db) for _, r in measured]
+    outcomes, losses = _score([traj for traj, _ in measured], palette, db, f_ghz, bands)
     entries: list[tuple[str, list[SequenceCandidate]]] = []
     no_hypothesis: list[str] = []
     skipped: list[str] = []
-    hop_angles: dict[str, list[float]] = {}  # per facet: each enumerated hop's angle, deg
-
-    for tid, traj in traced_pairs(scene, tx_positions, rx_positions, max_bounces):
-        record = measure(tid, traj)
+    hop_rows: dict[str, list[int]] = {}  # per facet: the loss row of each scored hop on it
+    scored, row = iter(outcomes), 0
+    for tid, traj, record in walk:
         if record is None:
             skipped.append(tid)
             continue
-        try:
-            candidates = enumerate_sequences(traj, palette, db, f_ghz)
-        except OutOfRangeError as err:
-            skipped.append(f"{tid} ({err})")
+        survivors, rows = next(scored), range(row, row + traj.bounces)
+        row = rows.stop
+        if isinstance(survivors, OutOfRangeError):
+            skipped.append(f"{tid} ({survivors})")
             continue
-        if u_db is not None:
-            record = MeasurementRecord(tid, record.measured_total_rl_db, u_db)
-        survivors = match_measurement(candidates, record)
-        for hop in traj.hops:  # the angles enumerate_sequences looked up
-            hop_angles.setdefault(hop.facet_id, []).append(math.degrees(hop.theta_i))
+        for hop, r in zip(traj.hops, rows):
+            hop_rows.setdefault(hop.facet_id, []).append(r)
         if not survivors:
             no_hypothesis.append(tid)
             continue
         entries.append((tid, survivors))
 
     belief = merge_candidates(entries)
-    report = _build_report(scene, belief, db, f_ghz, hop_angles, no_hypothesis, skipped)
+    report = _build_report(scene, belief, [m.name for m in palette], losses, hop_rows, no_hypothesis, skipped)
     return belief, report
 
 
 def _build_report(
     scene: Scene,
     belief: BeliefState,
-    db: RLDatabase,
-    f_ghz: float,
-    hop_angles: dict[str, list[float]],
+    names: list[str],
+    losses: np.ndarray,
+    hop_rows: dict[str, list[int]],
     no_hypothesis: list[str],
     skipped: list[str],
 ) -> IdentificationReport:
@@ -414,8 +492,8 @@ def _build_report(
     uncovered = tuple(f.facet_id for f in scene.facets if f.facet_id not in facet_domains)
     rl_spread_db: dict[str, float] = {}
     for fid, mats in ambiguous.items():
-        rows = ([db.lookup(name, f_ghz, angle) for name in mats] for angle in hop_angles[fid])
-        rl_spread_db[fid] = max(max(row) - min(row) for row in rows)
+        rows = losses[hop_rows[fid]][:, [names.index(name) for name in mats]]
+        rl_spread_db[fid] = float(np.ptp(rows, axis=1).max())
     return IdentificationReport(
         resolved=resolved,
         ambiguous=ambiguous,

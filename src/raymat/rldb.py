@@ -105,9 +105,7 @@ class RLDatabase:
         """
         mi = self._index.get(material)
         if mi is None:
-            raise KeyError(
-                f"material {material!r} not in database ({', '.join(self._index)})"
-            )
+            raise self._unknown(material)
         fi0, fi1, wf = _bracket(
             self._freqs, f_ghz, "frequency", self._log_steps, self._log_freqs
         )
@@ -116,6 +114,44 @@ class RLDatabase:
         return (1 - wf) * (ua * v[mi, fi0, ai0] + wa * v[mi, fi0, ai1]) + wf * (
             ua * v[mi, fi1, ai0] + wa * v[mi, fi1, ai1]
         )
+
+    def lookup_many(self, names, f_ghz: float, angles_deg) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`lookup` of every name at f_ghz and at each angle, in one array pass.
+
+        Returns the (angles, names) losses, each with the bits of its lookup, and
+        the mask of the angles outside the grid hull, NaN included: their rows are
+        NaN, not interpolated. The angles are bracketed as ``_bracket`` does, so a
+        node, the last one included, has weight 0.0, and every corner product and
+        sum is one numpy operation in lookup's order.
+
+        Raises:
+            KeyError: naming the first name not in the database, as lookup does.
+            OutOfRangeError: if f is outside the frequency grid hull.
+        """
+        mi = [self._index.get(name) for name in names]
+        if None in mi:
+            raise self._unknown(names[mi.index(None)])
+        fi0, fi1, wf = _bracket(
+            self._freqs, f_ghz, "frequency", self._log_steps, self._log_freqs
+        )
+        grid, angles = self.angles_deg, np.asarray(angles_deg, dtype=float).reshape(-1)
+        ai0 = np.searchsorted(grid, angles, side="right") - 1
+        x0 = grid[ai0]  # below the hull ai0 is -1, and x0 the last node
+        node = angles == x0
+        inside = ~node & (ai0 >= 0) & (ai0 < grid.size - 1)
+        outside = ~(node | inside)
+        ai0[outside] = 0
+        ai1 = ai0 + inside
+        wa = np.zeros(angles.size)
+        wa[inside] = (angles[inside] - x0[inside]) / (grid[ai1[inside]] - x0[inside])
+        wa, ua = wa[:, None], 1 - wa[:, None]
+        v0, v1 = self.rl_db[mi, fi0].T, self.rl_db[mi, fi1].T  # (angle nodes, names)
+        rl = (1 - wf) * (ua * v0[ai0] + wa * v0[ai1]) + wf * (ua * v1[ai0] + wa * v1[ai1])
+        rl[outside] = np.nan
+        return rl, outside
+
+    def _unknown(self, material: str) -> KeyError:
+        return KeyError(f"material {material!r} not in database ({', '.join(self._index)})")
 
     def save(self, path) -> None:
         """Write the database as versioned CSV (6 significant digits)."""

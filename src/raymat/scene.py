@@ -215,7 +215,7 @@ def load_scene(path) -> Scene:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # bad syntax, bytes that are not UTF-8, or an integer past the int-parsing limit
             raise SceneValidationError(f"invalid JSON in {path}: {err}") from None
     return scene_from_dict(data)
 

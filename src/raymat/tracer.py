@@ -207,6 +207,8 @@ def _trajectories(scene: Scene, seqs: np.ndarray, images: np.ndarray, rxs: np.nd
             ok = (np.abs(denom) > GRAZING_COS * np.sqrt(_dot(direction, direction))) & (0.0 < t) & (t < 1.0)
             ok &= _inside(scene, f, point)
             rows, points = rows[ok], [p[ok] for p in (*points, point)]
+            if not rows.size:  # every row dropped: no path is left to fold, measure or occlude
+                return found
         path = np.stack([images[rows, 0], *reversed(points)], axis=1)
         legs = path[:, 1:] - path[:, :-1]
         lengths = np.sqrt(_dot(legs, legs))

@@ -1,9 +1,10 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -62,6 +63,11 @@ def synthetic_trajectory(angles_deg, facet_ids=None, points=None) -> Trajectory:
     )
 
 
+def bits(candidates) -> list:
+    """Each candidate with every loss as its float's hex digits."""
+    return [(c.assignment, [x.hex() for x in c.per_hop_rl_db], c.total_rl_db.hex()) for c in candidates]
+
+
 # --- RPKey ---------------------------------------------------------------------
 
 
@@ -101,6 +107,24 @@ def test_enumerate_single_bounce_single_material(db100):
     cands = enumerate_sequences(traj, [GLASS], db100, 100.0)
     assert len(cands) == 1
     assert cands[0].total_rl_db == cands[0].per_hop_rl_db[0]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_enumerate_is_every_product_of_scalar_table_lookups(db100, k):
+    """Each candidate, in lexicographic palette order, has the bits of db.lookup at its
+    hops' angles, and its total those losses added in hop order from 0.0."""
+    rng = random.Random(k)
+    for _ in range(20):
+        traj = synthetic_trajectory([rng.uniform(0.0, 85.0) for _ in range(k)])
+        want = []
+        for combo in product(PALETTE, repeat=k):
+            losses = [db100.lookup(m.name, 100.0, math.degrees(h.theta_i)) for m, h in zip(combo, traj.hops)]
+            total = 0.0
+            for loss in losses:
+                total += loss
+            keys = tuple(zip(trajectory_keys(traj), [m.name for m in combo]))
+            want.append(SequenceCandidate(keys, tuple(losses), total))
+        assert bits(enumerate_sequences(traj, PALETTE, db100, 100.0)) == bits(want)
 
 
 def test_enumerate_rejects_out_of_hull_angle(db100):
@@ -289,6 +313,109 @@ def test_identify_loop_belief_is_merge_candidates_of_its_survivors(db100, k):
     assert len({key.facet_id for key in merged.rp_domains}) < len(merged.rp_domains)
     assert belief.rp_domains == merged.rp_domains
     assert belief.survivors == merged.survivors
+
+
+@pytest.mark.parametrize("u_db", [1.0, None])
+@pytest.mark.parametrize("table", ["db100", "to-60-deg", "freq-outside"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_identify_loop_scores_each_trajectory_as_enumerate_and_match_do(db100, monkeypatch, k, table, u_db):
+    """The survivors identify_loop hands merge_candidates are, trajectory by trajectory
+    and bit for bit, match_measurement(enumerate_sequences(...)) of its record (with u_db
+    as its uncertainty when given), in trace order; a trajectory without survivors is
+    listed as having no hypothesis. The trajectories left unmeasured and those with a hop
+    outside the table (a table that stops at 60 deg, or a frequency it lacks) are
+    skipped in one list, in trace order, with enumerate_sequences' error text."""
+    scene = demo_building()
+    txs, rxs = demo_positions()
+    truth = {f.facet_id: f.material_label for f in scene.facets}
+    db, f_ghz = db100, 100.0
+    if table == "to-60-deg":
+        db = rldb.build(PALETTE, [100.0], np.arange(0.0, 61.0))
+    if table == "freq-outside":
+        f_ghz = 140.0
+    log = []
+    simulate = make_measure_fn(scene, truth, 100.0, u_db=1.5, noise_sigma_db=0.5, master_seed=k, max_angle_deg=90.0, log=log)
+
+    def measure(tid, traj):
+        return None if tid.endswith("t1") else simulate(tid, traj)
+
+    merged = []
+
+    def spy(entries):
+        merged.extend(entries)
+        return merge_candidates(merged)
+
+    monkeypatch.setattr(raymat.identify, "merge_candidates", spy)
+    belief, report = identify_loop(scene, txs, rxs, PALETTE, db, f_ghz, u_db, k, measure)
+    measured = {tid: (traj, record) for tid, traj, record, _ in log}
+    entries, no_hypothesis, skipped = [], [], []
+    for tid, _ in raymat.identify.traced_pairs(scene, txs, rxs, k):
+        if tid not in measured:
+            skipped.append(tid)
+            continue
+        traj, record = measured[tid]
+        if u_db is not None:
+            record = MeasurementRecord(tid, record.measured_total_rl_db, u_db)
+        try:
+            survivors = match_measurement(enumerate_sequences(traj, PALETTE, db, f_ghz), record)
+        except OutOfRangeError as err:
+            skipped.append(f"{tid} ({err})")
+            continue
+        (entries if survivors else no_hypothesis).append((tid, survivors))
+    assert [(tid, bits(c)) for tid, c in merged] == [(tid, bits(c)) for tid, c in entries]
+    assert belief.survivors == merge_candidates(entries).survivors
+    assert report.no_hypothesis == tuple(tid for tid, _ in no_hypothesis)
+    assert report.skipped == tuple(skipped)
+    hull = [line for line in skipped if " (hop " in line]
+    assert all(re.fullmatch(r"p\d+t\d+ \(hop \d \(facet '\w+', theta=[\d.e+]+ deg\): .*\)", line) for line in hull)
+    assert len(skipped) > len(hull) > 0 or table == "db100"
+    if table == "freq-outside":
+        assert not entries and all("(hop 0 " in line and "frequency 140 " in line for line in hull)
+    else:
+        assert entries
+
+
+@pytest.mark.parametrize("cells", [1, 40])
+def test_identify_loop_is_the_same_in_chunks_of_any_size(db100, monkeypatch, cells):
+    """Scoring at most SCORE_CELLS candidate totals at once changes no survivor bit and
+    no report byte: at 1, one trajectory per chunk; at 40, 1 to 13 by hop count."""
+    scene = demo_building()
+    txs, rxs = demo_positions()
+    truth = {f.facet_id: f.material_label for f in scene.facets}
+
+    def run():
+        measure = make_measure_fn(scene, truth, 100.0, u_db=6.0, noise_sigma_db=0.5, master_seed=3)
+        belief, report = identify_loop(scene, txs, rxs, PALETTE, db100, 100.0, None, 3, measure)
+        return [(tid, bits(c)) for tid, c in belief.survivors.items()], report.to_text()
+
+    expected = run()
+    assert sum(len(c) for _, c in expected[0]) > 20
+    monkeypatch.setattr(raymat.identify, "SCORE_CELLS", cells)
+    assert run() == expected
+
+
+def test_identify_loop_names_a_palette_material_the_table_lacks(db100):
+    """A palette material the table lacks is lookup's KeyError, raised at the one table
+    read that follows the measurements: every trajectory has been measured."""
+    scene = demo_building()
+    txs, rxs = demo_positions()
+    db = rldb.build([WOOD, GLASS], [100.0], np.arange(0.0, 86.0))
+    calls = []
+
+    def measure(tid, traj):
+        calls.append(tid)
+        return MeasurementRecord(tid, 10.0, 1.0)
+
+    with pytest.raises(KeyError) as err:
+        identify_loop(scene, txs, rxs, PALETTE, db, 100.0, None, 2, measure)
+    with pytest.raises(KeyError) as scalar:
+        db.lookup("plaster", 100.0, 10.0)
+    assert str(err.value) == str(scalar.value) == "\"material 'plaster' not in database (wood, glass)\""
+    assert calls == [tid for tid, _ in raymat.identify.traced_pairs(scene, txs, rxs, 2)]
+    traj = synthetic_trajectory([30.0])
+    with pytest.raises(KeyError) as one:
+        enumerate_sequences(traj, PALETTE, db, 100.0)
+    assert str(one.value) == str(scalar.value)
 
 
 # three 2-hop trajectories on a cycle of facets (w wood, p plaster, g glass):

@@ -207,6 +207,73 @@ def test_lookup_equals_reference_formula(db_multi, table):
     assert sum(t is float for t, _ in got) == len(queries) - 10
 
 
+def _hull_error(db, name, f_ghz, angle):
+    with pytest.raises(rldb.OutOfRangeError) as err:
+        db.lookup(name, f_ghz, angle)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("f_at", ["node", "between", "last-node"])
+@pytest.mark.parametrize("table", ["db_multi", "uneven", "strided", "one-angle"])
+def test_lookup_many_has_the_bits_of_lookup(db_multi, table, f_at):
+    """Every cell of lookup_many's (angles, names) matrix has the bits of lookup at that
+    name, frequency and angle: seeded angles, every node, the last one included, and
+    values one ulp inside and beside each node; at a frequency node, between nodes
+    (where the log weight applies) and at the last node. An angle that lookup refuses,
+    NaN and the infinities included, is flagged and its row is NaN."""
+    db = db_multi
+    if table == "uneven":
+        db = rldb.build(PRESET_LIST, [28.0, 41.5, 140.0, 1000.0], 89.0 * np.linspace(0.0, 1.0, 13) ** 1.3)
+    if table == "strided":
+        view = np.ascontiguousarray(db_multi.rl_db.transpose(2, 1, 0)).transpose(2, 1, 0)
+        db = rldb.RLDatabase(PRESET_LIST, db_multi.freqs_ghz, db_multi.angles_deg, view)
+    if table == "one-angle":
+        db = rldb.build(PRESET_LIST, [28.0, 100.0, 1000.0], [30.0])
+    freqs, grid = db.freqs_ghz.tolist(), db.angles_deg
+    f_ghz = {"node": freqs[1], "between": math.sqrt(freqs[1] * freqs[2]), "last-node": freqs[-1]}[f_at]
+    rng = np.random.default_rng(31)
+    angles = np.concatenate([
+        rng.uniform(grid[0], grid[-1], 400),
+        np.degrees(rng.uniform(math.radians(grid[0]), math.radians(grid[-1]), 200)),
+        grid,
+        np.nextafter(grid, math.inf),
+        np.nextafter(grid, -math.inf),
+        [-0.0, math.nan, math.inf, -math.inf],
+    ])
+    names = ["plaster", "glass", "wood", "plaster"]
+    rl, outside = db.lookup_many(names, f_ghz, angles)
+    assert rl.shape == (angles.size, len(names)) and outside.shape == (angles.size,)
+    inside = 0
+    for row, angle, flagged in zip(rl, angles.tolist(), outside.tolist()):
+        if flagged:
+            assert np.isnan(row).all()
+            _hull_error(db, names[0], f_ghz, angle)
+        else:
+            inside += 1
+            assert [v.hex() for v in row.tolist()] == [db.lookup(n, f_ghz, angle).hex() for n in names]
+    n = grid.size
+    nodes, above, below = (outside[600 + i * n:600 + (i + 1) * n] for i in range(3))
+    assert not nodes.any() and inside > (600 if n > 1 else 0)
+    assert above[-1] and below[0] and outside[-3:].all()  # beyond each end, NaN, the infinities
+    assert n == 1 or not (above[0] or below[-1])  # one ulp inside each end
+
+
+def test_lookup_many_refuses_as_lookup_does(db_multi):
+    """An unknown name is lookup's KeyError, the first in the given order, before the
+    frequency is checked; a frequency outside the table is lookup's OutOfRangeError."""
+    with pytest.raises(KeyError) as many:
+        db_multi.lookup_many(["wood", "brick", "tile"], 1e6, [10.0])
+    with pytest.raises(KeyError) as one:
+        db_multi.lookup("brick", 100.0, 10.0)
+    assert str(many.value) == str(one.value)
+    for f_ghz in (27.9, 1000.5, math.nan):
+        with pytest.raises(rldb.OutOfRangeError) as many:
+            db_multi.lookup_many(["wood"], f_ghz, [])
+        assert str(many.value) == _hull_error(db_multi, "wood", f_ghz, 10.0)
+    rl, outside = db_multi.lookup_many(["wood", "glass"], 100.0, [])
+    assert rl.shape == (0, 2) and outside.shape == (0,)
+
+
 def test_database_pickles_and_copies(db_multi):
     for twin in (pickle.loads(pickle.dumps(db_multi)), copy.deepcopy(db_multi)):
         assert twin.materials == db_multi.materials and twin.kappa == db_multi.kappa

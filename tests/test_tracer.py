@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -835,6 +837,27 @@ def test_scene_loader_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(SceneValidationError, match="JSON"):
+        load_scene(path)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="integers of any length parse")
+@pytest.mark.parametrize("text", [
+    '{"units": "m", "facets": [{"id": "floor", "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0]], "thickness_m": 1%s}]}',
+    '{"units": "m", "facets": [{"id": "floor", "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 1%s]]}]}',
+], ids=["thickness", "vertex"])
+def test_scene_loader_names_the_file_of_an_integer_too_long_to_parse(tmp_path, text):
+    """json.load refuses an integer longer than Python's int-parsing limit with a plain
+    ValueError; the loader reports it as a scene error that names the file."""
+    path = tmp_path / "long.json"
+    path.write_text(text % ("0" * sys.get_int_max_str_digits()), encoding="utf-8")
+    with pytest.raises(SceneValidationError, match=f"^invalid JSON in {re.escape(str(path))}: Exceeds the limit"):
+        load_scene(path)
+
+
+def test_scene_loader_names_the_file_of_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"units": "m", "facets": [{"id": "b\xe9ton"}]}'.encode("latin-1"))
+    with pytest.raises(SceneValidationError, match=f"^invalid JSON in {re.escape(str(path))}: 'utf-8' codec"):
         load_scene(path)
 
 
