@@ -4,6 +4,7 @@ Units at the CLI boundary: frequencies in GHz, angles in degrees, thicknesses
 in millimeters (meters and radians internally). Grids use start:stop:step with
 an inclusive stop. All outputs are UTF-8 CSV with ``#``-prefixed metadata
 headers and are byte-identical for identical argv, input files, and seed.
+Float cells are written ``.6g``. A command that fails writes no output file.
 
 Exit status: 0 on success, 1 on any validation error, 2 when identification
 ends in a contradiction or a no-hypothesis outcome.
@@ -89,7 +90,8 @@ _FINITE = ("a finite number", math.isfinite)
 _finite = _number(_FINITE)
 _non_negative = _number(("a finite number >= 0", lambda v: 0 <= v < math.inf))
 _positive = _number(("a finite number > 0", lambda v: 0 < v < math.inf))
-_incident_angle = _number(("an angle in [0, 90) degrees", lambda v: 0 <= v < 90))
+_INCIDENT_ANGLE = ("an angle in [0, 90) degrees", lambda v: 0 <= v < 90)
+_incident_angle = _number(_INCIDENT_ANGLE)
 _hop_angle = _number(_FINITE, ("an angle in [0, 90] degrees", lambda v: 0 <= v <= 90))
 
 
@@ -149,50 +151,58 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _write_csv(path: str | None, meta, columns: str, rows) -> None:
+    """Write ``#<entry>`` per meta entry, the column line, then one line per row:
+    float cells (numpy's float64 included) as ``.6g``, other cells with ``str``.
+
+    Every line is built before ``path`` opens, so a run whose rows fail writes no file.
+    """
+    lines = [f"#{entry}\n" for entry in meta]
+    lines.append(f"{columns}\n")
+    lines.extend(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row) + "\n" for row in rows)
+    with _open_output(path) as fh:
+        fh.writelines(lines)
+
+
 def _cmd_coeff(args) -> int:
     mat = _resolve_one(args.material, args.materials_table)
     grid_m = _parse_grid(args.h_grid) * 1e-3
     rows = settling.thickness_sweep(mat, args.freq, math.radians(args.theta), grid_m)
     eta = em.relative_permittivity(mat, args.freq)
     thick = em.fresnel_thick(eta, math.radians(args.theta))
-    with _open_output(args.output) as fh:
-        fh.write(f"#material={mat.name}\n#freq_ghz={_fmt(args.freq)}\n")
-        fh.write(f"#theta_deg={_fmt(args.theta)}\n")
-        fh.write(f"#te_thick_db={_fmt(em.amplitude_db(thick.te))}\n")
-        fh.write(f"#tm_thick_db={_fmt(em.amplitude_db(thick.tm))}\n")
-        fh.write("h_m,te_db,tm_db\n")
-        for h, te, tm in rows:
-            fh.write(f"{_fmt(h)},{_fmt(te)},{_fmt(tm)}\n")
+    meta = [
+        f"material={mat.name}",
+        f"freq_ghz={_fmt(args.freq)}",
+        f"theta_deg={_fmt(args.theta)}",
+        f"te_thick_db={_fmt(em.amplitude_db(thick.te))}",
+        f"tm_thick_db={_fmt(em.amplitude_db(thick.tm))}",
+    ]
+    _write_csv(args.output, meta, "h_m,te_db,tm_db", rows)
     return 0
 
 
 def _cmd_rl(args) -> int:
     mat = _resolve_one(args.material, args.materials_table)
     angles = _parse_grid(args.angles).tolist()
+    rule, test = _INCIDENT_ANGLE
+    for angle in angles:
+        if not test(angle):
+            raise ValueError(f"--angles: {angle:g} is not {rule}")
     thetas = np.array([math.radians(a) for a in angles])
-    losses = em.reflection_loss(mat, args.freq, thetas, kappa=args.kappa)  # fails before output
-    with _open_output(args.output) as fh:
-        fh.write(f"#material={mat.name}\n#freq_ghz={_fmt(args.freq)}\n")
-        fh.write(f"#kappa={_fmt(args.kappa)}\n")
-        fh.write("angle_deg,rl_db\n")
-        for angle, loss in zip(angles, losses.tolist()):
-            fh.write(f"{_fmt(angle)},{_fmt(loss)}\n")
+    losses = em.reflection_loss(mat, args.freq, thetas, kappa=args.kappa)
+    meta = [f"material={mat.name}", f"freq_ghz={_fmt(args.freq)}", f"kappa={_fmt(args.kappa)}"]
+    _write_csv(args.output, meta, "angle_deg,rl_db", zip(angles, losses.tolist()))
     return 0
 
 
 def _cmd_settling(args) -> int:
     materials = _resolve_materials(args.material, args.materials_table)
     grid_step_m = None if args.grid_step is None else args.grid_step * 1e-3
-    inputs = f"{_fmt(args.freq)},{_fmt(args.theta)},{_fmt(args.tol)}"
-    rows = []  # every row before the file opens, so a failing run writes none
+    rows = []
     for mat in materials:
-        query = settling.SettlingQuery(
-            mat, args.freq, math.radians(args.theta), args.tol, grid_step_m
-        )
-        rows.append(f"{mat.name},{inputs},{_fmt(settling.settling_thickness(query))}\n")
-    with _open_output(args.output) as fh:
-        fh.write("material,f_ghz,theta_deg,tol_db,h_m\n")
-        fh.writelines(rows)
+        query = settling.SettlingQuery(mat, args.freq, math.radians(args.theta), args.tol, grid_step_m)
+        rows.append((mat.name, args.freq, args.theta, args.tol, settling.settling_thickness(query)))
+    _write_csv(args.output, [], "material,f_ghz,theta_deg,tol_db,h_m", rows)
     return 0
 
 
@@ -205,27 +215,12 @@ def _cmd_rldb_build(args) -> int:
 
 def _cmd_rldb_show(args) -> int:
     db = rldb.load(args.db)
-    with _open_output(args.output) as fh:
-        fh.write(f"#version={rldb.FORMAT_VERSION}\n")
-        fh.write(f"#kappa={_fmt(db.kappa)}\n")
-        fh.write(f"#materials={','.join(db.material_names)}\n")
-        for label, grid in (("freqs_ghz", db.freqs_ghz), ("angles_deg", db.angles_deg)):
-            fh.write(f"#{label}={_fmt(float(grid[0]))}..{_fmt(float(grid[-1]))} (n={grid.size})\n")
-        fh.write("material,rl_min_db,rl_max_db\n")
-        for i, name in enumerate(db.material_names):
-            fh.write(f"{name},{_fmt(float(db.rl_db[i].min()))},{_fmt(float(db.rl_db[i].max()))}\n")
+    meta = [f"version={rldb.FORMAT_VERSION}", f"kappa={_fmt(db.kappa)}", f"materials={','.join(db.material_names)}"]
+    for label, grid in (("freqs_ghz", db.freqs_ghz), ("angles_deg", db.angles_deg)):
+        meta.append(f"{label}={_fmt(float(grid[0]))}..{_fmt(float(grid[-1]))} (n={grid.size})")
+    rows = [(name, float(rl.min()), float(rl.max())) for name, rl in zip(db.material_names, db.rl_db)]
+    _write_csv(args.output, meta, "material,rl_min_db,rl_max_db", rows)
     return 0
-
-
-def _write_trace_csv(fh, labelled_trajectories) -> None:
-    fh.write("trajectory_id,bounces,total_length_m,hop,facet_id,x_m,y_m,z_m,theta_deg\n")
-    for tid, traj in labelled_trajectories:
-        for i, hop in enumerate(traj.hops):
-            x, y, z = (float(v) for v in hop.point)
-            fh.write(
-                f"{tid},{traj.bounces},{_fmt(traj.total_length)},{i},{hop.facet_id},"
-                f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{_fmt(math.degrees(hop.theta_i))}\n"
-            )
 
 
 def _pairs(args):
@@ -237,10 +232,13 @@ def _pairs(args):
 
 def _cmd_trace(args) -> int:
     _, labelled = _pairs(args)
-    with _open_output(args.output) as fh:
-        fh.write(f"#scene={os.path.basename(args.scene)}\n")
-        fh.write(f"#max_bounces={args.max_bounces}\n")
-        _write_trace_csv(fh, labelled)
+    rows = (
+        (tid, traj.bounces, traj.total_length, i, hop.facet_id, *map(float, hop.point), math.degrees(hop.theta_i))
+        for tid, traj in labelled
+        for i, hop in enumerate(traj.hops)
+    )
+    meta = [f"scene={os.path.basename(args.scene)}", f"max_bounces={args.max_bounces}"]
+    _write_csv(args.output, meta, "trajectory_id,bounces,total_length_m,hop,facet_id,x_m,y_m,z_m,theta_deg", rows)
     return 0
 
 
@@ -253,7 +251,7 @@ def _cmd_simulate(args) -> int:
         if facet.material_label in catalog:
             ground_truth[facet.facet_id] = catalog[facet.material_label]
     rng = random.Random(args.seed)
-    rows = []  # every row before the file opens, so a failing run writes none
+    rows = []
     for tid, traj in labelled:
         unknown = next((h.facet_id for h in traj.hops if h.facet_id not in ground_truth), None)
         if unknown is not None:  # no ground truth to simulate
@@ -281,12 +279,10 @@ def _cmd_simulate(args) -> int:
         except em.InconsistentMeasurementError as err:  # the noise put PL below FSPL
             sys.stderr.write(f"warning: {tid}: {err}; no row written\n")
             continue
-        rows.append(f"{tid},{_fmt(record.measured_total_rl_db)},{_fmt(record.uncertainty_db)}\n")
-    with _open_output(args.output) as fh:
-        fh.write(f"#freq_ghz={_fmt(args.freq)}\n#ptx_dbm={_fmt(args.ptx)}\n")
-        fh.write(f"#noise_sigma_db={_fmt(args.noise)}\n#seed={args.seed}\n")
-        fh.write("trajectory_id,measured_rl_db,u_db\n")
-        fh.writelines(rows)
+        rows.append((tid, record.measured_total_rl_db, record.uncertainty_db))
+    meta = [f"freq_ghz={_fmt(args.freq)}", f"ptx_dbm={_fmt(args.ptx)}"]
+    meta += [f"noise_sigma_db={_fmt(args.noise)}", f"seed={args.seed}"]
+    _write_csv(args.output, meta, "trajectory_id,measured_rl_db,u_db", rows)
     return 0
 
 
@@ -393,13 +389,8 @@ def _cmd_demo(args) -> int:
         f"  raymat identify --scene {scene_path} {tx_flags} {rx_flags} "
         f"--freq 100 --u 1 --measurements {m_path}\n"
     )
-    with _open_output(args.output) as fh:
-        fh.write("#demo positions (role,x_m,y_m,z_m)\n")
-        fh.write("role,x_m,y_m,z_m\n")
-        for i, p in enumerate(txs):
-            fh.write(f"tx{i + 1},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}\n")
-        for i, p in enumerate(rxs):
-            fh.write(f"rx{i + 1},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}\n")
+    rows = [(f"{role}{i}", *p) for role, points in (("tx", txs), ("rx", rxs)) for i, p in enumerate(points, 1)]
+    _write_csv(args.output, ["demo positions (role,x_m,y_m,z_m)"], "role,x_m,y_m,z_m", rows)
     return 0
 
 

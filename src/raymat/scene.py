@@ -163,6 +163,8 @@ class Scene:
 
 def scene_from_dict(data: dict) -> Scene:
     """Build and validate a Scene from parsed JSON data."""
+    if not isinstance(data, dict):
+        raise SceneValidationError(f"scene must be a JSON object, got {type(data).__name__}")
     if data.get("units") != "m":
         raise SceneValidationError(f"units must be 'm', got {data.get('units')!r}")
     raw_facets = data.get("facets")

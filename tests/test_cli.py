@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from raymat import identify, settling
-from raymat.cli import main
+from raymat.cli import _write_csv, main
 
 from .oracles import (
     REFERENCE_ANGLES_DEG,
@@ -802,6 +802,13 @@ def test_trace_of_a_scene_with_a_non_object_facet_exits_1(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: facet #0 must be a JSON object\n")
 
 
+def test_trace_of_a_scene_that_is_not_a_json_object_exits_1(capsys, tmp_path):
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text("[1, 2]", encoding="utf-8")
+    code, out, err = run(capsys, "trace", "--scene", str(scene_path), "--tx", "0,0,1", "--rx", "1,0,1")
+    assert (code, out, err) == (1, "", "error: scene must be a JSON object, got list\n")
+
+
 _TRIANGLE = '"vertices": [[1, 1, 0], [2, 1, 0], [2, 2, 0]]'
 _TOO_LARGE = "bad {}: int too large to convert to float"
 
@@ -840,6 +847,50 @@ def test_simulate_that_fails_leaves_no_output_file(capsys, tmp_path):
     assert code == 1
     assert err == "error: roughness kappa must be finite and >= 0, got -1.0\n"
     assert not m_path.exists()
+
+
+_FLOOR = '{"units": "m", "facets": [{"id": "floor", "vertices": [[-1, -2, 0], [5, -2, 0], [5, 2, 0], [-1, 2, 0]]}]}'
+
+
+@pytest.mark.parametrize(
+    "argv, given, message",
+    [
+        (("coeff", "--material", "glass", "--freq", "100", "--h-grid", "0,0"), "",
+         "thickness grid must be strictly ascending"),
+        (("rl", "--material", "wood", "--freq", "100", "--angles", "0:90:10"), "",
+         "--angles: 90 is not an angle in [0, 90) degrees"),
+        (("rl", "--material", "wood", "--freq", "100", "--angles=-5:10:5"), "",
+         "--angles: -5 is not an angle in [0, 90) degrees"),
+        (("settling", "--materials-table", "{given}", "--material", "lossless", "--freq", "100"),
+         "lossless, 4.0, 0, 0, 0, 0\n",
+         "material 'lossless' is lossless at 100.0 GHz; the slab coefficient oscillates forever and never settles"),
+        (("rldb", "show", "--db", "{given}"), "garbage\n",
+         "expected 4 fields (material,f_ghz,angle_deg,rl_db), got 1 (line 1)"),
+        (("trace", "--scene", "{given}", "--tx", "0,0,1", "--rx", "100,0,1"), _FLOOR,
+         "rx [100.0, 0.0, 1.0] is outside the scene bounds"),
+    ],
+    ids=[
+        "coeff-grid", "rl-angle-90", "rl-angle-negative", "settling-lossless", "rldb-show-malformed", "trace-rx-outside",
+    ],
+)
+def test_a_command_that_fails_after_parsing_writes_no_output_file(capsys, tmp_path, argv, given, message):
+    given_path = tmp_path / "given.txt"
+    given_path.write_text(given, encoding="utf-8")
+    output = tmp_path / "out.csv"
+    code, out, err = run(capsys, *(arg.format(given=given_path) for arg in argv), "--output", str(output))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not output.exists()
+
+
+def test_the_csv_writer_opens_no_file_when_a_row_fails(tmp_path):
+    def rows():
+        yield (1.0,)
+        raise ValueError("no second row")
+
+    output = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="no second row"):
+        _write_csv(str(output), ["meta"], "x", rows())
+    assert not output.exists()
 
 
 def test_output_dir_env_override(capsys, tmp_path, monkeypatch):

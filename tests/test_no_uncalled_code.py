@@ -1,4 +1,5 @@
-"""Every public module-level function and class of raymat has a reader in the program.
+"""Every module-level function and class of raymat, public or private, has a reader
+in the program.
 
 A reader is a name, an attribute or an imported name that matches the definition's
 name, anywhere in ``src/raymat`` outside the definition itself, in ``perfbench/`` or
@@ -35,8 +36,12 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _private(definition: str) -> bool:
+    return definition.rpartition(".")[2].startswith("_")
+
+
 def _unread() -> list[str]:
-    """module.name of each public module-level function or class with no reader."""
+    """module.name of each module-level function or class with no reader."""
     readers: set[str] = set()
     definitions = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -46,8 +51,7 @@ def _unread() -> list[str]:
             names = _names(node)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names.discard(node.name)  # a definition does not read itself
-                if not node.name.startswith("_"):
-                    definitions.append(f"{path.stem}.{node.name}")
+                definitions.append(f"{path.stem}.{node.name}")
             readers |= names
     for path in [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
         readers |= _names(_tree(path))
@@ -55,7 +59,11 @@ def _unread() -> list[str]:
 
 
 def test_every_public_function_and_class_has_a_reader():
-    assert sorted(set(_unread()) - ALLOWED) == []
+    assert sorted(d for d in set(_unread()) - ALLOWED if not _private(d)) == []
+
+
+def test_every_private_function_and_class_has_a_reader():
+    assert sorted(d for d in _unread() if _private(d)) == []
 
 
 def test_every_allowed_name_is_still_defined_and_unread():

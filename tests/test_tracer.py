@@ -922,6 +922,18 @@ def test_scene_loader_rejects_malformed_facets(facets, match):
         scene_from_dict({"units": "m", "facets": facets})
 
 
+@pytest.mark.parametrize(
+    "text, kind",
+    [("[1, 2]", "list"), ('"x"', "str"), ("null", "NoneType"), ("3", "int")],
+    ids=["list", "string", "null", "number"],
+)
+def test_scene_loader_rejects_a_top_level_that_is_not_an_object(tmp_path, text, kind):
+    path = tmp_path / "scene.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SceneValidationError, match=f"^scene must be a JSON object, got {kind}$"):
+        load_scene(path)
+
+
 def test_scene_box_test_in_floats_agrees_with_the_numpy_box_test():
     """Scene.contains compares Python floats with a box it builds once; on and 1e-9
     m around every face of the box, and for NaN and inf, it agrees with the numpy
