@@ -91,6 +91,7 @@ _finite = _number(_FINITE)
 _non_negative = _number(("a finite number >= 0", lambda v: 0 <= v < math.inf))
 _positive = _number(("a finite number > 0", lambda v: 0 < v < math.inf))
 _INCIDENT_ANGLE = ("an angle in [0, 90) degrees", lambda v: 0 <= v < 90)
+_TABLE_ANGLE = ("an angle in [0, 89] degrees", lambda v: 0 <= v <= 89)  # rldb.build's grid
 _incident_angle = _number(_INCIDENT_ANGLE)
 _hop_angle = _number(_FINITE, ("an angle in [0, 90] degrees", lambda v: 0 <= v <= 90))
 
@@ -181,13 +182,28 @@ def _cmd_coeff(args) -> int:
     return 0
 
 
-def _cmd_rl(args) -> int:
-    mat = _resolve_one(args.material, args.materials_table)
-    angles = _parse_grid(args.angles).tolist()
-    rule, test = _INCIDENT_ANGLE
+def _angle_grid(text: str, rule) -> list[float]:
+    """The --angles grid, every angle checked against one (rule, test) pair."""
+    angles = _parse_grid(text).tolist()
+    name, test = rule
     for angle in angles:
         if not test(angle):
-            raise ValueError(f"--angles: {angle:g} is not {rule}")
+            raise ValueError(f"--angles: {angle:g} is not {name}")
+    return angles
+
+
+def _load_db(path: str) -> rldb.RLDatabase:
+    """rldb.load, a malformed table named as ``path:line: message``."""
+    try:
+        return rldb.load(path)
+    except rldb.DatabaseFormatError as err:
+        where = path if err.line is None else f"{path}:{err.line}"
+        raise ValueError(f"{where}: {err.message}") from None
+
+
+def _cmd_rl(args) -> int:
+    mat = _resolve_one(args.material, args.materials_table)
+    angles = _angle_grid(args.angles, _INCIDENT_ANGLE)
     thetas = np.array([math.radians(a) for a in angles])
     losses = em.reflection_loss(mat, args.freq, thetas, kappa=args.kappa)
     meta = [f"material={mat.name}", f"freq_ghz={_fmt(args.freq)}", f"kappa={_fmt(args.kappa)}"]
@@ -208,13 +224,13 @@ def _cmd_settling(args) -> int:
 
 def _cmd_rldb_build(args) -> int:
     materials = _resolve_materials(args.materials, args.materials_table)
-    db = rldb.build(materials, _parse_grid(args.freqs), _parse_grid(args.angles), args.kappa)
+    db = rldb.build(materials, _parse_grid(args.freqs), _angle_grid(args.angles, _TABLE_ANGLE), args.kappa)
     db.save(args.db)
     return 0
 
 
 def _cmd_rldb_show(args) -> int:
-    db = rldb.load(args.db)
+    db = _load_db(args.db)
     meta = [f"version={rldb.FORMAT_VERSION}", f"kappa={_fmt(db.kappa)}", f"materials={','.join(db.material_names)}"]
     for label, grid in (("freqs_ghz", db.freqs_ghz), ("angles_deg", db.angles_deg)):
         meta.append(f"{label}={_fmt(float(grid[0]))}..{_fmt(float(grid[-1]))} (n={grid.size})")
@@ -319,7 +335,7 @@ def _cmd_identify(args) -> int:
     scene = load_scene(args.scene)
     palette = _resolve_materials(args.palette, args.materials_table)
     if args.db:
-        db = rldb.load(args.db)
+        db = _load_db(args.db)
         stored = {m.name: rldb.material_header(m) for m in db.materials}
         for mat in palette:
             if mat.name not in stored:

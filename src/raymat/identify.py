@@ -10,11 +10,11 @@ reflection points (facet plus a 1 cm cell) only label the result.
 ``identify_loop`` scores all of a run's measured trajectories in one array
 pass: one ``RLDatabase.lookup_many`` reads every hop's loss for every palette
 material, each trajectory's totals are broadcast sums in hop order, and one
-closed ±u mask keeps the survivors, the only candidates built as objects.
-``enumerate_sequences`` is that scoring for one trajectory, keeping all, and
-``match_measurement`` the band as a list filter. ``identify_loop`` then runs
-``merge_candidates`` and reports per facet, the RL spread read from the same
-loss rows.
+closed ±u mask keeps its survivors as rows of palette indices. One propagation
+engine keys the belief by facet, and the report reads the facet sets (the RL
+spread the same loss rows); reflection points and candidates are built only
+when read. ``enumerate_sequences`` is that scoring for one trajectory, keeping
+all, and ``merge_candidates`` the engine over candidate lists.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -78,18 +79,67 @@ class MeasurementRecord:
             raise ValueError("uncertainty must be >= 0")
 
 
+@dataclass(eq=False)
+class _Table:
+    """One trajectory's candidates as rows of per-hop palette indices, with their
+    per-hop losses and totals; ``points`` (the trajectory, or the candidates'
+    reflection points) labels the hops, ``kept`` indexes the rows still allowed."""
+
+    points: Trajectory | tuple[RPKey, ...]
+    facets: tuple[str, ...]  # per hop
+    rows: list[Sequence[int]]
+    per_hop: list[Sequence[float]]
+    totals: list[float]
+    kept: list[int] = field(default_factory=list)
+
+    def candidates(self, keys: tuple[RPKey, ...], names: list[str], indices: Iterable[int]) -> list[SequenceCandidate]:
+        return [
+            SequenceCandidate(tuple(zip(keys, [names[c] for c in self.rows[i]])), tuple(self.per_hop[i]), self.totals[i])
+            for i in indices
+        ]
+
+
 @dataclass
 class BeliefState:
-    """Material set of each reflection point (each point carries its facet's
-    set) plus per-trajectory survivors."""
+    """Material set of each facet, and each trajectory's table (rows over ``names``)
+    as the propagation left it. A facet is contradicted when its set is empty or a
+    trajectory over it has no row left. The reflection-point views are built on first
+    read: ``rp_domains`` (each point carries its facet's set), ``survivors``, ``contradictions``."""
 
-    rp_domains: dict[RPKey, set[str]]
-    survivors: dict[str, list[SequenceCandidate]]
-    contradictions: list[RPKey] = field(default_factory=list)
+    facet_domains: dict[str, set[str]]
+    tables: dict[str, _Table]
+    names: list[str]
+
+    @cached_property
+    def contradicted_facets(self) -> set[str]:
+        dead = {f for table in self.tables.values() if not table.kept for f in table.facets}
+        return dead.union(f for f, dom in self.facet_domains.items() if not dom)
 
     @property
     def consistent(self) -> bool:
-        return not self.contradictions
+        return not self.contradicted_facets
+
+    @cached_property
+    def _points(self) -> dict[str, tuple[RPKey, ...]]:
+        return {
+            tid: t.points if isinstance(t.points, tuple) else trajectory_keys(t.points)
+            for tid, t in self.tables.items()
+        }
+
+    @cached_property
+    def rp_domains(self) -> dict[RPKey, set[str]]:
+        keys = sorted(set().union(*self._points.values()), key=attrgetter("facet_id", "cell"))
+        return {key: set(self.facet_domains[key.facet_id]) for key in keys}
+
+    @cached_property
+    def survivors(self) -> dict[str, list[SequenceCandidate]]:
+        return {tid: t.candidates(self._points[tid], self.names, t.kept) for tid, t in self.tables.items()}
+
+    @cached_property
+    def contradictions(self) -> list[RPKey]:
+        found = {key for key, dom in self.rp_domains.items() if not dom}
+        found.update(key for tid, t in self.tables.items() if not t.kept for key in self._points[tid])
+        return sorted(found, key=attrgetter("facet_id", "cell"))
 
 
 @dataclass
@@ -160,10 +210,10 @@ def enumerate_sequences(
         OutOfRangeError: naming the hop whose incident angle (or f) is outside
             the database grid.
     """
-    (scored,), _ = _score([traj], palette, db, f_ghz, [(0.0, math.inf)])  # a band that keeps all
-    if isinstance(scored, OutOfRangeError):
-        raise scored
-    return scored
+    (table,), _ = _score([traj], palette, db, f_ghz, [(0.0, math.inf)])  # a band that keeps all
+    if isinstance(table, OutOfRangeError):
+        raise table
+    return table.candidates(trajectory_keys(traj), [m.name for m in palette], range(len(table.rows)))
 
 
 SCORE_CELLS = 1 << 16  # most candidate totals, trajectories times |palette|^k, held at once
@@ -175,17 +225,16 @@ def _score(
     db: RLDatabase,
     f_ghz: float,
     bands: list[tuple[float, float]],
-) -> tuple[list[list[SequenceCandidate] | OutOfRangeError], np.ndarray]:
+) -> tuple[list[_Table | OutOfRangeError], np.ndarray]:
     """Score trajectories in one array pass.
 
-    Returns, per trajectory in order, the candidates whose total lies within
-    its (measured, u) band or the OutOfRangeError naming its first hop outside
-    the table; and the (hops, palette) table losses of every hop, the
+    Returns, per trajectory in order, the table of candidates whose total lies
+    within its (measured, u) band or the OutOfRangeError naming its first hop
+    outside the table; and the (hops, palette) table losses of every hop, the
     trajectories' hops in order. One :meth:`RLDatabase.lookup_many` reads
     every loss. Per hop count k, each trajectory's |palette|^k totals are k
     broadcast adds from 0.0 in hop order, lexicographic in palette order, and
-    one closed-band mask ``abs(total - measured) <= u`` picks the candidates
-    that are built.
+    one closed-band mask ``abs(total - measured) <= u`` picks the rows.
     """
     _check_palette(palette)
     names = [m.name for m in palette]
@@ -195,7 +244,7 @@ def _score(
     except OutOfRangeError:  # the frequency: no hop is inside, and lookup names it per hop
         losses, outside = np.full((len(angles), len(names)), np.nan), np.ones(len(angles), dtype=bool)
     flags = outside.tolist()
-    scored: list[list[SequenceCandidate] | OutOfRangeError] = []
+    scored: list[_Table | OutOfRangeError] = []
     groups: dict[int, list[tuple[int, int]]] = {}  # hop count -> (trajectory, first hop row)
     start = 0
     for i, traj in enumerate(trajs):
@@ -203,7 +252,7 @@ def _score(
         if True in flags[start:start + k]:
             scored.append(_hull_error(traj, flags.index(True, start) - start, db, names[0], f_ghz))
         else:
-            scored.append([])
+            scored.append(_Table(traj, tuple(h.facet_id for h in traj.hops), [], [], []))
             groups.setdefault(k, []).append((i, start))
         start += k
     for k, members in groups.items():
@@ -218,14 +267,10 @@ def _score(
             hits = np.nonzero(np.abs(totals - m) <= u)
             combos = np.array(hits[1:], dtype=int).T.reshape(len(hits[0]), k)
             per_hop = hop_losses[hits[0][:, None], np.arange(k), combos]
-            last = -1
-            for row, combo, hop_rl, total in zip(
-                hits[0].tolist(), combos.tolist(), per_hop.tolist(), totals[hits].tolist()
-            ):
-                if row != last:
-                    last, i = row, chunk[row][0]
-                    keys, kept = trajectory_keys(trajs[i]), scored[i]
-                kept.append(SequenceCandidate(tuple(zip(keys, [names[c] for c in combo])), tuple(hop_rl), total))
+            rows, hop_rl, picked = combos.tolist(), per_hop.tolist(), totals[hits].tolist()
+            ends = np.searchsorted(hits[0], np.arange(1, n + 1)).tolist()  # hits come trajectory by trajectory
+            for (i, _), a, b in zip(chunk, [0, *ends], ends):
+                scored[i].rows, scored[i].per_hop, scored[i].totals = rows[a:b], hop_rl[a:b], picked[a:b]
     return scored, losses
 
 
@@ -249,63 +294,62 @@ def match_measurement(
     return [c for c in candidates if abs(c.total_rl_db - m) <= u]
 
 
-def merge_candidates(
-    states: Iterable[tuple[str, Iterable[SequenceCandidate]]],
-) -> BeliefState:
+def merge_candidates(states: Iterable[tuple[str, Iterable[SequenceCandidate]]]) -> BeliefState:
+    """:func:`identify_loop`'s propagation over candidate lists, materials
+    numbered as they first appear. The result depends only on the states; unless
+    they contradict each other, not even on their order. A trajectory whose
+    candidates name different reflection points is a ValueError."""
+    index: dict[str, int] = {}  # material -> its number in the rows
+    tables = []
+    for tid, candidates in states:
+        candidates = list(candidates)
+        keys = tuple(key for key, _ in candidates[0].assignment) if candidates else ()
+        if any(tuple(key for key, _ in cand.assignment) != keys for cand in candidates):
+            raise ValueError(f"trajectory {tid!r}: candidates name different reflection points")
+        rows = [[index.setdefault(name, len(index)) for _, name in cand.assignment] for cand in candidates]
+        hop_rl, totals = [c.per_hop_rl_db for c in candidates], [c.total_rl_db for c in candidates]
+        tables.append((tid, _Table(keys, tuple(key.facet_id for key in keys), rows, hop_rl, totals)))
+    return _propagate(tables, list(index))
+
+
+def _propagate(tables: Iterable[tuple[str, _Table]], names: list[str]) -> BeliefState:
     """Worklist constraint propagation over facets (AC-3, Mackworth 1977).
 
-    Each facet is one variable, its domain the materials it may be made of, so
-    every reflection point on a facet carries the facet's set, however far
-    apart the points lie. Each trajectory is one table over its facets: a row
-    per survivor, with its ``facet -> material`` map; a candidate that gives
-    one facet two materials breaks the map constraint and is dropped. The
-    trajectories are taken in order, each propagated to the fixpoint before
-    the next. A revise prunes a table's rows to the domains, narrows its
-    facets to what the kept rows use (all rows, if none is kept), and queues
-    the trajectories watching a facet that shrank, in the order the table
-    names them. Domains only shrink, so a trajectory pruned to nothing relaxes
-    nothing. The result depends only on the states; unless they contradict
-    each other, not even on their order. A trajectory whose candidates name
-    different reflection points, or one named twice, is a ValueError.
-
-    An empty domain is a contradiction (bad measurement or wrong map), and so
-    is every reflection point of a trajectory whose hypotheses were all
-    eliminated.
+    Each facet is one variable, its domain the materials it may be made of;
+    each trajectory is one table over its facets, and a row that gives a facet
+    two materials breaks the map constraint and is dropped on entry. Tables are
+    added in order, each propagated to the fixpoint before the next. A revise
+    prunes a table's rows to the domains, narrows its facets to what the kept
+    rows use (all rows, if none is kept; a first support becomes the domain),
+    and queues the tables watching each facet that shrank, in the order added.
+    A trajectory pruned to nothing relaxes nothing; it and an empty domain are
+    contradictions. A trajectory added twice is a ValueError.
     """
-    domains: dict[str, set[str]] = {}
-    tables: dict[str, list[tuple[SequenceCandidate, dict[str, str]]]] = {}
-    points: dict[str, list[RPKey]] = {}  # each trajectory's reflection points
+    domains: dict[str, set[int]] = {}
+    added: dict[str, _Table] = {}
+    spots: dict[str, dict[str, int]] = {}  # each table's facets, with the first hop on each
     watchers: dict[str, list[str]] = {}
-    for tid, candidates in states:
-        if tid in tables:
+    for tid, table in tables:
+        if tid in added:
             raise ValueError(f"trajectory {tid!r} was already added")
-        candidates = list(candidates)
-        points[tid] = [key for key, _ in candidates[0].assignment] if candidates else []
-        if any([key for key, _ in cand.assignment] != points[tid] for cand in candidates):
-            raise ValueError(f"trajectory {tid!r}: candidates name different reflection points")
-        facets = [key.facet_id for key in points[tid]]
-        tables[tid] = []
-        for cand in candidates:
-            row: dict[str, str] = {}
-            if all(row.setdefault(f, m) == m for f, (_, m) in zip(facets, cand.assignment)):
-                tables[tid].append((cand, row))
-        for f in dict.fromkeys(facets):
+        added[tid] = table
+        first = spots[tid] = {f: table.facets.index(f) for f in table.facets}
+        repeats = [(j, first[f]) for j, f in enumerate(table.facets) if first[f] != j]
+        table.kept = [i for i, row in enumerate(table.rows) if all(row[j] == row[h] for j, h in repeats)]
+        for f in first:
             watchers.setdefault(f, []).append(tid)
         queue, queued = deque([tid]), {tid}
         while queue:
             t = queue.popleft()
             queued.discard(t)
-            table = tables[t]
-            # a facet without a domain yet allows every material
-            tables[t] = kept = [
-                (cand, row) for cand, row in table
-                if all(name in domains.get(f, (name,)) for f, name in row.items())
-            ]
-            support: dict[str, set[str]] = {}
-            for _, row in kept or table:
-                for f, name in row.items():
-                    support.setdefault(f, set()).add(name)
-            for f, allowed in support.items():
+            revised, rows = added[t], added[t].rows
+            before = revised.kept
+            for f, j in spots[t].items():  # a facet without a domain yet allows every material
+                if f in domains:
+                    revised.kept = [i for i in revised.kept if rows[i][j] in domains[f]]
+            support = revised.kept or before
+            for f, j in spots[t].items() if support else ():
+                allowed = {rows[i][j] for i in support}
                 current = domains.setdefault(f, allowed)
                 if not current <= allowed:
                     current &= allowed
@@ -313,19 +357,8 @@ def merge_candidates(
                         if w != t and w not in queued:
                             queue.append(w)
                             queued.add(w)
-
-    by_point = attrgetter("facet_id", "cell")
-    keys = sorted(set().union(*points.values()), key=by_point)
-    rp_domains = {k: set(domains.get(k.facet_id, ())) for k in keys}
-    contradictions = {key for key, dom in rp_domains.items() if not dom}
-    for tid, table in tables.items():
-        if not table:
-            contradictions.update(points[tid])
-    return BeliefState(
-        rp_domains=rp_domains,
-        survivors={tid: [cand for cand, _ in table] for tid, table in tables.items()},
-        contradictions=sorted(contradictions, key=by_point),
-    )
+    facet_domains = {f: {names[i] for i in domains.get(f, ())} for f in watchers}
+    return BeliefState(facet_domains, added, names)
 
 
 def simulate_measurement(
@@ -414,12 +447,13 @@ def identify_loop(
     ``u_db`` is the uncertainty of every measurement; with None each record's
     own is used as is, so a record at 0 matches only an exact total (see
     :func:`match_measurement`). The trajectories with survivors go, in trace
-    order, to one :func:`merge_candidates`, so the map constraint (one facet,
-    one material) holds within and across trajectories. Every pair is traced:
-    each added trajectory can only shrink domains, so more (or more precise)
-    data never covers or resolves fewer facets. The report is per facet:
-    resolved, ambiguous (with the RL spread of its materials: the widest gap
-    between their table losses at any scored hop on it), uncovered or
+    order, to the one propagation of :func:`merge_candidates`, so the map
+    constraint (one facet, one material) holds within and across trajectories;
+    the belief is keyed by facet. Every pair is traced: each added trajectory
+    can only shrink domains, so more (or more precise) data never covers or
+    resolves fewer facets. The report is per facet, and builds no reflection
+    point: resolved, ambiguous (with the RL spread of its materials: the widest
+    gap between their table losses at any scored hop on it), uncovered or
     contradicted. A trajectory with no measurement, or with a hop outside the
     table, is skipped. No TX or RX, an empty palette or one naming a material
     twice, or a ``u_db`` that is not a finite number >= 0 is a ValueError
@@ -438,7 +472,7 @@ def identify_loop(
     measured = [(traj, record) for _, traj, record in walk if record is not None]
     bands = [(r.measured_total_rl_db, r.uncertainty_db if u_db is None else u_db) for _, r in measured]
     outcomes, losses = _score([traj for traj, _ in measured], palette, db, f_ghz, bands)
-    entries: list[tuple[str, list[SequenceCandidate]]] = []
+    tables: list[tuple[str, _Table]] = []
     no_hypothesis: list[str] = []
     skipped: list[str] = []
     hop_rows: dict[str, list[int]] = {}  # per facet: the loss row of each scored hop on it
@@ -447,39 +481,35 @@ def identify_loop(
         if record is None:
             skipped.append(tid)
             continue
-        survivors, rows = next(scored), range(row, row + traj.bounces)
+        table, rows = next(scored), range(row, row + traj.bounces)
         row = rows.stop
-        if isinstance(survivors, OutOfRangeError):
-            skipped.append(f"{tid} ({survivors})")
+        if isinstance(table, OutOfRangeError):
+            skipped.append(f"{tid} ({table})")
             continue
         for hop, r in zip(traj.hops, rows):
             hop_rows.setdefault(hop.facet_id, []).append(r)
-        if not survivors:
+        if not table.rows:
             no_hypothesis.append(tid)
             continue
-        entries.append((tid, survivors))
+        tables.append((tid, table))
 
-    belief = merge_candidates(entries)
-    report = _build_report(scene, belief, [m.name for m in palette], losses, hop_rows, no_hypothesis, skipped)
+    belief = _propagate(tables, [m.name for m in palette])
+    report = _build_report(scene, belief, losses, hop_rows, no_hypothesis, skipped)
     return belief, report
 
 
 def _build_report(
     scene: Scene,
     belief: BeliefState,
-    names: list[str],
     losses: np.ndarray,
     hop_rows: dict[str, list[int]],
     no_hypothesis: list[str],
     skipped: list[str],
 ) -> IdentificationReport:
-    # every reflection point on a facet carries the facet's set
-    facet_domains = {key.facet_id: dom for key, dom in belief.rp_domains.items()}
-    conflicted_facets = {key.facet_id for key in belief.contradictions}
     resolved: dict[str, str] = {}
     ambiguous: dict[str, tuple[str, ...]] = {}
-    for fid, dom in sorted(facet_domains.items()):
-        if fid in conflicted_facets:
+    for fid, dom in sorted(belief.facet_domains.items()):
+        if fid in belief.contradicted_facets:
             continue  # summarized below
         if len(dom) == 1:
             resolved[fid] = next(iter(dom))
@@ -487,12 +517,12 @@ def _build_report(
             ambiguous[fid] = tuple(sorted(dom))
     contradictions = tuple(
         f"facet {fid}: reflection-point material sets have empty intersection"
-        for fid in sorted(conflicted_facets)
+        for fid in sorted(belief.contradicted_facets)
     )
-    uncovered = tuple(f.facet_id for f in scene.facets if f.facet_id not in facet_domains)
+    uncovered = tuple(f.facet_id for f in scene.facets if f.facet_id not in belief.facet_domains)
     rl_spread_db: dict[str, float] = {}
     for fid, mats in ambiguous.items():
-        rows = losses[hop_rows[fid]][:, [names.index(name) for name in mats]]
+        rows = losses[hop_rows[fid]][:, [belief.names.index(name) for name in mats]]
         rl_spread_db[fid] = float(np.ptp(rows, axis=1).max())
     return IdentificationReport(
         resolved=resolved,

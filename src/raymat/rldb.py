@@ -23,10 +23,10 @@ _COLUMNS = "material,f_ghz,angle_deg,rl_db"
 
 
 class DatabaseFormatError(ValueError):
-    """Malformed database file; carries the offending line number."""
+    """Malformed database file; carries the message and the offending line number."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
+        self.message, self.line = message, line
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"{message}{where}")
 

@@ -49,7 +49,7 @@ def test_one_untraced_pass_of_each_in_process_workload_passes_its_checks(monkeyp
         raymat=raymat, demo=demo, em=em, identify=identify, materials=materials,
         rldb=rldb, settling=settling,
     )
-    resolved = {}
+    resolved, counts = {}, {}
     for name in ("demo_k3", "demo_k1_grid", "model_tables"):
         w = workloads.WORKLOADS[name]
         ctx = w.setup(mods, 1, str(tmp_path))
@@ -58,7 +58,10 @@ def test_one_untraced_pass_of_each_in_process_workload_passes_its_checks(monkeyp
         resolved[name] = w.facets_resolved(ctx, out)
         numbers = {**w.work(ctx, out), **w.layer_extras(ctx, out)}
         assert all(isinstance(v, (int, float)) for v in numbers.values()), name
+        if "entries" in numbers:  # the belief views work() reads, built on first read
+            counts[name] = (numbers["entries"], numbers["survivors"], numbers["rp_keys"])
     assert resolved == {"demo_k3": 7, "demo_k1_grid": 10, "model_tables": 10}
+    assert counts == {"demo_k3": (44, 102, 110), "demo_k1_grid": (501, 518, 491)}
 
 
 def test_the_benchmark_reads_the_pair_that_traced_pairs_minted(monkeypatch):

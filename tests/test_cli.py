@@ -566,6 +566,44 @@ def _identify_with_db(capsys, tmp_path, materials, *extra):
     return db_path, run(capsys, *argv)
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("garbage\n", ":1", "expected 4 fields (material,f_ghz,angle_deg,rl_db), got 1"),
+        ("#version=2\n", ":1", "unsupported version 2 (supported: 1)"),
+        ("#version=1\n#kappa=0\n", "", "no data rows found (truncated file?)"),
+    ],
+    ids=["fields", "version", "no-rows"],
+)
+def test_a_malformed_table_is_named_by_path_and_line(capsys, tmp_path, text, line, message):
+    """rldb show and identify --db name a malformed table as path:line: message, as the
+    material-table and measurement readers do; an error of the whole file has no line."""
+    scene_path, tx_flags, rx_flags = demo_files(tmp_path, capsys)
+    db_path, m_path = tmp_path / "bad.csv", tmp_path / "m.csv"
+    assert run(
+        capsys, "simulate", "--scene", str(scene_path), *tx_flags, *rx_flags,
+        "--freq", "100", "--output", str(m_path),
+    )[0] == 0
+    db_path.write_text(text, encoding="utf-8")
+    expected = (1, "", f"error: {db_path}{line}: {message}\n")
+    assert run(capsys, "rldb", "show", "--db", str(db_path)) == expected
+    assert run(
+        capsys, "identify", "--scene", str(scene_path), *tx_flags, *rx_flags,
+        "--freq", "100", "--measurements", str(m_path), "--db", str(db_path),
+    ) == expected
+
+
+def test_rldb_build_names_the_flag_of_an_angle_outside_the_table(capsys, tmp_path):
+    """An --angles grid past 89 deg fails before any cell is built, naming the flag and
+    the angle by the rule rl --angles uses."""
+    db_path = tmp_path / "db.csv"
+    for angles, bad in (("0:90:10", "90"), ("-5:10:5", "-5")):
+        code, out, err = run(capsys, "rldb", "build", "--db", str(db_path), f"--angles={angles}")
+        assert (code, out, err) == (1, "", f"error: --angles: {bad} is not an angle in [0, 89] degrees\n")
+        assert not db_path.exists()
+    assert run(capsys, "rldb", "build", "--db", str(db_path), "--angles", "0:89:89")[0] == 0
+
+
 @pytest.mark.parametrize("freq", ["28", "99.99", "nan"])
 def test_identify_db_refuses_a_frequency_outside_the_table(capsys, tmp_path, freq):
     """A --freq the table does not span fails before tracing, naming it and the table's
@@ -865,7 +903,7 @@ _FLOOR = '{"units": "m", "facets": [{"id": "floor", "vertices": [[-1, -2, 0], [5
          "lossless, 4.0, 0, 0, 0, 0\n",
          "material 'lossless' is lossless at 100.0 GHz; the slab coefficient oscillates forever and never settles"),
         (("rldb", "show", "--db", "{given}"), "garbage\n",
-         "expected 4 fields (material,f_ghz,angle_deg,rl_db), got 1 (line 1)"),
+         "{given}:1: expected 4 fields (material,f_ghz,angle_deg,rl_db), got 1"),
         (("trace", "--scene", "{given}", "--tx", "0,0,1", "--rx", "100,0,1"), _FLOOR,
          "rx [100.0, 0.0, 1.0] is outside the scene bounds"),
     ],
@@ -878,7 +916,7 @@ def test_a_command_that_fails_after_parsing_writes_no_output_file(capsys, tmp_pa
     given_path.write_text(given, encoding="utf-8")
     output = tmp_path / "out.csv"
     code, out, err = run(capsys, *(arg.format(given=given_path) for arg in argv), "--output", str(output))
-    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert (code, out, err) == (1, "", f"error: {message.format(given=given_path)}\n")
     assert not output.exists()
 
 

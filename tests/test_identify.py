@@ -315,13 +315,47 @@ def test_identify_loop_belief_is_merge_candidates_of_its_survivors(db100, k):
     assert belief.survivors == merged.survivors
 
 
+@pytest.mark.parametrize("sigma, seed", [(0.0, 0), (2.0, 4)], ids=["consistent", "contradicting"])
+def test_identify_loop_reports_without_building_reflection_points(db100, monkeypatch, sigma, seed):
+    """identify_loop and its report build no RPKey and no SequenceCandidate: the belief
+    is keyed by facet. Its reflection-point views, built on first read afterwards, are
+    merge_candidates' over the same survivors, bit for bit."""
+    scene = demo_building()
+    txs, rxs = demo_positions()
+    truth = {f.facet_id: f.material_label for f in scene.facets}
+    log = []
+    measure = make_measure_fn(scene, truth, 100.0, u_db=1.0, noise_sigma_db=sigma, master_seed=seed, log=log)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report path built a reflection-point object")
+
+    monkeypatch.setattr(RPKey, "from_point", refuse)
+    monkeypatch.setattr(SequenceCandidate, "__init__", refuse)
+    belief, report = identify_loop(scene, txs, rxs, PALETTE, db100, 100.0, None, 3, measure)
+    text = report.to_text()
+    monkeypatch.undo()
+    entries = []
+    for tid, traj, record, _true in log:
+        survivors = match_measurement(enumerate_sequences(traj, PALETTE, db100, 100.0), record)
+        if survivors:
+            entries.append((tid, survivors))
+    merged = merge_candidates(entries)
+    assert belief.rp_domains == merged.rp_domains
+    survivors = {tid: bits(c) for tid, c in belief.survivors.items()}
+    assert survivors == {tid: bits(c) for tid, c in merged.survivors.items()}
+    assert belief.contradictions == merged.contradictions
+    assert belief.consistent == merged.consistent == (sigma == 0.0)
+    assert ("# contradictions\n# trajectories" in text) == (sigma == 0.0)
+
+
 @pytest.mark.parametrize("u_db", [1.0, None])
 @pytest.mark.parametrize("table", ["db100", "to-60-deg", "freq-outside"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_identify_loop_scores_each_trajectory_as_enumerate_and_match_do(db100, monkeypatch, k, table, u_db):
-    """The survivors identify_loop hands merge_candidates are, trajectory by trajectory
-    and bit for bit, match_measurement(enumerate_sequences(...)) of its record (with u_db
-    as its uncertainty when given), in trace order; a trajectory without survivors is
+    """The rows identify_loop hands its propagation engine are, trajectory by trajectory
+    and bit for bit (material per hop, per-hop losses, total),
+    match_measurement(enumerate_sequences(...)) of its record (with u_db as its
+    uncertainty when given), in trace order; a trajectory without survivors is
     listed as having no hypothesis. The trajectories left unmeasured and those with a hop
     outside the table (a table that stops at 60 deg, or a frequency it lacks) are
     skipped in one list, in trace order, with enumerate_sequences' error text."""
@@ -339,13 +373,21 @@ def test_identify_loop_scores_each_trajectory_as_enumerate_and_match_do(db100, m
     def measure(tid, traj):
         return None if tid.endswith("t1") else simulate(tid, traj)
 
-    merged = []
+    handed = []
+    propagate = raymat.identify._propagate
 
-    def spy(entries):
-        merged.extend(entries)
-        return merge_candidates(merged)
+    def spy(tables, names):
+        tables = list(tables)
+        handed.extend(
+            (tid, [
+                ([names[c] for c in row], [x.hex() for x in hop_rl], total.hex())
+                for row, hop_rl, total in zip(table.rows, table.per_hop, table.totals)
+            ])
+            for tid, table in tables
+        )
+        return propagate(tables, names)
 
-    monkeypatch.setattr(raymat.identify, "merge_candidates", spy)
+    monkeypatch.setattr(raymat.identify, "_propagate", spy)
     belief, report = identify_loop(scene, txs, rxs, PALETTE, db, f_ghz, u_db, k, measure)
     measured = {tid: (traj, record) for tid, traj, record, _ in log}
     entries, no_hypothesis, skipped = [], [], []
@@ -362,7 +404,9 @@ def test_identify_loop_scores_each_trajectory_as_enumerate_and_match_do(db100, m
             skipped.append(f"{tid} ({err})")
             continue
         (entries if survivors else no_hypothesis).append((tid, survivors))
-    assert [(tid, bits(c)) for tid, c in merged] == [(tid, bits(c)) for tid, c in entries]
+    assert handed == [
+        (tid, [([name for _, name in a], hop_rl, total) for a, hop_rl, total in bits(c)]) for tid, c in entries
+    ]
     assert belief.survivors == merge_candidates(entries).survivors
     assert report.no_hypothesis == tuple(tid for tid, _ in no_hypothesis)
     assert report.skipped == tuple(skipped)

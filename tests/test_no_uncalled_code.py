@@ -1,14 +1,18 @@
-"""Every module-level function and class of raymat, public or private, has a reader
-in the program.
+"""Every module-level function and class of raymat, public or private, and every
+public method and property of its classes has a reader in the program.
 
 A reader is a name, an attribute or an imported name that matches the definition's
 name, anywhere in ``src/raymat`` outside the definition itself, in ``perfbench/`` or
 in the acceptance suite. Package re-exports in ``raymat/__init__.py`` do not count:
 an export is not a caller. The match is by name only, so two definitions that share
-a name share their readers. Uses the standard library's ``ast`` and nothing else.
+a name share their readers. A method that overrides one of a base class (such as an
+``argparse.ArgumentParser`` hook) is called by the base class and needs no reader.
+Definitions are found with the standard library's ``ast``; only the override check
+imports raymat.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,7 +45,8 @@ def _private(definition: str) -> bool:
 
 
 def _unread() -> list[str]:
-    """module.name of each module-level function or class with no reader."""
+    """module.name of each module-level function or class, and module.Class.name of
+    each method or property, with no reader."""
     readers: set[str] = set()
     definitions = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -49,6 +54,13 @@ def _unread() -> list[str]:
             continue
         for node in _tree(path).body:
             names = _names(node)
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                rest = [*node.decorator_list, *node.bases, *node.keywords]
+                rest += [s for s in node.body if s not in methods]
+                # a method does not read itself either
+                names = set().union(*map(_names, rest), *(_names(m) - {m.name} for m in methods))
+                definitions += [f"{path.stem}.{node.name}.{m.name}" for m in methods]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names.discard(node.name)  # a definition does not read itself
                 definitions.append(f"{path.stem}.{node.name}")
@@ -58,12 +70,28 @@ def _unread() -> list[str]:
     return [d for d in definitions if d.rpartition(".")[2] not in readers]
 
 
+def _module_level(definition: str) -> bool:
+    return definition.count(".") == 1
+
+
+def _overrides(method: str) -> bool:
+    """Whether module.Class.name overrides a method of one of the class's bases."""
+    module, cls, name = method.split(".")
+    owner = getattr(importlib.import_module(f"raymat.{module}"), cls)
+    return any(name in vars(base) for base in owner.__mro__[1:])
+
+
 def test_every_public_function_and_class_has_a_reader():
-    assert sorted(d for d in set(_unread()) - ALLOWED if not _private(d)) == []
+    assert sorted(d for d in set(_unread()) - ALLOWED if _module_level(d) and not _private(d)) == []
 
 
 def test_every_private_function_and_class_has_a_reader():
-    assert sorted(d for d in _unread() if _private(d)) == []
+    assert sorted(d for d in _unread() if _module_level(d) and _private(d)) == []
+
+
+def test_every_public_method_and_property_has_a_reader():
+    methods = [d for d in _unread() if not _module_level(d) and not _private(d)]
+    assert [d for d in methods if not _overrides(d)] == []
 
 
 def test_every_allowed_name_is_still_defined_and_unread():
