@@ -10,7 +10,6 @@ from .em import (
     FITTED_ROUGHNESS_KAPPA,
     SPEED_OF_LIGHT,
     InconsistentMeasurementError,
-    LinkBudget,
     ReflectionCoefficients,
     amplitude_db,
     extract_total_rl,

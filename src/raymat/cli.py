@@ -22,7 +22,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import demo as demo_mod
-from . import em, identify, rldb, settling
+from . import em, identify, rldb, settling, tracer
 from .materials import PRESETS, MaterialParams, load_material_table
 from .scene import load_scene, save_scene
 
@@ -54,7 +54,10 @@ def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":" if stepped else ",")
     if stepped and len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
-    values = [float(p) for p in parts]
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"grid values must be numbers, got {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise ValueError(f"grid values must be finite, got {text!r}")
     if not stepped:
@@ -72,12 +75,12 @@ def _parse_grid(text: str) -> np.ndarray:
     return start + step * np.arange(int(math.floor(points)) + 1)
 
 
-def _number(*rules):
-    """argparse type: a float that passes each (rule, test) pair, in order;
-    the first pair it fails gives "must be <rule>, got '<text>'"."""
+def _number(*rules, kind=float):
+    """argparse type: a ``kind`` (float, or int) that passes each (rule, test) pair,
+    in order; the first pair it fails gives "must be <rule>, got '<text>'"."""
 
-    def number(text: str) -> float:
-        value = float(text)
+    def number(text: str):
+        value = kind(text)
         for rule, test in rules:
             if not test(value):
                 raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
@@ -94,13 +97,16 @@ _INCIDENT_ANGLE = ("an angle in [0, 90) degrees", lambda v: 0 <= v < 90)
 _TABLE_ANGLE = ("an angle in [0, 89] degrees", lambda v: 0 <= v <= 89)  # rldb.build's grid
 _incident_angle = _number(_INCIDENT_ANGLE)
 _hop_angle = _number(_FINITE, ("an angle in [0, 90] degrees", lambda v: 0 <= v <= 90))
+_FREQUENCY = ("a frequency > 0 GHz", lambda v: v > 0)
+_bounces = _number((f"an integer in [1, {tracer.MAX_BOUNCES}]", lambda v: 1 <= v <= tracer.MAX_BOUNCES), kind=int)
 
 
 def _parse_point(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"point must be x,y,z in meters, got {text!r}")
-    return np.array([float(p) for p in parts])
+    try:
+        x, y, z = map(float, text.split(","))
+    except ValueError:  # not three parts, or a part that is no number
+        raise ValueError(f"point must be x,y,z in meters, got {text!r}") from None
+    return np.array([x, y, z])
 
 
 def _material_catalog(table_path: str | None) -> dict[str, MaterialParams]:
@@ -182,14 +188,14 @@ def _cmd_coeff(args) -> int:
     return 0
 
 
-def _angle_grid(text: str, rule) -> list[float]:
-    """The --angles grid, every angle checked against one (rule, test) pair."""
-    angles = _parse_grid(text).tolist()
+def _checked_grid(flag: str, text: str, rule) -> list[float]:
+    """The grid ``flag`` gives, every value checked against one (rule, test) pair."""
+    values = _parse_grid(text).tolist()
     name, test = rule
-    for angle in angles:
-        if not test(angle):
-            raise ValueError(f"--angles: {angle:g} is not {name}")
-    return angles
+    for value in values:
+        if not test(value):
+            raise ValueError(f"{flag}: {value:g} is not {name}")
+    return values
 
 
 def _load_db(path: str) -> rldb.RLDatabase:
@@ -203,7 +209,7 @@ def _load_db(path: str) -> rldb.RLDatabase:
 
 def _cmd_rl(args) -> int:
     mat = _resolve_one(args.material, args.materials_table)
-    angles = _angle_grid(args.angles, _INCIDENT_ANGLE)
+    angles = _checked_grid("--angles", args.angles, _INCIDENT_ANGLE)
     thetas = np.array([math.radians(a) for a in angles])
     losses = em.reflection_loss(mat, args.freq, thetas, kappa=args.kappa)
     meta = [f"material={mat.name}", f"freq_ghz={_fmt(args.freq)}", f"kappa={_fmt(args.kappa)}"]
@@ -224,7 +230,8 @@ def _cmd_settling(args) -> int:
 
 def _cmd_rldb_build(args) -> int:
     materials = _resolve_materials(args.materials, args.materials_table)
-    db = rldb.build(materials, _parse_grid(args.freqs), _angle_grid(args.angles, _TABLE_ANGLE), args.kappa)
+    freqs = _checked_grid("--freqs", args.freqs, _FREQUENCY)
+    db = rldb.build(materials, freqs, _checked_grid("--angles", args.angles, _TABLE_ANGLE), args.kappa)
     db.save(args.db)
     return 0
 
@@ -428,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     path.add_argument("--scene", required=True)
     path.add_argument("--tx", action="append", required=True, help="x,y,z m (repeatable)")
     path.add_argument("--rx", action="append", required=True, help="x,y,z m (repeatable)")
-    path.add_argument("--max-bounces", type=int, default=2)
+    path.add_argument("--max-bounces", type=_bounces, default=2)
 
     parser = _Parser(prog="raymat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -41,19 +41,6 @@ class ReflectionCoefficients:
     tm: complex
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Decomposition of a measured link into its loss terms (dB/dBm)."""
-
-    p_tx_dbm: float
-    p_rx_dbm: float
-    pl_db: float
-    fspl_db: float
-    rl_total_db: float
-    f_ghz: float
-    distance_m: float
-
-
 def _check_frequency(f_ghz: float) -> None:
     if not 0 < f_ghz < math.inf:
         raise ValueError(f"frequency must be finite and > 0 GHz, got {f_ghz}")
@@ -82,12 +69,18 @@ def relative_permittivity(mat: MaterialParams, f_ghz: float) -> complex:
     """Complex relative permittivity eta' - j*eta'' at frequency f (GHz).
 
     eta' = a*f^b and eta'' = 17.98*sigma/f with conductivity sigma = c*f^d,
-    per the ITU-R P.2040 coefficient model.
+    per the ITU-R P.2040 coefficient model. A part that is not finite (a power
+    past float64's range) is a ValueError naming the material and frequency.
     """
     if not 0 < f_ghz < math.inf:  # inline: this sits on the per-hop path
         _check_frequency(f_ghz)
-    real = mat.a * f_ghz**mat.b
-    imag = 17.98 * mat.c * f_ghz**mat.d / f_ghz
+    try:
+        real = mat.a * f_ghz**mat.b
+        imag = 17.98 * mat.c * f_ghz**mat.d / f_ghz
+    except OverflowError:
+        real = imag = math.inf
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise ValueError(f"material {mat.name!r} has no finite permittivity at {f_ghz} GHz")
     return complex(real, -imag)
 
 
@@ -163,7 +156,9 @@ def reflection_loss(
     A non-zero ``kappa`` adds the roughness attenuation of the specular
     component, -20*log10(rho) >= 0 with rho = exp(-kappa*(sigma*cos(theta)/lambda)^2)
     for the material's roughness_sigma; kappa = 0 or sigma = 0 adds exactly 0.
-    No impedance contrast (nothing reflects) gives inf.
+    No impedance contrast (nothing reflects) gives inf. A permittivity so large
+    that the TM terms overflow float64 is a ValueError naming the material and
+    frequency, never a NaN.
 
     ``theta_i`` may be a float (returns a float) or an ndarray of angles
     (returns an ndarray of the same shape, each element bit-equal to the float
@@ -175,34 +170,39 @@ def reflection_loss(
     # Both sides run: an ndarray per rldb.build row, a float per simulated hop,
     # where math costs a fifth of a 0-d array. numpy's sin, cos and sqrt give
     # math's and cmath's bits (tests/test_em.py checks it); the rest is IEEE ops.
-    vector = type(theta_i) is not float and isinstance(theta_i, np.ndarray)
-    if vector:
+    if type(theta_i) is not float and isinstance(theta_i, np.ndarray):
         _check_angle(theta_i)
         sin_t, cos_t = np.sin(theta_i), np.cos(theta_i)
-        s = np.sqrt(eta - sin_t * sin_t)
+        # an overflow ends in NaN, refused below; power 0 (no contrast) gives inf
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            loss = -10 * np.log10(_mean_power(eta, cos_t, np.sqrt(eta - sin_t * sin_t)))
+        overflowed = np.isnan(loss).any()
     else:
         if not 0 <= theta_i < _HALF_PI:
             _check_angle(theta_i)
         sin_t, cos_t = math.sin(theta_i), math.cos(theta_i)
-        s = cmath.sqrt(eta - sin_t * sin_t)
+        power = _mean_power(eta, cos_t, cmath.sqrt(eta - sin_t * sin_t))
+        if power == 0:
+            return math.inf
+        loss = -10 * float(np.log10(power))  # np.log10, as for an ndarray
+        overflowed = loss != loss
+    if overflowed:
+        raise ValueError(f"material {mat.name!r} has no finite reflection loss at {f_ghz} GHz (permittivity {eta:.3g})")
+    if kappa and mat.roughness_sigma:
+        x = mat.roughness_sigma * cos_t / (SPEED_OF_LIGHT / (f_ghz * 1e9))
+        return loss + 20 * math.log10(math.e) * kappa * x * x
+    return loss + 0.0  # + 0.0 turns a lossless -0.0 into 0.0
+
+
+def _mean_power(eta: complex, cos_t, s):
+    """(|te|^2 + |tm|^2)/2 in real arithmetic, from s = sqrt(eta - sin^2(theta))."""
     p, q = s.real, s.imag
     c_minus, c_plus = cos_t - p, cos_t + p
     te2 = (c_minus * c_minus + q * q) / (c_plus * c_plus + q * q)
     a, b = eta.real * cos_t, -eta.imag * cos_t  # eta*cos(t) = a - jb
     a_minus, a_plus, b_plus, b_minus = a - p, a + p, b + q, b - q
     tm2 = (a_minus * a_minus + b_plus * b_plus) / (a_plus * a_plus + b_minus * b_minus)
-    power = (te2 + tm2) / 2
-    if vector:
-        with np.errstate(divide="ignore"):  # power 0: no contrast, inf loss
-            loss = -10 * np.log10(power)
-    elif power == 0:
-        return math.inf
-    else:
-        loss = -10 * float(np.log10(power))  # np.log10, as for an ndarray
-    if kappa and mat.roughness_sigma:
-        x = mat.roughness_sigma * cos_t / (SPEED_OF_LIGHT / (f_ghz * 1e9))
-        return loss + 20 * math.log10(math.e) * kappa * x * x
-    return loss + 0.0  # + 0.0 turns a lossless -0.0 into 0.0
+    return (te2 + tm2) / 2
 
 
 def fspl(f_ghz: float, distance_m: float) -> float:
@@ -215,29 +215,20 @@ def fspl(f_ghz: float, distance_m: float) -> float:
 
 def extract_total_rl(
     p_tx_dbm: float, p_rx_dbm: float, f_ghz: float, distance_m: float
-) -> LinkBudget:
-    """Split a power measurement into path loss, FSPL, and total reflection loss.
+) -> float:
+    """Total reflection loss in dB left in a power measurement after free space.
 
-    PL = p_tx - p_rx, total RL = PL - FSPL over the full trajectory length.
+    PL = p_tx - p_rx, total RL = PL - FSPL over the full trajectory length,
+    clamped at 0.0 within the tolerance below.
 
     Raises:
         InconsistentMeasurementError: if the implied RL is negative beyond
             numeric tolerance (more power received than free space allows).
     """
-    free_space = fspl(f_ghz, distance_m)
-    pl = p_tx_dbm - p_rx_dbm
-    rl_total = pl - free_space
+    rl_total = (p_tx_dbm - p_rx_dbm) - fspl(f_ghz, distance_m)
     if rl_total < -1e-9:
         raise InconsistentMeasurementError(
             f"PL - FSPL = {rl_total:.6g} dB < 0: received power exceeds the "
             f"free-space bound for f={f_ghz} GHz, d={distance_m} m"
         )
-    return LinkBudget(
-        p_tx_dbm=p_tx_dbm,
-        p_rx_dbm=p_rx_dbm,
-        pl_db=pl,
-        fspl_db=free_space,
-        rl_total_db=max(rl_total, 0.0),
-        f_ghz=f_ghz,
-        distance_m=distance_m,
-    )
+    return max(rl_total, 0.0)

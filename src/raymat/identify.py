@@ -11,10 +11,12 @@ reflection points (facet plus a 1 cm cell) only label the result.
 pass: one ``RLDatabase.lookup_many`` reads every hop's loss for every palette
 material, each trajectory's totals are broadcast sums in hop order, and one
 closed ±u mask keeps its survivors as rows of palette indices. One propagation
-engine keys the belief by facet, and the report reads the facet sets (the RL
-spread the same loss rows); reflection points and candidates are built only
-when read. ``enumerate_sequences`` is that scoring for one trajectory, keeping
-all, and ``merge_candidates`` the engine over candidate lists.
+engine keys the belief by facet, and the report reads the facet sets, with
+``contradicted_facets`` as the contradiction record (the RL spread reads the
+same loss rows). The reflection-point views, ``rp_domains`` and ``survivors``,
+are built only when read. ``enumerate_sequences`` is that scoring for one
+trajectory, keeping all, and ``merge_candidates`` the engine over candidate
+lists.
 """
 
 from __future__ import annotations
@@ -102,9 +104,10 @@ class _Table:
 @dataclass
 class BeliefState:
     """Material set of each facet, and each trajectory's table (rows over ``names``)
-    as the propagation left it. A facet is contradicted when its set is empty or a
-    trajectory over it has no row left. The reflection-point views are built on first
-    read: ``rp_domains`` (each point carries its facet's set), ``survivors``, ``contradictions``."""
+    as the propagation left it. ``contradicted_facets`` is the one contradiction record:
+    a facet whose set is empty, or that a trajectory with no row left passes over. The
+    two reflection-point views are built on first read: ``rp_domains`` (each point
+    carries its facet's set) and ``survivors``."""
 
     facet_domains: dict[str, set[str]]
     tables: dict[str, _Table]
@@ -134,12 +137,6 @@ class BeliefState:
     @cached_property
     def survivors(self) -> dict[str, list[SequenceCandidate]]:
         return {tid: t.candidates(self._points[tid], self.names, t.kept) for tid, t in self.tables.items()}
-
-    @cached_property
-    def contradictions(self) -> list[RPKey]:
-        found = {key for key, dom in self.rp_domains.items() if not dom}
-        found.update(key for tid, t in self.tables.items() if not t.kept for key in self._points[tid])
-        return sorted(found, key=attrgetter("facet_id", "cell"))
 
 
 @dataclass
@@ -403,10 +400,9 @@ def simulate_measurement(
         true_total += em.reflection_loss(mat, f_ghz, hop.theta_i, kappa=kappa)
     noise = rng.gauss(0.0, noise_sigma_db) if noise_sigma_db > 0 else 0.0
     p_rx = p_tx_dbm - em.fspl(f_ghz, traj.total_length) - true_total - noise
-    budget = em.extract_total_rl(p_tx_dbm, p_rx, f_ghz, traj.total_length)
     return MeasurementRecord(
         trajectory_id=trajectory_id,
-        measured_total_rl_db=budget.rl_total_db,
+        measured_total_rl_db=em.extract_total_rl(p_tx_dbm, p_rx, f_ghz, traj.total_length),
         uncertainty_db=uncertainty_db,
     )
 

@@ -43,7 +43,6 @@ class Facet:
     material_label: str = UNKNOWN_MATERIAL
     thickness_m: float = 0.0
     normal: np.ndarray = field(init=False)
-    area: float = field(init=False)
     plane_point: np.ndarray = field(init=False, repr=False)  # the first vertex
     # half-planes, one row per edge: inward @ p - offsets >= -slack inside
     inward: np.ndarray = field(init=False, repr=False)
@@ -55,7 +54,7 @@ class Facet:
             raise SceneValidationError("facet id must be non-empty")
         verts = np.asarray(self.vertices, dtype=float)
         try:
-            normal, area = validate_convex_polygon(verts)
+            normal, _ = validate_convex_polygon(verts)
         except ValueError as err:
             raise SceneValidationError(str(err), facet_id=self.facet_id) from None
         if not 0 <= self.thickness_m < math.inf:  # NaN fails both
@@ -66,7 +65,6 @@ class Facet:
         inward = np.cross(normal, edges)  # normal x edge points inward (CCW)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "area", area)
         object.__setattr__(self, "plane_point", verts[0])
         object.__setattr__(self, "inward", inward)
         object.__setattr__(self, "offsets", np.sum(inward * verts, axis=1))

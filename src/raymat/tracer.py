@@ -29,6 +29,7 @@ from .scene import Scene
 
 OCCLUSION_EPS = 1e-6  # m; other facets met this near a leg's ends (a neighbour at a hop's edge) do not occlude it
 BLOCK_ROWS = 2048  # most rows, facet sequences times receivers, in one batch
+MAX_BOUNCES = 4  # most hops of a trajectory
 
 __all__ = ["Hop", "Trajectory", "trace", "trace_pairs", "OCCLUSION_EPS"]
 
@@ -253,8 +254,8 @@ def trace_pairs(scene: Scene, txs, rxs, max_bounces: int = 2) -> list[list[Traje
     transmitter, with no receivers too, then each receiver against it, so the first
     pair that fails raises trace's error.
     """
-    if not 1 <= max_bounces <= 4:
-        raise ValueError(f"max_bounces must be in [1, 4], got {max_bounces}")
+    if not 1 <= max_bounces <= MAX_BOUNCES:
+        raise ValueError(f"max_bounces must be in [1, {MAX_BOUNCES}], got {max_bounces}")
     rxs, checked = list(rxs), []
     for tx in txs:
         tx = np.asarray(tx, dtype=float)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from raymat import identify, settling
+from raymat import em, identify, settling
 from raymat.cli import _write_csv, main
 
 from .oracles import (
@@ -888,6 +888,11 @@ def test_simulate_that_fails_leaves_no_output_file(capsys, tmp_path):
 
 
 _FLOOR = '{"units": "m", "facets": [{"id": "floor", "vertices": [[-1, -2, 0], [5, -2, 0], [5, 2, 0], [-1, 2, 0]]}]}'
+_WOOD_FLOOR = _FLOOR.replace("]]}", ']], "material": "wood"}')
+_HUGE = "huge 1e308 1 0.01 1 0\n"  # a * f^b is inf at 100 GHz
+_BIG = "big 1e200 0 0.01 1 0\n"  # a finite permittivity whose loss overflows float64
+_FAR_FREQ = "material 'wood' has no finite permittivity at 1e+308 GHz"
+_BIG_LOSS = "material 'big' has no finite reflection loss at 100.0 GHz (permittivity 1e+200-0.18j)"
 
 
 @pytest.mark.parametrize(
@@ -906,9 +911,31 @@ _FLOOR = '{"units": "m", "facets": [{"id": "floor", "vertices": [[-1, -2, 0], [5
          "{given}:1: expected 4 fields (material,f_ghz,angle_deg,rl_db), got 1"),
         (("trace", "--scene", "{given}", "--tx", "0,0,1", "--rx", "100,0,1"), _FLOOR,
          "rx [100.0, 0.0, 1.0] is outside the scene bounds"),
+        (("settling", "--material", "wood", "--freq", "1e308"), "", _FAR_FREQ),
+        (("rl", "--material", "wood", "--freq", "1e308", "--angles", "0:10:5"), "", _FAR_FREQ),
+        (("coeff", "--material", "wood", "--freq", "1e308", "--h-grid", "0:1:0.5"), "", _FAR_FREQ),
+        (("simulate", "--scene", "{given}", "--tx", "0,0,1", "--rx", "4,0,1", "--freq", "1e308"), _WOOD_FLOOR,
+         _FAR_FREQ),
+        # the table is built before the measurements are read
+        (("identify", "--scene", "{given}", "--tx", "0,0,1", "--rx", "4,0,1", "--freq", "1e308",
+          "--measurements", "{given}"), _WOOD_FLOOR, _FAR_FREQ),
+        (("rl", "--materials-table", "{given}", "--material", "huge", "--freq", "100", "--angles", "0:10:5"), _HUGE,
+         "material 'huge' has no finite permittivity at 100.0 GHz"),
+        (("rl", "--materials-table", "{given}", "--material", "big", "--freq", "100", "--angles", "0:10:5"), _BIG,
+         _BIG_LOSS),
+        (("settling", "--materials-table", "{given}", "--material", "huge", "--freq", "100"), _HUGE,
+         "material 'huge' has no finite permittivity at 100.0 GHz"),
+        (("trace", "--scene", "{given}", "--tx", "a,b,c", "--rx", "4,0,1"), _FLOOR,
+         "point must be x,y,z in meters, got 'a,b,c'"),
+        (("rl", "--material", "wood", "--freq", "100", "--angles", "0:x:5"), "",
+         "grid values must be numbers, got '0:x:5'"),
+        (("coeff", "--material", "glass", "--freq", "100", "--h-grid", "1,2,x"), "",
+         "grid values must be numbers, got '1,2,x'"),
     ],
     ids=[
         "coeff-grid", "rl-angle-90", "rl-angle-negative", "settling-lossless", "rldb-show-malformed", "trace-rx-outside",
+        "settling-far-freq", "rl-far-freq", "coeff-far-freq", "simulate-far-freq", "identify-far-freq",
+        "rl-huge-table", "rl-big-table", "settling-huge-table", "trace-text-point", "rl-text-grid", "coeff-text-grid",
     ],
 )
 def test_a_command_that_fails_after_parsing_writes_no_output_file(capsys, tmp_path, argv, given, message):
@@ -917,6 +944,53 @@ def test_a_command_that_fails_after_parsing_writes_no_output_file(capsys, tmp_pa
     output = tmp_path / "out.csv"
     code, out, err = run(capsys, *(arg.format(given=given_path) for arg in argv), "--output", str(output))
     assert (code, out, err) == (1, "", f"error: {message.format(given=given_path)}\n")
+    assert not output.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, given, message",
+    [
+        (("--freqs", "1e308"), "", _FAR_FREQ),
+        (("--materials", "huge", "--materials-table", "{given}"), _HUGE,
+         "material 'huge' has no finite permittivity at 100.0 GHz"),
+        (("--materials", "big", "--materials-table", "{given}"), _BIG, _BIG_LOSS),
+        (("--freqs", "0"), "", "--freqs: 0 is not a frequency > 0 GHz"),
+        (("--freqs=-5:10:5",), "", "--freqs: -5 is not a frequency > 0 GHz"),
+        (("--freqs", "100,0"), "", "--freqs: 0 is not a frequency > 0 GHz"),
+        (("--freqs", "0:x:5"), "", "grid values must be numbers, got '0:x:5'"),
+    ],
+    ids=["far-freq", "huge-table", "big-table", "zero-freq", "negative-freqs", "zero-after-a-good-freq", "text-freqs"],
+)
+def test_rldb_build_that_fails_writes_no_table(capsys, tmp_path, flags, given, message):
+    given_path = tmp_path / "given.txt"
+    given_path.write_text(given, encoding="utf-8")
+    db_path = tmp_path / "db.csv"
+    code, out, err = run(capsys, "rldb", "build", "--db", str(db_path), *(f.format(given=given_path) for f in flags))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not db_path.exists()
+
+
+@pytest.mark.parametrize("freqs", ["0", "-5:10:5", "100,0"])
+def test_freqs_are_checked_before_any_cell_is_built(capsys, monkeypatch, tmp_path, freqs):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr(em, "reflection_loss", no_cell)
+    code, out, err = run(capsys, "rldb", "build", "--db", str(tmp_path / "db.csv"), f"--freqs={freqs}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --freqs: ")
+
+
+@pytest.mark.parametrize("bounces", ["0", "5"])
+@pytest.mark.parametrize("command", ["trace", "simulate", "identify"])
+def test_max_bounces_outside_the_tracer_range_fails_at_parse_time(capsys, tmp_path, command, bounces):
+    # the scene, measurements and output are never opened: parsing fails first
+    argv = [command, "--scene", str(tmp_path / "scene.json"), "--tx", "0,0,1", "--rx", "4,0,1"]
+    argv += {"simulate": ["--freq", "100"], "identify": ["--freq", "100", "--measurements", "m.csv"]}.get(command, [])
+    output = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--max-bounces", bounces, "--output", str(output))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: argument --max-bounces: must be an integer in [1, 4], got '{bounces}'\n")
     assert not output.exists()
 
 

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,26 @@ def test_permittivity_matches_independent_oracle(name, f):
     eta = em.relative_permittivity(PRESETS[name], f)
     ref = permittivity_oracle(name, f)
     assert eta == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mat, f, shown",
+    [
+        (MaterialParams("huge", 1e308, 1.0, 0.01, 1.0), 100.0, "100.0"),  # a * f^b is inf
+        (WOOD, 1e308, "1e+308"),  # f^d overflows float's power
+        (MaterialParams("lossy", 1.0, 0.0, 1e307, 1.0), 100.0, "100.0"),  # 17.98 * c * f^d is inf
+    ],
+    ids=["real-inf", "power-overflow", "imag-inf"],
+)
+def test_a_permittivity_past_float_range_names_material_and_frequency(mat, f, shown):
+    message = f"material {mat.name!r} has no finite permittivity at {shown} GHz"
+    for call in (
+        lambda: em.relative_permittivity(mat, f),
+        lambda: em.reflection_loss(mat, f, 0.3),
+        lambda: em.reflection_loss(mat, f, np.array([0.0, 0.3])),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_permittivity_range_over_supported_band():
@@ -213,6 +234,15 @@ def test_rl_contrast_free_material_is_infinite():
     assert em.reflection_loss(air, 100.0, 0.3) == math.inf
 
 
+@pytest.mark.parametrize("theta", [0.3, np.array([0.0, 0.3, 1.5])], ids=["float", "array"])
+def test_rl_that_overflows_is_an_error_not_nan(theta):
+    # a finite permittivity of 1e200 squares past float64 in the TM terms: inf / inf
+    big = MaterialParams("big", 1e200, 0.0, 0.01, 1.0)
+    message = "material 'big' has no finite reflection loss at 100.0 GHz (permittivity 1e+200-0.18j)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        em.reflection_loss(big, 100.0, theta)
+
+
 @pytest.mark.parametrize("kappa", [0.0, em.FITTED_ROUGHNESS_KAPPA])
 def test_rl_over_an_angle_array_is_bit_equal_to_scalar_calls(kappa):
     thetas = np.array([math.radians(a) for a in [*range(90), 0.5, 44.999, 88.9]])
@@ -340,15 +370,11 @@ def test_fspl_rejects_nonpositive(f, d):
 
 
 def test_extract_total_rl_reference_trajectory():
-    budget = em.extract_total_rl(30.0, 30.0 - 92.4 - 14.68, 100.0, 10.0)
-    assert budget.rl_total_db == pytest.approx(14.68, abs=1e-9)
-    assert budget.pl_db == pytest.approx(92.4 + 14.68, abs=1e-9)
-    assert budget.fspl_db == pytest.approx(92.4, abs=1e-12)
+    assert em.extract_total_rl(30.0, 30.0 - 92.4 - 14.68, 100.0, 10.0) == pytest.approx(14.68, abs=1e-9)
 
 
 def test_extract_total_rl_lossless_limit():
-    budget = em.extract_total_rl(20.0, 20.0 - em.fspl(140.0, 25.0), 140.0, 25.0)
-    assert budget.rl_total_db == 0.0
+    assert em.extract_total_rl(20.0, 20.0 - em.fspl(140.0, 25.0), 140.0, 25.0) == 0.0
 
 
 def test_extract_total_rl_rejects_overpowered_rx():
@@ -364,9 +390,7 @@ def test_extract_total_rl_rejects_overpowered_rx():
     rl=st.floats(0.0, 60.0),
 )
 def test_extract_total_rl_round_trips_known_loss(p_tx, f, d, rl):
-    budget = em.extract_total_rl(p_tx, p_tx - em.fspl(f, d) - rl, f, d)
-    assert budget.rl_total_db == pytest.approx(rl, abs=1e-9)
-    assert budget.pl_db == pytest.approx(budget.fspl_db + rl, abs=1e-9)
+    assert em.extract_total_rl(p_tx, p_tx - em.fspl(f, d) - rl, f, d) == pytest.approx(rl, abs=1e-9)
 
 
 # --- misc ---------------------------------------------------------------------

@@ -220,7 +220,7 @@ def test_merge_disjoint_sets_contradict():
     b = SequenceCandidate(((RP1, "glass"),), (7.34,), 7.34)
     belief = merge_candidates([("t1", [a]), ("t2", [b])])
     assert not belief.consistent
-    assert RP1 in belief.contradictions
+    assert belief.contradicted_facets == {RP1.facet_id}
     assert belief.rp_domains[RP1] == set()
 
 
@@ -258,7 +258,7 @@ def test_merge_is_order_insensitive():
     beliefs = [merge_candidates(order) for order in permutations(entries)]
     for belief in beliefs[1:]:
         assert belief.rp_domains == beliefs[0].rp_domains
-        assert belief.contradictions == beliefs[0].contradictions
+        assert belief.contradicted_facets == beliefs[0].contradicted_facets
         assert belief.survivors == beliefs[0].survivors
     assert beliefs[0].rp_domains[RP1] == {"glass"}
 
@@ -274,8 +274,8 @@ def test_two_materials_far_apart_on_one_facet_contradict():
     plaster = single_hop("wall", [3.0, 0.0, 1.0], "plaster")
     belief = merge_candidates([("t1", glass), ("t2", plaster)])
     assert not belief.consistent
-    assert belief.contradictions == [glass[0].assignment[0][0], plaster[0].assignment[0][0]]
-    assert all(dom == set() for dom in belief.rp_domains.values())
+    assert belief.contradicted_facets == {"wall"}
+    assert belief.rp_domains == {glass[0].assignment[0][0]: set(), plaster[0].assignment[0][0]: set()}
 
 
 def test_two_materials_on_one_facet_do_not_depend_on_the_cell_edge():
@@ -288,7 +288,7 @@ def test_two_materials_on_one_facet_do_not_depend_on_the_cell_edge():
         keys = [glass[0].assignment[0][0], plaster[0].assignment[0][0]]
         assert (keys[0] == keys[1]) == same_cell
         belief = merge_candidates([("t1", glass), ("t2", plaster)])
-        contradicted = {key.facet_id for key in belief.contradictions}
+        contradicted = belief.contradicted_facets
         by_facet = {key.facet_id: dom for key, dom in belief.rp_domains.items()}
         outcomes.append((belief.consistent, contradicted, by_facet))
     assert outcomes == [(False, {"wall"}, {"wall": set()})] * 2
@@ -343,7 +343,7 @@ def test_identify_loop_reports_without_building_reflection_points(db100, monkeyp
     assert belief.rp_domains == merged.rp_domains
     survivors = {tid: bits(c) for tid, c in belief.survivors.items()}
     assert survivors == {tid: bits(c) for tid, c in merged.survivors.items()}
-    assert belief.contradictions == merged.contradictions
+    assert belief.contradicted_facets == merged.contradicted_facets
     assert belief.consistent == merged.consistent == (sigma == 0.0)
     assert ("# contradictions\n# trajectories" in text) == (sigma == 0.0)
 
@@ -488,7 +488,7 @@ def cycle_outcomes() -> tuple:
     belief = merge_candidates(entries)
     return (
         sorted((key.facet_id, sorted(dom)) for key, dom in belief.rp_domains.items()),
-        [key.facet_id for key in belief.contradictions],
+        sorted(belief.contradicted_facets),
         sorted(tid for tid, cands in belief.survivors.items() if not cands),
     )
 

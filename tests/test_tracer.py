@@ -779,10 +779,11 @@ def test_facet_rejects_non_coplanar():
 @pytest.mark.parametrize("far", [1e4, 3e4, 1e5])
 def test_facet_far_from_the_origin_is_still_planar(far):
     """Newell's normal comes from vertex offsets, so the tilted 12 x 4 m floor of the
-    own-end inputs validates however far out it sits, and a vertex lifted 1 um off
-    its plane is still rejected."""
+    own-end inputs validates, with its 48 m^2 area, however far out it sits, and a
+    vertex lifted 1 um off its plane is still rejected."""
     corners = ((-1, -2, 0), (11, -2, 0), (11, 2, 0), (-1, 2, 0))
-    assert Facet("floor", _grazing_quad(*corners, far=far)).area == pytest.approx(48.0)
+    floor = Facet("floor", _grazing_quad(*corners, far=far))
+    assert validate_convex_polygon(floor.vertices)[1] == pytest.approx(48.0)
     with pytest.raises(SceneValidationError, match="coplanar"):
         Facet("warped", _grazing_quad(*corners[:3], (-1, 2, 1e-6), far=far))
 
