@@ -94,7 +94,7 @@ _finite = _number(_FINITE)
 _non_negative = _number(("a finite number >= 0", lambda v: 0 <= v < math.inf))
 _positive = _number(("a finite number > 0", lambda v: 0 < v < math.inf))
 _INCIDENT_ANGLE = ("an angle in [0, 90) degrees", lambda v: 0 <= v < 90)
-_TABLE_ANGLE = ("an angle in [0, 89] degrees", lambda v: 0 <= v <= 89)  # rldb.build's grid
+_TABLE_ANGLE = (f"an angle in [0, {rldb.MAX_TABLE_ANGLE_DEG}] degrees", lambda v: 0 <= v <= rldb.MAX_TABLE_ANGLE_DEG)
 _incident_angle = _number(_INCIDENT_ANGLE)
 _hop_angle = _number(_FINITE, ("an angle in [0, 90] degrees", lambda v: 0 <= v <= 90))
 _FREQUENCY = ("a frequency > 0 GHz", lambda v: v > 0)
@@ -343,12 +343,11 @@ def _cmd_identify(args) -> int:
     palette = _resolve_materials(args.palette, args.materials_table)
     if args.db:
         db = _load_db(args.db)
+        # identify_loop refuses what the table lacks; these two checks also name the file and flag
         stored = {m.name: rldb.material_header(m) for m in db.materials}
         for mat in palette:
-            if mat.name not in stored:
-                raise ValueError(f"material {mat.name!r} not in database ({', '.join(stored)})")
             ours = rldb.material_header(mat)
-            if stored[mat.name] != ours:
+            if stored.get(mat.name, ours) != ours:
                 raise ValueError(
                     f"{args.db}: material {mat.name!r} differs: the table stores "
                     f"{stored[mat.name]}, the palette {ours} (name,a,b,c,d,sigma)"
@@ -507,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"usage error: {err}\n{err.usage}")
         return 1
     except (ValueError, KeyError, OSError, settling.NotSettledError) as err:
-        sys.stderr.write(f"error: {err}\n")
+        sys.stderr.write(f"error: {err.args[0] if isinstance(err, KeyError) else err}\n")  # a KeyError's str quotes it
         return 1
 
 

@@ -131,9 +131,16 @@ def slab_coefficient(
         raise ValueError("slab thickness must be >= 0")
     r = fresnel_thick(eta, theta_i)
     decay = np.exp(-2j * phase_thickness(eta, theta_i, h, f_ghz))
-    te = r.te * (1 - decay) / (1 - r.te**2 * decay)
-    tm = r.tm * (1 - decay) / (1 - r.tm**2 * decay)
-    return ReflectionCoefficients(te=te, tm=tm)
+    return ReflectionCoefficients(te=_interfere(r.te, decay), tm=_interfere(r.tm, decay))
+
+
+def _interfere(r: complex, decay):
+    """r*(1 - decay) / (1 - r^2*decay): 0 at h = 0, where decay is exactly 1, also when
+    r^2 rounds to exactly 1 and the formula there is 0/0."""
+    if r**2 != 1:
+        return r * (1 - decay) / (1 - r**2 * decay)
+    with np.errstate(invalid="ignore"):
+        return np.where(decay == 1, 0j, r * (1 - decay) / (1 - r**2 * decay))[()]
 
 
 def amplitude_db(value):

@@ -7,16 +7,16 @@ survivors across trajectories that share a facet until nothing changes. The
 facet is the only variable (the map constraint: one facet, one material);
 reflection points (facet plus a 1 cm cell) only label the result.
 
-``identify_loop`` scores all of a run's measured trajectories in one array
-pass: one ``RLDatabase.lookup_many`` reads every hop's loss for every palette
-material, each trajectory's totals are broadcast sums in hop order, and one
-closed ±u mask keeps its survivors as rows of palette indices. One propagation
-engine keys the belief by facet, and the report reads the facet sets, with
+``identify_loop`` fails before tracing on a table that lacks a palette material
+or the run's frequency. It scores all of a run's measured trajectories in one
+array pass: one ``RLDatabase.lookup_many`` reads every hop's loss for every
+palette material, each trajectory's totals are broadcast sums in hop order, and
+one closed ±u mask keeps its survivors as rows of palette indices. One propagation
+engine keys the belief by facet; the report reads the facet sets, with
 ``contradicted_facets`` as the contradiction record (the RL spread reads the
 same loss rows). The reflection-point views, ``rp_domains`` and ``survivors``,
 are built only when read. ``enumerate_sequences`` is that scoring for one
-trajectory, keeping all, and ``merge_candidates`` the engine over candidate
-lists.
+trajectory, keeping all, and ``merge_candidates`` the engine over candidate lists.
 """
 
 from __future__ import annotations
@@ -204,9 +204,10 @@ def enumerate_sequences(
     Raises:
         ValueError: if the palette is empty or names a material twice.
         KeyError: if the database lacks a palette material.
-        OutOfRangeError: naming the hop whose incident angle (or f) is outside
-            the database grid.
+        OutOfRangeError: naming the hop whose incident angle is outside the grid;
+            a frequency outside it is lookup's own error, as it is no hop's.
     """
+    _check_palette(palette)
     (table,), _ = _score([traj], palette, db, f_ghz, [(0.0, math.inf)])  # a band that keeps all
     if isinstance(table, OutOfRangeError):
         raise table
@@ -222,27 +223,24 @@ def _score(
     db: RLDatabase,
     f_ghz: float,
     bands: list[tuple[float, float]],
-) -> tuple[list[_Table | OutOfRangeError], np.ndarray]:
+) -> tuple[list[_Table | OutOfRangeError], dict[str, np.ndarray]]:
     """Score trajectories in one array pass.
 
     Returns, per trajectory in order, the table of candidates whose total lies
     within its (measured, u) band or the OutOfRangeError naming its first hop
-    outside the table; and the (hops, palette) table losses of every hop, the
-    trajectories' hops in order. One :meth:`RLDatabase.lookup_many` reads
+    outside the table; and, per facet, the (hops, palette) table losses of the
+    scored trajectories' hops on it. One :meth:`RLDatabase.lookup_many` reads
     every loss. Per hop count k, each trajectory's |palette|^k totals are k
     broadcast adds from 0.0 in hop order, lexicographic in palette order, and
     one closed-band mask ``abs(total - measured) <= u`` picks the rows.
     """
-    _check_palette(palette)
     names = [m.name for m in palette]
     angles = [math.degrees(h.theta_i) for t in trajs for h in t.hops]  # the bits of np.degrees
-    try:
-        losses, outside = db.lookup_many(names, f_ghz, angles)
-    except OutOfRangeError:  # the frequency: no hop is inside, and lookup names it per hop
-        losses, outside = np.full((len(angles), len(names)), np.nan), np.ones(len(angles), dtype=bool)
+    losses, outside = db.lookup_many(names, f_ghz, angles)
     flags = outside.tolist()
     scored: list[_Table | OutOfRangeError] = []
     groups: dict[int, list[tuple[int, int]]] = {}  # hop count -> (trajectory, first hop row)
+    hop_rows: dict[str, list[int]] = {}  # per facet: the loss row of each scored hop on it
     start = 0
     for i, traj in enumerate(trajs):
         k = traj.bounces
@@ -251,6 +249,8 @@ def _score(
         else:
             scored.append(_Table(traj, tuple(h.facet_id for h in traj.hops), [], [], []))
             groups.setdefault(k, []).append((i, start))
+            for r, hop in enumerate(traj.hops, start):
+                hop_rows.setdefault(hop.facet_id, []).append(r)
         start += k
     for k, members in groups.items():
         step = max(1, SCORE_CELLS // len(names) ** k)
@@ -268,7 +268,7 @@ def _score(
             ends = np.searchsorted(hits[0], np.arange(1, n + 1)).tolist()  # hits come trajectory by trajectory
             for (i, _), a, b in zip(chunk, [0, *ends], ends):
                 scored[i].rows, scored[i].per_hop, scored[i].totals = rows[a:b], hop_rl[a:b], picked[a:b]
-    return scored, losses
+    return scored, {f: losses[rows] for f, rows in hop_rows.items()}
 
 
 def _hull_error(traj: Trajectory, i: int, db: RLDatabase, name: str, f_ghz: float) -> OutOfRangeError:
@@ -276,7 +276,7 @@ def _hull_error(traj: Trajectory, i: int, db: RLDatabase, name: str, f_ghz: floa
     hop = traj.hops[i]
     angle = math.degrees(hop.theta_i)
     try:
-        db.lookup(name, f_ghz, angle)  # the frequency's error first, as in lookup
+        db.lookup(name, f_ghz, angle)
     except OutOfRangeError as err:
         return OutOfRangeError(f"hop {i} (facet {hop.facet_id!r}, theta={angle:.3g} deg): {err}")
     raise AssertionError(f"hop {i}: lookup_many and lookup disagree on the hull")
@@ -452,53 +452,45 @@ def identify_loop(
     gap between their table losses at any scored hop on it), uncovered or
     contradicted. A trajectory with no measurement, or with a hop outside the
     table, is skipped. No TX or RX, an empty palette or one naming a material
-    twice, or a ``u_db`` that is not a finite number >= 0 is a ValueError
-    before anything is traced; a palette material the table lacks is a
-    KeyError after every trajectory is measured, at the one table read.
+    twice, or a ``u_db`` that is not a finite number >= 0 is a ValueError; a
+    palette material or a frequency the table lacks fails before anything is
+    traced or measured, with the table's own KeyError or OutOfRangeError.
     """
     if len(tx_positions) == 0 or len(rx_positions) == 0:
         raise ValueError("need at least one TX and one RX position")
     _check_palette(palette)
     if u_db is not None and not 0 <= u_db < math.inf:
         raise ValueError(f"u_db must be finite and >= 0, got {u_db}")
-    walk = [
-        (tid, traj, measure(tid, traj))
-        for tid, traj in traced_pairs(scene, tx_positions, rx_positions, max_bounces)
-    ]
+    names = [m.name for m in palette]
+    db.lookup_many(names, f_ghz, [])  # the coverage check: lookup's errors, no hop read
+    traced = traced_pairs(scene, tx_positions, rx_positions, max_bounces)
+    walk = [(tid, traj, measure(tid, traj)) for tid, traj in traced]
     measured = [(traj, record) for _, traj, record in walk if record is not None]
     bands = [(r.measured_total_rl_db, r.uncertainty_db if u_db is None else u_db) for _, r in measured]
-    outcomes, losses = _score([traj for traj, _ in measured], palette, db, f_ghz, bands)
+    outcomes, hop_losses = _score([traj for traj, _ in measured], palette, db, f_ghz, bands)
     tables: list[tuple[str, _Table]] = []
     no_hypothesis: list[str] = []
     skipped: list[str] = []
-    hop_rows: dict[str, list[int]] = {}  # per facet: the loss row of each scored hop on it
-    scored, row = iter(outcomes), 0
-    for tid, traj, record in walk:
-        if record is None:
+    scored = iter(outcomes)
+    for tid, _, record in walk:
+        table = None if record is None else next(scored)
+        if table is None:
             skipped.append(tid)
-            continue
-        table, rows = next(scored), range(row, row + traj.bounces)
-        row = rows.stop
-        if isinstance(table, OutOfRangeError):
+        elif isinstance(table, OutOfRangeError):
             skipped.append(f"{tid} ({table})")
-            continue
-        for hop, r in zip(traj.hops, rows):
-            hop_rows.setdefault(hop.facet_id, []).append(r)
-        if not table.rows:
+        elif not table.rows:
             no_hypothesis.append(tid)
-            continue
-        tables.append((tid, table))
-
-    belief = _propagate(tables, [m.name for m in palette])
-    report = _build_report(scene, belief, losses, hop_rows, no_hypothesis, skipped)
+        else:
+            tables.append((tid, table))
+    belief = _propagate(tables, names)
+    report = _build_report(scene, belief, hop_losses, no_hypothesis, skipped)
     return belief, report
 
 
 def _build_report(
     scene: Scene,
     belief: BeliefState,
-    losses: np.ndarray,
-    hop_rows: dict[str, list[int]],
+    hop_losses: dict[str, np.ndarray],
     no_hypothesis: list[str],
     skipped: list[str],
 ) -> IdentificationReport:
@@ -518,7 +510,7 @@ def _build_report(
     uncovered = tuple(f.facet_id for f in scene.facets if f.facet_id not in belief.facet_domains)
     rl_spread_db: dict[str, float] = {}
     for fid, mats in ambiguous.items():
-        rows = losses[hop_rows[fid]][:, [belief.names.index(name) for name in mats]]
+        rows = hop_losses[fid][:, [belief.names.index(name) for name in mats]]
         rl_spread_db[fid] = float(np.ptp(rows, axis=1).max())
     return IdentificationReport(
         resolved=resolved,

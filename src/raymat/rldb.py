@@ -19,6 +19,7 @@ from . import em
 from .materials import PRESETS, MaterialParams, parse_material_line
 
 FORMAT_VERSION = 1
+MAX_TABLE_ANGLE_DEG = 89  # the steepest angle a built table may hold; grazing incidence excluded
 _COLUMNS = "material,f_ghz,angle_deg,rl_db"
 
 
@@ -213,14 +214,14 @@ def build(
     """Compute every grid cell with em.reflection_loss, one call per (material,
     frequency) row; deterministic.
 
-    Angles must lie within [0, 89] degrees (grazing incidence excluded).
+    Angles must lie within [0, MAX_TABLE_ANGLE_DEG] degrees.
     """
     freqs = np.asarray(freqs_ghz, dtype=float)
     angles = np.asarray(angles_deg, dtype=float)
     if not materials:
         raise ValueError("need at least one material")
-    if angles.size and (angles[0] < 0 or angles[-1] > 89):
-        raise ValueError("angle grid must lie within [0, 89] degrees")
+    if angles.size and (angles[0] < 0 or angles[-1] > MAX_TABLE_ANGLE_DEG):
+        raise ValueError(f"angle grid must lie within [0, {MAX_TABLE_ANGLE_DEG}] degrees")
     thetas = np.array([math.radians(a) for a in angles.tolist()])
     rl = np.empty((len(materials), freqs.size, angles.size))
     for mi, mat in enumerate(materials):

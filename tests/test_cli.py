@@ -895,6 +895,19 @@ _FAR_FREQ = "material 'wood' has no finite permittivity at 1e+308 GHz"
 _BIG_LOSS = "material 'big' has no finite reflection loss at 100.0 GHz (permittivity 1e+200-0.18j)"
 
 
+def test_coeff_at_zero_thickness_reflects_nothing_for_every_material(capsys, tmp_path):
+    """The big line's thick coefficients round to exactly -1 and 1; its h = 0 row still
+    reads -inf dB, as wood's does, with no warning."""
+    table = tmp_path / "t.txt"
+    table.write_text(_BIG, encoding="utf-8")
+    code, out, err = run(
+        capsys, "coeff", "--materials-table", str(table), "--material", "big",
+        "--freq", "100", "--h-grid", "0:1:0.5",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-3:] == ["0,-inf,-inf", "0.0005,0,0", "0.001,0,0"]
+
+
 @pytest.mark.parametrize(
     "argv, given, message",
     [

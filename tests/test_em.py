@@ -144,6 +144,19 @@ def test_slab_zero_thickness_is_exactly_zero():
         assert r.te == 0 and r.tm == 0
 
 
+def test_slab_zero_thickness_is_zero_where_the_thick_coefficient_rounds_to_one():
+    """A permittivity of 1e200 rounds the thick coefficients to exactly -1 (TE) and 1
+    (TM), so the interference formula is 0/0 at h = 0. The slab still reflects
+    nothing there, with no warning, and a thicker slab reflects as the thick one."""
+    eta = em.relative_permittivity(MaterialParams("big", 1e200, 0.0, 0.01, 1.0), 100.0)
+    thick = em.fresnel_thick(eta, 0.0)
+    assert thick.te**2 == thick.tm**2 == 1
+    r = em.slab_coefficient(eta, 0.0, 0.0, 100.0)
+    assert isinstance(r.te, np.complex128) and r.te == 0 and r.tm == 0
+    r = em.slab_coefficient(eta, 0.0, np.array([0.0, 5e-4]), 100.0)
+    assert r.te.tolist() == [0, thick.te] and r.tm.tolist() == [0, thick.tm]
+
+
 def test_slab_rejects_negative_thickness():
     with pytest.raises(ValueError):
         em.slab_coefficient(4.0 + 0j, 0.0, -1e-3, 100.0)

@@ -357,8 +357,10 @@ def test_identify_loop_scores_each_trajectory_as_enumerate_and_match_do(db100, m
     match_measurement(enumerate_sequences(...)) of its record (with u_db as its
     uncertainty when given), in trace order; a trajectory without survivors is
     listed as having no hypothesis. The trajectories left unmeasured and those with a hop
-    outside the table (a table that stops at 60 deg, or a frequency it lacks) are
-    skipped in one list, in trace order, with enumerate_sequences' error text."""
+    outside the table (one that stops at 60 deg) are skipped in one list, in trace
+    order, with enumerate_sequences' error text. A frequency the table lacks is no
+    hop's: identify_loop raises lookup's error before measuring, and
+    enumerate_sequences raises it for every trajectory."""
     scene = demo_building()
     txs, rxs = demo_positions()
     truth = {f.facet_id: f.material_label for f in scene.facets}
@@ -366,7 +368,18 @@ def test_identify_loop_scores_each_trajectory_as_enumerate_and_match_do(db100, m
     if table == "to-60-deg":
         db = rldb.build(PALETTE, [100.0], np.arange(0.0, 61.0))
     if table == "freq-outside":
-        f_ghz = 140.0
+        calls = []
+        with pytest.raises(OutOfRangeError) as err:
+            identify_loop(scene, txs, rxs, PALETTE, db, 140.0, u_db, k, lambda tid, traj: calls.append(tid))
+        with pytest.raises(OutOfRangeError) as scalar:
+            db.lookup("wood", 140.0, 10.0)
+        assert str(err.value) == str(scalar.value) == "frequency 140 outside grid hull [100, 100]"
+        assert calls == []
+        for _, traj in raymat.identify.traced_pairs(scene, txs, rxs, k):
+            with pytest.raises(OutOfRangeError) as one:
+                enumerate_sequences(traj, PALETTE, db, 140.0)
+            assert str(one.value) == str(scalar.value)
+        return
     log = []
     simulate = make_measure_fn(scene, truth, 100.0, u_db=1.5, noise_sigma_db=0.5, master_seed=k, max_angle_deg=90.0, log=log)
 
@@ -413,10 +426,7 @@ def test_identify_loop_scores_each_trajectory_as_enumerate_and_match_do(db100, m
     hull = [line for line in skipped if " (hop " in line]
     assert all(re.fullmatch(r"p\d+t\d+ \(hop \d \(facet '\w+', theta=[\d.e+]+ deg\): .*\)", line) for line in hull)
     assert len(skipped) > len(hull) > 0 or table == "db100"
-    if table == "freq-outside":
-        assert not entries and all("(hop 0 " in line and "frequency 140 " in line for line in hull)
-    else:
-        assert entries
+    assert entries
 
 
 @pytest.mark.parametrize("cells", [1, 40])
@@ -439,8 +449,8 @@ def test_identify_loop_is_the_same_in_chunks_of_any_size(db100, monkeypatch, cel
 
 
 def test_identify_loop_names_a_palette_material_the_table_lacks(db100):
-    """A palette material the table lacks is lookup's KeyError, raised at the one table
-    read that follows the measurements: every trajectory has been measured."""
+    """A palette material the table lacks is lookup's KeyError, raised before any
+    trajectory is measured."""
     scene = demo_building()
     txs, rxs = demo_positions()
     db = rldb.build([WOOD, GLASS], [100.0], np.arange(0.0, 86.0))
@@ -455,11 +465,47 @@ def test_identify_loop_names_a_palette_material_the_table_lacks(db100):
     with pytest.raises(KeyError) as scalar:
         db.lookup("plaster", 100.0, 10.0)
     assert str(err.value) == str(scalar.value) == "\"material 'plaster' not in database (wood, glass)\""
-    assert calls == [tid for tid, _ in raymat.identify.traced_pairs(scene, txs, rxs, 2)]
+    assert calls == []
     traj = synthetic_trajectory([30.0])
     with pytest.raises(KeyError) as one:
         enumerate_sequences(traj, PALETTE, db, 100.0)
     assert str(one.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("lacks", ["material", "frequency"])
+def test_a_table_that_does_not_cover_the_run_fails_before_tracing(monkeypatch, lacks):
+    """identify_loop asks the table, before tracing, whether it holds every palette
+    material at f: a table that does not is lookup's own error, and neither
+    trace_pairs nor measure is called."""
+    scene = demo_building()
+    txs, rxs = demo_positions()
+    if lacks == "material":
+        db, f_ghz = rldb.build([WOOD, GLASS], [100.0], np.arange(0.0, 86.0)), 100.0
+        error, text = KeyError, "\"material 'plaster' not in database (wood, glass)\""
+    else:
+        db, f_ghz = rldb.build(PALETTE, [100.0], np.arange(0.0, 86.0)), 28.0
+        error, text = OutOfRangeError, "frequency 28 outside grid hull [100, 100]"
+    calls = []
+    trace_pairs = raymat.identify.trace_pairs
+    monkeypatch.setattr(raymat.identify, "trace_pairs", lambda *a: calls.append("trace_pairs") or trace_pairs(*a))
+
+    def measure(tid, traj):
+        calls.append(tid)
+        return MeasurementRecord(tid, 10.0, 1.0)
+
+    with pytest.raises(error) as err:
+        identify_loop(scene, txs, rxs, PALETTE, db, f_ghz, 1.0, 2, measure)
+    assert str(err.value) == text
+    assert calls == []
+
+
+def test_enumerate_names_no_hop_for_a_frequency_outside_the_table(db100):
+    """A frequency is no hop's: enumerate_sequences raises lookup's own text for it,
+    before the hop whose angle is outside the table too."""
+    traj = synthetic_trajectory([30.0, 88.0])
+    with pytest.raises(OutOfRangeError) as err:
+        enumerate_sequences(traj, PALETTE, db100, 28.0)
+    assert str(err.value) == "frequency 28 outside grid hull [100, 100]"
 
 
 # three 2-hop trajectories on a cycle of facets (w wood, p plaster, g glass):
