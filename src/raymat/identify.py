@@ -317,8 +317,9 @@ def _propagate(tables: Iterable[tuple[str, _Table]], names: list[str]) -> Belief
     two materials breaks the map constraint and is dropped on entry. Tables are
     added in order, each propagated to the fixpoint before the next. A revise
     prunes a table's rows to the domains, narrows its facets to what the kept
-    rows use (all rows, if none is kept; a first support becomes the domain),
-    and queues the tables watching each facet that shrank, in the order added.
+    rows use (if none is left, the rows it kept before this revise, never a row
+    dropped on entry; a first support becomes the domain), and queues the
+    tables watching each facet that shrank, in the order added.
     A trajectory pruned to nothing relaxes nothing; it and an empty domain are
     contradictions. A trajectory added twice is a ValueError.
     """

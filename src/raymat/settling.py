@@ -2,10 +2,11 @@
 
 The reflection coefficient of a thin slab oscillates with thickness because of
 internal multiple reflections; absorption damps the oscillation, so beyond some
-thickness the coefficient stays inside a tolerance band around the thick-slab
-Fresnel value. ``settling_thickness`` finds the smallest such thickness on a
-grid; the oscillation rules out root-finding. The band is checked at every
-grid point from the answer on, not between grid points: a peak that grazes the
+thickness the reflection stays inside a tolerance band around the thick
+surface's loss, ``em.reflection_loss``, the program's one formula for it.
+``settling_thickness`` finds the smallest such thickness on a grid; the
+oscillation rules out root-finding. The band is checked at every grid point
+from the answer on, not between grid points: a peak that grazes the
 tolerance between two points can be missed (ROADMAP item 3 measured 44 of
 1080 preset queries leaving the band past the answer, by at most 0.0014 dB).
 The search stops where the decay envelope proves the band holds: with
@@ -93,26 +94,22 @@ def _envelope_bound(
 
 
 def _band_deviation_db(
-    material: MaterialParams,
-    f_ghz: float,
-    theta_i: float,
-    h_grid: np.ndarray,
+    eta: complex, thick_db: float, f_ghz: float, theta_i: float, h_grid: np.ndarray
 ) -> np.ndarray:
-    """|dB(slab) - dB(thick)| of the unpolarized power on the grid."""
-    eta = em.relative_permittivity(material, f_ghz)
+    """|dB(slab) - dB(thick)| of the unpolarized power on the grid, for the
+    permittivity eta and the thick surface's loss thick_db (em.reflection_loss)."""
     thin = em.slab_coefficient(eta, theta_i, h_grid, f_ghz)
-    thick = em.fresnel_thick(eta, theta_i)
     with np.errstate(divide="ignore"):
         level = 10 * np.log10((np.abs(thin.te) ** 2 + np.abs(thin.tm) ** 2) / 2)
-    ref = 10 * math.log10((abs(thick.te) ** 2 + abs(thick.tm) ** 2) / 2)
-    return np.abs(level - ref)
+    return np.abs(level + thick_db)
 
 
 def settling_thickness(query: SettlingQuery) -> float:
     """Smallest grid thickness from which the band holds at every thicker grid point.
 
     Returns the smallest grid point h* such that every grid point from h* on
-    keeps the slab coefficient within tol_db of the thick-slab value. Reported
+    keeps the slab's unpolarized reflection within tol_db of the thick surface's
+    loss, ``em.reflection_loss(material, f_ghz, theta_i)``. Reported
     at grid resolution; the band is not checked between grid points (see the
     module docstring). The grid stops one point past the envelope bound:
     points beyond it are in band by construction and never computed. The upper
@@ -122,10 +119,14 @@ def settling_thickness(query: SettlingQuery) -> float:
     Raises:
         NotSettledError: (named in the message) if the material has gain or
             is lossless, so that no bound exists.
-        ValueError: if the grid step is not finite and > 0, or the grid up to
-            the bound has more than MAX_GRID_POINTS points.
+        ValueError: ``em``'s, naming the material and frequency, if the
+            permittivity or the thick surface's loss is not finite, before the
+            grid is sized; or if the grid step is not finite and > 0, or the
+            grid up to the bound has more than MAX_GRID_POINTS points.
     """
     bound = _envelope_bound(query.material, query.f_ghz, query.theta_i, query.tol_db)
+    eta = em.relative_permittivity(query.material, query.f_ghz)
+    thick_db = em.reflection_loss(query.material, query.f_ghz, query.theta_i)
     step = (
         query.grid_step_m
         if query.grid_step_m is not None
@@ -146,9 +147,7 @@ def settling_thickness(query: SettlingQuery) -> float:
     for start, stop in ((half, len(grid)), (0, half)):
         if start == stop:
             continue
-        deviation = _band_deviation_db(
-            query.material, query.f_ghz, query.theta_i, grid[start:stop]
-        )
+        deviation = _band_deviation_db(eta, thick_db, query.f_ghz, query.theta_i, grid[start:stop])
         exceeding = np.nonzero(deviation > query.tol_db)[0]
         if len(exceeding):
             return float(grid[start + exceeding[-1] + 1])

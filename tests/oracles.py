@@ -296,15 +296,27 @@ def segment_blocked(scene, start, end, ends):
     return False
 
 
-def exact_trajectory(scene, sequence, tx, rx):
+def mirrored_images(tx, sequence, memo):
+    """tx mirrored across the first j facets of ``sequence``, j = 0..k, by mirror_point.
+    ``memo`` keeps each image by tx's bytes and its facet prefix (facets compare by
+    identity), so a prefix that many rows share is mirrored once per memo."""
+    images, key = [tx], (tx.tobytes(),)
+    for facet in sequence:
+        key += (facet,)
+        if key not in memo:
+            memo[key] = mirror_point(images[-1], facet.plane_point, facet.normal)
+        images.append(memo[key])
+    return images
+
+
+def exact_trajectory(scene, sequence, tx, rx, memo=None):
     """The specular path from tx off ``sequence`` to rx, or None if there is none,
     with 3-vector numpy calls and Python floats: every bit the batched exact pass
     must reproduce. Every leg gets segment_blocked, against every facet but the ones
-    it reflects off at its own ends.
+    it reflects off at its own ends. ``memo`` is mirrored_images': a caller
+    that checks many rows passes one dict to them all, and drops it after.
     """
-    images = [tx]  # the transmitter mirrored across the first j facets
-    for facet in sequence:
-        images.append(mirror_point(images[-1], facet.plane_point, facet.normal))
+    images = mirrored_images(tx, sequence, {} if memo is None else memo)
     points = [rx]  # reflection points, folded back from the receiver
     for facet, origin in zip(reversed(sequence), reversed(images[1:])):
         direction = points[-1] - origin

@@ -938,6 +938,10 @@ def test_coeff_at_zero_thickness_reflects_nothing_for_every_material(capsys, tmp
          _BIG_LOSS),
         (("settling", "--materials-table", "{given}", "--material", "huge", "--freq", "100"), _HUGE,
          "material 'huge' has no finite permittivity at 100.0 GHz"),
+        # refused with em's text before the grid is sized, at any step
+        (("settling", "--materials-table", "{given}", "--material", "big", "--freq", "100"), _BIG, _BIG_LOSS),
+        (("settling", "--materials-table", "{given}", "--material", "big", "--freq", "100", "--grid-step", "1e95"),
+         _BIG, _BIG_LOSS),
         (("trace", "--scene", "{given}", "--tx", "a,b,c", "--rx", "4,0,1"), _FLOOR,
          "point must be x,y,z in meters, got 'a,b,c'"),
         (("rl", "--material", "wood", "--freq", "100", "--angles", "0:x:5"), "",
@@ -948,7 +952,8 @@ def test_coeff_at_zero_thickness_reflects_nothing_for_every_material(capsys, tmp
     ids=[
         "coeff-grid", "rl-angle-90", "rl-angle-negative", "settling-lossless", "rldb-show-malformed", "trace-rx-outside",
         "settling-far-freq", "rl-far-freq", "coeff-far-freq", "simulate-far-freq", "identify-far-freq",
-        "rl-huge-table", "rl-big-table", "settling-huge-table", "trace-text-point", "rl-text-grid", "coeff-text-grid",
+        "rl-huge-table", "rl-big-table", "settling-huge-table", "settling-big-table", "settling-big-table-coarse-step",
+        "trace-text-point", "rl-text-grid", "coeff-text-grid",
     ],
 )
 def test_a_command_that_fails_after_parsing_writes_no_output_file(capsys, tmp_path, argv, given, message):

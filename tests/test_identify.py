@@ -946,6 +946,26 @@ def test_propagator_rejects_a_trajectory_added_twice():
     assert merge_candidates([("t1", wood), ("t2", wood)]).rp_domains == {key: {"wood"}}
 
 
+def test_a_table_pruned_to_nothing_narrows_by_the_rows_it_kept_before():
+    # t1's second row gives facet A two materials and is dropped on entry; t0 then
+    # prunes its first row, so no row is left. Its facets narrow by the rows it kept
+    # before that revise, (wood, wood, wood), never by the dropped row: B loses
+    # plaster, and t2, over B and C, is pruned to nothing after it.
+    a0, a1 = RPKey("A", (0, 0, 0)), RPKey("A", (100, 0, 0))
+    b0, b1, c = RPKey("B", (0, 0, 0)), RPKey("B", (100, 0, 0)), RPKey("C", (0, 0, 0))
+
+    def row(*assignment):
+        return SequenceCandidate(assignment, tuple(1.0 for _ in assignment), float(len(assignment)))
+
+    belief = merge_candidates([
+        ("t0", [row((b0, "plaster"))]),
+        ("t1", [row((a0, "wood"), (b1, "wood"), (a1, "wood")), row((a0, "wood"), (b1, "plaster"), (a1, "glass"))]),
+        ("t2", [row((b0, "plaster"), (c, "glass"))]),
+    ])
+    assert belief.facet_domains == {"A": {"wood"}, "B": set(), "C": {"glass"}}
+    assert belief.contradicted_facets == {"A", "B", "C"}
+
+
 @pytest.mark.parametrize("other", [RP2, RPKey(RP1.facet_id, (0, 0, 0))], ids=["other-facet", "same-facet"])
 def test_a_trajectory_whose_candidates_name_different_points_is_rejected(other):
     # a trajectory's table is over its reflection points, so every row must name them all

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -85,9 +86,9 @@ def searched_blocks(monkeypatch):
     blocks = []
     deviation = settling._band_deviation_db
 
-    def spy(material, f_ghz, theta_i, grid):
+    def spy(eta, thick_db, f_ghz, theta_i, grid):
         blocks.append(grid)
-        return deviation(material, f_ghz, theta_i, grid)
+        return deviation(eta, thick_db, f_ghz, theta_i, grid)
 
     monkeypatch.setattr(settling, "_band_deviation_db", spy)
     return blocks
@@ -126,6 +127,38 @@ def test_lossless_material_never_settles(monkeypatch):
     for step in (None, 2e-5):
         with pytest.raises(settling.NotSettledError, match="material 'ideal' is lossless"):
             solve(ideal, 100.0, grid_step_m=step)
+
+
+@pytest.mark.parametrize("step", [None, 1e92])
+def test_a_material_without_a_finite_thick_loss_is_refused_before_the_grid_is_sized(monkeypatch, step):
+    # its permittivity is finite and it decays (a 1.4e98 m bound), but em refuses
+    # its loss: settling gives em's text, at the default step and at one so coarse
+    # that the grid would be small
+    monkeypatch.setattr(settling.np, "arange", _no_grid)
+    big = MaterialParams("big", 1e200, 0.0, 0.01, 1.0)
+    message = "material 'big' has no finite reflection loss at 100.0 GHz (permittivity 1e+200-0.18j)"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        solve(big, 100.0, grid_step_m=step)
+
+
+def test_the_band_is_measured_against_em_reflection_loss(monkeypatch):
+    # the thick side of the band is em.reflection_loss, bit for bit, once per query
+    seen = []
+    deviation = settling._band_deviation_db
+
+    def spy(eta, thick_db, f_ghz, theta_i, grid):
+        seen.append((eta, thick_db, f_ghz, theta_i))
+        return deviation(eta, thick_db, f_ghz, theta_i, grid)
+
+    monkeypatch.setattr(settling, "_band_deviation_db", spy)
+    for mat in (WOOD, PLASTER, GLASS):
+        for f in (28.0, 100.0, 1000.0):
+            for theta in (0.0, math.radians(30.0), math.radians(85.0)):
+                seen.clear()
+                solve(mat, f, theta_i=theta)
+                want = (em.relative_permittivity(mat, f), em.reflection_loss(mat, f, theta).hex(), f, theta)
+                assert 1 <= len(seen) <= 2
+                assert {(eta, thick.hex(), f_ghz, th) for eta, thick, f_ghz, th in seen} == {want}
 
 
 def test_lossless_slab_past_total_internal_reflection_settles():
@@ -339,7 +372,8 @@ def test_deviation_past_the_envelope_bound_is_within_half_the_band(mat, f, theta
     bound = settling._envelope_bound(mat, f, theta, tol)
     step = settling.default_grid_step(f) / 7  # off the search grid
     grid = np.arange(bound, 3 * bound, step)
-    deviation = settling._band_deviation_db(mat, f, theta, grid)
+    eta, thick_db = em.relative_permittivity(mat, f), em.reflection_loss(mat, f, theta)
+    deviation = settling._band_deviation_db(eta, thick_db, f, theta, grid)
     assert deviation.size > 100 and np.max(deviation) <= tol / 2
 
 

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 
 from raymat import tracer
 from raymat.demo import demo_building, demo_positions
-from raymat.geometry import (
-    mirror_point, reflect_direction, unit, validate_convex_polygon,
-)
+from raymat.geometry import reflect_direction, unit, validate_convex_polygon
 from raymat.scene import Facet, Scene, SceneValidationError, load_scene, save_scene, scene_from_dict
 from raymat.tracer import trace
 
-from .oracles import brute_force_double_bounce, brute_force_single_bounce, exact_trajectory
+from .oracles import brute_force_double_bounce, brute_force_single_bounce, exact_trajectory, mirrored_images
 from .scenegen import random_endpoints, random_scene
 
 
@@ -555,20 +553,20 @@ def test_trace_many_is_trace_per_receiver_in_blocks_of_any_size(rows, pair_cases
     assert paths.count(0) > 10 and len(paths) - paths.count(0) > 10
 
 
-def _assert_rows_match_the_oracle(scene, seqs, tx, rxs, got, tally, oracle):
+def _assert_rows_match_the_oracle(scene, seqs, tx, rxs, got, tally, oracle, memo=None):
     """Each row's exact pass result is the scalar oracle's: None for None, else the same
     bits. ``oracle`` keeps the oracle's reprs of rows already seen, by scene, facets and
-    endpoints."""
+    endpoints; ``memo`` is the oracle's memo of mirrored images."""
     for ids, rx, traj in zip(map(tuple, seqs.tolist()), rxs, got, strict=True):
         key = id(scene), ids, tx.tobytes(), rx.tobytes()
         if key not in oracle:
-            want = exact_trajectory(scene, tuple(scene.facets[i] for i in ids), tx, rx)
+            want = exact_trajectory(scene, tuple(scene.facets[i] for i in ids), tx, rx, memo)
             oracle[key] = _reprs([want] if want else [])
         assert _reprs([traj] if traj else []) == oracle[key], ([scene.facets[i].facet_id for i in ids], tx, rx)
         tally[not oracle[key]] += 1
 
 
-def _assert_cut_rows_have_no_path(scene, tx, rxs, k, calls, tally, oracle):
+def _assert_cut_rows_have_no_path(scene, tx, rxs, k, calls, tally, oracle, memo=None):
     """The rows trace_pairs handed the exact pass (``calls``) and the rows its cut kept
     back together make every facet sequence of 1..k facets times every receiver, as a
     multiset, and the scalar oracle finds no path for any row kept back."""
@@ -583,7 +581,7 @@ def _assert_cut_rows_have_no_path(scene, tx, rxs, k, calls, tally, oracle):
     for ids, rx in (every - handed).elements():
         key = id(scene), ids, tx.tobytes(), rx
         if key not in oracle:
-            want = exact_trajectory(scene, tuple(scene.facets[i] for i in ids), tx, np.frombuffer(rx))
+            want = exact_trajectory(scene, tuple(scene.facets[i] for i in ids), tx, np.frombuffer(rx), memo)
             oracle[key] = _reprs([want] if want else [])
         assert oracle[key] == [], ([scene.facets[i].facet_id for i in ids], tx, np.frombuffer(rx))
         tally["cut"] += 1
@@ -603,15 +601,15 @@ def test_the_exact_check_is_the_scalar_oracle_on_every_row_it_receives(default_b
         return got
 
     monkeypatch.setattr(tracer, "_trajectories", record)
-    tally, oracle = {True: 0, False: 0, "cut": 0}, {}
+    tally, oracle, memo = {True: 0, False: 0, "cut": 0}, {}, {}
     for scene, tx, rxs, k in [(scene, a, [b], k) for scene, a, b, k in default_blocks[0]] + _receiver_cases():
         calls.clear()
         tracer.trace_pairs(scene, [tx], rxs, k)
         tx = np.asarray(tx, dtype=float)
         for seqs, images, got_rxs, got in calls:
             assert (images[:, 0] == tx).all()
-            _assert_rows_match_the_oracle(scene, seqs, tx, got_rxs, got, tally, oracle)
-        _assert_cut_rows_have_no_path(scene, tx, rxs, k, calls, tally, oracle)
+            _assert_rows_match_the_oracle(scene, seqs, tx, got_rxs, got, tally, oracle, memo)
+        _assert_cut_rows_have_no_path(scene, tx, rxs, k, calls, tally, oracle, memo)
     assert tally[False] > 1000 and tally[True] > 10 and tally["cut"] > 10000, tally
 
 
@@ -658,14 +656,10 @@ def test_the_cut_keeps_back_no_path_on_random_scenes(seed, k):
     _assert_cut_rows_have_no_path(scene, tx, rxs, k, calls, {"cut": 0}, {})
 
 
-def _mirrored(scene, tx, seqs):
+def _mirrored(scene, tx, seqs, memo):
     """``images[i, j]``: tx mirrored across the first j facets of row i, by mirror_point."""
-    images = np.empty((len(seqs), seqs.shape[1] + 1, 3))
-    for row, ids in zip(images, seqs.tolist()):
-        row[0] = tx
-        for j, i in enumerate(ids):
-            row[j + 1] = mirror_point(row[j], scene.facets[i].plane_point, scene.facets[i].normal)
-    return images
+    images = [mirrored_images(tx, tuple(scene.facets[i] for i in ids), memo) for ids in seqs.tolist()]
+    return np.reshape(images, (len(seqs), seqs.shape[1] + 1, 3))  # also for no rows
 
 
 def test_the_exact_check_is_the_scalar_oracle_on_every_sequence():
@@ -673,13 +667,13 @@ def test_the_exact_check_is_the_scalar_oracle_on_every_sequence():
     in one block per length with mirror_point's images, so rows fail at every test the
     oracle makes; the mixed scene's facets have 3, 4 and 5 edges, so padded half-planes
     are used."""
-    tally = {True: 0, False: 0}
+    tally, memo = {True: 0, False: 0}, {}
     for _, scene, tx, rx in EXHAUSTIVE_CASES:
         tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
         for seqs in _every_sequence(scene, 3):
             rxs = np.tile(rx, (len(seqs), 1))
-            got = tracer._trajectories(scene, seqs, _mirrored(scene, tx, seqs), rxs)
-            _assert_rows_match_the_oracle(scene, seqs, tx, rxs, got, tally, {})
+            got = tracer._trajectories(scene, seqs, _mirrored(scene, tx, seqs, memo), rxs)
+            _assert_rows_match_the_oracle(scene, seqs, tx, rxs, got, tally, {}, memo)
     assert min(tally.values()) > 100, tally
 
 
