@@ -1,4 +1,4 @@
-"""Small 3D geometry kit: planes, convex polygons, mirrors.
+"""Small 3D geometry kit: convex polygons, unit vectors, mirrored directions.
 
 Everything works on float64 numpy arrays of shape (3,). Polygons are convex,
 planar, and wound counter-clockwise around their outward normal.
@@ -52,23 +52,6 @@ def validate_convex_polygon(vertices: np.ndarray) -> tuple[np.ndarray, float]:
     return normal, area
 
 
-def mirror_point(point: np.ndarray, plane_point: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Reflect a point across the plane (plane_point, unit normal)."""
-    d = float((point - plane_point) @ normal)
-    return point - 2 * d * normal
-
-
 def reflect_direction(direction: np.ndarray, normal: np.ndarray) -> np.ndarray:
     """Specular reflection of a direction vector about a unit normal."""
     return direction - 2 * float(direction @ normal) * normal
-
-
-def ray_plane_parameter(
-    origin: np.ndarray, direction: np.ndarray, plane_point: np.ndarray, normal: np.ndarray
-) -> float | None:
-    """Parameter t with origin + t*direction on the plane; None if |cos| to the normal
-    is below GRAZING_COS, or if direction is zero (a mirrored image on the point it aims at)."""
-    denom = float(direction @ normal)
-    if not abs(denom) > GRAZING_COS * math.sqrt(direction @ direction):
-        return None
-    return float((plane_point - origin) @ normal) / denom

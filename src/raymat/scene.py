@@ -43,11 +43,6 @@ class Facet:
     material_label: str = UNKNOWN_MATERIAL
     thickness_m: float = 0.0
     normal: np.ndarray = field(init=False)
-    plane_point: np.ndarray = field(init=False, repr=False)  # the first vertex
-    # half-planes, one row per edge: inward @ p - offsets >= -slack inside
-    inward: np.ndarray = field(init=False, repr=False)
-    offsets: np.ndarray = field(init=False, repr=False)
-    slack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.facet_id:
@@ -61,28 +56,19 @@ class Facet:
             raise SceneValidationError(
                 f"thickness must be >= 0 and finite, got {self.thickness_m}", facet_id=self.facet_id
             )
-        edges = np.roll(verts, -1, axis=0) - verts
-        inward = np.cross(normal, edges)  # normal x edge points inward (CCW)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "plane_point", verts[0])
-        object.__setattr__(self, "inward", inward)
-        object.__setattr__(self, "offsets", np.sum(inward * verts, axis=1))
-        object.__setattr__(self, "slack", 1e-9 * np.maximum(np.linalg.norm(edges, axis=1), 1))
-
-    def contains(self, point: np.ndarray) -> bool:
-        """Half-plane test against every edge; within ``slack`` of the boundary counts as inside."""
-        return bool((self.offsets - self.inward @ point <= self.slack).all())
 
 
 @dataclass(frozen=True, eq=False)
 class Scene:
     """Immutable collection of facets with an axis-aligned bounding box.
 
-    The facet geometry is also stacked once, for batched tests across facets:
-    unit ``normals`` (N, 3), ``plane_points`` (N, 3), and each facet's half-planes
-    (``inward``, ``offsets``, ``slack``, as on Facet) padded to the largest edge count
-    with zero rows, which every point passes. For the tracer's reflection-cone cut,
+    The facet geometry is stacked once, for batched tests across facets: unit
+    ``normals`` (N, 3), ``plane_points`` (N, 3), each facet's first vertex, and each
+    facet's half-planes, one row per edge: p is inside when ``inward @ p - offsets >=
+    -slack`` on every row, within 1e-9 * max(|edge|, 1) of the edge line, and a padded
+    row, all zeros, passes every point. For the tracer's reflection-cone cut,
     ``vertices`` (N, V, 3) pads each facet's vertices with copies of its last one, and
     two lengths per facet bound where a point that passes the facet's half-plane test
     can lie: ``spill``, beyond any edge line, and ``reach``, off the hull of the
@@ -120,17 +106,16 @@ class Scene:
         object.__setattr__(self, "_box", tuple(zip((lower - pad - 1e-9).tolist(), (upper + pad + 1e-9).tolist())))
         object.__setattr__(self, "_by_id", {f.facet_id: f for f in facets})
         object.__setattr__(self, "normals", np.array([f.normal for f in facets]))
-        object.__setattr__(self, "plane_points", np.array([f.plane_point for f in facets]))
-        width = max(len(f.vertices) for f in facets)
-        for name in ("inward", "offsets", "slack"):
-            padded = np.zeros((len(facets), width, *getattr(facets[0], name).shape[1:]))
-            for row, f in zip(padded, facets):
-                row[: len(f.vertices)] = getattr(f, name)
-            object.__setattr__(self, name, padded)
         count = np.array([len(f.vertices) for f in facets])
+        width, first = count.max(), np.cumsum(count) - count  # first: each facet's first row in stacked
         real = np.arange(width) < count[:, None]  # (facets, width): a facet's own edges and vertices
-        first = np.cumsum(count) - count  # of each facet's vertices in stacked
+        object.__setattr__(self, "plane_points", stacked[first])  # each facet's first vertex
         object.__setattr__(self, "vertices", stacked[first[:, None] + np.minimum(np.arange(width), count[:, None] - 1)])
+        edges = stacked[first[:, None] + (np.arange(width) + 1) % count[:, None]] - self.vertices
+        inward = np.cross(self.normals[:, None], edges)  # normal x edge points inward (CCW)
+        object.__setattr__(self, "inward", np.where(real[..., None], inward, 0.0))
+        object.__setattr__(self, "offsets", np.where(real, np.sum(inward * self.vertices, axis=2), 0.0))
+        object.__setattr__(self, "slack", np.where(real, 1e-9 * np.maximum(np.linalg.norm(edges, axis=2), 1), 0.0))
         # every coordinate the tracer meets is below 9 * far: endpoints and hops lie in
         # the box, and an image mirrored k <= 4 times is within (2k + 1) * far of the origin
         far = max(abs(x) for bounds in self._box for x in bounds)

@@ -118,7 +118,8 @@ def settling_thickness(query: SettlingQuery) -> float:
 
     Raises:
         NotSettledError: (named in the message) if the material has gain or
-            is lossless, so that no bound exists.
+            is lossless, so that no bound exists, or if its thick surface reflects
+            nothing (an infinite loss), before the grid is sized.
         ValueError: ``em``'s, naming the material and frequency, if the
             permittivity or the thick surface's loss is not finite, before the
             grid is sized; or if the grid step is not finite and > 0, or the
@@ -127,6 +128,11 @@ def settling_thickness(query: SettlingQuery) -> float:
     bound = _envelope_bound(query.material, query.f_ghz, query.theta_i, query.tol_db)
     eta = em.relative_permittivity(query.material, query.f_ghz)
     thick_db = em.reflection_loss(query.material, query.f_ghz, query.theta_i)
+    if thick_db == math.inf:  # the slab levels are -inf too, and -inf + inf, NaN, would count as in band
+        raise NotSettledError(
+            f"material {query.material.name!r} reflects nothing at {query.f_ghz} GHz: with no "
+            "impedance contrast its thick loss is infinite and the slab never settles to it"
+        )
     step = (
         query.grid_step_m
         if query.grid_step_m is not None

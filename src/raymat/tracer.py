@@ -1,20 +1,20 @@
 """Deterministic image-method ray tracing for multi-bounce specular paths.
 
 Facet sequences are traced depth first over one image forest, whose roots are every
-(transmitter, facet), in blocks of at most BLOCK_ROWS rows, one per sequence and
-receiver, each under one np.errstate; a block may mix transmitters, and each row carries
-its transmitter's index. Each image is mirrored once per sequence. A sequence is
-extended only to the facets its reflection cone can reach: the next hop lies on a ray from the sequence's last image
-through its last facet's polygon, beyond that facet, so a facet whose vertices all lie
-beyond one face of that cone, by a margin that covers the polygon tests' slack and the
-rounding, is cut with its whole subtree (beam tracing's visibility test, Funkhouser et
-al., SIGGRAPH 1998; _blocks proves that no path is lost). One exact pass per block then
-folds every row back from its receiver, drops it at the first hop that is grazing, off its facet's
-plane segment or outside the facet's polygon, and tests the legs of the rows left for
-occlusion, on only the facets whose planes they cross strictly inside. Every step has
-the bits of the scalar 3-vector calls: a stacked matmul row is the 1-D ``a @ b``. A leg
-meets the plane of a facet it reflects off at one of its own ends only at that end, so
-those facets never occlude it. Facets reflect on both sides.
+(transmitter, facet), in blocks of at most BLOCK_ROWS rows, one per sequence and receiver,
+each under one np.errstate; a block may mix transmitters, and each row carries its
+transmitter's index. Each image is mirrored once per sequence. A sequence is extended only
+to the facets its reflection cone can reach: the next hop lies on a ray from the
+sequence's last image through its last facet's polygon, beyond that facet, so a facet
+whose vertices all lie beyond one face of that cone, by a margin that covers the polygon
+tests' slack and the rounding, is cut with its whole subtree (beam tracing's visibility
+test, Funkhouser et al., SIGGRAPH 1998; _blocks proves that no path is lost). One exact
+pass per block then folds every row back from its receiver, drops it at the first hop that
+is grazing, off its facet's plane segment or outside the facet's polygon, and tests the
+legs of the rows left for occlusion, on only the facets whose planes they cross strictly
+inside. Every step has the bits of the scalar 3-vector calls: a stacked matmul row is the
+1-D ``a @ b``. A leg meets the plane of a facet it reflects off at one of its own ends
+only at that end, so those facets never occlude it. Facets reflect on both sides.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _blocks(scene: Scene, seqs: np.ndarray, images: np.ndarray, owner: np.ndarra
 
     ``images[:, j]`` is the transmitter mirrored across the first j facets of each
     row, and ``owner`` the index of that transmitter; the image across the last facet
-    is added here, with mirror_point's bits.
+    is added here, with the bits of the scalar mirror in tests/oracles.py.
 
     The cut loses no path. Take a row ending on facet f with image I (``mirrored``),
     a child g, and any extension of it that the exact pass accepts. Its hop Q on g
@@ -155,8 +155,7 @@ def _reachable(scene: Scene, f: np.ndarray, image: np.ndarray) -> np.ndarray:
 
 
 def _inside(scene: Scene, f: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Facet.contains of each point on facet f, with its bits (a stacked mat-vec row
-    is the 1-D ``inward @ p``); a padded half-plane row passes every point."""
+    """Whether each point passes every half-plane of its facet f in Scene's arrays, with 1-D ``inward @ p`` bits."""
     inward = np.matmul(scene.inward[f], points[..., None])[..., 0]
     return (scene.offsets[f] - inward <= scene.slack[f]).all(axis=-1)
 
@@ -170,7 +169,7 @@ def _blocked(scene: Scene, seqs: np.ndarray, path: np.ndarray) -> np.ndarray:
     inside a leg get the distance and polygon tests.
     """
     start, d = path[:, :-1], path[:, 1:] - path[:, :-1]  # (rows, legs, 3)
-    denom = _dot(d[:, :, None], scene.normals)  # (rows, legs, facets), as in ray_plane_parameter
+    denom = _dot(d[:, :, None], scene.normals)  # (rows, legs, facets)
     t = _dot(scene.plane_points - start[:, :, None], scene.normals) / denom
     crossing = (np.abs(denom) > GRAZING_COS * np.sqrt(_dot(d, d))[..., None]) & (0.0 < t) & (t < 1.0)
     r, hop = np.arange(len(seqs))[:, None], np.arange(seqs.shape[1])
@@ -186,31 +185,32 @@ def _blocked(scene: Scene, seqs: np.ndarray, path: np.ndarray) -> np.ndarray:
 
 
 def _trajectories(scene: Scene, seqs: np.ndarray, images: np.ndarray, rxs: np.ndarray) -> list[Trajectory | None]:
-    """The specular path of each row from ``images[i, 0]`` off the facets ``seqs[i]`` to
-    ``rxs[i]``, or None where there is none.
+    """The specular path of each row from ``images[i, 0]`` off ``seqs[i]`` to ``rxs[i]``, or None.
 
-    ``images[i, j]`` is the transmitter mirrored across the first j facets of row i. Each
-    row is folded back from its receiver and dropped at the first hop that fails the
-    grazing cut, 0 < t < 1 or the polygon test; a row that is left needs legs longer than
-    OCCLUSION_EPS, no hop with |cos| below GRAZING_COS and no occluded leg. Every step
-    has the bits of the 3-vector calls ray_plane_parameter, Facet.contains and
-    math.sqrt(v @ v).
+    ``images[i, j]`` is the transmitter mirrored across the first j facets of row i.
+    Each row is folded back from its receiver into one path array and dropped at the
+    first hop that fails the grazing cut, 0 < t < 1 or the polygon test; a row left
+    needs legs longer than OCCLUSION_EPS, no hop with |cos| below GRAZING_COS and no
+    occluded leg. Each step has the bits of the scalar oracle (tests/oracles.py).
     """
-    found: list[Trajectory | None] = [None] * len(seqs)
-    k, rows, points = seqs.shape[1], np.arange(len(seqs)), [rxs]  # reflection points, from the receiver
+    k, rows, found = seqs.shape[1], np.arange(len(seqs)), [None] * len(seqs)
+    path = np.empty((len(seqs), k + 2, 3))  # tx, the hops, rx; the tx is written for the rows left
+    path[:, -1] = rxs
     with np.errstate(divide="ignore", invalid="ignore"):  # one per block; a row that fails a test is dropped
-        for j in reversed(range(k)):  # ray_plane_parameter from image j + 1 towards the last point
+        for j in reversed(range(k)):  # the ray from image j + 1 towards the path's next point
             origin, f = images[rows, j + 1], seqs[rows, j]
-            direction, n = points[-1] - origin, scene.normals[f]
+            direction, n = path[rows, j + 2] - origin, scene.normals[f]
             denom = _dot(direction, n)
             t = _dot(scene.plane_points[f] - origin, n) / denom
             point = origin + t[:, None] * direction
             ok = (np.abs(denom) > GRAZING_COS * np.sqrt(_dot(direction, direction))) & (0.0 < t) & (t < 1.0)
             ok &= _inside(scene, f, point)
-            rows, points = rows[ok], [p[ok] for p in (*points, point)]
+            rows = rows[ok]
+            path[rows, j + 1] = point[ok]
             if not rows.size:  # every row dropped: no path is left to fold, measure or occlude
                 return found
-        path = np.stack([images[rows, 0], *reversed(points)], axis=1)
+        path = path[rows]
+        path[:, 0] = images[rows, 0]
         legs = path[:, 1:] - path[:, :-1]
         lengths = np.sqrt(_dot(legs, legs))
         cos = np.abs(_dot(legs[:, :k] / lengths[:, :k, None], scene.normals[seqs[rows]]))

@@ -4,18 +4,21 @@ Everything here is deliberately written from scratch (different formulations,
 different code paths) so it can serve as an oracle for the package under test.
 The one exception is ``exact_trajectory`` with its ``segment_blocked``: the tracer's
 exact pass written with scalar 3-vector calls, a bit-level reference for the batched pass.
+Its scalar kit (``mirror_point``, ``ray_plane_parameter``, ``half_planes``) lives here
+too, so that it shares no code with ``raymat.tracer`` or ``raymat.scene``.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from itertools import product
 
 import numpy as np
 
 from raymat import tracer
-from raymat.geometry import GRAZING_COS, mirror_point, ray_plane_parameter
+from raymat.geometry import GRAZING_COS
 
 C0 = 299_792_458.0
 
@@ -278,6 +281,40 @@ def joint_enumeration_domains(entries) -> dict:
 # the tracer's exact pass, one facet sequence at a time in scalar calls
 
 
+def mirror_point(point: np.ndarray, plane_point: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """Reflect a point across the plane (plane_point, unit normal)."""
+    d = float((point - plane_point) @ normal)
+    return point - 2 * d * normal
+
+
+def ray_plane_parameter(
+    origin: np.ndarray, direction: np.ndarray, plane_point: np.ndarray, normal: np.ndarray
+) -> float | None:
+    """Parameter t with origin + t*direction on the plane; None if |cos| to the normal
+    is below GRAZING_COS, or if direction is zero (a mirrored image on the point it aims at)."""
+    denom = float(direction @ normal)
+    if not abs(denom) > GRAZING_COS * math.sqrt(direction @ direction):
+        return None
+    return float((plane_point - origin) @ normal) / denom
+
+
+@functools.lru_cache(maxsize=1024)  # facets hash by identity
+def half_planes(facet):
+    """(inward, offsets, slack) of the facet's polygon, one row per edge, computed once
+    per facet: p is inside when ``offsets - inward @ p <= slack`` on every row."""
+    v = facet.vertices
+    edges = np.roll(v, -1, axis=0) - v
+    inward = np.cross(facet.normal, edges)  # normal x edge points inward (CCW)
+    return inward, np.sum(inward * v, axis=1), 1e-9 * np.maximum(np.linalg.norm(edges, axis=1), 1)
+
+
+def polygon_contains(facet, point) -> bool:
+    """Whether point passes every half-plane of the facet; within slack of an edge line
+    counts as inside."""
+    inward, offsets, slack = half_planes(facet)
+    return bool((offsets - inward @ point <= slack).all())
+
+
 def segment_blocked(scene, start, end, ends):
     """True if a facet other than those in ``ends`` cuts the open segment start -> end,
     OCCLUSION_EPS away from both ends."""
@@ -285,13 +322,13 @@ def segment_blocked(scene, start, end, ends):
     for facet in scene.facets:
         if facet in ends:  # Facet compares by identity
             continue
-        t = ray_plane_parameter(start, direction, facet.plane_point, facet.normal)
+        t = ray_plane_parameter(start, direction, facet.vertices[0], facet.normal)
         if t is None or not 0.0 < t < 1.0:
             continue
         point = start + t * direction
         to_start, to_end = point - start, point - end
         near_end = math.sqrt(min(to_start @ to_start, to_end @ to_end))
-        if near_end > tracer.OCCLUSION_EPS and facet.contains(point):
+        if near_end > tracer.OCCLUSION_EPS and polygon_contains(facet, point):
             return True
     return False
 
@@ -304,7 +341,7 @@ def mirrored_images(tx, sequence, memo):
     for facet in sequence:
         key += (facet,)
         if key not in memo:
-            memo[key] = mirror_point(images[-1], facet.plane_point, facet.normal)
+            memo[key] = mirror_point(images[-1], facet.vertices[0], facet.normal)
         images.append(memo[key])
     return images
 
@@ -320,11 +357,11 @@ def exact_trajectory(scene, sequence, tx, rx, memo=None):
     points = [rx]  # reflection points, folded back from the receiver
     for facet, origin in zip(reversed(sequence), reversed(images[1:])):
         direction = points[-1] - origin
-        t = ray_plane_parameter(origin, direction, facet.plane_point, facet.normal)
+        t = ray_plane_parameter(origin, direction, facet.vertices[0], facet.normal)
         if t is None or not 0.0 < t < 1.0:
             return None
         rp = origin + t * direction
-        if not facet.contains(rp):
+        if not polygon_contains(facet, rp):
             return None
         points.append(rp)
     path = [tx, *reversed(points)]

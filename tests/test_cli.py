@@ -893,6 +893,11 @@ _HUGE = "huge 1e308 1 0.01 1 0\n"  # a * f^b is inf at 100 GHz
 _BIG = "big 1e200 0 0.01 1 0\n"  # a finite permittivity whose loss overflows float64
 _FAR_FREQ = "material 'wood' has no finite permittivity at 1e+308 GHz"
 _BIG_LOSS = "material 'big' has no finite reflection loss at 100.0 GHz (permittivity 1e+200-0.18j)"
+_FLAT = "flat 1 0 1e-175 0 0\n"  # a permittivity of 1 - 1.8e-176j: no contrast, so an infinite thick loss
+_FLAT_LOSS = (
+    "material 'flat' reflects nothing at 100.0 GHz: with no impedance contrast its thick loss is infinite "
+    "and the slab never settles to it"
+)
 
 
 def test_coeff_at_zero_thickness_reflects_nothing_for_every_material(capsys, tmp_path):
@@ -942,6 +947,10 @@ def test_coeff_at_zero_thickness_reflects_nothing_for_every_material(capsys, tmp
         (("settling", "--materials-table", "{given}", "--material", "big", "--freq", "100"), _BIG, _BIG_LOSS),
         (("settling", "--materials-table", "{given}", "--material", "big", "--freq", "100", "--grid-step", "1e95"),
          _BIG, _BIG_LOSS),
+        # refused before the grid is sized: no grid step makes an infinite loss settle
+        (("settling", "--materials-table", "{given}", "--material", "flat", "--freq", "100"), _FLAT, _FLAT_LOSS),
+        (("settling", "--materials-table", "{given}", "--material", "flat", "--freq", "100", "--grid-step", "1e173"),
+         _FLAT, _FLAT_LOSS),
         (("trace", "--scene", "{given}", "--tx", "a,b,c", "--rx", "4,0,1"), _FLOOR,
          "point must be x,y,z in meters, got 'a,b,c'"),
         (("rl", "--material", "wood", "--freq", "100", "--angles", "0:x:5"), "",
@@ -953,6 +962,7 @@ def test_coeff_at_zero_thickness_reflects_nothing_for_every_material(capsys, tmp
         "coeff-grid", "rl-angle-90", "rl-angle-negative", "settling-lossless", "rldb-show-malformed", "trace-rx-outside",
         "settling-far-freq", "rl-far-freq", "coeff-far-freq", "simulate-far-freq", "identify-far-freq",
         "rl-huge-table", "rl-big-table", "settling-huge-table", "settling-big-table", "settling-big-table-coarse-step",
+        "settling-flat-table", "settling-flat-table-coarse-step",
         "trace-text-point", "rl-text-grid", "coeff-text-grid",
     ],
 )

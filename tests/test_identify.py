@@ -544,14 +544,17 @@ def test_contradicting_instance_has_one_outcome_under_every_hash_seed():
     src = os.path.dirname(os.path.dirname(raymat.__file__))
     code = "from tests.test_identify import cycle_outcomes; print(repr(cycle_outcomes()))"
     outputs = set()
-    for seed in range(8):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join([src, root]))
-        child = subprocess.run(
-            [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True,
-            check=False,
+    children = [  # all eight run at once, and are collected in seed order
+        subprocess.Popen(
+            [sys.executable, "-c", code], cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join([src, root])),
         )
-        assert child.returncode == 0, child.stderr
-        outputs.add(child.stdout)
+        for seed in range(8)
+    ]
+    finished = [(child, *child.communicate()) for child in children]
+    for child, stdout, stderr in finished:
+        assert child.returncode == 0, stderr
+        outputs.add(stdout)
     expected = cycle_outcomes()
     assert outputs == {repr(expected) + "\n"}
     _domains, contradicted, dead = expected

@@ -23,10 +23,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "raymat"
 
 ALLOWED = {
-    # The scalar reference the array tracer is checked against: tests/oracles.py builds
-    # its exact trajectories from these two, so they stay without a reader in the program.
-    "geometry.mirror_point",
-    "geometry.ray_plane_parameter",
     # tests/oracles.py builds its reference trajectories with this field
     "tracer.Trajectory.segment_lengths",
     # part of a key's identity: its hash, its equality and the attrgetter sort key

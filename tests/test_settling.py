@@ -141,6 +141,19 @@ def test_a_material_without_a_finite_thick_loss_is_refused_before_the_grid_is_si
         solve(big, 100.0, grid_step_m=step)
 
 
+@pytest.mark.parametrize("step", [None, 1e170])
+def test_a_surface_that_reflects_nothing_never_settles(monkeypatch, step):
+    # a permittivity of 1 - 1.8e-176j has no contrast with free space: the thick loss
+    # is inf, where -inf + inf would read NaN, in band; refused naming the cause before
+    # the grid is sized, at the default step and at one so coarse that the grid is small
+    monkeypatch.setattr(settling.np, "arange", _no_grid)
+    flat = MaterialParams("flat", 1.0, 0.0, 1e-175, 0.0)
+    assert em.reflection_loss(flat, 100.0, 0.0) == math.inf
+    message = "material 'flat' reflects nothing at 100.0 GHz: with no impedance contrast its thick loss is infinite"
+    with pytest.raises(settling.NotSettledError, match=re.escape(message)):
+        solve(flat, 100.0, grid_step_m=step)
+
+
 def test_the_band_is_measured_against_em_reflection_loss(monkeypatch):
     # the thick side of the band is em.reflection_loss, bit for bit, once per query
     seen = []

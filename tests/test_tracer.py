@@ -15,7 +15,13 @@ from raymat.geometry import reflect_direction, unit, validate_convex_polygon
 from raymat.scene import Facet, Scene, SceneValidationError, load_scene, save_scene, scene_from_dict
 from raymat.tracer import trace
 
-from .oracles import brute_force_double_bounce, brute_force_single_bounce, exact_trajectory, mirrored_images
+from .oracles import (
+    brute_force_double_bounce,
+    brute_force_single_bounce,
+    exact_trajectory,
+    half_planes,
+    mirrored_images,
+)
 from .scenegen import random_endpoints, random_scene
 
 
@@ -204,7 +210,7 @@ def test_specular_replay_on_random_scenes():
                 )
                 assert np.linalg.norm(expected_next - path[i + 2]) < 1e-6
                 # reflection point sits on the facet plane, inside the polygon
-                offset = (hop.point - facet.plane_point) @ facet.normal
+                offset = (hop.point - facet.vertices[0]) @ facet.normal
                 assert abs(offset) < 1e-6
                 assert point_in_convex_polygon(
                     hop.point, facet.vertices, facet.normal, tol=1e-6
@@ -214,10 +220,11 @@ def test_specular_replay_on_random_scenes():
 
 
 def test_facet_contains_agrees_with_reference():
+    # the program's polygon test is tracer._inside on the scene's stacked half-planes
     scenes = [demo_building()] + [random_scene(seed)[0] for seed in range(6)]
     checked = 0
     for scene in scenes:
-        for facet in scene.facets:
+        for index, facet in enumerate(scene.facets):
             v = facet.vertices
             nxt = np.roll(v, -1, axis=0)
             mids = (v + nxt) / 2
@@ -227,9 +234,32 @@ def test_facet_contains_agrees_with_reference():
             cases += [(p, False) for p in mids + 1e-6 * outward]
             for point, inside in cases:
                 reference = point_in_convex_polygon(point, v, facet.normal)
-                assert facet.contains(point) == reference == inside
+                assert tracer._inside(scene, np.array([index]), point[None])[0] == reference == inside
                 checked += 1
     assert checked > 400
+
+
+def _mixed_scene():
+    """Facets of 3, 4 and 6 vertices: two of them have padded half-plane rows."""
+    hexagon = [(4 + math.cos(a), 1 + math.sin(a), 1.0) for a in np.linspace(0, 2 * math.pi, 7)[:-1]]
+    wall = rect((0, 3, 0), (2, 3, 0), (2, 3, 2), (0, 3, 2))
+    return Scene((Facet("tri", rect((0, 0, 0), (2, 0, 0), (1, 2, 0))), Facet("wall", wall), Facet("hex", rect(*hexagon))))
+
+
+def test_the_scene_stacks_each_facets_half_planes_bit_for_bit():
+    """Scene's plane_points, inward, offsets and slack are the oracle's per-facet first
+    vertex and half-planes, bit for bit, with an all-zero row for each padded edge."""
+    scenes = [demo_building(), *(random_scene(seed)[0] for seed in range(6)), _mixed_scene()]
+    assert [len(f.vertices) for f in scenes[-1].facets] == [3, 4, 6]
+    for scene in scenes:
+        width = max(len(f.vertices) for f in scene.facets)
+        assert scene.inward.shape == (len(scene.facets), width, 3)
+        for i, facet in enumerate(scene.facets):
+            assert scene.plane_points[i].tobytes() == facet.vertices[0].tobytes()
+            for stacked, own in zip((scene.inward, scene.offsets, scene.slack), half_planes(facet)):
+                padded = np.zeros((width, *own.shape[1:]))  # +0.0, not -0.0
+                padded[: len(own)] = own
+                assert stacked[i].tobytes() == padded.tobytes(), facet.facet_id
 
 
 def test_image_method_agrees_with_brute_force_single_bounce():
@@ -527,7 +557,7 @@ def pair_cases():
 
 
 @pytest.mark.parametrize("rows", [1, 7, 64, 10**6])
-def test_trace_many_is_trace_per_receiver_in_blocks_of_any_size(rows, pair_cases, monkeypatch):
+def test_trace_pairs_is_trace_per_pair_in_blocks_of_any_size(rows, pair_cases, monkeypatch):
     """trace_pairs over one image forest gives each pair what trace gives it alone, for
     several receivers of one transmitter and for several transmitters, a repeated one
     among them; BLOCK_ROWS bounds their rows, sequences times receivers, at every depth,
@@ -730,7 +760,7 @@ def test_leg_through_occluder_boundary_is_blocked(z0):
 def _one_side_of_floor(case):
     _, scene, tx, rx = case
     (floor,) = scene.facets
-    a, b = ((np.asarray(p) - floor.plane_point) @ floor.normal for p in (tx, rx))
+    a, b = ((np.asarray(p) - floor.vertices[0]) @ floor.normal for p in (tx, rx))
     return a * b > 0
 
 
